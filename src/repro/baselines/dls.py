@@ -95,10 +95,8 @@ class DLSSystem(CMPSystem):
             return
         for sharer in list(entry.sharer_cores()):
             self.stats.inclusion_invalidations += 1
-            self.mesh.send(MT.INV,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
-            self.mesh.send(MT.INV_ACK,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
+            self.mesh.send_core_to_bank(MT.INV, sharer, bank.bank_id)
+            self.mesh.send_core_to_bank(MT.INV_ACK, sharer, bank.bank_id)
             line = self.cores[sharer].invalidate(victim.block,
                                                  cause=InvCause.INCLUSION)
             assert line is not None

@@ -93,8 +93,8 @@ class HybridSystem(CMPSystem):
         ``dup-update`` (:mod:`repro.verify.faults`).
         """
         self.stats.updates_sent += 1
-        to_sharer = self.mesh.send(
-            MT.UPDATE, self.mesh.core_to_bank(sharer, bank.bank_id))
+        to_sharer = self.mesh.send_core_to_bank(MT.UPDATE, sharer,
+                                                bank.bank_id)
         to_writer = self.mesh.send_core_to_core(MT.UPDATE_ACK, sharer,
                                                 writer)
         self.cores[sharer].refresh_version(block, version)

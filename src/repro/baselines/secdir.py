@@ -187,16 +187,14 @@ class SecDirSystem(CMPSystem):
         self.stats.dev_invalidations += 1
         self.stats.dev_events += 1
         self.stats.invalidations_sent += 1
-        self.mesh.send(MT.INV, self.mesh.core_to_bank(core, bank.bank_id))
+        self.mesh.send_core_to_bank(MT.INV, core, bank.bank_id)
         line = self.cores[core].invalidate(block, cause=InvCause.DEV)
         assert line is not None
         if line.state is MESI.M:
-            self.mesh.send(MT.WRITEBACK,
-                           self.mesh.core_to_bank(core, bank.bank_id))
+            self.mesh.send_core_to_bank(MT.WRITEBACK, core, bank.bank_id)
             self._install_llc_data(bank, block, line.version, dirty=True)
         else:
-            self.mesh.send(MT.INV_ACK,
-                           self.mesh.core_to_bank(core, bank.bank_id))
+            self.mesh.send_core_to_bank(MT.INV_ACK, core, bank.bank_id)
         entry.remove_sharer(core)
         if entry.empty:
             self._drop_entry(entry)

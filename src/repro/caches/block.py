@@ -70,9 +70,15 @@ class LineKind(enum.Enum):
     FUSED = "fused"
 
 
-@dataclass
+@dataclass(eq=False)
 class LLCLine:
-    """One LLC frame: a data block, a spilled entry, or a fused block."""
+    """One LLC frame: a data block, a spilled entry, or a fused block.
+
+    Frames compare by identity (``eq=False``): a bank's recency lists
+    touch and remove the very frame they hold, and at most one frame per
+    (block, kind) exists, so field-by-field equality would only make
+    every ``list.remove`` slower.
+    """
 
     block: int
     kind: LineKind

@@ -25,6 +25,11 @@ from repro.common.config import LLCReplacement
 from repro.common.errors import ProtocolInvariantError, SimulationError
 from repro.obs.events import EventKind
 
+# Frame kinds read on every insert and remove, bound once as module
+# globals: on Python 3.11 each ``Enum.MEMBER`` read goes through
+# ``EnumType.__getattr__``'s Python-level hook.
+_DATA, _SPILLED = LineKind.DATA, LineKind.SPILLED
+
 
 class LLCBank:
     """Set-associative LLC bank with entry-aware replacement."""
@@ -42,17 +47,20 @@ class LLCBank:
         self.sets = sets
         self.ways = ways
         self.replacement = replacement
+        self._sp_lru = replacement is LLCReplacement.SP_LRU
+        self._data_lru = replacement is LLCReplacement.DATA_LRU
         self._bank_bits = n_banks.bit_length() - 1
+        self._set_mask = sets - 1
         self._frames: List[List[LLCLine]] = [[] for _ in range(sets)]
         self._data_index: Dict[int, LLCLine] = {}   # DATA or FUSED frames
         self._spill_index: Dict[int, LLCLine] = {}  # SPILLED frames
 
     # ------------------------------------------------------------------
     def set_of(self, block: int) -> int:
-        return (block >> self._bank_bits) & (self.sets - 1)
+        return (block >> self._bank_bits) & self._set_mask
 
     def _index_for(self, line: LLCLine) -> Dict[int, LLCLine]:
-        if line.kind is LineKind.SPILLED:
+        if line.kind is _SPILLED:
             return self._spill_index
         return self._data_index
 
@@ -64,8 +72,12 @@ class LLCBank:
         """The DATA or FUSED frame of ``block``, with policy-aware touch."""
         line = self._data_index.get(block)
         if line is not None and touch:
-            self._touch(line)
-            if self.replacement is LLCReplacement.SP_LRU:
+            frames = self._frames[(block >> self._bank_bits)
+                                  & self._set_mask]
+            if frames[-1] is not line:
+                frames.remove(line)
+                frames.append(line)
+            if self._sp_lru:
                 spill = self._spill_index.get(block)
                 if spill is not None:
                     self._touch(spill)  # entry ends above its block
@@ -79,9 +91,12 @@ class LLCBank:
         return line
 
     def _touch(self, line: LLCLine) -> None:
-        frames = self._frames[self.set_of(line.block)]
-        frames.remove(line)
-        frames.append(line)
+        """Move ``line`` to MRU (frames are found by identity)."""
+        frames = self._frames[(line.block >> self._bank_bits)
+                              & self._set_mask]
+        if frames[-1] is not line:
+            frames.remove(line)
+            frames.append(line)
 
     def peek_data(self, block: int) -> Optional[LLCLine]:
         """The DATA/FUSED frame of ``block`` without touching recency."""
@@ -94,9 +109,6 @@ class LLCBank:
     # ------------------------------------------------------------------
     # Insertion / eviction
     # ------------------------------------------------------------------
-    def set_full(self, set_idx: int) -> bool:
-        return len(self._frames[set_idx]) >= self.ways
-
     def choose_victim(self, set_idx: int,
                       protect_block: Optional[int] = None) -> LLCLine:
         """Pick the replacement victim of ``set_idx`` per the policy.
@@ -130,17 +142,14 @@ class LLCBank:
         if not frames:
             raise SimulationError(f"victim requested from empty set "
                                   f"{set_idx} of bank {self.bank_id}")
-
-        def protected(line: LLCLine) -> bool:
-            return (protect_block is not None
-                    and line.block == protect_block)
-
-        if self.replacement is LLCReplacement.DATA_LRU:
+        # A block number never equals None, so ``protect_block=None``
+        # protects nothing.
+        if self._data_lru:
             for line in frames:                 # LRU-to-MRU order
-                if line.kind is LineKind.DATA and not protected(line):
+                if line.kind is _DATA and line.block != protect_block:
                     return line
         for line in frames:                     # LRU-to-MRU order
-            if not protected(line):
+            if line.block != protect_block:
                 return line
         return frames[0]                        # overall LRU, last resort
 
@@ -151,33 +160,35 @@ class LLCBank:
 
         The inserted line's own block is always protected from victim
         selection (its other frame may be in the same set)."""
+        block = line.block
         index = self._index_for(line)
-        if line.block in index:
+        if block in index:
             raise SimulationError(
                 f"bank {self.bank_id}: duplicate {line.kind.value} frame "
-                f"for block {line.block:#x}")
-        set_idx = self.set_of(line.block)
+                f"for block {block:#x}")
+        set_idx = (block >> self._bank_bits) & self._set_mask
+        frames = self._frames[set_idx]
         victim: Optional[LLCLine] = None
-        if self.set_full(set_idx):
+        if len(frames) >= self.ways:
             victim = self.choose_victim(
                 set_idx, protect_block if protect_block is not None
-                else line.block)
-            self.remove(victim)
-        self._frames[set_idx].append(line)
-        index[line.block] = line
-        if (self.replacement is LLCReplacement.SP_LRU
-                and line.kind is not LineKind.SPILLED):
+                else block)
+            frames.remove(victim)
+            del self._index_for(victim)[victim.block]
+        frames.append(line)
+        index[block] = line
+        if self._sp_lru and line.kind is not _SPILLED:
             # spLRU orders a block's spilled entry *above* the block so
             # the block ages out first; a (re)inserted data frame lands
             # at MRU and would invert that, letting replacement evict
             # the live entry while its block stays resident (the
             # case-(iiib) hazard). Restore the entry-above-block order.
-            spill = self._spill_index.get(line.block)
+            spill = self._spill_index.get(block)
             if spill is not None and \
                     "drop-splru-reorder" not in self.mutations:
                 self._touch(spill)
         if self.obs is not None:
-            if line.kind is LineKind.SPILLED:
+            if line.kind is _SPILLED:
                 self.obs.emit(EventKind.ENTRY_SPILL, block=line.block)
             if victim is not None:
                 self.obs.emit(EventKind.LLC_EVICT, block=victim.block,
@@ -185,8 +196,10 @@ class LLCBank:
         return victim
 
     def remove(self, line: LLCLine) -> None:
-        self._frames[self.set_of(line.block)].remove(line)
-        del self._index_for(line)[line.block]
+        block = line.block
+        self._frames[(block >> self._bank_bits)
+                     & self._set_mask].remove(line)
+        del self._index_for(line)[block]
 
     def load_set(self, set_idx: int, lines: List[LLCLine]) -> None:
         """Replace set ``set_idx`` with ``lines`` (LRU-to-MRU order).
@@ -284,11 +297,6 @@ class LLCBank:
     def all_frames(self):
         for frames in self._frames:
             yield from frames
-
-    def entry_frame_count(self) -> int:
-        """Number of frames consumed by spilled entries (LLC pressure)."""
-        return len(self._spill_index) and sum(
-            1 for line in self._spill_index.values())
 
     def spilled_count(self) -> int:
         return len(self._spill_index)

@@ -18,6 +18,11 @@ from repro.common.config import CacheGeometry
 from repro.common.errors import ProtocolInvariantError
 from repro.obs.events import EventKind
 
+# Read on every store and fill, bound once as module globals: on Python
+# 3.11 each ``Enum.MEMBER`` read goes through ``EnumType.__getattr__``'s
+# Python-level hook.
+_M, _S = MESI.M, MESI.S
+
 
 @dataclass
 class EvictionNotice:
@@ -122,11 +127,11 @@ class PrivateHierarchy:
     def commit_write(self, block: int, version: int) -> None:
         """Commit a store: requires M or E; E upgrades to M silently."""
         line = self._l2.peek(block)
-        if line is None or line.state is MESI.S:
+        if line is None or line.state is _S:
             raise ProtocolInvariantError(
                 f"core {self.core} writing block {block:#x} without "
                 f"ownership (state={line.state if line else None})")
-        line.state = MESI.M
+        line.state = _M
         line.dirty = True
         line.version = version
 
@@ -141,7 +146,7 @@ class PrivateHierarchy:
                 f"double fill of block {block:#x} in core {self.core}")
         notices: List[EvictionNotice] = []
         victim = self._l2.insert(
-            L2Line(block, state, version, dirty=state is MESI.M,
+            L2Line(block, state, version, dirty=state is _M,
                    is_code=code))
         if victim is not None:
             self.epoch += 1
@@ -176,13 +181,13 @@ class PrivateHierarchy:
     def downgrade_to_s(self, block: int) -> L2Line:
         """Owner response to a forwarded GETS: M/E -> S, supply data."""
         line = self._l2.peek(block)
-        if line is None or line.state is MESI.S:
+        if line is None or line.state is _S:
             raise ProtocolInvariantError(
                 f"core {self.core} asked to downgrade block {block:#x} "
                 f"it does not own")
         self.epoch += 1
         self.shrink_log.append(block)
-        line.state = MESI.S
+        line.state = _S
         line.dirty = False
         return line
 
@@ -197,7 +202,7 @@ class PrivateHierarchy:
         neither (S writes are already classified unsafe).
         """
         line = self._l2.peek(block)
-        if line is None or line.state is not MESI.S:
+        if line is None or line.state is not _S:
             raise ProtocolInvariantError(
                 f"core {self.core} received an update for block "
                 f"{block:#x} it does not share "
@@ -209,7 +214,7 @@ class PrivateHierarchy:
         if line is None:
             raise ProtocolInvariantError(
                 f"core {self.core} has no block {block:#x} to re-state")
-        if state is MESI.S:
+        if state is _S:
             # Losing ownership shrinks store safety; gaining it (the
             # upgrade grant to E) only extends safety and needs no
             # journal entry.

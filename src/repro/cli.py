@@ -120,8 +120,11 @@ def _command_run(args) -> int:
         print(f"\n[{meta.get('runs_executed', 0)} runs "
               f"({meta.get('cache_hits', 0)} cached), "
               f"{meta.get('experiment_wall_seconds', 0.0):.1f}s wall, "
-              f"{meta.get('accesses_per_second', 0):,} simulated "
-              f"accesses/s, jobs={meta.get('jobs', 1)}]")
+              f"{meta.get('aggregate_accesses_per_second', 0):,} "
+              f"simulated accesses/s "
+              f"({meta.get('accesses_per_second', 0):,}/s per run), "
+              f"jobs={meta.get('jobs', 1)}, "
+              f"cpus={meta.get('cpu_count', 1)}]")
     return 0
 
 

@@ -33,9 +33,20 @@ class EntryLocation(enum.Enum):
     MEMORY = "memory"
 
 
-@dataclass
+# Read on every entry allocation and state change, bound once as module
+# globals: on Python 3.11 each ``Enum.MEMBER`` read goes through
+# ``EnumType.__getattr__``'s Python-level hook.
+_ME, _S = DirState.ME, DirState.S
+
+
+@dataclass(eq=False)
 class DirectoryEntry:
-    """Coherence-tracking record for one privately cached block."""
+    """Coherence-tracking record for one privately cached block.
+
+    Entries compare by identity (``eq=False``), like LLC frames: a
+    directory set holds at most one entry per block and removes the
+    very object it holds.
+    """
 
     block: int
     state: DirState
@@ -45,7 +56,7 @@ class DirectoryEntry:
     nru_ref: bool = True              # 1-bit NRU metadata (sparse dir)
 
     def __post_init__(self) -> None:
-        if self.state is DirState.ME:
+        if self.state is _ME:
             if self.owner is None:
                 raise ProtocolInvariantError(
                     f"M/E entry for block {self.block:#x} has no owner")
@@ -96,13 +107,13 @@ class DirectoryEntry:
 
     def make_owned(self, core: int) -> None:
         """Transition to M/E with ``core`` as the only copy-holder."""
-        self.state = DirState.ME
+        self.state = _ME
         self.owner = core
         self.sharers = 1 << core
 
     def make_shared(self) -> None:
         """Transition to S (owner downgraded or read-shared fill)."""
-        self.state = DirState.S
+        self.state = _S
         self.owner = None
 
     # ------------------------------------------------------------------

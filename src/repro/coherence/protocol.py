@@ -38,6 +38,21 @@ from repro.obs.events import EventKind, InvCause
 from repro.workloads.trace import Op
 
 
+# Enum members the transaction paths read, bound once as module globals:
+# on Python 3.11 every ``Enum.MEMBER`` read goes through
+# ``EnumType.__getattr__``'s Python-level attribute hook (about 0.15 us,
+# a few dozen per miss); 3.12 dropped the hook.
+_WRITE, _IFETCH = Op.WRITE, Op.IFETCH
+_MESI_M, _MESI_E, _MESI_S = MESI.M, MESI.E, MESI.S
+_DIR_ME, _DIR_S = DirState.ME, DirState.S
+_DATA_LINE, _FUSED_LINE = LineKind.DATA, LineKind.FUSED
+_SPARSE = EntryLocation.SPARSE
+_GETS, _GETX, _UPGRADE = MT.GETS, MT.GETX, MT.UPGRADE
+_DATA, _ACK, _INV, _INV_ACK = MT.DATA, MT.ACK, MT.INV, MT.INV_ACK
+_FWD_GETS, _FWD_GETX, _BUSY_CLEAR = MT.FWD_GETS, MT.FWD_GETX, MT.BUSY_CLEAR
+_WRITEBACK, _EVICT_CLEAN = MT.WRITEBACK, MT.EVICT_CLEAN
+
+
 class CMPSystem:
     """One socket running the baseline sparse-directory MESI protocol."""
 
@@ -72,6 +87,10 @@ class CMPSystem:
         self._dram_version = {}
         self._bank_mask = config.llc_banks - 1
         self._lat = config.latency
+        # Read on every miss transaction; the config is frozen.
+        self._epd = config.llc_design is LLCDesign.EPD
+        self._inclusive = config.llc_design is LLCDesign.INCLUSIVE
+        self._check_data = config.check_data
         #: Multi-socket composition seam: when set (by MultiSocketSystem),
         #: memory-side operations route through the inter-socket layer.
         self.memory_side = None
@@ -93,11 +112,12 @@ class CMPSystem:
         """Execute one memory reference; returns its core-visible latency
         in cycles and advances the core's local clock."""
         block = address >> BLOCK_SHIFT
-        if op is Op.WRITE:
+        if op is _WRITE:
             latency = self._write(core, block)
+            self.stats.record_latency(True, latency)
         else:
-            latency = self._read(core, block, code=op is Op.IFETCH)
-        self.stats.record_latency(op is Op.WRITE, latency)
+            latency = self._read(core, block, op is _IFETCH)
+            self.stats.record_latency(False, latency)
         self.stats.advance_core(core,
                                 latency + self._lat.compute_per_access)
         return latency
@@ -109,29 +129,28 @@ class CMPSystem:
     # Core-side paths
     # ------------------------------------------------------------------
     def _read(self, core: int, block: int, code: bool) -> int:
-        hier = self.cores[core]
-        level = hier.read_hit_level(block, code)
+        level = self.cores[core].read_hit_level(block, code)
+        lat = self._lat
         if level == "l1":
             self.stats.l1_hits += 1
-            return self._lat.l1_hit
+            return lat.l1_hit
         if level == "l2":
             self.stats.l2_hits += 1
-            return self._lat.l1_hit + self._lat.l2_hit
+            return lat.l1_hit + lat.l2_hit
         latency, version = self._gets(core, block, code)
-        if self.config.check_data:
+        if self._check_data:
             self.shadow.check_read(block, version, "GETS response")
         # The OOO window hides part of the uncore latency (MLP).
-        exposed = max(1, int(latency
-                             * self._lat.load_visibility_fraction))
-        return self._lat.l1_hit + self._lat.l2_hit + exposed
+        exposed = max(1, int(latency * lat.load_visibility_fraction))
+        return lat.l1_hit + lat.l2_hit + exposed
 
     def _write(self, core: int, block: int) -> int:
         hier = self.cores[core]
         state = hier.write_hit_state(block)
-        if state is not None and state is not MESI.S:
+        if state is not None and state is not _MESI_S:
             # M hit, or silent E->M transition.
             latency = self._lat.l1_hit
-        elif state is MESI.S:
+        elif state is _MESI_S:
             self.stats.l2_hits += 1
             self.stats.upgrades += 1
             latency = (self._lat.l1_hit + self._lat.l2_hit
@@ -153,30 +172,31 @@ class CMPSystem:
               ) -> Tuple[int, int]:
         """Service a core read miss; returns (uncore latency, version)."""
         self.stats.core_cache_misses += 1
-        bank = self.bank_of(block)
-        latency = self.mesh.send_core_to_bank(MT.GETS, core, bank.bank_id)
-        latency += self._lat.queueing + self._lat.llc_tag
+        bank = self.banks[block & self._bank_mask]   # home, once
+        lat = self._lat
+        latency = (self.mesh.send_core_to_bank(_GETS, core, bank.bank_id)
+                   + lat.queueing + lat.llc_tag)
         entry, extra = self._find_entry(block)
         latency += extra
         llc_line = bank.lookup_data(block)
 
-        if entry is not None and entry.state is DirState.ME:
+        if entry is None:
+            latency, version, entry = self._fill_from_uncore(
+                core, block, code, bank, llc_line, latency, exclusive=False)
+        elif entry.state is _DIR_ME:
             if entry.owner == core:
                 raise ProtocolInvariantError(
                     f"core {core} missed on block {block:#x} it owns")
             fwd_latency, version = self._forward_gets(core, block, entry,
                                                       bank, llc_line)
             latency += fwd_latency
-        elif entry is not None:
+        else:
             serve_latency, version = self._shared_read(core, block, entry,
                                                        bank, llc_line)
             latency += serve_latency
             entry.add_sharer(core)
-        else:
-            latency, version, entry = self._fill_from_uncore(
-                core, block, code, bank, llc_line, latency, exclusive=False)
 
-        state = MESI.S if (code or entry.state is DirState.S) else MESI.E
+        state = _MESI_S if (code or entry.state is _DIR_S) else _MESI_E
         self._fill_private(core, block, state, version, code)
         return latency, version
 
@@ -192,17 +212,18 @@ class CMPSystem:
             raise ProtocolInvariantError(
                 f"directory says core {owner} owns block {block:#x} but "
                 "it holds no copy")
-        was_dirty = owner_line.state is MESI.M
-        latency = self.mesh.send(
-            MT.FWD_GETS, self.mesh.core_to_bank(owner, bank.bank_id))
+        was_dirty = owner_line.state is _MESI_M
+        latency = self.mesh.send_core_to_bank(_FWD_GETS, owner,
+                                              bank.bank_id)
         latency += self._lat.l2_hit
-        latency += self.mesh.send_core_to_core(MT.DATA, owner, core)
+        latency += self.mesh.send_core_to_core(_DATA, owner, core)
         line = self.cores[owner].downgrade_to_s(block)
         version = line.version
         # Busy-clear back to home; dirty data is written through to the
         # LLC so the shared copy has a safe backing (off critical path).
-        self.mesh.send(MT.WRITEBACK if was_dirty else MT.BUSY_CLEAR,
-                       self.mesh.core_to_bank(owner, bank.bank_id))
+        self.mesh.send_core_to_bank(
+            _WRITEBACK if was_dirty else _BUSY_CLEAR, owner,
+            bank.bank_id)
         old_state = entry.state
         entry.make_shared()
         entry.add_sharer(core)
@@ -220,7 +241,7 @@ class CMPSystem:
             assert llc_line is not None
             self.stats.llc_data_hits += 1
             latency = penalty + self._lat.llc_data
-            latency += self.mesh.send_bank_to_core(MT.DATA, bank.bank_id,
+            latency += self.mesh.send_bank_to_core(_DATA, bank.bank_id,
                                                    core)
             return latency, llc_line.version
         # Block not (usably) in the LLC: forward to an elected sharer,
@@ -234,12 +255,11 @@ class CMPSystem:
             raise ProtocolInvariantError(
                 f"directory lists core {sharer} for block {block:#x} but "
                 "it holds no copy")
-        latency = penalty + self.mesh.send(
-            MT.FWD_GETS, self.mesh.core_to_bank(sharer, bank.bank_id))
+        latency = penalty + self.mesh.send_core_to_bank(
+            _FWD_GETS, sharer, bank.bank_id)
         latency += self._lat.l2_hit
-        latency += self.mesh.send_core_to_core(MT.DATA, sharer, core)
-        self.mesh.send(MT.WRITEBACK,
-                       self.mesh.core_to_bank(sharer, bank.bank_id))
+        latency += self.mesh.send_core_to_core(_DATA, sharer, core)
+        self.mesh.send_core_to_bank(_WRITEBACK, sharer, bank.bank_id)
         self._install_llc_data(bank, block, sharer_line.version,
                                dirty=sharer_line.dirty)
         return latency, sharer_line.version
@@ -250,9 +270,10 @@ class CMPSystem:
     def _getx(self, core: int, block: int) -> int:
         """Service a write miss (read-exclusive)."""
         self.stats.core_cache_misses += 1
-        bank = self.bank_of(block)
-        latency = self.mesh.send_core_to_bank(MT.GETX, core, bank.bank_id)
-        latency += self._lat.queueing + self._lat.llc_tag
+        bank = self.banks[block & self._bank_mask]   # home, once
+        lat = self._lat
+        latency = (self.mesh.send_core_to_bank(_GETX, core, bank.bank_id)
+                   + lat.queueing + lat.llc_tag)
         entry, extra = self._find_entry(block)
         latency += extra
         llc_line = bank.lookup_data(block)
@@ -262,19 +283,18 @@ class CMPSystem:
             # must be invalidated before granting ownership.
             latency += self._acquire_socket_exclusive(block)
 
-        if entry is not None and entry.state is DirState.ME:
+        if entry is not None and entry.state is _DIR_ME:
             if entry.owner == core:
                 raise ProtocolInvariantError(
                     f"core {core} write-missed on block {block:#x} it owns")
             owner = entry.owner
             assert owner is not None
             self.stats.forwarded_requests += 1
-            latency += self.mesh.send(
-                MT.FWD_GETX, self.mesh.core_to_bank(owner, bank.bank_id))
-            latency += self._lat.l2_hit
-            latency += self.mesh.send_core_to_core(MT.DATA, owner, core)
-            self.mesh.send(MT.BUSY_CLEAR,
-                           self.mesh.core_to_bank(owner, bank.bank_id))
+            latency += self.mesh.send_core_to_bank(_FWD_GETX, owner,
+                                                   bank.bank_id)
+            latency += lat.l2_hit
+            latency += self.mesh.send_core_to_core(_DATA, owner, core)
+            self.mesh.send_core_to_bank(_BUSY_CLEAR, owner, bank.bank_id)
             line = self.cores[owner].invalidate(block,
                                                 cause=InvCause.FWD_GETX)
             assert line is not None
@@ -295,16 +315,16 @@ class CMPSystem:
             latency, version, entry = self._fill_from_uncore(
                 core, block, code=False, bank=bank, llc_line=llc_line,
                 latency=latency, exclusive=True)
-        if self.config.check_data:
+        if self._check_data:
             self.shadow.check_read(block, version, "GETX response")
         self._block_became_owned(bank, block)
-        self._fill_private(core, block, MESI.M, version, code=False)
+        self._fill_private(core, block, _MESI_M, version, code=False)
         return latency
 
     def _upgrade(self, core: int, block: int) -> int:
         """S -> M permission request; the requester keeps its data."""
-        bank = self.bank_of(block)
-        latency = self.mesh.send_core_to_bank(MT.UPGRADE, core,
+        bank = self.banks[block & self._bank_mask]
+        latency = self.mesh.send_core_to_bank(_UPGRADE, core,
                                               bank.bank_id)
         latency += self._lat.queueing + self._lat.llc_tag
         entry, extra = self._find_entry(block)
@@ -318,12 +338,12 @@ class CMPSystem:
             core, block, entry, bank, bank.lookup_data(block),
             need_data=False)
         latency += inv_latency
-        latency += self.mesh.send_bank_to_core(MT.ACK, bank.bank_id, core)
+        latency += self.mesh.send_bank_to_core(_ACK, bank.bank_id, core)
         old_state = entry.state
         entry.make_owned(core)
         self._entry_state_changed(entry, old_state, bank)
         self._block_became_owned(bank, block)
-        self.cores[core].set_state(block, MESI.E)   # grant; store makes M
+        self.cores[core].set_state(block, _MESI_E)   # grant; store makes M
         return latency
 
     def _invalidate_sharers(self, requester: int, block: int,
@@ -341,10 +361,10 @@ class CMPSystem:
         victims = [c for c in entry.sharer_cores() if c != requester]
         for sharer in victims:
             self.stats.invalidations_sent += 1
-            to_sharer = self.mesh.send(
-                MT.INV, self.mesh.core_to_bank(sharer, bank.bank_id))
+            to_sharer = self.mesh.send_core_to_bank(_INV, sharer,
+                                                    bank.bank_id)
             to_requester = self.mesh.send_core_to_core(
-                MT.INV_ACK, sharer, requester)
+                _INV_ACK, sharer, requester)
             inv_path = max(inv_path, to_sharer + self._lat.l2_hit
                            + to_requester)
             line = self.cores[sharer].invalidate(block,
@@ -357,7 +377,7 @@ class CMPSystem:
         if llc_line is not None and self._llc_data_usable(llc_line):
             self.stats.llc_data_hits += 1
             data_path = (self._lat.llc_data + self.mesh.send_bank_to_core(
-                MT.DATA, bank.bank_id, requester))
+                _DATA, bank.bank_id, requester))
             return llc_line.version, max(data_path, inv_path)
         if data_version is None:
             raise ProtocolInvariantError(
@@ -378,7 +398,7 @@ class CMPSystem:
         if llc_line is not None and self._llc_data_usable(llc_line):
             self.stats.llc_data_hits += 1
             latency += self._lat.llc_data
-            latency += self.mesh.send_bank_to_core(MT.DATA, bank.bank_id,
+            latency += self.mesh.send_bank_to_core(_DATA, bank.bank_id,
                                                    core)
             version = llc_line.version
             if not exclusive and not code and not self._exclusive_grant_ok(
@@ -387,7 +407,7 @@ class CMPSystem:
                 # silent E->M) would leave them stale -- grant S.
                 code = True
         else:
-            if llc_line is not None and llc_line.kind is not LineKind.DATA:
+            if llc_line is not None and llc_line.kind is not _DATA_LINE:
                 raise ProtocolInvariantError(
                     f"block {block:#x} has an LLC entry frame but no "
                     "directory entry was found")
@@ -397,17 +417,17 @@ class CMPSystem:
             fetch_latency, version, exclusive_ok = self._fetch_from_memory(
                 block, exclusive)
             latency += fetch_latency
-            latency += self.mesh.send_bank_to_core(MT.DATA, bank.bank_id,
+            latency += self.mesh.send_bank_to_core(_DATA, bank.bank_id,
                                                    core)
             self._fill_llc_from_memory(bank, block, version, code)
             if not exclusive_ok:
                 # Other sockets hold read copies: only an S grant is
                 # legal (a silent E->M would break socket-level MESI).
                 code = True
-        state = DirState.S if code else DirState.ME
+        state = _DIR_S if code else _DIR_ME
         owner = None if code else core
         entry = self._allocate_entry(block, state, core, owner, bank)
-        if not code and self.config.llc_design is LLCDesign.EPD:
+        if not code and self._epd:
             # The block is now temporarily private: EPD de-allocates it.
             self._epd_deallocate(bank, block)
         return latency, version, entry
@@ -456,7 +476,7 @@ class CMPSystem:
     def _fill_llc_from_memory(self, bank: LLCBank, block: int,
                               version: int, code: bool) -> None:
         """Demand fills allocate in the LLC -- except data fills in EPD."""
-        if self.config.llc_design is LLCDesign.EPD and not code:
+        if self._epd and not code:
             return
         self._install_llc_data(bank, block, version, dirty=False)
 
@@ -465,7 +485,7 @@ class CMPSystem:
     # ------------------------------------------------------------------
     def _llc_data_usable(self, llc_line: LLCLine) -> bool:
         """Can this frame supply data? Fused frames are corrupted."""
-        return llc_line.kind is LineKind.DATA
+        return llc_line.kind is _DATA_LINE
 
     def _llc_serves_shared_read(self, entry: DirectoryEntry,
                                 llc_line: Optional[LLCLine],
@@ -483,10 +503,10 @@ class CMPSystem:
         if line is not None:
             line.version = version
             line.dirty = line.dirty or dirty
-            if line.kind is LineKind.FUSED:
+            if line.kind is _FUSED_LINE:
                 self._data_arrived_at_fused(bank, line)
             return
-        victim = bank.insert(LLCLine(block, LineKind.DATA, dirty=dirty,
+        victim = bank.insert(LLCLine(block, _DATA_LINE, dirty=dirty,
                                      version=version))
         if victim is not None:
             self._handle_llc_victim(bank, victim)
@@ -496,7 +516,7 @@ class CMPSystem:
         line = bank.lookup_data(block, touch=False)
         if line is None:
             return
-        if line.kind is not LineKind.DATA:
+        if line.kind is not _DATA_LINE:
             raise ProtocolInvariantError(
                 f"EPD de-allocation of block {block:#x} found a "
                 f"{line.kind.value} frame")
@@ -510,7 +530,7 @@ class CMPSystem:
     def _block_became_owned(self, bank: LLCBank, block: int) -> None:
         """Hook called when a block transitions to M/E (EPD de-allocates;
         ZeroDEV FPSS re-locates a spilled entry into fused form)."""
-        if self.config.llc_design is LLCDesign.EPD:
+        if self._epd:
             self._epd_deallocate(bank, block)
 
     def _data_arrived_at_fused(self, bank: LLCBank, line: LLCLine) -> None:
@@ -538,10 +558,10 @@ class CMPSystem:
         """Process an LLC replacement victim (baseline: plain writeback;
         inclusive design adds back-invalidation)."""
         self.stats.llc_evictions += 1
-        if victim.kind is not LineKind.DATA:
+        if victim.kind is not _DATA_LINE:
             raise ProtocolInvariantError(
                 "baseline LLC should never hold directory-entry frames")
-        if self.config.llc_design is LLCDesign.INCLUSIVE:
+        if self._inclusive:
             self._back_invalidate(bank, victim)
         if victim.dirty:
             self._writeback_to_memory(victim)
@@ -556,14 +576,12 @@ class CMPSystem:
             return
         for sharer in list(entry.sharer_cores()):
             self.stats.inclusion_invalidations += 1
-            self.mesh.send(MT.INV,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
-            self.mesh.send(MT.INV_ACK,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
+            self.mesh.send_core_to_bank(_INV, sharer, bank.bank_id)
+            self.mesh.send_core_to_bank(_INV_ACK, sharer, bank.bank_id)
             line = self.cores[sharer].invalidate(victim.block,
                                                  cause=InvCause.INCLUSION)
             assert line is not None
-            if line.state is MESI.M:
+            if line.state is _MESI_M:
                 victim.version = line.version
                 victim.dirty = True
             entry.remove_sharer(sharer)
@@ -588,24 +606,27 @@ class CMPSystem:
                         ) -> DirectoryEntry:
         """Allocate a fresh entry, evicting an NRU victim if the set is
         full -- the step that manufactures DEVs in the baseline."""
-        assert self.directory is not None
+        directory = self.directory
+        assert directory is not None
         self.stats.dir_allocations += 1
-        if not self.directory.has_room(block):
-            victim = self.directory.choose_victim(block)
-            self.directory.remove(victim.block)
+        if not directory.has_room(block):
+            victim = directory.choose_victim(block)
+            directory.remove(victim.block)
             self._process_dev(victim)
-        entry = DirectoryEntry(block, state, owner=owner,
-                               sharers=1 << requester)
-        self.directory.insert(entry)
+        entry = DirectoryEntry(block, state, owner, 1 << requester)
+        directory.insert(entry)
         return entry
 
     def _process_dev(self, victim: DirectoryEntry) -> None:
         """Invalidate every private copy the evicted entry was tracking."""
-        self.stats.dir_evictions += 1
+        stats, mesh = self.stats, self.mesh
+        block = victim.block
+        stats.dir_evictions += 1
         if self.obs is not None:
-            self.obs.emit(EventKind.DIR_EVICT, block=victim.block,
+            self.obs.emit(EventKind.DIR_EVICT, block=block,
                           cause=InvCause.DEV)
-        bank = self.bank_of(victim.block)
+        bank = self.banks[block & self._bank_mask]
+        bank_id = bank.bank_id
         generated = False
         last_version = 0
         leak_one = "dev-leak-sharer" in self.mutations
@@ -618,36 +639,32 @@ class CMPSystem:
                 victim.remove_sharer(sharer)
                 continue
             generated = True
-            self.stats.dev_invalidations += 1
-            self.stats.invalidations_sent += 1
-            self.mesh.send(MT.INV,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
-            line = self.cores[sharer].invalidate(victim.block,
-                                                 cause=InvCause.DEV)
+            stats.dev_invalidations += 1
+            stats.invalidations_sent += 1
+            mesh.send_core_to_bank(_INV, sharer, bank_id)
+            line = self.cores[sharer].invalidate(block, InvCause.DEV)
             assert line is not None
             last_version = line.version
-            if line.state is MESI.M:
+            if line.state is _MESI_M:
                 # The dirty block is retrieved into the LLC (Section I-A1:
                 # "dirty blocks were retrieved from the owner cores as
                 # DEVs due to directory entry eviction").
-                self.mesh.send(MT.WRITEBACK,
-                               self.mesh.core_to_bank(sharer, bank.bank_id))
-                self._install_llc_data(bank, victim.block, line.version,
+                mesh.send_core_to_bank(_WRITEBACK, sharer, bank_id)
+                self._install_llc_data(bank, block, line.version,
                                        dirty=True)
             else:
-                self.mesh.send(MT.INV_ACK,
-                               self.mesh.core_to_bank(sharer, bank.bank_id))
+                mesh.send_core_to_bank(_INV_ACK, sharer, bank_id)
             victim.remove_sharer(sharer)
         if generated:
-            self.stats.dev_events += 1
-            if bank.peek_data(victim.block) is None:
-                self._presence_lost(victim.block, last_version)
+            stats.dev_events += 1
+            if bank.peek_data(block) is None:
+                self._presence_lost(block, last_version)
 
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
                     evictor_version: int = 0,
                     evictor_core: Optional[int] = None) -> None:
         """Release an entry whose last private copy went away."""
-        if entry.location is not EntryLocation.SPARSE:
+        if entry.location is not _SPARSE:
             raise ProtocolInvariantError(
                 "baseline entries live only in the sparse directory")
         assert self.directory is not None
@@ -669,22 +686,19 @@ class CMPSystem:
     def _process_notice(self, notice: EvictionNotice) -> None:
         """Handle one private-hierarchy eviction notice at the home."""
         block = notice.block
-        bank = self.bank_of(block)
+        bank = self.banks[block & self._bank_mask]
         entry = self._find_entry_for_notice(block, bank)
         if entry is None:
             self._notice_without_entry(notice, bank)
             return
-        if notice.state is MESI.M:
-            self.mesh.send(MT.WRITEBACK,
-                           self.mesh.core_to_bank(notice.core,
-                                                  bank.bank_id))
+        if notice.state is _MESI_M:
+            self.mesh.send_core_to_bank(_WRITEBACK, notice.core,
+                                        bank.bank_id)
             self._install_llc_data(bank, block, notice.version, dirty=True)
         else:
             kind = self._clean_notice_kind(notice)
-            self.mesh.send(kind, self.mesh.core_to_bank(notice.core,
-                                                        bank.bank_id))
-            if (notice.state is MESI.E
-                    and self.config.llc_design is LLCDesign.EPD):
+            self.mesh.send_core_to_bank(kind, notice.core, bank.bank_id)
+            if notice.state is _MESI_E and self._epd:
                 # EPD allocates the block in the LLC when it is evicted
                 # from the owner core's private hierarchy (Section III-E).
                 self._install_llc_data(bank, block, notice.version,
@@ -716,7 +730,7 @@ class CMPSystem:
 
     def _clean_notice_kind(self, notice: EvictionNotice) -> MT:
         """Message type for a clean (E/S) eviction notice."""
-        return MT.EVICT_CLEAN
+        return _EVICT_CLEAN
 
     def _notice_without_entry(self, notice: EvictionNotice,
                               bank: LLCBank) -> None:
@@ -746,7 +760,7 @@ class CMPSystem:
                 state = hier.probe(block)
                 tracked.setdefault(block, []).append((core, state))
         for block, holders in tracked.items():
-            owners = [c for c, s in holders if s is not MESI.S]
+            owners = [c for c, s in holders if s is not _MESI_S]
             if owners and len(holders) > 1:
                 raise ProtocolInvariantError(
                     f"SWMR violated for block {block:#x}: {holders}")
@@ -760,6 +774,6 @@ class CMPSystem:
                 raise ProtocolInvariantError(
                     f"directory imprecise for block {block:#x}: entry "
                     f"{sorted(entry_set)} vs caches {sorted(holder_set)}")
-            if owners and entry.state is not DirState.ME:
+            if owners and entry.state is not _DIR_ME:
                 raise ProtocolInvariantError(
                     f"entry state S but core owns block {block:#x}")

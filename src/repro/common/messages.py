@@ -23,7 +23,17 @@ DATA_BYTES = CTRL_BYTES + BLOCK_BYTES
 
 
 class MessageType(enum.Enum):
-    """Every message type exchanged in the modeled protocols."""
+    """Every message type exchanged in the modeled protocols.
+
+    Members hash by identity: ``Enum.__hash__`` is a Python-level
+    function (``hash(self._name_)``) on Python 3.11/3.12, and every
+    simulated message is a dict lookup keyed by its type. Members are
+    singletons (pickling restores them by name), so identity hashing
+    keeps every mapping keyed by them -- ``SystemStats.messages``
+    included -- intact across processes.
+    """
+
+    __hash__ = object.__hash__
 
     # Requests from cores to the home LLC bank / directory slice.
     GETS = enum.auto()             # read (data or code)
@@ -98,3 +108,8 @@ def message_bytes(kind: MessageType) -> int:
     if kind in _CTRL_PLUS_ONE:
         return CTRL_BYTES + 1
     return CTRL_BYTES
+
+
+#: ``message_bytes`` of every type, built once: the per-message
+#: accounting in ``SystemStats.record_message`` is one lookup here.
+MESSAGE_BYTES = {kind: message_bytes(kind) for kind in MessageType}

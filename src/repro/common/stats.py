@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.common.messages import MessageType, message_bytes
+from repro.common.messages import MESSAGE_BYTES, MessageType
 
 
 @dataclass
@@ -99,8 +99,9 @@ class SystemStats:
     # ------------------------------------------------------------------
     def record_message(self, kind: MessageType, count: int = 1) -> None:
         """Account ``count`` messages of ``kind`` on the interconnect."""
-        self.messages[kind] = self.messages.get(kind, 0) + count
-        self.traffic_bytes += message_bytes(kind) * count
+        messages = self.messages
+        messages[kind] = messages.get(kind, 0) + count
+        self.traffic_bytes += MESSAGE_BYTES[kind] * count
 
     def advance_core(self, core: int, latency: int) -> None:
         """Advance ``core``'s local clock by ``latency`` cycles."""
@@ -109,8 +110,9 @@ class SystemStats:
 
     def record_latency(self, is_write: bool, latency: int) -> None:
         """Bucket one access latency (powers of two)."""
-        bucket = min(max(latency, 1).bit_length() - 1,
-                     self.LATENCY_BUCKETS - 1)
+        bucket = latency.bit_length() - 1 if latency > 1 else 0
+        if bucket >= self.LATENCY_BUCKETS:
+            bucket = self.LATENCY_BUCKETS - 1
         if is_write:
             self.write_latency_buckets[bucket] += 1
         else:

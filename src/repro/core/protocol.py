@@ -33,12 +33,31 @@ from repro.caches.private_cache import EvictionNotice
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.protocol import CMPSystem
-from repro.common.config import (DirCachingPolicy, LLCDesign, Protocol,
-                                 SystemConfig)
+from repro.common.config import DirCachingPolicy, Protocol, SystemConfig
 from repro.common.errors import ProtocolInvariantError
 from repro.common.messages import MessageType as MT
 from repro.core.housing import MemoryHousing
 from repro.obs.events import EventKind, InvCause
+
+
+# Enum members read by the transaction paths, bound once as module
+# globals (see repro.coherence.protocol: on Python 3.11 each
+# ``Enum.MEMBER`` read goes through ``EnumType.__getattr__``'s hook).
+_MESI_M, _MESI_E = MESI.M, MESI.E
+_DIR_ME, _DIR_S = DirState.ME, DirState.S
+_DATA_LINE, _FUSED_LINE, _SPILLED_LINE = (LineKind.DATA, LineKind.FUSED,
+                                          LineKind.SPILLED)
+_SPARSE, _MEMORY = EntryLocation.SPARSE, EntryLocation.MEMORY
+_LLC_FUSED, _LLC_SPILLED = EntryLocation.LLC_FUSED, EntryLocation.LLC_SPILLED
+_SPILL_ALL, _FPSS, _FUSE_ALL = (DirCachingPolicy.SPILL_ALL,
+                                DirCachingPolicy.FPSS,
+                                DirCachingPolicy.FUSE_ALL)
+_INV, _INV_ACK, _WB_DE, _GET_DE, _DE_DATA = (MT.INV, MT.INV_ACK, MT.WB_DE,
+                                             MT.GET_DE, MT.DE_DATA)
+_EVICT_CLEAN, _EVICT_CLEAN_BITS, _EVICT_ACK = (MT.EVICT_CLEAN,
+                                               MT.EVICT_CLEAN_BITS,
+                                               MT.EVICT_ACK)
+_SOCKET_RESTORE = MT.SOCKET_RESTORE
 
 
 class ZeroDEVSystem(CMPSystem):
@@ -74,12 +93,12 @@ class ZeroDEVSystem(CMPSystem):
             entry = self.directory.lookup(block)
             if entry is not None:
                 return entry
-        bank = self.bank_of(block)
+        bank = self.banks[block & self._bank_mask]
         spill = bank.lookup_spill(block)      # the entry is being accessed
         if spill is not None:
             return spill.entry
         data = bank.peek_data(block)
-        if data is not None and data.kind is LineKind.FUSED:
+        if data is not None and data.kind is _FUSED_LINE:
             return data.entry
         return None
 
@@ -113,15 +132,15 @@ class ZeroDEVSystem(CMPSystem):
         if entry is None:
             return None
         self.stats.get_de_messages += 1
-        self.stats.record_message(MT.GET_DE)
-        self.stats.record_message(MT.DE_DATA)
+        self.stats.record_message(_GET_DE)
+        self.stats.record_message(_DE_DATA)
         if self.obs is not None:
             self.obs.emit(EventKind.GET_DE, block=block)
         self._entry_memory_read(block)
         return entry
 
     def _notice_done(self, entry: DirectoryEntry, bank: LLCBank) -> None:
-        if entry.location is EntryLocation.MEMORY:
+        if entry.location is _MEMORY:
             # Step 6 of Figure 16: the updated entry is written back.
             self._entry_memory_write(entry)
 
@@ -145,12 +164,12 @@ class ZeroDEVSystem(CMPSystem):
             entry = self.directory.peek(block)
             if entry is not None:
                 return entry
-        bank = self.bank_of(block)
+        bank = self.banks[block & self._bank_mask]
         spill = bank.peek_spill(block)
         if spill is not None:
             return spill.entry
         data = bank.peek_data(block)
-        if data is not None and data.kind is LineKind.FUSED:
+        if data is not None and data.kind is _FUSED_LINE:
             return data.entry
         return self._housing.peek(block)
 
@@ -195,10 +214,8 @@ class ZeroDEVSystem(CMPSystem):
         Under EPD, owned blocks are not LLC-resident, so fusion is never
         possible (Section III-E) -- every overflowing entry spills.
         """
-        if (self._policy is not DirCachingPolicy.SPILL_ALL
-                and self.config.llc_design is not LLCDesign.EPD):
-            fuse_ok = (entry.state is DirState.ME
-                       or self._policy is DirCachingPolicy.FUSE_ALL)
+        if self._policy is not _SPILL_ALL and not self._epd:
+            fuse_ok = entry.state is _DIR_ME or self._policy is _FUSE_ALL
             if fuse_ok and bank.fuse(entry.block, entry):
                 self.stats.entries_fused += 1
                 return
@@ -207,8 +224,8 @@ class ZeroDEVSystem(CMPSystem):
     def _spill(self, entry: DirectoryEntry, bank: LLCBank) -> None:
         """Allocate a full LLC frame for ``entry`` in its block's set."""
         self.stats.entries_spilled += 1
-        entry.location = EntryLocation.LLC_SPILLED
-        victim = bank.insert(LLCLine(entry.block, LineKind.SPILLED,
+        entry.location = _LLC_SPILLED
+        victim = bank.insert(LLCLine(entry.block, _SPILLED_LINE,
                                      entry=entry))
         if victim is not None:
             self._handle_llc_victim(bank, victim)
@@ -220,21 +237,20 @@ class ZeroDEVSystem(CMPSystem):
                              old_state: DirState, bank: LLCBank) -> None:
         if entry.state is old_state:
             return
-        if self._policy is not DirCachingPolicy.FPSS:
+        if self._policy is not _FPSS:
             return
-        if (entry.state is DirState.ME
-                and entry.location is EntryLocation.LLC_SPILLED
-                and self.config.llc_design is not LLCDesign.EPD):
+        if (entry.state is _DIR_ME
+                and entry.location is _LLC_SPILLED
+                and not self._epd):
             # S -> M/E with a spilled entry: fuse it with the block and
             # free the spill frame, keeping the read fast-path invariant.
             line = bank.peek_data(entry.block)
-            if line is not None and line.kind is LineKind.DATA:
+            if line is not None and line.kind is _DATA_LINE:
                 bank.free_spill(entry.block)
                 fused = bank.fuse(entry.block, entry)
                 assert fused
                 self.stats.spill_to_fuse += 1
-        elif (entry.state is DirState.S
-                and entry.location is EntryLocation.LLC_FUSED):
+        elif entry.state is _DIR_S and entry.location is _LLC_FUSED:
             # M/E -> S with a fused entry: the block is being
             # reconstructed (the busy-clear carries the low bits), and the
             # entry is spilled into the same set.
@@ -245,16 +261,15 @@ class ZeroDEVSystem(CMPSystem):
     def _data_allocated(self, bank: LLCBank, block: int) -> None:
         """A DATA frame was just installed: re-fuse a spilled entry when
         the policy wants it fused (FuseAll always; FPSS for M/E)."""
-        if self.config.llc_design is LLCDesign.EPD:
+        if self._epd:
             return
         spill = bank.peek_spill(block)
         if spill is None:
             return
         entry = spill.entry
         assert entry is not None
-        fuse_ok = (self._policy is DirCachingPolicy.FUSE_ALL
-                   or (self._policy is DirCachingPolicy.FPSS
-                       and entry.state is DirState.ME))
+        fuse_ok = (self._policy is _FUSE_ALL
+                   or (self._policy is _FPSS and entry.state is _DIR_ME))
         if fuse_ok:
             bank.free_spill(block)
             fused = bank.fuse(block, entry)
@@ -273,26 +288,26 @@ class ZeroDEVSystem(CMPSystem):
                     evictor_core: Optional[int] = None) -> None:
         block = entry.block
         location = entry.location
-        if location is EntryLocation.SPARSE:
+        if location is _SPARSE:
             assert self.directory is not None
             self.directory.remove(block)
-        elif location is EntryLocation.LLC_SPILLED:
+        elif location is _LLC_SPILLED:
             bank.free_spill(block)
-        elif location is EntryLocation.LLC_FUSED:
+        elif location is _LLC_FUSED:
             bank.unfuse(block)
-            if (self._policy is DirCachingPolicy.FUSE_ALL
-                    and entry.state is DirState.S
+            if (self._policy is _FUSE_ALL
+                    and entry.state is _DIR_S
                     and evictor_core is not None):
                 # Retrieve the 4+N low bits from the last sharer's
                 # eviction buffer to reconstruct the block (Sec III-C3).
-                self.mesh.send(MT.EVICT_ACK, self.mesh.core_to_bank(
-                    evictor_core, bank.bank_id))
-                self.mesh.send(MT.EVICT_CLEAN_BITS, self.mesh.core_to_bank(
-                    evictor_core, bank.bank_id))
-        elif location is not EntryLocation.MEMORY:
+                self.mesh.send_core_to_bank(_EVICT_ACK, evictor_core,
+                                            bank.bank_id)
+                self.mesh.send_core_to_bank(_EVICT_CLEAN_BITS,
+                                            evictor_core, bank.bank_id)
+        elif location is not _MEMORY:
             raise ProtocolInvariantError(
                 f"entry for block {block:#x} in unknown location")
-        if location is EntryLocation.MEMORY:
+        if location is _MEMORY:
             if "skip-corrupt-restore" in self.mutations:
                 # Seeded bug: the restore message is dropped -- the entry
                 # bits stay housed in home memory (garbage marker and
@@ -305,7 +320,7 @@ class ZeroDEVSystem(CMPSystem):
             # carries the data for a potential restore.
             return
         if self._housing.is_garbage(block) or (
-                location is EntryLocation.MEMORY):
+                location is _MEMORY):
             # The last private copy is going away while home memory is
             # corrupted: the block is retrieved from the evicting core and
             # written over the housed entry (Section III-D4).
@@ -319,7 +334,7 @@ class ZeroDEVSystem(CMPSystem):
         if self.obs is not None:
             self.obs.emit(EventKind.MEM_RESTORE, block=block)
         if evictor_core is not None:
-            self.stats.record_message(MT.SOCKET_RESTORE)
+            self.stats.record_message(_SOCKET_RESTORE)
         self.dram.write(block)
         self._dram_version[block] = version
         self._housing.restore(block)
@@ -328,14 +343,14 @@ class ZeroDEVSystem(CMPSystem):
     # LLC eviction handling (the second ZeroDEV mechanism)
     # ------------------------------------------------------------------
     def _handle_llc_victim(self, bank: LLCBank, victim: LLCLine) -> None:
-        if victim.kind is LineKind.DATA:
+        if victim.kind is _DATA_LINE:
             super()._handle_llc_victim(bank, victim)
             return
         self.stats.llc_evictions += 1
         entry = victim.entry
         assert entry is not None
-        if self.config.llc_design is LLCDesign.INCLUSIVE:
-            if victim.kind is LineKind.SPILLED:
+        if self._inclusive:
+            if victim.kind is _SPILLED_LINE:
                 self._inclusive_spilled_eviction(bank, victim, entry)
             else:
                 self._inclusive_fused_eviction(bank, victim, entry)
@@ -358,12 +373,12 @@ class ZeroDEVSystem(CMPSystem):
         dirty = data.dirty if data is not None else False
         for sharer in list(entry.sharer_cores()):
             self.stats.inclusion_invalidations += 1
-            self.stats.record_message(MT.INV)
-            self.stats.record_message(MT.INV_ACK)
+            self.stats.record_message(_INV)
+            self.stats.record_message(_INV_ACK)
             line = self.cores[sharer].invalidate(victim.block,
                                                  cause=InvCause.INCLUSION)
             assert line is not None
-            if line.state is MESI.M:
+            if line.state is _MESI_M:
                 version, dirty = line.version, True
             entry.remove_sharer(sharer)
         if data is not None:
@@ -386,12 +401,12 @@ class ZeroDEVSystem(CMPSystem):
         version, dirty = victim.version, victim.dirty
         for sharer in list(entry.sharer_cores()):
             self.stats.inclusion_invalidations += 1
-            self.stats.record_message(MT.INV)
-            self.stats.record_message(MT.INV_ACK)
+            self.stats.record_message(_INV)
+            self.stats.record_message(_INV_ACK)
             line = self.cores[sharer].invalidate(victim.block,
                                                  cause=InvCause.INCLUSION)
             assert line is not None
-            if line.state is MESI.M:
+            if line.state is _MESI_M:
                 version, dirty = line.version, True
             entry.remove_sharer(sharer)
         if dirty:
@@ -406,15 +421,15 @@ class ZeroDEVSystem(CMPSystem):
 
     def _writeback_entry_to_memory(self, entry: DirectoryEntry) -> None:
         """WB_DE: the evicted live entry overwrites its home block."""
-        if self.config.llc_design is LLCDesign.INCLUSIVE:
+        if self._inclusive:
             raise ProtocolInvariantError(
                 "inclusive LLC must never evict a live directory entry")
         self.stats.entry_llc_evictions += 1
         self.stats.wb_de_messages += 1
-        self.stats.record_message(MT.WB_DE)
+        self.stats.record_message(_WB_DE)
         if self.obs is not None:
             self.obs.emit(EventKind.ENTRY_WB_DE, block=entry.block)
-        entry.location = EntryLocation.MEMORY
+        entry.location = _MEMORY
         self._housing.house(entry.block, entry)
         self._entry_memory_write(entry)
 
@@ -441,14 +456,13 @@ class ZeroDEVSystem(CMPSystem):
                                 bank: LLCBank) -> Tuple[bool, int]:
         if llc_line is None:
             return False, 0
-        if llc_line.kind is LineKind.FUSED:
+        if llc_line.kind is _FUSED_LINE:
             # FuseAll: a fused shared block cannot supply data; the read
             # is forwarded to an elected sharer (three hops).
             self.stats.fused_read_forwards += 1
             return False, 0
         penalty = 0
-        if (self._policy is DirCachingPolicy.SPILL_ALL
-                and entry.location is EntryLocation.LLC_SPILLED):
+        if self._policy is _SPILL_ALL and entry.location is _LLC_SPILLED:
             # Two tag matches: SpillAll reads the entry out of the data
             # array before the block (Section III-C1).
             self.stats.extra_data_array_reads += 1
@@ -456,11 +470,11 @@ class ZeroDEVSystem(CMPSystem):
         return True, penalty
 
     def _clean_notice_kind(self, notice: EvictionNotice) -> MT:
-        if notice.state is MESI.E:
+        if notice.state is _MESI_E:
             # E-state notices carry the 3 + ceil(log2 N) low-order bits
             # used to reconstruct a fused frame (Section III-C2).
-            return MT.EVICT_CLEAN_BITS
-        return MT.EVICT_CLEAN
+            return _EVICT_CLEAN_BITS
+        return _EVICT_CLEAN
 
     # ------------------------------------------------------------------
     # Invariants
@@ -472,28 +486,28 @@ class ZeroDEVSystem(CMPSystem):
                 "ZeroDEV generated directory eviction victims")
         for bank in self.banks:
             for frame in bank.all_frames():
-                if frame.kind is LineKind.SPILLED:
+                if frame.kind is _SPILLED_LINE:
                     entry = frame.entry
                     assert entry is not None
-                    if entry.location is not EntryLocation.LLC_SPILLED:
+                    if entry.location is not _LLC_SPILLED:
                         raise ProtocolInvariantError(
                             f"spill frame/location mismatch for block "
                             f"{frame.block:#x}")
-                    if (self._policy is DirCachingPolicy.FPSS
-                            and entry.state is DirState.ME
+                    if (self._policy is _FPSS
+                            and entry.state is _DIR_ME
                             and bank.peek_data(frame.block) is not None):
                         raise ProtocolInvariantError(
                             f"FPSS invariant: M/E entry of resident block "
                             f"{frame.block:#x} is spilled, not fused")
-                elif frame.kind is LineKind.FUSED:
+                elif frame.kind is _FUSED_LINE:
                     entry = frame.entry
                     assert entry is not None
-                    if entry.location is not EntryLocation.LLC_FUSED:
+                    if entry.location is not _LLC_FUSED:
                         raise ProtocolInvariantError(
                             f"fused frame/location mismatch for block "
                             f"{frame.block:#x}")
-                    if (self._policy is DirCachingPolicy.FPSS
-                            and entry.state is not DirState.ME):
+                    if (self._policy is _FPSS
+                            and entry.state is not _DIR_ME):
                         raise ProtocolInvariantError(
                             f"FPSS invariant: fused entry of block "
                             f"{frame.block:#x} is not M/E")

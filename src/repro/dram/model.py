@@ -28,22 +28,17 @@ class DramModel:
         self._open_rows: List[int] = [-1] * n_banks
 
     # ------------------------------------------------------------------
-    def _bank_and_row(self, block: int) -> tuple:
-        config = self._config
-        channel = block % config.channels
-        row = block // (config.channels * self._blocks_per_row)
-        bank_in_channel = row % config.banks_per_channel
-        bank = channel * config.banks_per_channel + bank_in_channel
-        return bank, row
-
     def _access(self, block: int) -> int:
-        bank, row = self._bank_and_row(block)
+        config = self._config
+        row = block // (config.channels * self._blocks_per_row)
+        bank = ((block % config.channels) * config.banks_per_channel
+                + row % config.banks_per_channel)
         if self._open_rows[bank] == row:
             self._stats.dram_row_hits += 1
-            return self._config.row_hit_cycles
+            return config.row_hit_cycles
         self._open_rows[bank] = row
         self._stats.dram_row_misses += 1
-        return self._config.row_miss_cycles
+        return config.row_miss_cycles
 
     # ------------------------------------------------------------------
     def read(self, block: int) -> int:

@@ -84,6 +84,14 @@ def _instrumented(fn):
     Every figure's ``results/*.json`` artifact then carries the number
     of simulated runs, cache hits, per-run wall time, and simulated
     accesses per second -- the baseline future perf PRs regress against.
+
+    Two rates are recorded. ``accesses_per_second`` divides by the run
+    wall summed over every run, i.e. the speed of one run in its
+    worker; with more workers than CPUs each run slows down and this
+    rate drops although the figure finishes sooner.
+    ``aggregate_accesses_per_second`` divides by the experiment's own
+    wall-clock: the figure's throughput. ``cpu_count`` says how many
+    CPUs the workers shared.
     """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -93,14 +101,18 @@ def _instrumented(fn):
         elapsed = time.perf_counter() - started
         delta = telemetry_since(before)
         run_wall = delta["wall_seconds"]
+        accesses = delta["accesses"]
         table.metadata.update({
             "experiment_wall_seconds": round(elapsed, 3),
             "runs_executed": int(delta["runs"]),
             "cache_hits": int(delta["cache_hits"]),
             "run_wall_seconds": round(run_wall, 3),
-            "simulated_accesses": int(delta["accesses"]),
+            "simulated_accesses": int(accesses),
             "accesses_per_second": (
-                int(delta["accesses"] / run_wall) if run_wall else 0),
+                int(accesses / run_wall) if run_wall else 0),
+            "aggregate_accesses_per_second": (
+                int(accesses / elapsed) if elapsed else 0),
+            "cpu_count": os.cpu_count() or 1,
             "jobs": jobs(),
             "effective_jobs": int(
                 telemetry_snapshot()["effective_jobs"]),

@@ -13,7 +13,7 @@ of banks.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import LatencyConfig, MeshConfig
 from repro.common.errors import ConfigError
@@ -43,6 +43,15 @@ class Mesh:
         for index, node in enumerate(placement):
             self._coords[node] = (index % config.width,
                                   index // config.width)
+        # Message latencies between every (core, bank) and (core, core)
+        # pair, built once: a send is then one table read.
+        hop = latency.mesh_hop
+        self.core_bank_cycles: List[List[int]] = [
+            [self.core_to_bank(core, bank) * hop for bank in range(n_banks)]
+            for core in range(n_cores)]
+        self.core_core_cycles: List[List[int]] = [
+            [self.core_to_core(src, dst) * hop for dst in range(n_cores)]
+            for src in range(n_cores)]
 
     # ------------------------------------------------------------------
     def hops(self, src: Tuple[str, int], dst: Tuple[str, int]) -> int:
@@ -65,14 +74,25 @@ class Mesh:
             self.obs.emit(EventKind.MSG, cause=kind.name)
         return hops * self._latency.mesh_hop
 
+    # The directed sends below inline ``send``'s accounting (they carry
+    # nearly every simulated message) and read the latency tables.
     def send_core_to_bank(self, kind: MessageType, core: int,
                           bank: int) -> int:
-        return self.send(kind, self.core_to_bank(core, bank))
+        self._stats.record_message(kind)
+        if self.obs is not None:
+            self.obs.emit(EventKind.MSG, cause=kind.name)
+        return self.core_bank_cycles[core][bank]
 
     def send_bank_to_core(self, kind: MessageType, bank: int,
                           core: int) -> int:
-        return self.send(kind, self.core_to_bank(core, bank))
+        self._stats.record_message(kind)
+        if self.obs is not None:
+            self.obs.emit(EventKind.MSG, cause=kind.name)
+        return self.core_bank_cycles[core][bank]
 
     def send_core_to_core(self, kind: MessageType, src: int,
                           dst: int) -> int:
-        return self.send(kind, self.core_to_core(src, dst))
+        self._stats.record_message(kind)
+        if self.obs is not None:
+            self.obs.emit(EventKind.MSG, cause=kind.name)
+        return self.core_core_cycles[src][dst]

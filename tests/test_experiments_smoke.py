@@ -5,6 +5,7 @@ full-scale versions run under ``pytest benchmarks/ --benchmark-only``.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -74,3 +75,52 @@ class TestExperimentSmoke:
         assert max(notice["fractions"]) < 0.05
         _, repl = ablation_replacement_disabled()
         assert repl["disturbances"]["disabled"] == 0
+
+
+class TestInstrumentedThroughput:
+    """Figure metadata under oversubscription: the summed per-run wall
+    exceeds the experiment wall, and only the aggregate rate (accesses
+    over the experiment wall) is the figure's throughput."""
+
+    ACCESSES = 1_200_000
+
+    @pytest.fixture
+    def oversubscribed(self, monkeypatch):
+        # A 10 s experiment whose runs report 20 s of summed run wall,
+        # as two workers sharing one CPU would.
+        clock = iter([100.0, 110.0])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(
+            perf_counter=lambda: next(clock)))
+        monkeypatch.setattr(experiments, "telemetry_snapshot",
+                            lambda: {"effective_jobs": 2})
+        monkeypatch.setattr(experiments, "telemetry_since", lambda _: {
+            "runs": 4, "cache_hits": 0, "wall_seconds": 20.0,
+            "accesses": self.ACCESSES, "cache_dropped_puts": 0,
+            "run_retries": 0, "run_failures": 0})
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+
+        @experiments._instrumented       # noqa: SLF001
+        def figure():
+            return Table("stub figure"), {}
+        return figure
+
+    def test_metadata_reports_both_rates(self, oversubscribed):
+        table, _ = oversubscribed()
+        meta = table.metadata
+        assert meta["experiment_wall_seconds"] == 10.0
+        assert meta["run_wall_seconds"] == 20.0
+        assert meta["accesses_per_second"] == self.ACCESSES // 20
+        assert meta["aggregate_accesses_per_second"] == self.ACCESSES // 10
+        assert meta["cpu_count"] == 3
+
+    def test_run_summary_prints_aggregate_rate(self, oversubscribed,
+                                               monkeypatch, capsys):
+        from repro import cli
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig19", oversubscribed)
+        assert cli.main(["run", "fig19"]) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "10.0s wall" in summary
+        assert (f"{self.ACCESSES // 10:,} simulated accesses/s"
+                in summary)
+        assert f"({self.ACCESSES // 20:,}/s per run)" in summary
+        assert "cpus=3" in summary

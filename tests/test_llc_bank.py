@@ -296,3 +296,72 @@ class TestEndToEndSpLRU:
             system.access(core, OPS[op], block << BLOCK_SHIFT)
             system.check_invariants()
         assert system.stats.dev_invalidations == 0
+
+
+class TestFullSetRecency:
+    """A full 16-way set: after touches, inserts and removes, the frame
+    order is exactly the LRU-to-MRU list each policy prescribes. Frames
+    are found by identity, so every step must move or drop the very
+    frame named."""
+
+    LRU, SP_LRU, DATA_LRU = (LLCReplacement.LRU, LLCReplacement.SP_LRU,
+                             LLCReplacement.DATA_LRU)
+
+    @staticmethod
+    def order(bank):
+        return [("s" if line.kind is LineKind.SPILLED else "d")
+                + str(line.block) for line in bank.frames_in_set(0)]
+
+    @pytest.mark.parametrize("policy", [LRU, SP_LRU, DATA_LRU])
+    def test_order_after_touches_inserts_and_removes(self, policy):
+        bank = LLCBank(0, 1, 16, policy, n_banks=1)
+        middle = [f"d{b}" for b in (2, 3, 4, 6, 7)]
+        tail = [f"d{b}" for b in range(9, 14)]
+        bank.insert(spill(100))
+        for block in range(14):
+            bank.insert(data(block))
+        bank.insert(spill(5))
+        assert self.order(bank) == (["s100"] + [f"d{b}" for b in range(14)]
+                                    + ["s5"])
+
+        bank.lookup_data(5)                  # touch: spLRU lifts s5 too
+        bank.lookup_data(0)
+        bank.lookup_data(1, touch=False)     # a peek moves nothing
+        head = ["d1"] + middle + ["d8"] + tail
+        if policy is self.SP_LRU:
+            assert self.order(bank) == ["s100"] + head + ["d5", "s5", "d0"]
+        else:
+            assert self.order(bank) == ["s100"] + head + ["s5", "d5", "d0"]
+
+        victim = bank.insert(data(20))       # full: a policy victim
+        if policy is self.DATA_LRU:
+            assert (victim.kind, victim.block) == (LineKind.DATA, 1)
+            assert self.order(bank) == (["s100"] + middle + ["d8"] + tail
+                                        + ["s5", "d5", "d0", "d20"])
+        elif policy is self.SP_LRU:
+            assert (victim.kind, victim.block) == (LineKind.SPILLED, 100)
+            assert self.order(bank) == (head + ["d5", "s5", "d0", "d20"])
+        else:
+            assert (victim.kind, victim.block) == (LineKind.SPILLED, 100)
+            assert self.order(bank) == (head + ["s5", "d5", "d0", "d20"])
+
+        bank.remove(bank.peek_data(8))       # drop a frame mid-set
+        bank.remove(bank.peek_data(5))
+        bank.insert(data(5))                 # spLRU: s5 back above d5
+        bank.lookup_spill(5)                 # touch the entry frame
+        lead = ["s100"] if policy is self.DATA_LRU else ["d1"]
+        assert self.order(bank) == (lead + middle + tail
+                                    + ["d0", "d20", "d5", "s5"])
+
+        bank.insert(data(21))                # 15 frames: no eviction
+        victim = bank.insert(data(22))       # full again
+        expected_victim = "d2" if policy is self.DATA_LRU else lead[0]
+        assert ("d" if victim.kind is LineKind.DATA else "s") + str(
+            victim.block) == expected_victim
+        survivors = [f for f in lead + middle if f != expected_victim]
+        assert self.order(bank) == (survivors + tail
+                                    + ["d0", "d20", "d5", "s5", "d21",
+                                       "d22"])
+        spilled = 2 if policy is self.DATA_LRU else 1
+        assert bank.spilled_count() == spilled
+        assert bank.data_block_count() == 16 - spilled

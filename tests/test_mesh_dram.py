@@ -4,10 +4,13 @@ import pytest
 
 from repro.common.config import (DramConfig, LatencyConfig, MeshConfig)
 from repro.common.errors import ConfigError
-from repro.common.messages import MessageType
+from repro.common.messages import MessageType, message_bytes
 from repro.common.stats import SystemStats
 from repro.dram.model import DramModel
 from repro.interconnect.mesh import Mesh
+from repro.obs.bus import EventBus
+from repro.obs.events import EventKind
+from repro.obs.sinks import RingBufferSink
 
 
 def make_mesh(n_cores=8, n_banks=8, width=4, height=4):
@@ -48,6 +51,60 @@ class TestMesh:
     def test_rejects_overfull_mesh(self):
         with pytest.raises(ConfigError):
             make_mesh(n_cores=12, n_banks=8, width=4, height=4)
+
+
+class TestLatencyTables:
+    """The per-(core, bank) and per-(core, core) tables built at
+    construction hold exactly ``hops * mesh_hop`` for every pair."""
+
+    SHAPES = {
+        "default-4x4": dict(n_cores=8, n_banks=8, width=4, height=4),
+        "non-square-5x3": dict(n_cores=6, n_banks=8, width=5, height=3),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_tables_equal_hops_times_hop_latency(self, shape):
+        dims = self.SHAPES[shape]
+        mesh, _ = make_mesh(**dims)
+        hop = LatencyConfig().mesh_hop
+        n_cores, n_banks = dims["n_cores"], dims["n_banks"]
+        assert len(mesh.core_bank_cycles) == n_cores
+        assert len(mesh.core_core_cycles) == n_cores
+        for core in range(n_cores):
+            assert len(mesh.core_bank_cycles[core]) == n_banks
+            for bank in range(n_banks):
+                assert (mesh.core_bank_cycles[core][bank]
+                        == mesh.hops(("core", core), ("bank", bank)) * hop)
+            assert len(mesh.core_core_cycles[core]) == n_cores
+            for other in range(n_cores):
+                assert (mesh.core_core_cycles[core][other]
+                        == mesh.hops(("core", core), ("core", other)) * hop)
+
+    def test_tables_follow_the_configured_hop_latency(self):
+        stats = SystemStats(2)
+        mesh = Mesh(MeshConfig(2, 2), 2, 2, LatencyConfig(mesh_hop=5),
+                    stats)
+        assert mesh.core_bank_cycles == [[5, 10], [10, 5]]
+        assert mesh.core_core_cycles == [[0, 5], [5, 0]]
+
+    @pytest.mark.parametrize("send, args, table", [
+        ("send_core_to_bank", (3, 6), lambda m: m.core_bank_cycles[3][6]),
+        ("send_bank_to_core", (6, 3), lambda m: m.core_bank_cycles[3][6]),
+        ("send_core_to_core", (1, 6), lambda m: m.core_core_cycles[1][6]),
+    ])
+    def test_each_send_records_one_message_and_one_event(self, send, args,
+                                                         table):
+        mesh, stats = make_mesh()
+        bus = EventBus()
+        ring = RingBufferSink()
+        bus.subscribe(ring)
+        mesh.obs = bus
+        latency = getattr(mesh, send)(MessageType.WRITEBACK, *args)
+        assert latency == table(mesh)
+        assert stats.messages == {MessageType.WRITEBACK: 1}
+        assert stats.traffic_bytes == message_bytes(MessageType.WRITEBACK)
+        assert [(e.kind, e.cause) for e in ring.events] == [
+            (EventKind.MSG, MessageType.WRITEBACK.name)]
 
 
 class TestDram:

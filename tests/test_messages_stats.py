@@ -1,5 +1,7 @@
 """Unit tests for the message catalogue and statistics counters."""
 
+import pickle
+
 import pytest
 
 from repro.common.messages import (CTRL_BYTES, DATA_BYTES, MessageType,
@@ -42,6 +44,36 @@ class TestSystemStats:
         stats.record_message(MessageType.DATA, count=2)
         assert stats.traffic_bytes == CTRL_BYTES + 2 * DATA_BYTES
         assert stats.messages[MessageType.DATA] == 2
+
+    def test_traffic_is_bytes_times_count_over_every_type(self):
+        stats = SystemStats(2)
+        kinds = list(MessageType)
+        # Every type, forwards, backwards and strided, some in bulk.
+        sequence = kinds + kinds[::-1] + kinds[::3]
+        expected = {}
+        for step, kind in enumerate(sequence):
+            count = 1 + step % 3
+            stats.record_message(kind, count=count)
+            expected[kind] = expected.get(kind, 0) + count
+        assert stats.messages == expected
+        assert set(stats.messages) == set(kinds)
+        assert stats.traffic_bytes == sum(
+            message_bytes(kind) * count
+            for kind, count in stats.messages.items())
+
+    def test_message_counts_survive_pickling(self):
+        stats = SystemStats(2)
+        for kind in MessageType:
+            stats.record_message(kind, count=kind.value)
+        clone = pickle.loads(pickle.dumps(stats))
+        for kind in MessageType:
+            assert clone.messages[kind] == kind.value
+        assert clone.messages[MessageType.WB_DE] == MessageType.WB_DE.value
+        assert clone.traffic_bytes == stats.traffic_bytes
+        clone.record_message(MessageType.GETS)
+        assert clone.messages[MessageType.GETS] == (
+            MessageType.GETS.value + 1)
+        assert len(clone.messages) == len(MessageType)
 
     def test_advance_core(self):
         stats = SystemStats(2)
