@@ -1,26 +1,26 @@
-"""Access-kernel benchmark: scalar vs batched vs vectorized.
+"""Access-kernel benchmark: scalar vs batched.
 
 Two measurements, both appended to ``results/BENCH_kernel.json`` (a
 trajectory file, one entry per recorded run):
 
 * **End-to-end**: each (config, workload) pair from the figure-19/20/21
   regime -- baseline 1x and ZeroDEV-NoDir over PARSEC / FFTW /
-  CPU2017-rate representatives -- is run under all three kernels,
+  CPU2017-rate representatives -- is run under both kernels,
   interleaved and best-of-N (the container's wall clock is noisy), with
   the final stats asserted bit-identical and the ZeroDEV zero-DEV
   verdict asserted unchanged. Miss- and share-heavy applications sit
   near 1.0x by design: the adaptive driver degrades to the scalar
   schedule when bulk runs are too short to pay for themselves (see
   repro/kernel/batched.py); the no-regression floor (>= 0.95x on every
-  workload, for both non-scalar kernels) is asserted here.
+  workload) is asserted here.
 
 * **Hot path**: the retirement path itself -- classification scan plus
-  ``retire_run`` -- against the scalar ``CMPSystem.access`` walk, over
-  the same known-safe access stream on identically warmed systems,
-  with identical resulting stats. This is the speedup each kernel
-  delivers per safe hit, the regime the adaptive driver selects bulk
-  mode for; the acceptance floors (batched >= 2.5x, vectorized
-  >= 10x) are asserted on these numbers.
+  ``SlotKernel.retire_run`` -- against the scalar ``CMPSystem.access``
+  walk, over the same known-safe access stream on identically warmed
+  systems, with identical resulting stats. This is the speedup the
+  batched kernel delivers per safe hit, the regime the adaptive driver
+  selects bulk mode for; the acceptance floor (>= 2.5x) is asserted on
+  this number.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.common.config import (CacheGeometry, DirectoryConfig,
 from repro.common.ioutil import atomic_write_text
 from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
-from repro.kernel import ColumnarSlotKernel, SlotKernel
+from repro.kernel import SlotKernel
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile, make_rate_workload
 from repro.workloads.trace import Op
@@ -49,11 +49,10 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "results" / \
     "BENCH_kernel.json"
 MAX_HISTORY = 50
 HOT_PATH_FLOOR = 2.5
-VEC_HOT_PATH_FLOOR = 10.0
-#: No workload may run slower than this fraction of scalar under any
-#: non-scalar kernel (the adaptive driver's job is to never lose).
+#: No workload may run slower than this fraction of scalar under the
+#: batched kernel (the adaptive driver's job is to never lose).
 E2E_FLOOR = 0.95
-KERNELS = ("scalar", "batched", "vectorized")
+KERNELS = ("scalar", "batched")
 
 #: (label, profile, builder) -- one representative per fig19-21 regime.
 WORKLOADS = (
@@ -87,7 +86,7 @@ def _snapshot(system):
 
 
 def _end_to_end(accesses: int, rounds: int) -> list:
-    """Interleaved best-of-N over the workload set, all three kernels."""
+    """Interleaved best-of-N scalar-vs-batched over the workload set."""
     rows = []
     for config_label, config in (("baseline-1x", _bench_config()),
                                  ("zerodev-nodir", _zerodev_config())):
@@ -95,7 +94,7 @@ def _end_to_end(accesses: int, rounds: int) -> list:
             workload = builder(find_profile(app), config, accesses,
                                seed=7)
             best = {}
-            ratios = {kernel: [] for kernel in KERNELS[1:]}
+            ratios = []
             finals = {}
             for _ in range(rounds):
                 elapsed = {}
@@ -108,17 +107,14 @@ def _end_to_end(accesses: int, rounds: int) -> list:
                                                 elapsed[kernel]),
                                        elapsed[kernel])
                     finals[kernel] = _snapshot(system)
-                for kernel in KERNELS[1:]:
-                    ratios[kernel].append(elapsed["scalar"]
-                                          / elapsed[kernel])
+                ratios.append(elapsed["scalar"] / elapsed["batched"])
             stats_s, shadow_s = finals["scalar"]
-            for kernel in KERNELS[1:]:
-                stats_k, shadow_k = finals[kernel]
-                assert stats_s == stats_k, (
-                    f"{config_label}/{label}: {kernel} diverged on "
-                    f"{[k for k in stats_s if stats_s[k] != stats_k[k]]}")
-                assert shadow_s == shadow_k, (
-                    f"{config_label}/{label}: {kernel} shadow diverged")
+            stats_b, shadow_b = finals["batched"]
+            assert stats_s == stats_b, (
+                f"{config_label}/{label}: kernels diverged on "
+                f"{[k for k in stats_s if stats_s[k] != stats_b[k]]}")
+            assert shadow_s == shadow_b, (
+                f"{config_label}/{label}: shadow memories diverged")
             if config.protocol is Protocol.ZERODEV:
                 assert stats_s["dev_invalidations"] == 0, (
                     f"{config_label}/{label}: zero-DEV verdict changed")
@@ -128,18 +124,13 @@ def _end_to_end(accesses: int, rounds: int) -> list:
                 "accesses": workload.total_accesses,
                 "scalar_seconds": round(best["scalar"], 4),
                 "batched_seconds": round(best["batched"], 4),
-                "vectorized_seconds": round(best["vectorized"], 4),
                 "speedup": round(best["scalar"] / best["batched"], 3),
-                "vectorized_speedup": round(
-                    best["scalar"] / best["vectorized"], 3),
                 # The floor is checked against the best same-round
                 # ratio: the container's clock drifts on a timescale
                 # comparable to one run, so cross-round ratios mix
                 # throttle phases, while a genuine regression shows in
                 # every round.
-                "speedup_best_round": round(max(ratios["batched"]), 3),
-                "vectorized_speedup_best_round": round(
-                    max(ratios["vectorized"]), 3),
+                "speedup_best_round": round(max(ratios), 3),
             })
     return rows
 
@@ -193,8 +184,6 @@ def _hot_path(accesses: int, stream_length: int, rounds: int) -> dict:
     resulting per-core stats match exactly.
     """
     config = _bench_config()
-    slot_classes = {"batched": SlotKernel,
-                    "vectorized": ColumnarSlotKernel}
     best = {}
     for _ in range(rounds):
         systems = {k: _warmed_system(config, accesses) for k in KERNELS}
@@ -215,40 +204,35 @@ def _hot_path(accesses: int, stream_length: int, rounds: int) -> dict:
         after = _snapshot(system)[0]
         deltas["scalar"] = _stat_delta(before, after)
 
-        for kernel, slot_cls in slot_classes.items():
-            system = systems[kernel]
-            slots = [slot_cls(core, system.cores[core], system.stats,
-                              system.shadow, system.config.latency,
-                              ops, addresses)
-                     for core, (ops, addresses) in enumerate(streams)]
-            before = _snapshot(system)[0]
-            no_limit = 1 << 62
-            started = perf_counter()
-            for core, slot in enumerate(slots):
-                pos = 0
-                clock = system.stats.cycles[core]
-                while pos < slot.length:
-                    end = slot.safe_end(pos)
-                    assert end > pos, "stream misclassified as unsafe"
-                    pos, clock = slot.retire_run(pos, end, clock,
-                                                 no_limit)
-            elapsed = perf_counter() - started
-            best[kernel] = min(best.get(kernel, elapsed), elapsed)
-            after = _snapshot(system)[0]
-            deltas[kernel] = _stat_delta(before, after)
+        system = systems["batched"]
+        slots = [SlotKernel(core, system.cores[core], system.stats,
+                            system.shadow, system.config.latency,
+                            ops, addresses)
+                 for core, (ops, addresses) in enumerate(streams)]
+        before = _snapshot(system)[0]
+        no_limit = 1 << 62
+        started = perf_counter()
+        for core, slot in enumerate(slots):
+            pos = 0
+            clock = system.stats.cycles[core]
+            while pos < slot.length:
+                end = slot.safe_end(pos)
+                assert end > pos, "stream misclassified as unsafe"
+                pos, clock = slot.retire_run(pos, end, clock, no_limit)
+        elapsed = perf_counter() - started
+        best["batched"] = min(best.get("batched", elapsed), elapsed)
+        after = _snapshot(system)[0]
+        deltas["batched"] = _stat_delta(before, after)
 
-            assert deltas["scalar"] == deltas[kernel], (
-                f"hot-path stats diverged under {kernel}: "
-                f"{ {k: (deltas['scalar'][k], deltas[kernel][k]) for k in deltas['scalar'] if deltas['scalar'][k] != deltas[kernel][k]} }")
+        assert deltas["scalar"] == deltas["batched"], (
+            "hot-path stats diverged: "
+            f"{ {k: (deltas['scalar'][k], deltas['batched'][k]) for k in deltas['scalar'] if deltas['scalar'][k] != deltas['batched'][k]} }")
     total = stream_length * config.n_cores
     return {
         "accesses": total,
         "scalar_seconds": round(best["scalar"], 4),
         "batched_seconds": round(best["batched"], 4),
-        "vectorized_seconds": round(best["vectorized"], 4),
         "speedup": round(best["scalar"] / best["batched"], 3),
-        "vectorized_speedup": round(
-            best["scalar"] / best["vectorized"], 3),
     }
 
 
@@ -279,7 +263,6 @@ def measure(accesses: int = 4000, stream_length: int = 24000,
         "end_to_end": e2e,
         "hot_path": hot,
         "hot_path_speedup": hot["speedup"],
-        "hot_path_vectorized_speedup": hot["vectorized_speedup"],
     }
     if path is not None:
         path = Path(path)
@@ -301,24 +284,16 @@ def test_kernel_speedup():
     print(f"\nhot path: {entry['hot_path']['accesses']:,} safe hits | "
           f"scalar {entry['hot_path']['scalar_seconds']:.3f}s, "
           f"batched {entry['hot_path']['batched_seconds']:.3f}s "
-          f"-> {entry['hot_path_speedup']:.2f}x, "
-          f"vectorized {entry['hot_path']['vectorized_seconds']:.3f}s "
-          f"-> {entry['hot_path_vectorized_speedup']:.2f}x")
+          f"-> {entry['hot_path_speedup']:.2f}x")
     for row in entry["end_to_end"]:
         print(f"  {row['config']:>13s} {row['workload']:<20s} "
-              f"batched {row['speedup']:.2f}x  "
-              f"vectorized {row['vectorized_speedup']:.2f}x")
+              f"batched {row['speedup']:.2f}x")
     assert entry["hot_path_speedup"] >= HOT_PATH_FLOOR, (
         f"hot-path speedup {entry['hot_path_speedup']:.2f}x below the "
         f"{HOT_PATH_FLOOR}x floor")
-    assert entry["hot_path_vectorized_speedup"] >= VEC_HOT_PATH_FLOOR, (
-        f"vectorized hot-path speedup "
-        f"{entry['hot_path_vectorized_speedup']:.2f}x below the "
-        f"{VEC_HOT_PATH_FLOOR}x floor")
     # The adaptive driver must never lose to scalar on any workload.
     for row in entry["end_to_end"]:
-        for key in ("speedup_best_round",
-                    "vectorized_speedup_best_round"):
-            assert row[key] >= E2E_FLOOR, (
-                f"{row['config']}/{row['workload']}: {key} "
-                f"{row[key]:.3f}x below the {E2E_FLOOR}x floor")
+        assert row["speedup_best_round"] >= E2E_FLOOR, (
+            f"{row['config']}/{row['workload']}: batched "
+            f"{row['speedup_best_round']:.3f}x below the {E2E_FLOOR}x "
+            f"floor")

@@ -201,45 +201,6 @@ class LLCBank:
                      & self._set_mask].remove(line)
         del self._index_for(line)[block]
 
-    def load_set(self, set_idx: int, lines: List[LLCLine]) -> None:
-        """Replace set ``set_idx`` with ``lines`` (LRU-to-MRU order).
-
-        The restore half of the columnar sync-point contract
-        (:mod:`repro.kernel.columnar`): existing frames of the set are
-        unindexed and the set rebuilt, with the same duplicate check
-        that guards :meth:`insert`.
-        """
-        if len(lines) > self.ways:
-            raise SimulationError(
-                f"{len(lines)} frames for a {self.ways}-way set")
-        for line in self._frames[set_idx]:
-            del self._index_for(line)[line.block]
-        self._frames[set_idx] = list(lines)
-        for line in lines:
-            if self.set_of(line.block) != set_idx:
-                raise SimulationError(
-                    f"block {line.block:#x} does not map to set "
-                    f"{set_idx} of bank {self.bank_id}")
-            index = self._index_for(line)
-            if line.block in index:
-                raise SimulationError(
-                    f"bank {self.bank_id}: duplicate "
-                    f"{line.kind.value} frame for block "
-                    f"{line.block:#x}")
-            index[line.block] = line
-
-    def columns(self):
-        """Columnar (SoA) image of the bank -- frame arrays plus the
-        aligned directory-entry occupancy columns (see
-        :mod:`repro.kernel.columnar`)."""
-        from repro.kernel.columnar import LLCColumns
-        return LLCColumns.capture(self)
-
-    def load_columns(self, columns) -> None:
-        """Restore the bank from a columnar image (the inverse of
-        :meth:`columns`; entries are rebuilt field-equal)."""
-        columns.restore(self)
-
     # ------------------------------------------------------------------
     # ZeroDEV entry management on existing frames
     # ------------------------------------------------------------------

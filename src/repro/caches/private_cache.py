@@ -84,18 +84,6 @@ class PrivateHierarchy:
     def __contains__(self, block: int) -> bool:
         return block in self._l2
 
-    def columns(self):
-        """Columnar (SoA) image of both L1s and the L2: contiguous
-        block/state/version arrays in set-major LRU-to-MRU order (see
-        :mod:`repro.kernel.columnar` for the sync-point contract)."""
-        from repro.kernel.columnar import HierarchyColumns
-        return HierarchyColumns.capture(self)
-
-    def load_columns(self, columns) -> None:
-        """Restore the hierarchy from a columnar image (the inverse of
-        :meth:`columns`; property-tested to round-trip losslessly)."""
-        columns.restore(self)
-
     # ------------------------------------------------------------------
     # Lookups from the core
     # ------------------------------------------------------------------

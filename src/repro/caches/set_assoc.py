@@ -78,31 +78,6 @@ class SetAssocCache(Generic[LineT]):
             del self._sets[block & self._set_mask][block]
         return line
 
-    def load_set(self, index: int, lines: List[LineT]) -> None:
-        """Replace set ``index`` with ``lines`` (LRU-to-MRU order).
-
-        The restore half of the columnar sync-point contract
-        (:mod:`repro.kernel.columnar`): the per-set ``OrderedDict`` is
-        rebuilt in place and the global index updated, so references
-        to ``_sets``/``_index`` held by kernels stay valid.
-        """
-        if len(lines) > self._n_ways:
-            raise SimulationError(
-                f"{len(lines)} lines for a {self._n_ways}-way set")
-        for block in list(self._sets[index]):
-            del self._index[block]
-        fresh: "OrderedDict[int, LineT]" = OrderedDict()
-        for line in lines:
-            block = line.block  # type: ignore[attr-defined]
-            if block & self._set_mask != index:
-                raise SimulationError(
-                    f"block {block:#x} does not map to set {index}")
-            if block in self._index or block in fresh:
-                raise SimulationError(f"block {block:#x} loaded twice")
-            fresh[block] = line
-            self._index[block] = line
-        self._sets[index] = fresh
-
     # ------------------------------------------------------------------
     def lines(self):
         """Iterate over all resident lines (unordered)."""

@@ -59,6 +59,7 @@ from repro.common.config import (DirCachingPolicy, DirectoryConfig,
                                  scaled_socket)
 from repro.common.errors import ConfigError
 from repro.harness import experiments
+from repro.harness.parallel import parse_number
 from repro.harness.reporting import ascii_bars
 from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
@@ -101,7 +102,7 @@ def _command_list(_args) -> int:
 
 
 def _command_run(args) -> int:
-    if args.accesses:
+    if args.accesses is not None:
         os.environ["REPRO_ACCESSES"] = str(args.accesses)
     if args.full:
         os.environ["REPRO_FULL"] = "1"
@@ -181,20 +182,22 @@ def _command_verify(args) -> int:
         return base.with_(protocol=Protocol(args.protocol))
 
     explorer = ExhaustiveExplorer(micro, cores=(0, 1), blocks=(0, 8, 1))
+    jobs = args.jobs or 1
     if args.samples:
         seed = args.seed if args.seed is not None else 0
         report = explorer.explore_sampled(depth=args.depth,
                                           samples=args.samples,
-                                          seed=seed,
-                                          jobs=args.jobs or 1)
+                                          seed=seed, jobs=jobs)
         print(f"{args.protocol}: sampled {report.sequences_explored:,} "
               f"of the depth-{args.depth} sequences (seed {seed}), "
               f"checked {report.states_checked:,} states")
     else:
-        report = explorer.explore(depth=args.depth)
-        print(f"{args.protocol}: explored {report.sequences_explored:,} "
-              f"sequences at depth {args.depth}, checked "
-              f"{report.states_checked:,} states")
+        report = explorer.explore_memoized(depth=args.depth, jobs=jobs)
+        capped = " (capped)" if report.capped else ""
+        print(f"{args.protocol}: explored {report.unique_states:,} "
+              f"unique states to depth {report.depth_reached}"
+              f"/{args.depth}{capped}, checked "
+              f"{report.transitions:,} transitions")
     if report.ok:
         print("all invariants hold")
         return 0
@@ -203,24 +206,14 @@ def _command_verify(args) -> int:
 
 
 def _verify_kernel_diff(args) -> int:
-    """Scalar-vs-bulk-kernel bit-identity differential (repro.kernel)."""
-    from repro.common.config import KERNELS
+    """Scalar-vs-batched bit-identity differential (repro.kernel)."""
     from repro.kernel.diff import run_kernel_diff
 
-    kernels = tuple(name.strip()
-                    for name in args.kernels.split(",") if name.strip())
-    for name in kernels:
-        if name not in KERNELS or name == "scalar":
-            raise SystemExit(
-                f"--kernels: {name!r} is not a kernel under test; "
-                f"choose from "
-                f"{', '.join(k for k in KERNELS if k != 'scalar')}")
     report = run_kernel_diff(
         seed=args.seed if args.seed is not None else 0,
         budget=args.budget,
         check_every=args.check_every,
-        steps_per_trace=args.steps_per_trace, out_dir=args.out,
-        kernels=kernels)
+        steps_per_trace=args.steps_per_trace, out_dir=args.out)
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -229,8 +222,7 @@ def _command_modelcheck(args) -> int:
     """Memoized bounded-exhaustive checking (see PROTOCOL.md §6)."""
     import os
     from repro.harness.parallel import default_jobs
-    from repro.verify.modelcheck import (MICRO_BLOCKS, check_matrix,
-                                         frontier_vs_replay,
+    from repro.verify.modelcheck import (MICRO_BLOCKS, frontier_vs_replay,
                                          mutation_gate)
     from repro.verify.models import model_by_name, model_matrix
 
@@ -536,13 +528,18 @@ def _fault_kinds():
     return list(FaultKind)
 
 
-def _jobs_argument(value: str) -> int:
-    """argparse type for ``--jobs``: positive integer or a clean error."""
-    from repro.harness.parallel import parse_jobs
-    try:
-        return parse_jobs(value, source="--jobs")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _number(flag: str, kind=int, allow_zero: bool = False):
+    """argparse type for ``flag``: a positive integer (non-negative with
+    ``allow_zero``; positive and finite for ``kind=float``) or a
+    one-line error, validated by
+    :func:`repro.harness.parallel.parse_number`."""
+    def convert(value: str):
+        try:
+            return parse_number(value, flag, kind=kind,
+                                allow_zero=allow_zero)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,11 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="run a figure experiment")
     run.add_argument("figure", choices=sorted(EXPERIMENTS))
-    run.add_argument("--accesses", type=int, default=0,
+    run.add_argument("--accesses", type=_number("--accesses"),
+                     default=None,
                      help="accesses per core (default: REPRO_ACCESSES)")
     run.add_argument("--full", action="store_true",
                      help="run every application, not the subset")
-    run.add_argument("--jobs", type=_jobs_argument, default=None,
+    run.add_argument("--jobs", type=_number("--jobs"), default=None,
                      help="worker processes for independent runs "
                           "(default: REPRO_JOBS)")
 
@@ -571,29 +569,33 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="bounded-exhaustive protocol verification")
     verify.add_argument("--protocol", default="zerodev",
                         choices=[p.value for p in Protocol])
-    verify.add_argument("--depth", type=int, default=3)
-    verify.add_argument("--samples", type=int, default=0,
+    verify.add_argument("--depth", type=_number("--depth"), default=3)
+    verify.add_argument("--samples",
+                        type=_number("--samples", allow_zero=True),
+                        default=0,
                         help="sample this many sequences instead of "
                              "exhausting the depth (0 = exhaustive)")
     verify.add_argument("--seed", type=int, default=None,
                         help="sampling seed (needs --samples) or "
                              "kernel-diff campaign seed (default 0)")
-    verify.add_argument("--jobs", type=_jobs_argument, default=None,
-                        help="worker processes (with --samples)")
+    verify.add_argument("--jobs", type=_number("--jobs"), default=None,
+                        help="fork workers per frontier level, or over "
+                             "the sampled sequences (reports are "
+                             "identical at any count)")
     verify.add_argument("--kernel-diff", action="store_true",
-                        help="scalar-vs-bulk-kernel bit-identity "
+                        help="scalar-vs-batched bit-identity "
                              "differential over the fuzz model matrix "
                              "instead of state exploration")
-    verify.add_argument("--kernels", default="batched,vectorized",
-                        help="comma-separated kernels to diff against "
-                             "scalar (kernel-diff)")
-    verify.add_argument("--budget", type=int, default=25,
+    verify.add_argument("--budget", type=_number("--budget"), default=25,
                         help="traces per kernel-diff campaign (each runs "
-                             "on every model under every kernel)")
-    verify.add_argument("--check-every", type=int, default=0,
+                             "on every model under both kernels)")
+    verify.add_argument("--check-every",
+                        type=_number("--check-every", allow_zero=True),
+                        default=0,
                         help="invariant-check every N accesses during "
                              "kernel-diff runs (0 = final state only)")
-    verify.add_argument("--steps-per-trace", type=int, default=48,
+    verify.add_argument("--steps-per-trace",
+                        type=_number("--steps-per-trace"), default=48,
                         help="accesses per kernel-diff trace")
     verify.add_argument("--out", default=None,
                         help="directory for divergent-trace .npz "
@@ -605,15 +607,19 @@ def build_parser() -> argparse.ArgumentParser:
     modelcheck.add_argument("--models", default=None,
                             help="comma-separated model names "
                                  "(default: the whole matrix)")
-    modelcheck.add_argument("--depth", type=int, default=None,
+    modelcheck.add_argument("--depth", type=_number("--depth"),
+                            default=None,
                             help="BFS depth over the micro alphabet "
                                  "(default 5; 8 with --stats)")
     modelcheck.add_argument("--blocks", default=None,
                             help="comma-separated block alphabet "
                                  "(default: 0,8,1)")
-    modelcheck.add_argument("--max-states", type=int, default=None,
+    modelcheck.add_argument("--max-states",
+                            type=_number("--max-states"), default=None,
                             help="unique-state ceiling (default 250000)")
-    modelcheck.add_argument("--budget-s", type=float, default=None,
+    modelcheck.add_argument("--budget-s",
+                            type=_number("--budget-s", kind=float),
+                            default=None,
                             help="wall-clock budget per model in "
                                  "seconds (exploration caps cleanly)")
     modelcheck.add_argument("--stats", action="store_true",
@@ -630,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     modelcheck.add_argument("--out", default=None,
                             help="directory for counterexample .npz "
                                  "reproducers (repro shrink compatible)")
-    modelcheck.add_argument("--jobs", type=_jobs_argument, default=None,
+    modelcheck.add_argument("--jobs", type=_number("--jobs"), default=None,
                             help="fork workers per frontier level "
                                  "(reports are bit-identical at any "
                                  "count; default: REPRO_JOBS)")
@@ -642,10 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = commands.add_parser(
         "fuzz", help="differential fuzzing across the model matrix")
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--budget", type=int, default=50,
+    fuzz.add_argument("--budget", type=_number("--budget"), default=50,
                       help="number of traces (each runs on every model)")
-    fuzz.add_argument("--jobs", type=_jobs_argument, default=None)
-    fuzz.add_argument("--check-every", type=int, default=1,
+    fuzz.add_argument("--jobs", type=_number("--jobs"), default=None)
+    fuzz.add_argument("--check-every",
+                      type=_number("--check-every", allow_zero=True),
+                      default=1,
                       help="invariant-check every N accesses")
     fuzz.add_argument("--inject", default=None,
                       choices=[k.value for k in _fault_kinds()],

@@ -1,15 +1,17 @@
 """Exhaustive state-space exploration of the coherence protocols.
 
-A lightweight model checker for the simulator: systematically enumerate
-*every* access sequence up to a bounded depth over a micro configuration
-(few cores, few blocks, tiny caches) and check the full invariant set --
+A lightweight model checker for the simulator: reach *every* state a
+bounded number of accesses can produce over a micro configuration (few
+cores, few blocks, tiny caches) and check the full invariant set --
 SWMR, directory precision, entry-location exclusivity, data correctness
 (built into every read), and the ZeroDEV guarantee -- after every step.
 
 Unlike the randomized hypothesis tests, exploration is complete up to the
 depth bound: any protocol bug reachable within ``depth`` accesses over the
 chosen alphabet *will* be found, and the failing sequence is reported as a
-minimal counterexample prefix.
+counterexample prefix.  The exhaustive engine is the memoized snapshot
+frontier of :mod:`repro.verify.modelcheck`; this module adds the uniform
+sampler for depths where even that is intractable.
 
 This mirrors how the paper's protocol extensions would be validated with
 a model checker ("Generating the rule-sets governing this protocol case
@@ -19,13 +21,11 @@ III-D6) -- here the rule-set is the implementation itself.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import SystemConfig
-from repro.common.errors import SimulationError
 from repro.harness.parallel import parallel_map
 from repro.harness.system_builder import build_system
 from repro.workloads.trace import Op
@@ -46,7 +46,7 @@ class Counterexample:
 
 @dataclass
 class ExplorationReport:
-    """Outcome of one exhaustive exploration."""
+    """Outcome of one sampled exploration."""
 
     depth: int
     alphabet_size: int
@@ -60,19 +60,15 @@ class ExplorationReport:
 
 
 class ExhaustiveExplorer:
-    """Depth-bounded exhaustive exploration over an access alphabet.
+    """Depth-bounded exploration over an access alphabet.
 
-    Because the simulator is deterministic, replaying a prefix always
-    reaches the same state; exploration therefore rebuilds the system
-    per sequence and replays it from scratch -- simple and
-    allocation-cheap at micro scale, but O(depth) work per sequence with
-    no sharing between sequences that differ only in their last access.
-    :mod:`repro.verify.modelcheck` supersedes this engine for deep
-    bounded-exhaustive runs: its snapshot frontier does O(1) work per
-    transition and collapses symmetric interleavings, reaching several
-    levels deeper at equal wall-clock.  This explorer remains the
-    simplest reference implementation and the engine behind
-    :meth:`explore_sampled`.
+    :meth:`explore_memoized` is exhaustive: it runs the snapshot
+    frontier of :mod:`repro.verify.modelcheck`, which does O(1) work per
+    transition and collapses interleavings that reach the same state.
+    :meth:`explore_sampled` draws whole sequences instead and replays
+    each from scratch on a fresh system (the simulator is
+    deterministic, so a replay always reaches the same state);
+    :meth:`replay` reproduces one of its counterexamples.
     """
 
     def __init__(self, config_factory: Callable[[], SystemConfig],
@@ -118,50 +114,18 @@ class ExhaustiveExplorer:
         _, counterexample = self._evaluate(tuple(sequence))
         return counterexample
 
-    def explore(self, depth: int,
-                check_every_step: bool = True) -> ExplorationReport:
-        """Explore all sequences of exactly ``depth`` accesses.
-
-        Invariants are checked after every step of every sequence when
-        ``check_every_step`` is set (any shorter failing prefix is then
-        reported as the counterexample), otherwise only at the ends.
-        """
-        report = ExplorationReport(depth, len(self._alphabet))
-        for sequence in itertools.product(self._alphabet, repeat=depth):
-            report.sequences_explored += 1
-            system = build_system(self._config_factory())
-            for index, (core, op, block) in enumerate(sequence):
-                try:
-                    system.access(core, op, block << BLOCK_SHIFT)
-                    if check_every_step:
-                        self._check(system)
-                        report.states_checked += 1
-                except Exception as error:   # noqa: BLE001 - reported
-                    report.counterexample = Counterexample(
-                        sequence[:index + 1], error)
-                    return report
-            if not check_every_step:
-                try:
-                    self._check(system)
-                    report.states_checked += 1
-                except Exception as error:   # noqa: BLE001 - reported
-                    report.counterexample = Counterexample(sequence,
-                                                           error)
-                    return report
-        return report
-
     def explore_memoized(self, depth: int, max_states: int = 250_000,
                          budget_s: Optional[float] = None,
                          jobs: int = 1):
-        """Explore to ``depth`` through the memoized snapshot frontier.
+        """Check every state reachable in at most ``depth`` accesses.
 
-        Same alphabet and check discipline as :meth:`explore`, but run
-        by :mod:`repro.verify.modelcheck`: symmetric interleavings
-        collapse onto one canonical state and each transition costs
-        O(1) instead of O(depth), so this reaches several levels deeper
-        at equal wall-clock.  Returns a
-        :class:`~repro.verify.modelcheck.ModelCheckReport` (``ok`` /
-        ``counterexample`` behave like :class:`ExplorationReport`).
+        Run by :mod:`repro.verify.modelcheck`'s snapshot frontier: the
+        invariants (plus ``extra_check``) are checked after every
+        transition, interleavings that reach the same canonical state
+        are expanded once, and each transition costs O(1) instead of
+        O(depth).  ``jobs`` fork workers share each frontier level; the
+        report is identical at any count.  Returns a
+        :class:`~repro.verify.modelcheck.ModelCheckReport`.
         """
         from repro.verify.modelcheck import (ModelCheckReport,
                                              _explore_frontier,

@@ -53,13 +53,11 @@ class CacheGeometry:
 
 
 #: Access-kernel identifiers (see :mod:`repro.kernel`): ``batched``
-#: pre-classifies private-cache hits and retires them in bulk, and
-#: ``vectorized`` retires those bulk runs as columnar NumPy operations
-#: (:mod:`repro.kernel.columnar`); both carry a bit-identity contract
-#: against ``scalar`` (the per-message protocol walk), enforced by
-#: ``repro verify --kernel-diff``. ``REPRO_KERNEL=scalar`` is the
-#: runtime escape hatch.
-KERNELS = ("batched", "scalar", "vectorized")
+#: pre-classifies private-cache hits and retires them in bulk under a
+#: bit-identity contract against ``scalar`` (the per-message protocol
+#: walk), enforced by ``repro verify --kernel-diff``.
+#: ``REPRO_KERNEL=scalar`` is the runtime escape hatch.
+KERNELS = ("batched", "scalar")
 KERNEL_ENV = "REPRO_KERNEL"
 
 
@@ -218,8 +216,8 @@ class SystemConfig:
     mgd_region_blocks: int = 16
     check_data: bool = True           # shadow-memory version checking
     #: Access kernel driving the runner hot path (``repro.kernel``):
-    #: ``batched``, ``vectorized``, or ``scalar``, all bit-identical
-    #: by contract (``repro verify --kernel-diff``); the field
+    #: ``batched`` or ``scalar``, bit-identical by contract
+    #: (``repro verify --kernel-diff``); the field
     #: participates in result-cache keys so cached results never mix
     #: kernels.
     kernel: str = "batched"

@@ -770,7 +770,7 @@ def run_specs(specs, jobs: Optional[int] = None, cache=_MISS,
 
     specs = list(specs)
     jobs = (parallel.default_jobs() if jobs is None
-            else parallel.parse_jobs(jobs, "jobs"))
+            else parallel.parse_number(jobs, "jobs"))
     if cache is _MISS:
         cache = parallel.session_cache()
     plan = parallel.plan_batch(specs, cache, trace_dir, want_keys=True)

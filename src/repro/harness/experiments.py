@@ -45,7 +45,7 @@ from repro.common.config import (DirCachingPolicy, DirectoryConfig,
 from repro.common.stats import weighted_speedup
 from repro.harness.campaign import policy_from_env, run_specs
 from repro.harness.energy import estimate_energy
-from repro.harness.parallel import (run_many, telemetry_since,
+from repro.harness.parallel import (env_number, run_many, telemetry_since,
                                     telemetry_snapshot)
 from repro.harness.reporting import Table, geomean
 from repro.harness.runner import RunResult, run_workload
@@ -57,11 +57,11 @@ from repro.workloads.trace import Workload
 
 
 def accesses_per_core(default: int = 6000) -> int:
-    return int(os.environ.get("REPRO_ACCESSES", default))
+    return env_number("REPRO_ACCESSES", default)
 
 
 def capacity_scale() -> int:
-    return int(os.environ.get("REPRO_SCALE", 16))
+    return env_number("REPRO_SCALE", 16)
 
 
 def run_full() -> bool:

@@ -35,6 +35,7 @@ reported in :func:`telemetry_snapshot` instead of being clamped.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import os
 import traceback
@@ -75,31 +76,43 @@ def telemetry_since(before: Dict[str, float]) -> Dict[str, float]:
             for key in _telemetry}
 
 
-def parse_jobs(value, source: str = "--jobs") -> int:
-    """Validate a worker count from the CLI or the environment.
+def parse_number(value, source: str, kind=int, allow_zero: bool = False):
+    """Validate a count or a duration from the CLI or the environment.
 
-    Accepts a positive integer (as int or decimal string); anything else
-    -- zero, negatives, floats, or non-numeric text -- raises
+    With ``kind=int`` (worker counts, sizes, depths) accepts a positive
+    integer, as int or decimal string, or a non-negative one with
+    ``allow_zero``; with ``kind=float`` (durations) a positive finite
+    number.  Anything else -- zero, negatives, a float where an integer
+    is due, NaN, infinity or non-numeric text -- raises
     :class:`~repro.common.errors.ConfigError` naming ``source`` so the
     CLI can fail with a one-line message instead of a traceback.
     """
+    if kind is int:
+        what = "a non-negative integer" if allow_zero else "a positive integer"
+    else:
+        what = "a positive finite number"
     try:
-        jobs = int(str(value).strip())
+        number = kind(str(value).strip())
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"{source} must be a positive integer, got {value!r}") from None
-    if jobs < 1:
-        raise ConfigError(
-            f"{source} must be a positive integer, got {value!r}")
-    return jobs
+        number = None
+    if (number is None or not math.isfinite(number)
+            or number < 0 or (number == 0 and not allow_zero)):
+        raise ConfigError(f"{source} must be {what}, got {value!r}")
+    return number
+
+
+def env_number(name: str, default: int) -> int:
+    """Positive integer from environment variable ``name`` (see
+    :func:`parse_number`), or ``default`` when it is unset or blank."""
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    return parse_number(raw, name)
 
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS`` (default 1: serial)."""
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None or not raw.strip():
-        return 1
-    return parse_jobs(raw, source="REPRO_JOBS")
+    return env_number("REPRO_JOBS", 1)
 
 
 def execute_run(spec: RunSpec,
@@ -310,7 +323,7 @@ def run_many(specs: Sequence[RunSpec], jobs: Optional[int] = None,
     spec's index and workload. Campaigns that need typed failures,
     retries, or resume use :func:`repro.harness.campaign.run_specs`.
     """
-    jobs = default_jobs() if jobs is None else parse_jobs(jobs, "jobs")
+    jobs = default_jobs() if jobs is None else parse_number(jobs, "jobs")
     if cache is USE_SESSION_CACHE:
         cache = session_cache()
     plan = plan_batch(specs, cache, trace_dir)

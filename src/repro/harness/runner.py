@@ -181,14 +181,11 @@ def run_workload(system: CMPSystem, workload: Workload,
     def drive() -> None:
         sample = (None if sample_fn is None
                   else lambda: sample_fn(system))
-        if kernel in ("batched", "vectorized"):
-            from repro.kernel import (ColumnarSlotKernel, SlotKernel,
-                                      drive_batched)
-            slot_cls = (ColumnarSlotKernel if kernel == "vectorized"
-                        else SlotKernel)
-            slots = [slot_cls(core, system.cores[core], stats,
-                              system.shadow, system.config.latency,
-                              trace.ops, trace.addresses)
+        if kernel == "batched":
+            from repro.kernel import SlotKernel, drive_batched
+            slots = [SlotKernel(core, system.cores[core], stats,
+                                system.shadow, system.config.latency,
+                                trace.ops, trace.addresses)
                      for core, trace in enumerate(traces)]
             drive_batched(slots, issue,
                           check=system.check_invariants,
@@ -243,16 +240,12 @@ def run_multisocket_workload(system, workload: Workload,
         access(socket, core, ops[slot][index], addresses[slot][index])
         return sockets[socket].stats.cycles[core]
 
-    kernel = resolve_kernel(system.config)
-    if kernel in ("batched", "vectorized"):
-        from repro.kernel import (ColumnarSlotKernel, SlotKernel,
-                                  drive_batched)
-        slot_cls = (ColumnarSlotKernel if kernel == "vectorized"
-                    else SlotKernel)
+    if resolve_kernel(system.config) == "batched":
+        from repro.kernel import SlotKernel, drive_batched
         slots = []
         for slot, trace in enumerate(traces):
             socket, core = homes[slot]
-            slots.append(slot_cls(
+            slots.append(SlotKernel(
                 core, sockets[socket].cores[core],
                 sockets[socket].stats, sockets[socket].shadow,
                 system.config.latency, trace.ops, trace.addresses))

@@ -5,10 +5,11 @@ private-cache hits: the block is already in the issuing core's L2 in a
 state that can service the request without any uncore message. The
 scalar path still walks ``CMPSystem.access -> _read/_write ->
 PrivateHierarchy`` one reference at a time; this package pre-classifies
-each core's upcoming access window with vectorized NumPy lookups and
-retires the safe-hit prefix in bulk, falling back to the unmodified
-scalar protocol for anything that could touch directory state (misses,
-upgrades, DEV paths, fuse/unfuse, corrupted-home, cross-socket flows).
+each core's upcoming access window with a Python scan over the core's
+L2 index and retires the safe-hit prefix in bulk, falling back to the
+unmodified scalar protocol for anything that could touch directory
+state (misses, upgrades, DEV paths, fuse/unfuse, corrupted-home,
+cross-socket flows).
 
 The contract is **bit identity**: identical final stats, identical
 shadow memory, and identical event streams (order, payloads, and step
@@ -18,20 +19,9 @@ its exact scalar position with the exact scalar machine state; see
 :mod:`repro.kernel.batched` for the argument.  The contract is enforced
 by ``repro verify --kernel-diff`` (see :mod:`repro.kernel.diff`) and
 documented in DESIGN.md Section 11.
-
-The ``vectorized`` kernel (:mod:`repro.kernel.columnar`) keeps the
-same classification/driver machinery but retires each safe run as
-columnar NumPy operations over structure-of-arrays mirrors of the
-private-cache state, under the identical bit-identity contract
-(DESIGN.md Section 12).
 """
 
 from repro.kernel.batched import (ADAPT_WINDOW, SCAN_WINDOW, SlotKernel,
                                   drive_batched)
-from repro.kernel.columnar import (ColumnarSlotKernel, HierarchyColumns,
-                                   LLCColumns, VEC_MIN_RUN,
-                                   VEC_SCAN_WINDOW)
 
-__all__ = ["ADAPT_WINDOW", "SCAN_WINDOW", "SlotKernel",
-           "ColumnarSlotKernel", "HierarchyColumns", "LLCColumns",
-           "VEC_MIN_RUN", "VEC_SCAN_WINDOW", "drive_batched"]
+__all__ = ["ADAPT_WINDOW", "SCAN_WINDOW", "SlotKernel", "drive_batched"]

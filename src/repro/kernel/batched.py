@@ -459,13 +459,9 @@ def drive_batched(slots: List[SlotKernel],
     short to amortize the scan and scheduling overhead, so the driver
     watches the windowed mean run length to degrade and the windowed
     private-hit fraction (readable from the stats counters) to promote
-    back.  With :class:`~repro.kernel.columnar.ColumnarSlotKernel`
-    slots the choice is three-way: within bulk mode each run retires
-    through the columnar pipeline or the batched per-access loop by
-    per-run cost accounting (run length against the pipeline's fixed
-    cost).  Every signal is a deterministic function of the
-    simulation, so runs stay reproducible, and all modes are exact, so
-    switching at any boundary preserves bit identity.
+    back.  Both signals are deterministic functions of the simulation,
+    so runs stay reproducible, and both modes are exact, so switching
+    at any boundary preserves bit identity.
     """
     n = len(slots)
     lengths = [slot.length for slot in slots]

@@ -1,22 +1,21 @@
-"""Scalar-vs-bulk-kernel differential verification (``repro verify
+"""Scalar-vs-batched differential verification (``repro verify
 --kernel-diff``).
 
-The bulk kernels' contract is *bit identity* (see
+The batched kernel's contract is *bit identity* (see
 :mod:`repro.kernel`): for any workload on any model, the final
 statistics, the final shadow memory, and the recorded event stream --
 order, payloads, and step tags -- must equal the scalar runner's. This
 module enforces the contract mechanically: it draws adversarial traces
 from the differential fuzzer's generator (:mod:`repro.verify.tracegen`),
 converts each into a per-core :class:`~repro.workloads.trace.Workload`,
-and runs it on every model of the fuzz matrix
+and runs it twice on every model of the fuzz matrix
 (:func:`repro.verify.models.model_matrix`) -- once under the scalar
-reference and once per kernel under test (``batched`` and
-``vectorized`` by default) -- under full event recording, diffing all
-three observables against the single scalar capture.
+reference and once under ``batched`` -- under full event recording,
+diffing all three observables.
 
 The fuzz patterns are exactly the right adversary here: they drive the
 protocol through the directory-pressure regimes (WB_DE, fuse/spill,
-DEV storms, corrupted-home forwarding) where the bulk kernels must
+DEV storms, corrupted-home forwarding) where the batched kernel must
 *fall back* to the scalar path, so a classification bug that retires an
 access it should not have surfaces as a stats or event diff within a few
 dozen accesses.
@@ -110,49 +109,47 @@ def capture(spec: ModelSpec, workload: Workload, kernel: str,
                      recorder.events)
 
 
-def diff_runs(scalar: KernelRun, other: KernelRun,
-              label: str = "batched") -> List[str]:
+def diff_runs(scalar: KernelRun, batched: KernelRun) -> List[str]:
     """Human-readable field-level diffs (empty = bit-identical)."""
     diffs: List[str] = []
-    for socket, (s, b) in enumerate(zip(scalar.stats, other.stats)):
+    for socket, (s, b) in enumerate(zip(scalar.stats, batched.stats)):
         for key in s:
             if s[key] != b[key]:
                 diffs.append(f"stats[{socket}].{key}: "
-                             f"scalar={s[key]!r} {label}={b[key]!r}")
+                             f"scalar={s[key]!r} batched={b[key]!r}")
     for socket, (s, b) in enumerate(zip(scalar.shadows,
-                                        other.shadows)):
+                                        batched.shadows)):
         if s != b:
             delta = {k for k in set(s) | set(b)
                      if s.get(k) != b.get(k)}
             diffs.append(f"shadow[{socket}]: {len(delta)} blocks "
                          f"disagree (e.g. {sorted(delta)[:4]})")
-    if scalar.events != other.events:
-        limit = min(len(scalar.events), len(other.events))
+    if scalar.events != batched.events:
+        limit = min(len(scalar.events), len(batched.events))
         at = next((i for i in range(limit)
-                   if scalar.events[i] != other.events[i]), limit)
+                   if scalar.events[i] != batched.events[i]), limit)
         detail = (f"first mismatch at event {at}: "
                   f"scalar={scalar.events[at]!r} "
-                  f"{label}={other.events[at]!r}"
+                  f"batched={batched.events[at]!r}"
                   if at < limit else
                   f"lengths differ: scalar={len(scalar.events)} "
-                  f"{label}={len(other.events)}")
+                  f"batched={len(batched.events)}")
         diffs.append(f"events: {detail}")
     return diffs
 
 
 @dataclass
 class KernelDivergence:
-    """One (model, trace, kernel) triple that disagreed with scalar."""
+    """One (model, trace) pair where the kernels disagreed."""
 
     model: str
     trace: FuzzTrace
     trace_index: int
     diffs: List[str]
-    kernel: str = "batched"
     npz_path: Optional[str] = None
 
     def __str__(self) -> str:
-        text = (f"{self.model} x {self.trace.name} [{self.kernel}]: "
+        text = (f"{self.model} x {self.trace.name}: "
                 + "; ".join(self.diffs))
         if self.npz_path:
             text += f" -> {self.npz_path}"
@@ -166,7 +163,6 @@ class KernelDiffReport:
     seed: int
     budget: int
     models: Tuple[str, ...]
-    kernels: Tuple[str, ...] = ("batched", "vectorized")
     runs: int = 0
     divergences: List[KernelDivergence] = field(default_factory=list)
 
@@ -176,14 +172,12 @@ class KernelDiffReport:
 
     def summary(self) -> str:
         lines = [f"kernel-diff seed={self.seed} budget={self.budget}: "
-                 f"{self.budget} traces x {len(self.models)} models "
-                 f"x ({', '.join(self.kernels)}), "
+                 f"{self.budget} traces x {len(self.models)} models, "
                  f"{self.runs} kernel pairs"]
         for divergence in self.divergences:
             lines.append(f"  DIVERGENCE: {divergence}")
         if self.ok:
-            lines.append(f"  {', '.join(self.kernels)} "
-                         "are bit-identical to scalar")
+            lines.append("  scalar and batched kernels are bit-identical")
         return "\n".join(lines)
 
 
@@ -191,46 +185,38 @@ def run_kernel_diff(seed: int, budget: int,
                     models: Optional[Sequence[ModelSpec]] = None,
                     check_every: int = 0,
                     steps_per_trace: int = 48,
-                    out_dir=None,
-                    kernels: Sequence[str] = ("batched", "vectorized")
-                    ) -> KernelDiffReport:
-    """Run a ``budget``-trace scalar-vs-``kernels`` campaign.
+                    out_dir=None) -> KernelDiffReport:
+    """Run a ``budget``-trace scalar-vs-batched campaign.
 
-    Each (trace, model) pair is captured once under scalar and once per
-    kernel in ``kernels``, every kernel diffed against the same scalar
-    reference.  Reproducible: traces are pure functions of ``(seed,
-    index)``.  ``out_dir`` receives a replayable ``.npz`` per divergent
-    trace.
+    Reproducible: traces are pure functions of ``(seed, index)``.
+    ``out_dir`` receives a replayable ``.npz`` per divergent trace.
     """
     specs = list(models) if models is not None else model_matrix()
     geometry = TraceGeometry.of(micro_config())
     generator = TraceGenerator(geometry, seed,
                                steps_per_trace=steps_per_trace)
     report = KernelDiffReport(seed, budget,
-                              tuple(spec.name for spec in specs),
-                              tuple(kernels))
+                              tuple(spec.name for spec in specs))
     for index in range(budget):
         trace = generator.trace(index)
         workload = workload_of(trace)
         for spec in specs:
             scalar = capture(spec, workload, "scalar", check_every)
-            for kernel in kernels:
-                other = capture(spec, workload, kernel, check_every)
-                report.runs += 1
-                diffs = diff_runs(scalar, other, label=kernel)
-                if not diffs:
-                    continue
-                divergence = KernelDivergence(spec.name, trace, index,
-                                              diffs, kernel=kernel)
-                if out_dir is not None:
-                    from pathlib import Path
-                    out = Path(out_dir)
-                    out.mkdir(parents=True, exist_ok=True)
-                    npz = out / (f"kerneldiff-{kernel}-{spec.name}-"
-                                 f"{trace.name}.npz")
-                    trace.save(npz)
-                    divergence.npz_path = str(npz)
-                report.divergences.append(divergence)
+            batched = capture(spec, workload, "batched", check_every)
+            report.runs += 1
+            diffs = diff_runs(scalar, batched)
+            if not diffs:
+                continue
+            divergence = KernelDivergence(spec.name, trace, index,
+                                          diffs)
+            if out_dir is not None:
+                from pathlib import Path
+                out = Path(out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                npz = out / f"kerneldiff-{spec.name}-{trace.name}.npz"
+                trace.save(npz)
+                divergence.npz_path = str(npz)
+            report.divergences.append(divergence)
     return report
 
 

@@ -802,9 +802,9 @@ def frontier_vs_replay(spec: ModelSpec, depth: int,
     """Run the frontier to ``depth``, then give per-sequence replay the
     same wall-clock and count what it covers.
 
-    The replay loop is the work ``ExhaustiveExplorer.explore`` used to
-    do -- fresh system per sequence, one access plus one invariant check
-    per step, iterative deepening so shallow depths complete first.  Its
+    The replay loop is the per-sequence baseline -- fresh system per
+    sequence, one access plus one invariant check per step, iterative
+    deepening so shallow depths complete first.  Its
     unique-state count is measured exactly by canonicalizing every state
     it passes through (with the same symmetry group as the frontier, so
     the counts compare like for like), but that canonicalization cost is

@@ -129,3 +129,51 @@ class TestCli:
         assert "runs resumed from journal" in out
         assert main(["report", str(journal)]) == 0
         assert "campaign healthy" in capsys.readouterr().out
+
+
+#: Runs that would verify nothing (or die in int()/NumPy) must be
+#: refused up front: exit 2 and one error line naming the bad value.
+BAD_NUMBERS = [
+    (["verify", "--depth", "-1"], {}),
+    (["verify", "--depth", "0"], {}),
+    (["verify", "--samples", "-3"], {}),
+    (["verify", "--jobs", "0"], {}),
+    (["verify", "--kernel-diff", "--budget", "0"], {}),
+    (["verify", "--kernel-diff", "--steps-per-trace", "0"], {}),
+    (["verify", "--kernel-diff", "--check-every", "-1"], {}),
+    (["fuzz", "--budget", "0"], {}),
+    (["fuzz", "--check-every", "-2"], {}),
+    (["modelcheck", "--depth", "-2"], {}),
+    (["modelcheck", "--max-states", "0"], {}),
+    (["modelcheck", "--budget-s", "-1"], {}),
+    (["modelcheck", "--budget-s", "nan"], {}),
+    (["modelcheck", "--budget-s", "inf"], {}),
+    (["run", "fig19", "--accesses", "0"], {}),
+    (["run", "fig19", "--accesses", "1.5"], {}),
+    (["run", "fig2"], {"REPRO_ACCESSES": "abc"}),
+    (["run", "fig2"], {"REPRO_ACCESSES": "-5"}),
+    (["run", "fig2"], {"REPRO_SCALE": "x"}),
+]
+
+
+class TestNumberValidation:
+    @pytest.mark.parametrize(
+        "argv, env", BAD_NUMBERS,
+        ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()])
+             for argv, env in BAD_NUMBERS])
+    def test_rejected_with_one_line_error(self, argv, env, capsys,
+                                          monkeypatch):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        try:
+            code = main(argv)
+        except SystemExit as exc:        # argparse rejects at parse time
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert "must be a" in errors[0]
+        bad = next(iter(env.values()), argv[-1])
+        assert repr(bad) in errors[0]

@@ -112,25 +112,22 @@ class TestKernelSelection:
         assert table1_socket().kernel == "batched"
         assert "batched" in KERNELS and "scalar" in KERNELS
 
-    def test_vectorized_is_a_valid_kernel(self):
-        assert "vectorized" in KERNELS
-        config = SystemConfig(kernel="vectorized")
-        assert config.kernel == "vectorized"
-        assert config.with_(kernel="batched").kernel == "batched"
-
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(kernel="simd")
 
     def test_unknown_kernel_error_names_choices(self):
         # The message must enumerate the valid kernels so a typo in
-        # REPRO_KERNEL or a config file is self-diagnosing.
-        with pytest.raises(ConfigError) as excinfo:
-            SystemConfig(kernel="simd")
-        message = str(excinfo.value)
-        for kernel in KERNELS:
-            assert kernel in message
-        assert "simd" in message
+        # REPRO_KERNEL or a config file is self-diagnosing; the deleted
+        # columnar kernel is unknown like any other name.
+        assert KERNELS == ("batched", "scalar")
+        for name in ("simd", "vectorized"):
+            with pytest.raises(ConfigError) as excinfo:
+                SystemConfig(kernel=name)
+            message = str(excinfo.value)
+            for kernel in KERNELS:
+                assert kernel in message
+            assert name in message
 
     def test_resolve_prefers_env(self, monkeypatch):
         config = table1_socket()
@@ -139,13 +136,12 @@ class TestKernelSelection:
         monkeypatch.setenv(KERNEL_ENV, "scalar")
         assert resolve_kernel(config) == "scalar"
         assert resolve_kernel(config.with_(kernel="scalar")) == "scalar"
-        monkeypatch.setenv(KERNEL_ENV, "vectorized")
-        assert resolve_kernel(config) == "vectorized"
 
     def test_resolve_rejects_unknown_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(ConfigError) as excinfo:
-            resolve_kernel(table1_socket())
-        message = str(excinfo.value)
-        for kernel in KERNELS:
-            assert kernel in message
+        for name in ("turbo", "vectorized"):
+            monkeypatch.setenv(KERNEL_ENV, name)
+            with pytest.raises(ConfigError) as excinfo:
+                resolve_kernel(table1_socket())
+            message = str(excinfo.value)
+            for kernel in KERNELS:
+                assert kernel in message

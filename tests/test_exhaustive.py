@@ -1,10 +1,10 @@
 """Bounded-exhaustive protocol verification (model-checking-lite).
 
-These explore *every* access sequence up to the depth bound on micro
-configurations. The alphabets are chosen so the state space stays around
-10^4-10^5 sequences while still covering all interesting interactions:
-two/three cores, blocks that collide in the directory and the caches,
-reads and writes.
+These check *every* state reachable within the depth bound on micro
+configurations, through the memoized snapshot frontier. The alphabets
+cover all interesting interactions while keeping the frontier small:
+two cores, blocks that collide in the directory and the caches, reads
+and writes.
 """
 
 import pytest
@@ -52,29 +52,31 @@ class TestExhaustiveBaseline:
     def test_depth_4_two_cores(self):
         explorer = ExhaustiveExplorer(micro_config, cores=(0, 1),
                                       blocks=BLOCKS)
-        report = explorer.explore(depth=4)
+        report = explorer.explore_memoized(depth=4)
         assert report.ok, str(report.counterexample)
-        assert report.sequences_explored == (2 * 2 * 3) ** 4
+        assert not report.capped
+        assert report.depth_reached == 4
+        assert report.alphabet_size == 2 * 2 * 3
 
     def test_depth_3_with_code_fetches(self):
         explorer = ExhaustiveExplorer(
             micro_config, cores=(0, 1), blocks=(0, 8),
             ops=(Op.READ, Op.WRITE, Op.IFETCH))
-        report = explorer.explore(depth=3)
+        report = explorer.explore_memoized(depth=3)
         assert report.ok, str(report.counterexample)
 
     def test_depth_3_inclusive(self):
         explorer = ExhaustiveExplorer(
             lambda: micro_config(llc_design=LLCDesign.INCLUSIVE),
             cores=(0, 1), blocks=BLOCKS)
-        report = explorer.explore(depth=3)
+        report = explorer.explore_memoized(depth=3)
         assert report.ok, str(report.counterexample)
 
     def test_depth_3_epd(self):
         explorer = ExhaustiveExplorer(
             lambda: micro_config(llc_design=LLCDesign.EPD),
             cores=(0, 1), blocks=BLOCKS)
-        report = explorer.explore(depth=3)
+        report = explorer.explore_memoized(depth=3)
         assert report.ok, str(report.counterexample)
 
 
@@ -84,14 +86,24 @@ class TestExhaustiveZeroDev:
         explorer = ExhaustiveExplorer(
             lambda: zerodev_micro(dir_caching=policy),
             cores=(0, 1), blocks=BLOCKS, extra_check=no_devs)
-        report = explorer.explore(depth=3)
+        report = explorer.explore_memoized(depth=3)
         assert report.ok, str(report.counterexample)
 
     def test_depth_4_fpss(self):
         explorer = ExhaustiveExplorer(zerodev_micro, cores=(0, 1),
                                       blocks=BLOCKS, extra_check=no_devs)
-        report = explorer.explore(depth=4)
+        report = explorer.explore_memoized(depth=4)
         assert report.ok, str(report.counterexample)
+
+    def test_jobs_do_not_change_the_report(self):
+        # repro verify --depth N --jobs J forks frontier workers; the
+        # report must be the serial one at any worker count.
+        reports = [ExhaustiveExplorer(zerodev_micro, cores=(0, 1),
+                                      blocks=BLOCKS, extra_check=no_devs)
+                   .explore_memoized(depth=3, jobs=jobs)
+                   for jobs in (1, 2)]
+        assert reports[0].ok
+        assert reports[0].identity_bytes() == reports[1].identity_bytes()
 
     def test_deeper_sampled_exploration(self):
         explorer = ExhaustiveExplorer(zerodev_micro, cores=(0, 1),
@@ -102,12 +114,13 @@ class TestExhaustiveZeroDev:
 
     def test_counterexample_reporting(self):
         def broken_check(system):
-            raise AssertionError("deliberate")
+            if system.stats.total_accesses:
+                raise AssertionError("deliberate")
 
         explorer = ExhaustiveExplorer(zerodev_micro, cores=(0,),
                                       blocks=(0,),
                                       extra_check=broken_check)
-        report = explorer.explore(depth=1)
+        report = explorer.explore_memoized(depth=1)
         assert not report.ok
         assert len(report.counterexample.sequence) == 1
         assert "deliberate" in str(report.counterexample)

@@ -37,12 +37,11 @@ def final_state(config, workload, **kwargs):
 def assert_kernels_identical(config, workload, **kwargs):
     scalar = final_state(config.with_(kernel="scalar"), workload,
                          **kwargs)
-    for kernel in ("batched", "vectorized"):
-        other = final_state(config.with_(kernel=kernel), workload,
-                            **kwargs)
-        diffs = [k for k in scalar[0] if scalar[0][k] != other[0][k]]
-        assert not diffs, f"{kernel} stats diverged on {diffs}"
-        assert scalar[1] == other[1], f"{kernel} shadow diverged"
+    batched = final_state(config.with_(kernel="batched"), workload,
+                          **kwargs)
+    diffs = [k for k in scalar[0] if scalar[0][k] != batched[0][k]]
+    assert not diffs, f"stats diverged on {diffs}"
+    assert scalar[1] == batched[1], "shadow memories diverged"
 
 
 class TestBitIdentity:
@@ -79,7 +78,7 @@ class TestBitIdentity:
         config = zerodev_config()
         workload = self.workload(config)
         streams = {}
-        for kernel in ("scalar", "batched", "vectorized"):
+        for kernel in ("scalar", "batched"):
             system = build_system(config.with_(kernel=kernel))
             events = []
             bus = EventBus()
@@ -90,7 +89,6 @@ class TestBitIdentity:
             streams[kernel] = events
         # Order, payloads, and step tags all equal.
         assert streams["scalar"] == streams["batched"]
-        assert streams["scalar"] == streams["vectorized"]
 
     def test_multisocket_identical(self):
         from repro.harness.runner import run_multisocket_workload
@@ -100,7 +98,7 @@ class TestBitIdentity:
         workload = make_multithreaded(
             find_profile("blackscholes"), tiny_config(), 400, seed=4)
         per_kernel = {}
-        for kernel in ("scalar", "batched", "vectorized"):
+        for kernel in ("scalar", "batched"):
             system = MultiSocketSystem(config.with_(kernel=kernel),
                                        n_sockets=2, dir_cache_blocks=4)
             run_multisocket_workload(system, workload,
@@ -109,7 +107,6 @@ class TestBitIdentity:
                 {k: v for k, v in vars(s).items()}
                 for s in system.stats]
         assert per_kernel["scalar"] == per_kernel["batched"]
-        assert per_kernel["scalar"] == per_kernel["vectorized"]
 
     def test_sampling_forces_scalar_driver(self):
         # Gauges observe schedule-dependent mid-states; an instrumented
@@ -117,7 +114,7 @@ class TestBitIdentity:
         config = tiny_config()
         workload = self.workload(config)
         samples = {}
-        for kernel in ("scalar", "batched", "vectorized"):
+        for kernel in ("scalar", "batched"):
             system = build_system(config.with_(kernel=kernel))
             seen = []
             run_workload(system, workload, sample_every=100,
@@ -125,7 +122,6 @@ class TestBitIdentity:
                              s.stats.total_accesses))
             samples[kernel] = seen
         assert samples["scalar"] == samples["batched"]
-        assert samples["scalar"] == samples["vectorized"]
 
 
 class TestKernelSelection:
@@ -140,10 +136,6 @@ class TestKernelSelection:
         with pytest.raises(ConfigError):
             resolve_kernel(tiny_config())
 
-    def test_env_selects_vectorized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-        assert resolve_kernel(tiny_config()) == "vectorized"
-
     def test_config_rejects_unknown(self):
         with pytest.raises(ConfigError):
             tiny_config(kernel="bogus")
@@ -154,10 +146,8 @@ class TestKernelSelection:
         workload = make_multithreaded(find_profile("blackscholes"),
                                       config, 50, seed=1)
         batched_key = run_key(config, workload)
-        scalar_key = run_key(config.with_(kernel="scalar"), workload)
-        vector_key = run_key(config.with_(kernel="vectorized"),
-                             workload)
-        assert len({batched_key, scalar_key, vector_key}) == 3
+        assert run_key(config.with_(kernel="scalar"), workload) != \
+            batched_key
         # The env override must also change the key, or a REPRO_KERNEL
         # run could replay results cached under the other kernel.
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
@@ -352,20 +342,7 @@ class TestKernelDiff:
         report = run_kernel_diff(seed=13, budget=5, models=specs,
                                  check_every=12)
         assert report.ok, report.summary()
-        # 5 traces x 3 models x (batched, vectorized).
-        assert report.kernels == ("batched", "vectorized")
-        assert report.runs == 30
-
-    def test_campaign_kernel_subset(self):
-        from repro.kernel.diff import run_kernel_diff
-        from repro.verify.models import model_matrix
-
-        specs = [s for s in model_matrix() if s.name == "baseline-1x"]
-        report = run_kernel_diff(seed=13, budget=2, models=specs,
-                                 kernels=("vectorized",))
-        assert report.ok, report.summary()
-        assert report.runs == 2
-        assert "vectorized" in report.summary()
+        assert report.runs == 15
 
 
 class TestDriveBatchedDirect:

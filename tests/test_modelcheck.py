@@ -295,9 +295,8 @@ class TestFrontier:
         from repro.verify.models import micro_config
         explorer = ExhaustiveExplorer(micro_config, cores=(0, 1),
                                       blocks=MICRO_BLOCKS)
-        legacy = explorer.explore(depth=2)
         memoized = explorer.explore_memoized(depth=3)
-        assert legacy.ok and memoized.ok
+        assert memoized.ok
         assert memoized.depth_reached == 3
         assert memoized.alphabet_size == len(build_alphabet())
 

@@ -18,8 +18,8 @@ import pytest
 from repro.common.config import DirectoryConfig
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
-from repro.harness.parallel import (default_jobs, execute_run, parse_jobs,
-                                    run_many)
+from repro.harness.parallel import (default_jobs, execute_run,
+                                    parse_number, run_many)
 from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
 from repro.obs import (Event, EventBus, EventKind, InvCause, JsonlSink,
@@ -346,14 +346,14 @@ class TestRunManyTracing:
 # ---------------------------------------------------------------------------
 class TestJobsValidation:
     def test_parse_jobs_accepts_positive(self):
-        assert parse_jobs("4") == 4
-        assert parse_jobs(2) == 2
-        assert parse_jobs(" 8 ") == 8
+        assert parse_number("4", "--jobs") == 4
+        assert parse_number(2, "--jobs") == 2
+        assert parse_number(" 8 ", "--jobs") == 8
 
     @pytest.mark.parametrize("bad", ["0", "-2", "abc", "1.5", None, ""])
     def test_parse_jobs_rejects_garbage(self, bad):
         with pytest.raises(ConfigError):
-            parse_jobs(bad)
+            parse_number(bad, "--jobs")
 
     def test_default_jobs_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
