@@ -1,7 +1,7 @@
 """Harness throughput benchmark: serial vs parallel vs cached.
 
 Runs a fixed fig17-style batch (baseline + three ZeroDEV policies over
-two workloads) three ways -- serially, through the multiprocessing pool,
+two workloads) three ways -- in process, on fork workers,
 and again from the warm result cache -- asserting the stats are
 bit-identical, and appends the timings to ``results/BENCH_harness.json``.
 That file is a *trajectory*: one entry per recorded run, so harness

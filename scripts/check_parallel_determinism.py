@@ -2,7 +2,7 @@
 """CI smoke: jobs=1, jobs=2 and kernel=scalar agree.
 
 Runs a small fig17-style batch (baseline + ZeroDEV over two workloads)
-serially and through the multiprocessing pool, with caching disabled so
+in process and on two fork workers, with caching disabled so
 both paths actually simulate, and fails loudly on the first divergent
 stat. The same batch is then re-run under the scalar access kernel
 (``kernel="scalar"``), which must be bit-identical to the default

@@ -298,11 +298,8 @@ def _command_fuzz(args) -> int:
     fault = None
     if args.inject:
         fault = FaultPlan(FaultKind(args.inject), at=args.at)
-    policy = None
-    if args.run_timeout is not None or args.retries is not None:
-        policy = CampaignPolicy(
-            retries=1 if args.retries is None else args.retries,
-            run_timeout=args.run_timeout)
+    policy = CampaignPolicy(retries=args.retries,
+                            run_timeout=args.run_timeout)
     report = run_campaign(
         seed=args.seed, budget=args.budget, jobs=args.jobs or 1,
         check_every=args.check_every, fault=fault,
@@ -670,11 +667,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="campaign journal (created if missing): "
                            "completed runs are committed there and "
                            "skipped on re-execution")
-    fuzz.add_argument("--run-timeout", type=float, default=None,
-                      metavar="SECONDS",
+    fuzz.add_argument("--run-timeout",
+                      type=_number("--run-timeout", kind=float),
+                      default=None, metavar="SECONDS",
                       help="per-run deadline; a wedged run becomes a "
                            "typed failure instead of hanging the batch")
-    fuzz.add_argument("--retries", type=int, default=None,
+    fuzz.add_argument("--retries",
+                      type=_number("--retries", allow_zero=True),
+                      default=1,
                       help="re-executions for transient failures "
                            "(default 1; exit code 3 = partial results, "
                            "resume to finish)")
@@ -728,13 +728,15 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--lease-ttl", type=float, default=30.0,
                       help="seconds without a heartbeat before a "
                            "dead worker's lease is reclaimed")
-    work.add_argument("--poll", type=float, default=0.5,
+    work.add_argument("--poll", type=_number("--poll", kind=float),
+                      default=0.5,
                       help="idle polling interval in seconds")
     work.add_argument("--once", action="store_true",
                       help="process a single item, then exit")
     work.add_argument("--until-idle", action="store_true",
                       help="exit when no work is pending or in flight")
-    work.add_argument("--max-items", type=int, default=None,
+    work.add_argument("--max-items", type=_number("--max-items"),
+                      default=None,
                       help="exit after this many items")
 
     status = commands.add_parser("status",

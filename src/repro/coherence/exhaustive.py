@@ -26,9 +26,14 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import SystemConfig
-from repro.harness.parallel import parallel_map
+from repro.harness.campaign import NO_RETRIES, campaign_map, values_of
 from repro.harness.system_builder import build_system
 from repro.workloads.trace import Op
+
+
+#: Sequences per worker item when ``explore_sampled`` fans out: one
+#: depth-8 sequence takes about 0.25 ms, too little to ship alone.
+SAMPLE_CHUNK = 8
 
 
 @dataclass
@@ -158,9 +163,8 @@ class ExhaustiveExplorer:
         system each), and outcomes are folded in draw order -- the
         counterexample, when one exists, is always the lowest-index
         failing sequence, and the report is identical for every worker
-        count. Parallel workers read the explorer through a module
-        global inherited at fork time (configs built from closures need
-        not pickle); without fork the call runs serially.
+        count. Fork workers take the sequences :data:`SAMPLE_CHUNK` at
+        a time.
         """
         import random
         rng = random.Random(seed)
@@ -169,36 +173,18 @@ class ExhaustiveExplorer:
                      for _ in range(samples)]
         report = ExplorationReport(depth, len(self._alphabet))
         if jobs > 1:
-            global _ACTIVE_EXPLORER
-            _ACTIVE_EXPLORER = self
-            try:
-                outcomes = parallel_map(_evaluate_in_worker, sequences,
-                                        jobs=jobs, chunksize=8,
-                                        require_fork=True)
-            finally:
-                _ACTIVE_EXPLORER = None
-            for checked, counterexample in outcomes:
-                report.sequences_explored += 1
-                if counterexample is not None:
-                    report.counterexample = counterexample
-                    return report
-                report.states_checked += checked
-            return report
-        for sequence in sequences:
+            chunks = values_of(campaign_map(
+                lambda chunk: [self._evaluate(s) for s in chunk],
+                [sequences[start:start + SAMPLE_CHUNK]
+                 for start in range(0, len(sequences), SAMPLE_CHUNK)],
+                jobs=jobs, policy=NO_RETRIES))
+            outcomes = (outcome for chunk in chunks for outcome in chunk)
+        else:
+            outcomes = map(self._evaluate, sequences)
+        for checked, counterexample in outcomes:
             report.sequences_explored += 1
-            checked, counterexample = self._evaluate(sequence)
             if counterexample is not None:
                 report.counterexample = counterexample
                 return report
             report.states_checked += checked
         return report
-
-
-#: Explorer shared with forked explore_sampled workers (fork inherits
-#: the global, so unpicklable config factories travel for free).
-_ACTIVE_EXPLORER: Optional[ExhaustiveExplorer] = None
-
-
-def _evaluate_in_worker(sequence):
-    assert _ACTIVE_EXPLORER is not None
-    return _ACTIVE_EXPLORER._evaluate(sequence)  # noqa: SLF001

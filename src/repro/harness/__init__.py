@@ -3,11 +3,10 @@ fan-out, result caching, and reporting."""
 
 from repro.harness.system_builder import build_system
 from repro.harness.runner import RunResult, run_workload
-from repro.harness.parallel import ParallelMapError, run_many
+from repro.harness.parallel import run_many
 from repro.harness.campaign import (CampaignError, CampaignJournal,
-                                    CampaignPolicy, CampaignResult,
-                                    RunFailure, RunSuccess, campaign_map,
-                                    run_specs)
+                                    CampaignPolicy, RunFailure,
+                                    RunSuccess, campaign_map)
 from repro.harness.result_cache import (ResultCache, run_key,
                                         session_cache)
 from repro.harness.reporting import Row, Table, geomean
@@ -17,9 +16,7 @@ __all__ = [
     "CampaignError",
     "CampaignJournal",
     "CampaignPolicy",
-    "CampaignResult",
     "EnergyModel",
-    "ParallelMapError",
     "ResultCache",
     "Row",
     "RunFailure",
@@ -32,7 +29,6 @@ __all__ = [
     "geomean",
     "run_key",
     "run_many",
-    "run_specs",
     "run_workload",
     "session_cache",
 ]

@@ -1,19 +1,24 @@
-"""Fault-tolerant campaign execution over independent runs.
+"""The one fan-out engine: fault-tolerant execution of independent runs.
 
-:mod:`repro.harness.parallel` gives the harness *fast* fan-out; this
-module gives it *durable* fan-out. A campaign is a batch of independent
-runs that must survive the failure modes long unattended executions
-actually hit:
+Every figure batch, fuzz campaign, model-check level and sampled
+exploration is a batch of independent runs, and :func:`campaign_map`
+is the only code that starts worker processes for them. It survives
+the failure modes long unattended executions actually hit:
 
-* **Crash isolation** -- a run that raises (or whose worker process is
-  killed outright) becomes a typed :class:`RunFailure` carrying the run
-  key, error, traceback, and attempt count; every other run's result is
-  kept.
+* **Long-lived fork workers** -- one call forks ``jobs`` workers after
+  ``fn`` and ``items`` exist, so the workers inherit both: callers pass
+  closures, only an item's index travels to a worker, and only its
+  result is pickled back.
+* **Crash isolation** -- each worker holds at most one (index, attempt)
+  at a time, sent over its own pipe, so a worker that dies names
+  exactly the one run it lost. The worker is replaced and the run is
+  retried or becomes a typed ``worker-death`` :class:`RunFailure`; a
+  run that raises becomes one too. Every other run's result is kept.
 * **Per-run timeouts** -- each worker self-arms ``SIGALRM`` (via
   ``signal.setitimer``) around its run, so a wedged simulation turns
   into a ``timeout`` failure instead of hanging the batch. The parent
-  additionally enforces a grace deadline with ``SIGKILL`` as a backstop
-  for workers stuck in uninterruptible code.
+  additionally SIGKILLs a worker ``_TIMEOUT_GRACE`` seconds past the
+  deadline, as a backstop for runs stuck in uninterruptible code.
 * **Retry with exponential backoff** -- transient failures (a dead
   worker, any ``OSError``) are re-executed up to
   :attr:`CampaignPolicy.retries` times, with capped exponential delays.
@@ -25,11 +30,8 @@ actually hit:
   so the resumed campaign's aggregate statistics are bit-identical to an
   uninterrupted one.
 
-Workers are one process per attempt (started from the same fork/spawn
-context the pool layer uses). That costs one ``fork`` per run -- noise
-for the multi-second simulations campaigns are made of -- and buys exact
-failure attribution: a worker's death can only ever lose the single run
-it was bound to at spawn time.
+``jobs=1``, or a platform without ``fork``, runs every attempt in
+process under the same policy, minus worker-death isolation.
 
 The journal doubles as an observability trace: retry, timeout,
 worker-death, and resume-skip records use the matching
@@ -42,7 +44,7 @@ from __future__ import annotations
 import base64
 import heapq
 import json
-import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -50,19 +52,18 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from queue import Empty
-from typing import (Any, Dict, List, Optional, Sequence, Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
 from repro.obs.events import EventKind
 
 __all__ = [
-    "CampaignError", "CampaignJournal", "CampaignPolicy",
-    "CampaignResult", "RunFailure", "RunSuccess", "campaign_map",
-    "execute_guarded", "journal_summary", "policy_from_env", "run_specs",
+    "CampaignError", "CampaignJournal", "CampaignPolicy", "NO_RETRIES",
+    "RunFailure", "RunSuccess", "campaign_map", "execute_guarded",
+    "fork_available", "journal_summary", "policy_from_env", "values_of",
 ]
 
 #: Failure kinds a campaign distinguishes (``RunFailure.kind``).
@@ -81,16 +82,14 @@ class CampaignPolicy:
 
     ``retries`` counts *re*-executions: ``retries=2`` allows three
     attempts total. Only transient failures are retried -- worker death
-    always, ``OSError`` by default, timeouts only when
-    ``retry_timeouts`` is set (a deterministic simulation that timed
-    out once will usually time out again).
+    and ``OSError``; never a timeout (a deterministic simulation that
+    timed out once will time out again).
     """
 
     retries: int = 2
     run_timeout: Optional[float] = None
     backoff_base: float = 0.25
     backoff_cap: float = 8.0
-    retry_timeouts: bool = False
 
     def backoff(self, attempt: int) -> float:
         """Delay before re-executing after the ``attempt``-th failure."""
@@ -98,44 +97,30 @@ class CampaignPolicy:
                    self.backoff_base * (2.0 ** max(0, attempt - 1)))
 
 
-def policy_from_env() -> Optional[CampaignPolicy]:
-    """Build a policy from ``REPRO_RUN_TIMEOUT`` / ``REPRO_RETRIES``.
+#: A plain batch: every run gets one attempt and no deadline.
+NO_RETRIES = CampaignPolicy(retries=0)
 
-    Returns ``None`` when neither is set (callers then keep the plain
-    fail-fast path). Malformed values raise
-    :class:`~repro.common.errors.ConfigError` so the CLI reports one
-    clean line instead of a traceback.
+
+def policy_from_env(base: CampaignPolicy = NO_RETRIES) -> CampaignPolicy:
+    """``base`` with ``REPRO_RUN_TIMEOUT`` (positive seconds) and
+    ``REPRO_RETRIES`` (a non-negative count) applied where they are set.
+
+    Malformed values raise :class:`~repro.common.errors.ConfigError`
+    naming the variable (see
+    :func:`~repro.harness.parallel.parse_number`), so the CLI reports
+    one clean line instead of a traceback.
     """
-    raw_timeout = (os.environ.get("REPRO_RUN_TIMEOUT") or "").strip()
-    raw_retries = (os.environ.get("REPRO_RETRIES") or "").strip()
-    if not raw_timeout and not raw_retries:
-        return None
-    timeout = None
-    if raw_timeout:
-        try:
-            timeout = float(raw_timeout)
-        except ValueError:
-            raise ConfigError("REPRO_RUN_TIMEOUT must be a number of "
-                              f"seconds, got {raw_timeout!r}") from None
-        if not math.isfinite(timeout):
-            # float() happily parses "inf" and "nan"; a NaN deadline
-            # would silently disable the parent's SIGKILL backstop.
-            raise ConfigError("REPRO_RUN_TIMEOUT must be a finite number "
-                              f"of seconds, got {raw_timeout!r}")
-        if timeout <= 0:
-            raise ConfigError("REPRO_RUN_TIMEOUT must be positive, got "
-                              f"{raw_timeout!r}")
-    retries = 0
-    if raw_retries:
-        try:
-            retries = int(raw_retries)
-        except ValueError:
-            raise ConfigError("REPRO_RETRIES must be a non-negative "
-                              f"integer, got {raw_retries!r}") from None
-        if retries < 0:
-            raise ConfigError("REPRO_RETRIES must be a non-negative "
-                              f"integer, got {raw_retries!r}")
-    return CampaignPolicy(retries=retries, run_timeout=timeout)
+    from repro.harness.parallel import parse_number
+
+    changes = {}
+    for name, attr, kind, allow_zero in (
+            ("REPRO_RUN_TIMEOUT", "run_timeout", float, False),
+            ("REPRO_RETRIES", "retries", int, True)):
+        raw = (os.environ.get(name) or "").strip()
+        if raw:
+            changes[attr] = parse_number(raw, name, kind=kind,
+                                         allow_zero=allow_zero)
+    return replace(base, **changes)
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +175,14 @@ class CampaignError(RuntimeError):
         super().__init__(
             f"{len(self.failures)} of the campaign's runs failed "
             f"(first: {self.failures[0]}){hint}")
+
+
+def values_of(outcomes: Sequence[RunOutcome]) -> List[Any]:
+    """Every outcome's value, or :class:`CampaignError` if any failed."""
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    if failures:
+        raise CampaignError(failures)
+    return [outcome.value for outcome in outcomes]
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +374,7 @@ def journal_summary(journal_path) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Guarded execution (shared by the serial path and the workers)
+# Guarded execution (in process, in the workers and in the service)
 # ----------------------------------------------------------------------
 class _RunTimeout(BaseException):
     # BaseException deliberately: the run under execution (oracle,
@@ -405,7 +398,7 @@ def execute_guarded(fn, item, timeout: Optional[float]) -> tuple:
 
     Returns ``("ok", value)`` or
     ``("err", kind, error_type, message, traceback, transient)``.
-    Shared by the campaign executor's serial path, its one-attempt
+    Shared by the campaign executor's in-process path, its fork
     workers, and the service worker fleet (:mod:`repro.service.worker`).
     """
     armed = False
@@ -427,10 +420,42 @@ def execute_guarded(fn, item, timeout: Optional[float]) -> tuple:
             signal.signal(signal.SIGALRM, previous)
 
 
-def _task_entry(fn, item, index: int, attempt: int,
-                timeout: Optional[float], queue) -> None:
-    """Worker body: one attempt of one run, result shipped by queue."""
-    queue.put((index, attempt, execute_guarded(fn, item, timeout)))
+
+def fork_available() -> bool:
+    """True where workers can be forked (and so inherit ``fn`` and
+    ``items`` instead of pickling them)."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _worker_loop(conn, fn, items, timeout: Optional[float],
+                 parent_ends) -> None:
+    """Worker body: run one item index at a time, as the parent sends
+    them, until it sends ``None`` or goes away."""
+    # ^C reaches the whole process group; the parent kills its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        # With the parent's ends of every pipe closed here, a dead
+        # parent reads as EOF instead of a hang.
+        end.close()
+    while True:
+        try:
+            index = conn.recv()
+        except (EOFError, OSError):    # the parent went away
+            return
+        if index is None:
+            return
+        result = execute_guarded(fn, items[index], timeout)
+        try:
+            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:       # noqa: BLE001 - unpicklable result
+            payload = pickle.dumps(("err", EXCEPTION, type(exc).__name__,
+                                    f"result could not be sent back: "
+                                    f"{exc}", traceback.format_exc(),
+                                    False))
+        try:
+            conn.send_bytes(payload)
+        except OSError:                 # the parent went away
+            return
 
 
 # ----------------------------------------------------------------------
@@ -438,25 +463,20 @@ def _task_entry(fn, item, index: int, attempt: int,
 # ----------------------------------------------------------------------
 def campaign_map(fn, items, *, keys: Optional[Sequence[str]] = None,
                  jobs: int = 1, policy: Optional[CampaignPolicy] = None,
-                 journal: Optional[CampaignJournal] = None,
-                 bus=None, require_fork: bool = False
+                 journal: Optional[CampaignJournal] = None
                  ) -> List[RunOutcome]:
     """Fault-tolerantly map ``fn`` over ``items``; one outcome per item.
 
-    The resilient sibling of
-    :func:`repro.harness.parallel.parallel_map`: order-preserving and
-    deterministic in its *results* (retries change wall-clock, never
-    values), but an item that ultimately fails yields a
-    :class:`RunFailure` instead of poisoning the batch. With a
-    ``journal``, items whose key is already committed are skipped and
-    replayed from the journal; live completions are committed as they
-    finish. ``bus`` (an :class:`~repro.obs.bus.EventBus`) receives
-    retry/timeout/worker-death/resume-skip events.
+    Order-preserving and deterministic in its *results* (retries change
+    wall-clock, never values), but an item that ultimately fails yields
+    a :class:`RunFailure` instead of poisoning the batch. ``jobs`` above
+    1 forks that many long-lived workers (at most one per pending item);
+    ``fn`` may be any callable, closures included, but its results must
+    pickle. With a ``journal``, items whose key is already committed are
+    skipped and replayed from the journal; live completions are
+    committed as they finish.
     """
-    from repro.harness.parallel import fork_available
-
     items = list(items)
-    policy = policy or CampaignPolicy()
     if keys is None:
         keys = [f"item{index:06d}" for index in range(len(items))]
     else:
@@ -467,234 +487,228 @@ def campaign_map(fn, items, *, keys: Optional[Sequence[str]] = None,
 
     outcomes: List[Optional[RunOutcome]] = [None] * len(items)
     pending: List[int] = []
-    for index in range(len(items)):
-        if journal is not None:
-            payload = journal.get(keys[index])
-            if payload is not _MISS:
-                outcomes[index] = RunSuccess(index, keys[index], payload,
-                                             attempts=0, resumed=True)
-                _note(journal, bus, EventKind.RESUME_SKIP.value, index,
-                      keys[index])
-                continue
-        pending.append(index)
+    for index, key in enumerate(keys):
+        payload = _MISS if journal is None else journal.get(key)
+        if payload is _MISS:
+            pending.append(index)
+            continue
+        outcomes[index] = RunSuccess(index, key, payload, attempts=0,
+                                     resumed=True)
+        journal.note(EventKind.RESUME_SKIP.value, step=index, cause=key)
 
-    effective = min(jobs, len(pending)) if pending else 0
-    if effective > 1 and require_fork and not fork_available():
-        effective = 1
-    if effective > 1:
-        _run_pooled(fn, items, keys, pending, effective, policy,
-                    journal, bus, outcomes)
-    else:
-        _run_serial(fn, items, keys, pending, policy, journal, bus,
-                    outcomes)
-    _record_campaign_telemetry(outcomes, effective or 1)
+    jobs = min(jobs, len(pending)) if fork_available() else 1
+    _Scheduler(fn, items, keys, policy or CampaignPolicy(), journal,
+               outcomes, jobs).run(pending)
+    _record_campaign_telemetry(outcomes, max(1, jobs))
     return outcomes  # type: ignore[return-value]
-
-
-def _note(journal: Optional[CampaignJournal], bus, kind: str,
-          index: int, cause: str) -> None:
-    if journal is not None:
-        journal.note(kind, step=index, cause=cause)
-    if bus is not None:
-        bus.step = index
-        bus.emit(EventKind(kind), cause=cause)
-
-
-def _finalize(outcomes, journal, bus, keys, index: int,
-              outcome: RunOutcome) -> None:
-    outcomes[index] = outcome
-    if isinstance(outcome, RunSuccess):
-        if journal is not None:
-            journal.commit(keys[index], outcome.value)
-        return
-    if journal is not None:
-        journal.note("run_failure", step=index, cause=outcome.kind,
-                     error_type=outcome.error_type, error=outcome.error,
-                     attempts=outcome.attempts, key=outcome.key)
-    if outcome.kind == TIMEOUT:
-        _note(journal, bus, EventKind.RUN_TIMEOUT.value, index,
-              outcome.key)
 
 
 def _should_retry(policy: CampaignPolicy, kind: str, transient: bool,
                   attempt: int) -> bool:
-    if attempt > policy.retries:
+    """Whether a failed ``attempt`` is re-executed: worker deaths and
+    transient exceptions are, up to ``policy.retries`` times;
+    timeouts never are."""
+    if attempt > policy.retries or kind == TIMEOUT:
         return False
-    if kind == WORKER_DEATH:
-        return True
-    if kind == TIMEOUT:
-        return policy.retry_timeouts
-    return transient
-
-
-def _failure_from(keys, index: int, attempt: int, err: tuple
-                  ) -> RunFailure:
-    _tag, kind, error_type, message, tb = err[:5]
-    return RunFailure(index, keys[index], kind, error_type, message, tb,
-                      attempts=attempt)
-
-
-def _run_serial(fn, items, keys, pending, policy, journal, bus,
-                outcomes) -> None:
-    """In-process fallback: same semantics minus worker-death isolation
-    (a hard crash here kills the campaign -- the journal still bounds
-    the loss to the current run)."""
-    for index in pending:
-        attempt = 0
-        while True:
-            attempt += 1
-            result = execute_guarded(fn, items[index],
-                                      policy.run_timeout)
-            if result[0] == "ok":
-                _finalize(outcomes, journal, bus, keys, index,
-                          RunSuccess(index, keys[index], result[1],
-                                     attempts=attempt))
-                break
-            kind, transient = result[1], result[5]
-            if kind == TIMEOUT:
-                _note(journal, bus, EventKind.RUN_TIMEOUT.value, index,
-                      keys[index])
-            if _should_retry(policy, kind, transient, attempt):
-                _note(journal, bus, EventKind.RUN_RETRY.value, index,
-                      kind)
-                time.sleep(policy.backoff(attempt))
-                continue
-            _finalize(outcomes, journal, bus, keys, index,
-                      _failure_from(keys, index, attempt, result))
-            break
+    return kind == WORKER_DEATH or transient
 
 
 @dataclass
-class _Active:
+class _Worker:
+    """One long-lived fork worker and the run it holds, if any."""
+
     process: Any
-    index: int
-    attempt: int
-    deadline: Optional[float]
+    conn: Any
+    index: Optional[int] = None
+    attempt: int = 0
+    deadline: Optional[float] = None
 
 
-def _run_pooled(fn, items, keys, pending, jobs, policy, journal, bus,
-                outcomes) -> None:
-    """Process-per-attempt execution with claim-free death detection.
+class _Scheduler:
+    """Attempts, retries and settles the pending items of one call.
 
-    Each worker process is bound to exactly one (item, attempt) at spawn
-    time, so a dead worker unambiguously identifies the single run it
-    lost -- there is no task queue a crash could silently swallow from.
+    Ready attempts go to idle workers, up to ``jobs`` of them (forking
+    a replacement for each one that died); with ``jobs <= 1`` each
+    attempt runs in process instead. Retries wait out their backoff on
+    a heap either way.
     """
-    from repro.harness.parallel import _pool_context
 
-    context = _pool_context()
-    result_queue = context.Queue()
-    waiting: deque = deque(pending)
-    retry_heap: List[Tuple[float, int, int]] = []   # (ready, index, att)
-    attempts: Dict[int, int] = {index: 0 for index in pending}
-    active: List[_Active] = []
-    received: Dict[Tuple[int, int], tuple] = {}
-    remaining = len(pending)
+    def __init__(self, fn, items, keys, policy: CampaignPolicy,
+                 journal: Optional[CampaignJournal], outcomes,
+                 jobs: int) -> None:
+        self.fn = fn
+        self.items = items
+        self.keys = keys
+        self.policy = policy
+        self.journal = journal
+        self.outcomes = outcomes
+        self.jobs = jobs
+        self.ready: deque = deque()        # (index, attempt)
+        self.backoff: List[tuple] = []     # heap of (due, index, attempt)
+        self.workers: List[_Worker] = []
+        self.context = (multiprocessing.get_context("fork")
+                        if jobs > 1 else None)
 
-    def drain() -> None:
-        while True:
-            try:
-                index, attempt, payload = result_queue.get_nowait()
-            except Empty:
-                return
-            received[(index, attempt)] = payload
+    def run(self, pending: Sequence[int]) -> None:
+        self.ready.extend((index, 1) for index in pending)
+        try:
+            while self.ready or self.backoff or self._busy():
+                while self.backoff and \
+                        self.backoff[0][0] <= time.monotonic():
+                    _due, index, attempt = heapq.heappop(self.backoff)
+                    self.ready.append((index, attempt))
+                if self.context is not None:
+                    self._dispatch()
+                    self._collect()
+                elif self.ready:
+                    index, attempt = self.ready.popleft()
+                    self._settle(index, attempt, execute_guarded(
+                        self.fn, self.items[index],
+                        self.policy.run_timeout))
+                else:
+                    time.sleep(max(0.0, self.backoff[0][0]
+                                   - time.monotonic()))
+        finally:
+            self._close()
 
-    def fail_or_retry(slot: _Active, err: tuple) -> None:
-        nonlocal remaining
-        kind, transient = err[1], err[5]
-        if kind == TIMEOUT:
-            _note(journal, bus, EventKind.RUN_TIMEOUT.value, slot.index,
-                  keys[slot.index])
-        if _should_retry(policy, kind, transient, slot.attempt):
-            _note(journal, bus, EventKind.RUN_RETRY.value, slot.index,
-                  kind)
-            heapq.heappush(retry_heap,
-                           (time.monotonic()
-                            + policy.backoff(slot.attempt),
-                            slot.index, slot.attempt))
+    # -- outcomes ------------------------------------------------------
+    def _note(self, kind: str, index: int, cause: str) -> None:
+        if self.journal is not None:
+            self.journal.note(kind, step=index, cause=cause)
+
+    def _settle(self, index: int, attempt: int, result: tuple) -> None:
+        """Record one attempt: a success, a retry, or a final failure."""
+        key = self.keys[index]
+        if result[0] == "ok":
+            self.outcomes[index] = RunSuccess(index, key, result[1],
+                                              attempts=attempt)
+            if self.journal is not None:
+                self.journal.commit(key, result[1])
             return
-        _finalize(outcomes, journal, bus, keys, slot.index,
-                  _failure_from(keys, slot.index, slot.attempt, err))
-        remaining -= 1
+        _tag, kind, error_type, message, tb, transient = result
+        if kind == TIMEOUT:
+            self._note(EventKind.RUN_TIMEOUT.value, index, key)
+        if _should_retry(self.policy, kind, transient, attempt):
+            self._note(EventKind.RUN_RETRY.value, index, kind)
+            heapq.heappush(self.backoff,
+                           (time.monotonic() + self.policy.backoff(attempt),
+                            index, attempt + 1))
+            return
+        failure = RunFailure(index, key, kind, error_type, message, tb,
+                             attempts=attempt)
+        self.outcomes[index] = failure
+        if self.journal is not None:
+            self.journal.note("run_failure", step=index, cause=kind,
+                              error_type=error_type, error=message,
+                              attempts=attempt, key=key)
 
-    def finish(slot: _Active, payload: tuple) -> None:
-        nonlocal remaining
-        active.remove(slot)
-        slot.process.join()
-        if payload[0] == "ok":
-            _finalize(outcomes, journal, bus, keys, slot.index,
-                      RunSuccess(slot.index, keys[slot.index],
-                                 payload[1], attempts=slot.attempt))
-            remaining -= 1
-        else:
-            fail_or_retry(slot, payload)
+    # -- workers -------------------------------------------------------
+    def _busy(self) -> List[_Worker]:
+        return [worker for worker in self.workers
+                if worker.index is not None]
 
-    try:
-        while remaining > 0:
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _ready, index, _attempt = heapq.heappop(retry_heap)
-                waiting.append(index)
-            while waiting and len(active) < jobs:
-                index = waiting.popleft()
-                attempts[index] += 1
-                attempt = attempts[index]
-                deadline = (None if policy.run_timeout is None else
-                            time.monotonic() + policy.run_timeout
-                            + _TIMEOUT_GRACE)
-                process = context.Process(
-                    target=_task_entry,
-                    args=(fn, items[index], index, attempt,
-                          policy.run_timeout, result_queue),
-                    daemon=True)
-                process.start()
-                active.append(_Active(process, index, attempt, deadline))
-            # Block briefly on the queue, then sweep the active set.
+    def _spawn(self) -> _Worker:
+        conn, child = self.context.Pipe()
+        parent_ends = [worker.conn for worker in self.workers] + [conn]
+        process = self.context.Process(
+            target=_worker_loop, daemon=True,
+            args=(child, self.fn, self.items, self.policy.run_timeout,
+                  parent_ends))
+        process.start()
+        child.close()
+        worker = _Worker(process, conn)
+        self.workers.append(worker)
+        return worker
+
+    def _dispatch(self) -> None:
+        """Hand ready attempts to idle workers, forking up to ``jobs``."""
+        idle = [worker for worker in self.workers if worker.index is None]
+        while self.ready and (idle or len(self.workers) < self.jobs):
+            worker = idle.pop() if idle else self._spawn()
+            worker.index, worker.attempt = self.ready.popleft()
+            worker.deadline = (
+                None if self.policy.run_timeout is None else
+                time.monotonic() + self.policy.run_timeout
+                + _TIMEOUT_GRACE)
             try:
-                index, attempt, payload = result_queue.get(timeout=0.05)
-                received[(index, attempt)] = payload
-            except Empty:
+                worker.conn.send(worker.index)
+            except OSError:             # died while idle
+                self._lost(worker)
+
+    def _collect(self) -> None:
+        """Wait for a result, a death, a deadline or a due retry."""
+        from multiprocessing.connection import wait
+
+        busy = self._busy()
+        wake = [worker.deadline for worker in busy
+                if worker.deadline is not None]
+        if self.backoff:
+            wake.append(self.backoff[0][0])
+        timeout = (max(0.0, min(wake) - time.monotonic()) if wake
+                   else None)
+        ready = set(wait([worker.conn for worker in busy]
+                         + [worker.process.sentinel for worker in busy],
+                         timeout))
+        now = time.monotonic()
+        for worker in busy:
+            if worker.conn in ready or worker.process.sentinel in ready:
+                self._receive(worker)
+            elif worker.deadline is not None and now > worker.deadline:
+                index, attempt = worker.index, worker.attempt
+                self._retire(worker)
+                self._settle(index, attempt, (
+                    "err", TIMEOUT, "TimeoutError",
+                    f"run exceeded {self.policy.run_timeout:.3f}s "
+                    f"(parent-enforced)", "", False))
+
+    def _receive(self, worker: _Worker) -> None:
+        index, attempt = worker.index, worker.attempt
+        try:
+            result = (pickle.loads(worker.conn.recv_bytes())
+                      if worker.conn.poll() else None)
+        except (EOFError, OSError):
+            result = None
+        except Exception as exc:       # noqa: BLE001 - did not unpickle
+            result = ("err", EXCEPTION, type(exc).__name__,
+                      f"result could not be received: {exc}",
+                      traceback.format_exc(), False)
+        if result is None:
+            self._lost(worker)
+            return
+        worker.index = worker.deadline = None
+        if not worker.process.is_alive():   # died right after sending
+            self._retire(worker)
+        self._settle(index, attempt, result)
+
+    def _lost(self, worker: _Worker) -> None:
+        """The worker died holding its run: replace it, charge the run."""
+        index, attempt = worker.index, worker.attempt
+        self._retire(worker)
+        self._note(EventKind.WORKER_DEATH.value, index, self.keys[index])
+        self._settle(index, attempt, (
+            "err", WORKER_DEATH, "WorkerDeath",
+            f"worker exited with code {worker.process.exitcode} before "
+            f"delivering a result", "", True))
+
+    def _retire(self, worker: _Worker) -> None:
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+        self.workers.remove(worker)
+
+    def _close(self) -> None:
+        for worker in self.workers:
+            if worker.index is not None:
+                worker.process.kill()
+                continue
+            try:
+                worker.conn.send(None)
+            except OSError:
                 pass
-            drain()
-            now = time.monotonic()
-            for slot in list(active):
-                payload = received.pop((slot.index, slot.attempt), None)
-                if payload is not None:
-                    finish(slot, payload)
-                elif not slot.process.is_alive():
-                    # Killed worker: drain once more in case the result
-                    # landed between the last sweep and its death.
-                    drain()
-                    payload = received.pop((slot.index, slot.attempt),
-                                           None)
-                    if payload is not None:
-                        finish(slot, payload)
-                        continue
-                    active.remove(slot)
-                    slot.process.join()
-                    _note(journal, bus, EventKind.WORKER_DEATH.value,
-                          slot.index, keys[slot.index])
-                    fail_or_retry(slot, ("err", WORKER_DEATH,
-                                         "WorkerDeath",
-                                         f"worker exited with code "
-                                         f"{slot.process.exitcode} before"
-                                         f" delivering a result", "",
-                                         True))
-                elif slot.deadline is not None and now > slot.deadline:
-                    slot.process.kill()
-                    slot.process.join()
-                    active.remove(slot)
-                    fail_or_retry(slot, ("err", TIMEOUT, "TimeoutError",
-                                         f"run exceeded "
-                                         f"{policy.run_timeout:.3f}s "
-                                         f"(parent-enforced)", "",
-                                         False))
-    finally:
-        for slot in active:
-            slot.process.kill()
-            slot.process.join()
-        result_queue.close()
-        result_queue.join_thread()
+        for worker in self.workers:
+            worker.process.join()
+            worker.conn.close()
+        self.workers = []
 
 
 def _record_campaign_telemetry(outcomes, effective: int) -> None:
@@ -711,97 +725,3 @@ def _record_campaign_telemetry(outcomes, effective: int) -> None:
             telemetry["resume_skips"] += 1
         if outcome.attempts > 1:
             telemetry["run_retries"] += outcome.attempts - 1
-
-
-# ----------------------------------------------------------------------
-# Spec-level campaigns (the fault-tolerant run_many)
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignResult:
-    """Everything a ``run_specs`` campaign produced.
-
-    ``results`` is aligned with the requested specs (``None`` where the
-    run ultimately failed); ``outcomes`` is aligned with the *executed*
-    subset, in plan order.
-    """
-
-    results: List[Optional[Any]]
-    outcomes: List[RunOutcome] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-    resumed: int = 0
-    executed: int = 0
-    cache_hits: int = 0
-    journal_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def require_complete(self) -> List[Any]:
-        """The full results list, or :class:`CampaignError` if any run
-        failed (completed results stay cached/journaled for resume)."""
-        if self.failures:
-            raise CampaignError(self.failures, self.journal_path)
-        return self.results
-
-
-def _spec_task(job):
-    from repro.harness.parallel import execute_run
-
-    _index, spec, trace_path = job
-    return execute_run(spec, trace_path)
-
-
-def run_specs(specs, jobs: Optional[int] = None, cache=_MISS,
-              trace_dir=None, policy: Optional[CampaignPolicy] = None,
-              journal: Optional[CampaignJournal] = None,
-              bus=None) -> CampaignResult:
-    """Fault-tolerant :func:`~repro.harness.parallel.run_many`.
-
-    Same planning (session cache consultation, duplicate collapsing,
-    lazy trace paths) but pending runs execute under
-    :func:`campaign_map`: failures become :class:`RunFailure` records
-    instead of exceptions, completed results are cached *and* journaled
-    as they finish, and a resume replays journaled payloads without
-    re-simulating. ``cache`` follows :func:`run_many`'s convention:
-    the session cache by default, ``None`` to disable memoization.
-    """
-    from repro.harness import parallel
-
-    specs = list(specs)
-    jobs = (parallel.default_jobs() if jobs is None
-            else parallel.parse_number(jobs, "jobs"))
-    if cache is _MISS:
-        cache = parallel.session_cache()
-    plan = parallel.plan_batch(specs, cache, trace_dir, want_keys=True)
-    dropped_before = cache.dropped_puts if cache is not None else 0
-
-    outcomes = campaign_map(
-        _spec_task, plan.pending,
-        keys=[plan.keys[index] for index, _spec, _trace in plan.pending],
-        jobs=jobs, policy=policy, journal=journal, bus=bus)
-
-    executed = 0
-    for (index, _spec, _trace), outcome in zip(plan.pending, outcomes):
-        if isinstance(outcome, RunSuccess):
-            plan.results[index] = outcome.value
-            if not outcome.resumed:
-                executed += 1
-            if cache is not None:
-                cache.put(plan.keys[index], outcome.value)
-    parallel.resolve_aliases(plan)
-    parallel.record_batch_telemetry(
-        plan, executed,
-        dropped_puts=(cache.dropped_puts - dropped_before
-                      if cache is not None else 0))
-
-    failures = [outcome for outcome in outcomes
-                if isinstance(outcome, RunFailure)]
-    return CampaignResult(
-        results=plan.results, outcomes=list(outcomes), failures=failures,
-        resumed=sum(1 for outcome in outcomes
-                    if isinstance(outcome, RunSuccess)
-                    and outcome.resumed),
-        executed=executed,
-        cache_hits=len(specs) - len(plan.pending),
-        journal_path=str(journal.path) if journal is not None else None)

@@ -25,10 +25,9 @@ Scaling knobs (environment variables):
 ``REPRO_SCALE``     capacity scale divisor (default 16; 1 = paper-sized)
 ``REPRO_JOBS``      worker processes for independent runs (default 1)
 ``REPRO_CACHE_DIR`` persist run results on disk across sessions
-``REPRO_RUN_TIMEOUT`` per-run deadline in seconds; routes figure batches
-                    through the fault-tolerant campaign layer
+``REPRO_RUN_TIMEOUT`` per-run deadline in seconds (default: none)
 ``REPRO_RETRIES``   retry budget for transient failures (worker death,
-                    OSError); also enables the campaign layer
+                    OSError; default 0)
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.common.config import (DirCachingPolicy, DirectoryConfig,
                                  SystemConfig, CacheGeometry,
                                  scaled_socket)
 from repro.common.stats import weighted_speedup
-from repro.harness.campaign import policy_from_env, run_specs
+from repro.harness.campaign import policy_from_env
 from repro.harness.energy import estimate_energy
 from repro.harness.parallel import (env_number, run_many, telemetry_since,
                                     telemetry_snapshot)
@@ -169,16 +168,12 @@ def run_configs(pairs) -> List[RunResult]:
     """Run a batch of (config, workload) pairs under the figure-level
     parallelism/cache policy; results in request order.
 
-    With ``REPRO_RUN_TIMEOUT`` / ``REPRO_RETRIES`` set, the batch runs
-    under the fault-tolerant campaign layer: crashed or wedged runs are
-    retried per the policy, completed runs stay in the session cache,
-    and only then does an unrecoverable failure raise (so a re-run
-    resumes from the cache instead of starting over).
+    ``REPRO_RUN_TIMEOUT`` / ``REPRO_RETRIES`` set the batch's per-run
+    deadline and retry budget. A run that still fails leaves every
+    completed run in the session cache before the batch raises, so a
+    re-run resumes from the cache instead of starting over.
     """
-    policy = policy_from_env()
-    if policy is None:
-        return run_many(pairs, jobs=jobs())
-    return run_specs(pairs, jobs=jobs(), policy=policy).require_complete()
+    return run_many(pairs, jobs=jobs(), policy=policy_from_env())
 
 
 def speedup_of(base: RunResult, new: RunResult, suite: str) -> float:

@@ -14,13 +14,12 @@ Two tiers:
 
 * in-process memoization (always on), so the reference/baseline
   configurations shared by fig17-fig27 are simulated once per session;
-* an optional persistent tier behind a pluggable
-  :class:`~repro.service.store.ResultStore` backend -- a local-disk
-  directory (``REPRO_CACHE_DIR``, the historical layout) or any
-  ``REPRO_STORE`` spelling (``sqlite:<path>`` for a fleet-shared
-  single-file database) -- that persists detached
-  :class:`~repro.harness.runner.RunResult` payloads across sessions and
-  across users submitting through :mod:`repro.service`.
+* an optional persistent tier, a
+  :class:`~repro.service.store.DiskResultStore` directory
+  (``REPRO_CACHE_DIR``, or the fleet-shared ``REPRO_STORE``), that
+  persists detached :class:`~repro.harness.runner.RunResult` payloads
+  across sessions and across users submitting through
+  :mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ import hashlib
 import os
 import warnings
 from dataclasses import fields, is_dataclass
-from pathlib import Path
 from typing import Dict, Optional
 
 from repro.common.config import SystemConfig, resolve_kernel
 from repro.harness.runner import RunResult
-from repro.service.store import (DiskResultStore, ResultStore,
-                                 store_from_env)
+from repro.service.store import DiskResultStore, store_from_env
 from repro.workloads.trace import Workload
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -79,28 +76,25 @@ def run_key(config: SystemConfig, workload: Workload, **extra) -> str:
 
 class ResultCache:
     """Memoizes detached run results in memory and optionally in a
-    persistent :class:`~repro.service.store.ResultStore` backend.
+    persistent :class:`~repro.service.store.DiskResultStore`.
 
-    ``directory`` keeps the historical constructor: it selects the
-    local-disk backend with the layout ``REPRO_CACHE_DIR`` has always
-    used. ``store`` accepts any backend directly (the service passes a
-    shared sqlite or disk store here).
+    ``directory`` keeps the historical constructor: it opens the store
+    in that directory. ``store`` accepts an open store directly (the
+    service passes its shared store here).
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
-                 store: Optional[ResultStore] = None) -> None:
+                 store: Optional[DiskResultStore] = None) -> None:
         if store is None and directory is not None:
             store = DiskResultStore(directory)
         self._memo: Dict[str, RunResult] = {}
         self.store = store
-        self.directory = (Path(directory) if directory
-                          else getattr(store, "directory", None))
+        self.directory = store.directory if store is not None else None
         self.hits = 0
         self.misses = 0
-        #: Store publishes dropped by OSError (disk full, permissions,
-        #: a locked database). The in-memory tier still memoizes; a
-        #: nonzero count means the campaign is running without
-        #: cross-session persistence.
+        #: Store publishes dropped by OSError (disk full, permissions).
+        #: The in-memory tier still memoizes; a nonzero count means the
+        #: campaign is running without cross-session persistence.
         self.dropped_puts = 0
         self._warned_dropped = False
 
@@ -132,7 +126,7 @@ class ResultCache:
             try:
                 self.store.put(key, detached)
             except OSError as exc:
-                # A full disk (or wedged database) must not kill the
+                # A full or read-only disk must not kill the
                 # campaign, but it must not be silent either: without
                 # store publishes every future session re-simulates
                 # from scratch.
@@ -160,7 +154,7 @@ _session_spec: Optional[str] = None
 
 
 def _env_spec() -> Optional[str]:
-    """The persistent-backend spelling the environment selects."""
+    """The persistent-store directory the environment selects."""
     store = os.environ.get("REPRO_STORE")
     if store and store.strip():
         return store.strip()
@@ -170,9 +164,8 @@ def _env_spec() -> Optional[str]:
 def session_cache() -> ResultCache:
     """The process-wide cache.
 
-    Persistent iff the environment names a backend: ``REPRO_STORE``
-    (``sqlite:<path>`` or a directory) takes precedence over the
-    historical ``REPRO_CACHE_DIR`` (always a local-disk directory).
+    Persistent iff the environment names a directory: ``REPRO_STORE``
+    takes precedence over the historical ``REPRO_CACHE_DIR``.
     """
     global _session, _session_spec
     spec = _env_spec()

@@ -28,8 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.stats import SystemStats, weighted_speedup
-from repro.harness.campaign import (CampaignJournal, CampaignPolicy,
-                                    run_specs)
+from repro.harness.campaign import CampaignJournal, CampaignPolicy
 from repro.harness.parallel import run_many
 from repro.harness.reporting import geomean
 from repro.harness.system_builder import build_system  # noqa: F401  (API)
@@ -95,11 +94,10 @@ class Sweep:
         self._baselines: Dict[str, BaselineSummary] = {}
 
     def _run_batch(self, specs, policy, journal) -> List:
-        if policy is None and journal is None:
-            return run_many(specs, jobs=self._jobs)
-        campaign = run_specs(specs, jobs=self._jobs, policy=policy,
-                             journal=journal)
-        return campaign.require_complete()
+        if policy is None and journal is not None:
+            policy = CampaignPolicy()   # a resumable sweep retries
+        return run_many(specs, jobs=self._jobs, policy=policy,
+                        journal=journal)
 
     def _ensure_baselines(self, workloads: Sequence[Workload],
                           policy: Optional[CampaignPolicy] = None,

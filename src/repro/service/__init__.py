@@ -17,10 +17,10 @@ invocation on one host fault tolerant; this package turns it into a
 * :mod:`repro.service.worker` -- the worker fleet: ``repro work``
   processes (N per host, hosts sharing one service root) that lease,
   execute, commit, and finalize jobs.
-* :mod:`repro.service.store` -- the pluggable content-addressed
-  :class:`ResultStore` (local-disk and sqlite backends) shared by the
-  fleet and by :class:`~repro.harness.result_cache.ResultCache`, so
-  identical runs dedupe to store hits across users and jobs.
+* :mod:`repro.service.store` -- the content-addressed
+  :class:`DiskResultStore` shared by the fleet and by
+  :class:`~repro.harness.result_cache.ResultCache`, so identical runs
+  dedupe to store hits across users and jobs.
 * :mod:`repro.service.html_report` -- self-contained HTML experiment
   reports rendered from a job's journal, events, and time series.
 """
@@ -28,12 +28,10 @@ invocation on one host fault tolerant; this package turns it into a
 from repro.service.jobs import (JOB_KINDS, JobRecord, JobSpec, JobStore,
                                 job_id_for)
 from repro.service.queue import LeaseQueue, QueueItem
-from repro.service.store import (DiskResultStore, ResultStore,
-                                 SqliteResultStore, open_store)
+from repro.service.store import DiskResultStore
 from repro.service.worker import Worker, run_worker
 
 __all__ = [
     "DiskResultStore", "JOB_KINDS", "JobRecord", "JobSpec", "JobStore",
-    "LeaseQueue", "QueueItem", "ResultStore", "SqliteResultStore",
-    "Worker", "job_id_for", "open_store", "run_worker",
+    "LeaseQueue", "QueueItem", "Worker", "job_id_for", "run_worker",
 ]

@@ -44,7 +44,7 @@ from repro.harness.campaign import CampaignJournal, journal_summary
 from repro.obs.events import EventKind
 from repro.obs.sinks import AppendJsonlSink
 from repro.service.queue import LeaseQueue, QueueItem
-from repro.service.store import ResultStore, open_store, store_from_env
+from repro.service.store import DiskResultStore, store_from_env
 
 #: Job lifecycle states and the legal transitions between them.
 #: Same-state writes are idempotent (two workers marking ``running``).
@@ -350,21 +350,21 @@ class SweepJobKind(JobKind):
 
     def item_keys(self, spec):
         from repro.harness.result_cache import run_key
-        _sweep, _workloads, run_specs = self._parts(spec)
+        _sweep, _workloads, planned = self._parts(spec)
         return [run_key(config, workload)
-                for config, workload in run_specs]
+                for config, workload in planned]
 
     def execute(self, spec, index):
         from repro.harness.parallel import execute_run
-        _sweep, _workloads, run_specs = self._parts(spec)
-        return execute_run(run_specs[index])
+        _sweep, _workloads, planned = self._parts(spec)
+        return execute_run(planned[index])
 
     def finalize(self, spec, payloads, failures, job_dir):
-        sweep, workloads, run_specs = self._parts(spec)
+        sweep, workloads, planned = self._parts(spec)
         params = spec.params
         from repro.harness.result_cache import run_key
         keys = [run_key(config, workload)
-                for config, workload in run_specs]
+                for config, workload in planned]
         self.write_journal(
             job_dir,
             dict(campaign="sweep", apps=params["apps"],
@@ -421,9 +421,17 @@ class FigureJobKind(JobKind):
     def execute(self, spec, index):
         from repro.cli import EXPERIMENTS
         params = spec.params
+        saved = os.environ.get("REPRO_ACCESSES")
         if params["accesses"]:
             os.environ["REPRO_ACCESSES"] = str(params["accesses"])
-        table, _results = EXPERIMENTS[params["figure"]]()
+        try:
+            table, _results = EXPERIMENTS[params["figure"]]()
+        finally:
+            # The next item in this process must see the caller's size.
+            if saved is None:
+                os.environ.pop("REPRO_ACCESSES", None)
+            else:
+                os.environ["REPRO_ACCESSES"] = saved
         return table.to_dict()
 
     def finalize(self, spec, payloads, failures, job_dir):
@@ -479,7 +487,8 @@ class JobStore:
                                             (``REPRO_STORE`` overrides)
     """
 
-    def __init__(self, root, store: Optional[ResultStore] = None) -> None:
+    def __init__(self, root,
+                 store: Optional[DiskResultStore] = None) -> None:
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self.queue_dir = self.root / "queue"
@@ -487,7 +496,7 @@ class JobStore:
         if store is None:
             store = store_from_env()
         if store is None:
-            store = open_store(self.root / "store")
+            store = DiskResultStore(self.root / "store")
         self.store = store
 
     # -- paths ---------------------------------------------------------

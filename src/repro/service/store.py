@@ -1,89 +1,43 @@
-"""Pluggable content-addressed result stores.
+"""The content-addressed result store.
 
-A :class:`ResultStore` maps stable string keys (SHA-256 content hashes
-computed by the caller -- see :func:`repro.harness.result_cache.run_key`)
-to picklable payloads. The contract is deliberately small so backends
-stay interchangeable:
+A :class:`DiskResultStore` maps stable string keys (SHA-256 content
+hashes computed by the caller -- see
+:func:`repro.harness.result_cache.run_key`) to picklable payloads, one
+``<key>.pkl`` file per entry: the layout ``REPRO_CACHE_DIR`` has always
+used, so existing cache directories keep working unchanged. The
+contract is deliberately small:
 
 * ``get`` never raises: a missing, truncated, bit-flipped, or
   wrong-object entry is a miss (``None``), and the caller recomputes --
   the store is a memoization tier, never a source of truth.
-* ``put`` publishes atomically (a reader never observes a half-written
-  payload) and raises :class:`OSError` on failure, which callers count
-  (:attr:`ResultCache.dropped_puts`) instead of crashing the campaign.
+* ``put`` publishes atomically (written temp-then-rename, so a reader
+  never observes a half-written payload) and raises :class:`OSError`
+  on failure, which callers count
+  (:attr:`~repro.harness.result_cache.ResultCache.dropped_puts`)
+  instead of crashing the campaign.
 
-Two backends ship:
-
-* :class:`DiskResultStore` -- one ``<key>.pkl`` per entry, written
-  temp-then-rename. The exact layout ``REPRO_CACHE_DIR`` has always
-  used, so existing cache directories keep working unchanged.
-* :class:`SqliteResultStore` -- a single-file database in WAL mode, safe
-  for a worker fleet sharing one store over a local filesystem and
-  cheaper than a million-file directory at scale.
-
-:func:`open_store` resolves the ``REPRO_STORE`` spelling: a
-``sqlite:<path>`` URL selects sqlite, anything else is a directory.
+``REPRO_STORE`` names the directory a worker fleet and the session
+cache share (:func:`store_from_env`).
 """
 
 from __future__ import annotations
 
-import abc
 import os
 import pickle
-import sqlite3
 import tempfile
-import threading
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
-#: Environment variable naming the shared store backend; takes
-#: precedence over ``REPRO_CACHE_DIR`` (which always means local disk).
+from repro.common.errors import ConfigError
+
+#: Environment variable naming the shared store directory; takes
+#: precedence over ``REPRO_CACHE_DIR``.
 STORE_ENV = "REPRO_STORE"
 
-_SQLITE_PREFIX = "sqlite:"
 
-
-class ResultStore(abc.ABC):
-    """Keyed, atomic, corruption-tolerant payload storage."""
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Optional[Any]:
-        """The payload for ``key``, or ``None`` (never raises)."""
-
-    @abc.abstractmethod
-    def put(self, key: str, payload: Any) -> None:
-        """Durably publish ``payload`` under ``key`` (OSError on failure)."""
-
-    @abc.abstractmethod
-    def keys(self) -> Iterator[str]:
-        """Every committed key (order unspecified)."""
-
-    @abc.abstractmethod
-    def describe(self) -> str:
-        """Human-readable identity for telemetry and error messages."""
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return sum(1 for _key in self.keys())
-
-
-def _encode(payload: Any) -> bytes:
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _decode(blob: bytes) -> Optional[Any]:
-    try:
-        return pickle.loads(blob)
-    except Exception:                  # noqa: BLE001 - damaged entry
-        # Decoding a damaged pickle can raise nearly anything
-        # (UnpicklingError, ValueError, EOFError, ...): treat as a miss.
-        return None
-
-
-class DiskResultStore(ResultStore):
-    """One atomically-published pickle file per key."""
+class DiskResultStore:
+    """Keyed, atomic, corruption-tolerant payload storage: one
+    atomically-published pickle file per key."""
 
     def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
@@ -92,20 +46,28 @@ class DiskResultStore(ResultStore):
         return self.directory / f"{key}.pkl"
 
     def get(self, key: str) -> Optional[Any]:
-        path = self.path_for(key)
+        """The payload for ``key``, or ``None`` (never raises)."""
         try:
-            with path.open("rb") as handle:
-                return _decode(handle.read())
+            with self.path_for(key).open("rb") as handle:
+                blob = handle.read()
         except OSError:
+            return None
+        try:
+            return pickle.loads(blob)
+        except Exception:              # noqa: BLE001 - damaged entry
+            # Decoding a damaged pickle can raise nearly anything
+            # (UnpicklingError, ValueError, EOFError, ...): a miss.
             return None
 
     def put(self, key: str, payload: Any) -> None:
+        """Durably publish ``payload`` under ``key`` (OSError on failure)."""
         temp = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, temp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                handle.write(_encode(payload))
+                handle.write(pickle.dumps(
+                    payload, protocol=pickle.HIGHEST_PROTOCOL))
             os.replace(temp, self.path_for(key))
         except OSError:
             if temp is not None:
@@ -116,98 +78,30 @@ class DiskResultStore(ResultStore):
             raise
 
     def keys(self) -> Iterator[str]:
+        """Every committed key, sorted."""
         if not self.directory.is_dir():
             return
         for entry in sorted(self.directory.glob("*.pkl")):
             yield entry.stem
 
     def describe(self) -> str:
+        """Human-readable identity for telemetry and error messages."""
         return f"disk:{self.directory}"
 
+    def __contains__(self, key: str) -> bool:
+        return self.get(key) is not None
 
-class SqliteResultStore(ResultStore):
-    """All payloads in one WAL-mode sqlite file (fleet-shareable).
-
-    Connections are per-thread (sqlite3 objects must not cross threads)
-    and lazily opened, so a store handle pickles/forks cleanly: workers
-    inherit the path, not a connection.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self._local = threading.local()
-
-    # sqlite connections are not picklable; workers re-open from path.
-    def __getstate__(self) -> dict:
-        return {"path": self.path}
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._local = threading.local()
-
-    def _connect(self) -> sqlite3.Connection:
-        connection = getattr(self._local, "connection", None)
-        if connection is not None and \
-                getattr(self._local, "pid", None) == os.getpid():
-            return connection
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self.path, timeout=30.0)
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            "key TEXT PRIMARY KEY, payload BLOB NOT NULL)")
-        connection.commit()
-        self._local.connection = connection
-        self._local.pid = os.getpid()
-        return connection
-
-    def get(self, key: str) -> Optional[Any]:
-        try:
-            row = self._connect().execute(
-                "SELECT payload FROM results WHERE key = ?",
-                (key,)).fetchone()
-        except sqlite3.Error:
-            return None
-        if row is None:
-            return None
-        return _decode(row[0])
-
-    def put(self, key: str, payload: Any) -> None:
-        try:
-            with self._connect() as connection:
-                connection.execute(
-                    "INSERT OR REPLACE INTO results (key, payload) "
-                    "VALUES (?, ?)", (key, _encode(payload)))
-        except sqlite3.Error as exc:
-            # Uniform failure surface with the disk backend: callers
-            # count OSError drops, whatever the backend.
-            raise OSError(f"sqlite store {self.path}: {exc}") from exc
-
-    def keys(self) -> Iterator[str]:
-        try:
-            rows = self._connect().execute(
-                "SELECT key FROM results ORDER BY key").fetchall()
-        except sqlite3.Error:
-            return
-        for (key,) in rows:
-            yield key
-
-    def describe(self) -> str:
-        return f"sqlite:{self.path}"
+    def __len__(self) -> int:
+        return sum(1 for _key in self.keys())
 
 
-def open_store(spec: os.PathLike) -> ResultStore:
-    """Resolve a store spelling: ``sqlite:<path>`` or a directory."""
-    text = str(spec)
-    if text.startswith(_SQLITE_PREFIX):
-        return SqliteResultStore(text[len(_SQLITE_PREFIX):])
-    return DiskResultStore(text)
-
-
-def store_from_env() -> Optional[ResultStore]:
-    """The store named by ``REPRO_STORE``, or ``None`` when unset."""
-    spec = os.environ.get(STORE_ENV)
-    if spec is None or not spec.strip():
+def store_from_env() -> Optional[DiskResultStore]:
+    """The store in the ``REPRO_STORE`` directory, or ``None`` when
+    unset."""
+    spec = (os.environ.get(STORE_ENV) or "").strip()
+    if not spec:
         return None
-    return open_store(spec.strip())
+    if spec.startswith("sqlite:"):
+        raise ConfigError(f"{STORE_ENV} must be a directory (the sqlite "
+                          f"store was removed), got {spec!r}")
+    return DiskResultStore(spec)

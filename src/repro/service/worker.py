@@ -33,12 +33,11 @@ import os
 import socket
 import threading
 import time
-from pathlib import Path
 from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
-from repro.harness.campaign import (EXCEPTION, TIMEOUT, CampaignPolicy,
+from repro.harness.campaign import (CampaignPolicy, _should_retry,
                                     execute_guarded, policy_from_env)
 from repro.obs.events import EventKind
 from repro.service.jobs import JOB_KINDS, JobStore
@@ -57,13 +56,15 @@ class Worker:
                  lease_ttl: float = DEFAULT_TTL, poll: float = 0.5,
                  policy: Optional[CampaignPolicy] = None,
                  max_reclaims: int = MAX_RECLAIMS) -> None:
+        # The policy first: a bad REPRO_RUN_TIMEOUT / REPRO_RETRIES
+        # fails before the service root is touched.
+        self.policy = policy if policy is not None else \
+            policy_from_env(CampaignPolicy())
         self.jobs = JobStore(root)
         self.queue = LeaseQueue(self.jobs.queue_dir, ttl=lease_ttl)
         self.worker_id = (worker_id or
                           f"{socket.gethostname()}-{os.getpid()}")
         self.poll = poll
-        self.policy = policy if policy is not None else \
-            (policy_from_env() or CampaignPolicy())
         self.max_reclaims = max_reclaims
         self.processed = 0
 
@@ -163,13 +164,8 @@ class Worker:
             self._commit(item, outcome[1], to_store=True)
             return
         _tag, fail_kind, error_type, error, _tb, transient = outcome
-        retryable = (transient if fail_kind == EXCEPTION else
-                     self.policy.retry_timeouts if fail_kind == TIMEOUT
-                     else True)
-        if retryable and item.attempt <= self.policy.retries:
-            event = (EventKind.RUN_TIMEOUT.value if fail_kind == TIMEOUT
-                     else EventKind.RUN_RETRY.value)
-            self._event(item.job, event, item.index,
+        if _should_retry(self.policy, fail_kind, transient, item.attempt):
+            self._event(item.job, EventKind.RUN_RETRY.value, item.index,
                         cause=f"{error_type}: {error}" if error_type
                         else fail_kind, attempt=item.attempt)
             time.sleep(self.policy.backoff(item.attempt))

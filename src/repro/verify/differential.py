@@ -180,7 +180,8 @@ class CampaignPlan:
         return self.specs[spec_index], self.traces[trace_index]
 
     def run_one(self, position: int) -> Outcome:
-        """Execute the single run at ``position`` (service workers)."""
+        """Execute the single run at ``position`` (campaign and service
+        workers)."""
         spec, trace = self.job(position)
         return run_trace(spec, trace, check_every=self.check_every,
                          fault=self.fault)
@@ -268,18 +269,6 @@ def _models_for(fault: Optional[FaultPlan],
     return applicable
 
 
-# Worker-side context, inherited over fork (see harness.parallel): the
-# (spec, trace, check_every, fault) tuples themselves pickle fine, but
-# routing through a module global keeps one code path for both modes.
-_ACTIVE_JOBS: List[Tuple[ModelSpec, FuzzTrace, int,
-                         Optional[FaultPlan]]] = []
-
-
-def _run_job(index: int) -> Outcome:
-    spec, trace, check_every, fault = _ACTIVE_JOBS[index]
-    return run_trace(spec, trace, check_every=check_every, fault=fault)
-
-
 def run_campaign(seed: int, budget: int,
                  models: Optional[Sequence[ModelSpec]] = None,
                  jobs: int = 1, check_every: int = 1,
@@ -313,15 +302,11 @@ def run_campaign(seed: int, budget: int,
             fault=None if fault is None else fault.kind.value,
             models=[spec.name for spec in plan.specs])
 
-    global _ACTIVE_JOBS
-    _ACTIVE_JOBS = [(spec, trace, check_every, fault)
-                    for trace in plan.traces for spec in plan.specs]
     try:
-        outcomes = campaign_map(_run_job, range(len(_ACTIVE_JOBS)),
+        outcomes = campaign_map(plan.run_one, range(len(plan)),
                                 keys=plan.keys, jobs=jobs, policy=policy,
-                                journal=journal, require_fork=True)
+                                journal=journal)
     finally:
-        _ACTIVE_JOBS = []
         if journal is not None:
             journal.close()
 

@@ -69,7 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.coherence.exhaustive import Counterexample
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.errors import ConfigError
-from repro.harness.parallel import parallel_map
+from repro.harness.campaign import NO_RETRIES, campaign_map, values_of
 from repro.obs.events import EventKind
 from repro.verify.checks import check_step, dev_count, DivergenceError
 from repro.verify.models import TRACE_CORES, ModelSpec
@@ -327,9 +327,8 @@ def _portable_error(error: BaseException) -> BaseException:
 
 @dataclass
 class _ExpandContext:
-    """Per-level worker context, inherited by fork workers through the
-    :data:`_EXPAND_CTX` module global (the ``parallel_map`` idiom for
-    unpicklable closures)."""
+    """Per-level expansion context, inherited by the level's fork
+    workers (its closures need not pickle)."""
 
     issue: Callable
     check: Callable
@@ -349,21 +348,18 @@ class _ExpandContext:
     candidate_budget: int
 
 
-_EXPAND_CTX: Optional[_ExpandContext] = None
-
 #: Per-transition outcome records emitted by workers and replayed by the
 #: serial merge: ("c", error) counterexample, ("d",) duplicate of a
 #: pre-level or partition-local state, ("n", key, snapshot) candidate.
 _REC_CEX, _REC_DUP, _REC_NEW = "c", "d", "n"
 
 
-def _expand_partition(nodes: Sequence[Tuple[bytes, tuple]]):
+def _expand_partition(ctx: _ExpandContext,
+                      nodes: Sequence[Tuple[bytes, tuple]]):
     """Expand one contiguous frontier chunk against the pre-level
     seen-set.  Returns ``(records_per_node, timed_out)``; stops early on
     a counterexample, the candidate budget, or the deadline (the merge
     provably never consumes past a truncation point)."""
-    ctx = _EXPAND_CTX
-    assert ctx is not None
     local_new: set = set()
     node_records: List[List[tuple]] = []
     timed_out = False
@@ -437,7 +433,6 @@ def _explore_frontier(report: ModelCheckReport,
     seen-set.  ``jobs=1`` runs the identical expand/merge code in
     process, so reports are bit-identical at any worker count.
     """
-    global _EXPAND_CTX
     started = time.perf_counter()
     deadline = None if budget_s is None else started + budget_s
     alphabet = tuple(alphabet)
@@ -471,18 +466,16 @@ def _explore_frontier(report: ModelCheckReport,
             report.capped = True
             break
         parts = _partition(frontier, jobs)
-        _EXPAND_CTX = _ExpandContext(
+        ctx = _ExpandContext(
             issue=issue, check=check, canonical=canonical, trim=trim,
             wake=wake, alphabet=alphabet, seen=seen, deadline=deadline,
             candidate_budget=max(1, max_states - report.unique_states))
-        try:
-            if len(parts) == 1:
-                outcomes = [_expand_partition(parts[0])]
-            else:
-                outcomes = parallel_map(_expand_partition, parts,
-                                        jobs=jobs, require_fork=True)
-        finally:
-            _EXPAND_CTX = None
+        if len(parts) == 1:
+            outcomes = [_expand_partition(ctx, parts[0])]
+        else:
+            outcomes = values_of(campaign_map(
+                lambda nodes: _expand_partition(ctx, nodes), parts,
+                jobs=jobs, policy=NO_RETRIES))
 
         # Serial merge in partition -> node -> symbol order: exactly
         # the order the serial BFS checks transitions in.

@@ -5,15 +5,14 @@ The load-bearing properties:
 * **Crash isolation** -- a worker SIGKILLed mid-campaign (or a run that
   raises) costs exactly that run; every sibling result is retained and
   the loss is a typed :class:`RunFailure` (or a successful retry).
-* **Timeouts** -- a wedged run becomes a ``timeout`` failure on both the
-  serial and the pooled path instead of hanging the batch.
+* **Timeouts** -- a wedged run becomes a ``timeout`` failure both in
+  process and in a fork worker instead of hanging the batch.
 * **Checkpoint/resume** -- re-running against the same journal executes
   nothing already committed and yields stats bit-identical to an
   uninterrupted serial run.
 
-Worker functions live at module scope so fork-started processes can
-resolve them; the self-killing / flaky workers coordinate through
-marker files because worker state does not survive the attempt.
+The self-killing / flaky workers coordinate through marker files
+because a retry may run in a replacement worker.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -29,16 +30,15 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.harness import parallel
-from repro.harness.campaign import (CampaignError, CampaignJournal,
-                                    CampaignPolicy, RunFailure,
-                                    RunSuccess, campaign_map,
-                                    journal_summary, policy_from_env,
-                                    run_specs)
-from repro.harness.parallel import (ParallelMapError, fork_available,
-                                    parallel_map, run_many,
-                                    telemetry_since, telemetry_snapshot)
-from repro.harness.result_cache import (ResultCache,
-                                        reset_session_cache)
+from repro.harness.campaign import (NO_RETRIES, CampaignError,
+                                    CampaignJournal, CampaignPolicy,
+                                    RunFailure, RunSuccess, campaign_map,
+                                    fork_available, journal_summary,
+                                    policy_from_env, values_of)
+from repro.harness.parallel import (run_many, telemetry_since,
+                                    telemetry_snapshot)
+from repro.harness.result_cache import (ResultCache, reset_session_cache,
+                                        run_key)
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
 
@@ -74,7 +74,7 @@ def stats_dicts(results):
 
 
 # ----------------------------------------------------------------------
-# Module-level workers (fork-picklable)
+# Item functions
 # ----------------------------------------------------------------------
 def _double(item):
     index, _marker_dir = item
@@ -319,23 +319,59 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# run_specs: the fault-tolerant run_many
+# run_many under a policy and a journal
 # ----------------------------------------------------------------------
-class TestRunSpecs:
-    def test_matches_run_many_and_memoizes(self):
+def _sigkill_batch(cache_dir: str) -> None:
+    """Run ``small_specs()`` at ``jobs=2``; the canneal run under the
+    first config SIGKILLs its worker.  Prints the error as JSON."""
+    real = parallel.run_workload
+    victim = small_specs()[1]
+
+    def deadly(system, workload):
+        if system.config == victim[0] and workload.name == "canneal":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(system, workload)
+
+    parallel.run_workload = deadly
+    try:
+        run_many(small_specs(), jobs=2, cache=ResultCache(cache_dir))
+    except CampaignError as exc:
+        print(json.dumps({"error": str(exc),
+                          "failed": [f.index for f in exc.failures]}))
+
+
+class TestRunManyCampaign:
+    def test_policy_keeps_results_and_memoizes(self):
         specs = small_specs()
         reference = run_many(specs, jobs=1, cache=None)
         reset_session_cache()
-        campaign = run_specs(specs, jobs=1)
-        assert campaign.ok
-        assert campaign.executed == len(specs)
-        assert stats_dicts(campaign.require_complete()) \
-            == stats_dicts(reference)
+        policy = CampaignPolicy(retries=1, run_timeout=60.0)
+        before = telemetry_snapshot()
+        results = run_many(specs, jobs=1, policy=policy)
+        assert stats_dicts(results) == stats_dicts(reference)
+        assert telemetry_since(before)["runs"] == len(specs)
         # Second invocation is served entirely by the session cache.
-        again = run_specs(specs, jobs=1)
-        assert again.executed == 0
-        assert again.cache_hits == len(specs)
-        assert stats_dicts(again.results) == stats_dicts(reference)
+        before = telemetry_snapshot()
+        again = run_many(specs, jobs=1, policy=policy)
+        delta = telemetry_since(before)
+        assert delta["runs"] == 0
+        assert delta["cache_hits"] == len(specs)
+        assert stats_dicts(again) == stats_dicts(reference)
+
+    def test_uncached_serial_batch_hashes_pickles_and_opens_nothing(
+            self, monkeypatch):
+        # perfbench times exactly this call; keep it free of overhead.
+        import builtins
+        import pickle
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("hashed a trace, pickled or opened a file")
+
+        specs = small_specs()
+        monkeypatch.setattr(parallel, "run_key", forbidden)
+        monkeypatch.setattr(pickle, "dumps", forbidden)
+        monkeypatch.setattr(builtins, "open", forbidden)
+        assert len(run_many(specs, jobs=1, cache=None)) == len(specs)
 
     def test_resume_is_bit_identical(self, tmp_path):
         specs = small_specs()
@@ -345,25 +381,29 @@ class TestRunSpecs:
         # "Interrupted" campaign: only half the specs committed.
         reset_session_cache()
         with CampaignJournal(path) as journal:
-            run_specs(specs[:2], jobs=1, journal=journal)
+            run_many(specs[:2], jobs=1, journal=journal)
 
         reset_session_cache()
+        before = telemetry_snapshot()
         with CampaignJournal(path) as journal:
-            resumed = run_specs(specs, jobs=1, journal=journal)
-        assert resumed.ok
-        assert resumed.executed == len(specs) - 2
-        assert resumed.resumed == 2
-        assert stats_dicts(resumed.results) == stats_dicts(reference)
+            resumed = run_many(specs, jobs=1, journal=journal)
+        delta = telemetry_since(before)
+        assert delta["runs"] == len(specs) - 2
+        assert delta["resume_skips"] == 2
+        assert stats_dicts(resumed) == stats_dicts(reference)
 
         # A third run re-executes nothing at all.
         reset_session_cache()
+        before = telemetry_snapshot()
         with CampaignJournal(path) as journal:
-            replayed = run_specs(specs, jobs=1, journal=journal)
-        assert replayed.executed == 0
-        assert replayed.resumed == len(specs)
-        assert stats_dicts(replayed.results) == stats_dicts(reference)
+            replayed = run_many(specs, jobs=1, journal=journal)
+        delta = telemetry_since(before)
+        assert delta["runs"] == 0
+        assert delta["resume_skips"] == len(specs)
+        assert stats_dicts(replayed) == stats_dicts(reference)
 
-    def test_failure_is_typed_and_siblings_survive(self, monkeypatch):
+    def test_failures_name_run_and_survivors_are_cached(self,
+                                                        monkeypatch):
         specs = small_specs()
         real = parallel.run_workload
 
@@ -373,15 +413,48 @@ class TestRunSpecs:
             return real(system, workload)
 
         monkeypatch.setattr(parallel, "run_workload", flaky)
-        campaign = run_specs(specs, jobs=1,
-                             policy=CampaignPolicy(retries=0))
-        assert not campaign.ok
-        assert len(campaign.failures) == 2     # canneal under each config
-        assert all(f.error_type == "ValueError" for f in campaign.failures)
-        survivors = [r for r in campaign.results if r is not None]
-        assert len(survivors) == 2
-        with pytest.raises(CampaignError, match="ValueError"):
-            campaign.require_complete()
+        before = telemetry_snapshot()
+        with pytest.raises(CampaignError) as err:
+            run_many(specs, jobs=1)
+        assert "run 1 (canneal)" in str(err.value)
+        assert "ValueError: sim bug" in str(err.value)
+        # canneal under each config, each tried once (no retries).
+        assert [f.index for f in err.value.failures] == [1, 3]
+        assert all(f.attempts == 1 for f in err.value.failures)
+
+        # The completed runs were published: a retry after the fix only
+        # re-executes the runs that failed.
+        monkeypatch.setattr(parallel, "run_workload", real)
+        results = run_many(specs, jobs=1)
+        assert all(result is not None for result in results)
+        delta = telemetry_since(before)
+        assert delta["runs"] == len(specs)     # 2 + the 2 retried
+        assert delta["cache_hits"] == 2
+
+    @needs_fork
+    def test_sigkilled_worker_fails_its_run_not_the_batch(self,
+                                                          tmp_path):
+        # In a child process under a deadline: an engine that hangs on
+        # a dead worker fails this test instead of wedging the suite.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")])
+        cache_dir = tmp_path / "cache"
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tests.test_campaign import _sigkill_batch;"
+             " _sigkill_batch(sys.argv[1])", str(cache_dir)],
+            env=env, cwd=root, capture_output=True, text=True,
+            timeout=30)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout.strip().splitlines()[-1])
+        assert report["failed"] == [1]
+        assert "worker-death" in report["error"]
+        assert "run 1 (canneal)" in report["error"]
+        cache = ResultCache(cache_dir)
+        for index, spec in enumerate(small_specs()):
+            assert (cache.get(run_key(*spec)) is None) == (index == 1)
 
     def test_sweep_resume_round_trip(self, tmp_path):
         from repro.harness.sweep import Sweep
@@ -403,44 +476,15 @@ class TestRunSpecs:
         for points in (first, resumed):
             assert points[0].speedups == reference[0].speedups
 
-
-# ----------------------------------------------------------------------
-# Satellite fixes in the plain parallel layer
-# ----------------------------------------------------------------------
-class TestParallelMapFailureContext:
-    def test_error_names_item_and_keeps_partial(self, tmp_path):
+    def test_values_of_names_the_failure(self, tmp_path):
         items = [(index, str(tmp_path)) for index in range(3)]
-        with pytest.raises(ParallelMapError) as err:
-            parallel_map(_value_error, items, jobs=1)
-        assert err.value.item_index == 1
-        assert err.value.error_type == "ValueError"
-        assert err.value.partial == [0, None, 4]
-
-    def test_run_many_names_spec_and_caches_survivors(self, monkeypatch):
-        specs = small_specs()
-        real = parallel.run_workload
-
-        def flaky(system, workload):
-            if workload.name == "canneal":
-                raise ValueError("sim bug")
-            return real(system, workload)
-
-        monkeypatch.setattr(parallel, "run_workload", flaky)
-        before = telemetry_snapshot()
-        with pytest.raises(ParallelMapError) as err:
-            run_many(specs, jobs=1)
-        assert "canneal" in str(err.value)
-        assert "kept in the cache" in str(err.value)
-        assert err.value.partial[0] is not None
-
-        # The completed runs were published: a retry after the fix only
-        # re-executes the runs that failed.
-        monkeypatch.setattr(parallel, "run_workload", real)
-        results = run_many(specs, jobs=1)
-        assert all(result is not None for result in results)
-        delta = telemetry_since(before)
-        assert delta["runs"] == len(specs)     # 2 + the 2 retried
-        assert delta["cache_hits"] == 2
+        outcomes = campaign_map(_value_error, items, jobs=1,
+                                policy=NO_RETRIES)
+        assert [o.value for o in outcomes if o.ok] == [0, 4]
+        with pytest.raises(CampaignError, match="ValueError") as err:
+            values_of(outcomes)
+        assert [f.index for f in err.value.failures] == [1]
+        assert values_of(outcomes[:1]) == [0]
 
 
 class TestTracePlanLaziness:
@@ -500,13 +544,20 @@ class TestCacheDroppedPuts:
 class TestOversubscription:
     def test_explicit_jobs_above_cpu_count_is_honored(self):
         want = (os.cpu_count() or 1) + 2
-        results = parallel_map(_identity, list(range(want)), jobs=want)
-        assert results == list(range(want))
+        outcomes = campaign_map(_identity, list(range(want)), jobs=want)
+        assert [o.value for o in outcomes] == list(range(want))
         assert parallel.telemetry_snapshot()["effective_jobs"] == want
 
     def test_jobs_clamped_to_items_not_cpus(self):
-        parallel_map(_identity, [1, 2], jobs=64)
+        campaign_map(_identity, [1, 2], jobs=64)
         assert parallel.telemetry_snapshot()["effective_jobs"] == 2
+
+    @needs_fork
+    def test_closures_need_not_pickle(self):
+        offset = 10
+        outcomes = campaign_map(lambda item: item + offset, [1, 2, 3],
+                                jobs=2)
+        assert [o.value for o in outcomes] == [11, 12, 13]
 
 
 # ----------------------------------------------------------------------
@@ -539,10 +590,15 @@ class TestRunManyMatrix:
 # Policy plumbing
 # ----------------------------------------------------------------------
 class TestPolicyFromEnv:
-    def test_absent_means_none(self, monkeypatch):
+    def test_unset_variables_keep_the_base(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert policy_from_env() is None
+        assert policy_from_env() == NO_RETRIES
+        assert policy_from_env(CampaignPolicy()) == CampaignPolicy()
+        # Each variable sets one value; the other keeps the base's.
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        assert policy_from_env(CampaignPolicy()) == CampaignPolicy(
+            retries=0)
 
     def test_values_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_TIMEOUT", "12.5")
@@ -558,8 +614,10 @@ class TestPolicyFromEnv:
         # silently disarm the parent's SIGKILL backstop.
         ("REPRO_RUN_TIMEOUT", "inf"),
         ("REPRO_RUN_TIMEOUT", "nan"),
+        ("REPRO_RUN_TIMEOUT", "0"),
         ("REPRO_RETRIES", "two"),
         ("REPRO_RETRIES", "-2"),
+        ("REPRO_RETRIES", "1.5"),
     ])
     def test_malformed_values_raise(self, monkeypatch, variable, value):
         monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)

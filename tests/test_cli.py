@@ -153,6 +153,17 @@ BAD_NUMBERS = [
     (["run", "fig2"], {"REPRO_ACCESSES": "abc"}),
     (["run", "fig2"], {"REPRO_ACCESSES": "-5"}),
     (["run", "fig2"], {"REPRO_SCALE": "x"}),
+    (["fuzz", "--run-timeout", "nan"], {}),
+    (["fuzz", "--run-timeout", "-1"], {}),
+    (["fuzz", "--jobs", "2", "--run-timeout", "0"], {}),
+    (["fuzz", "--retries", "-3"], {}),
+    (["work", "--poll", "-1"], {}),
+    (["work", "--max-items", "-2"], {}),
+    (["run", "fig2"], {"REPRO_RUN_TIMEOUT": "nan"}),
+    (["run", "fig2"], {"REPRO_RUN_TIMEOUT": "0"}),
+    (["run", "fig2"], {"REPRO_RETRIES": "-1"}),
+    (["work", "--until-idle"], {"REPRO_RUN_TIMEOUT": "soon"}),
+    (["work", "--until-idle"], {"REPRO_RETRIES": "many"}),
 ]
 
 
@@ -177,3 +188,4 @@ class TestNumberValidation:
         assert "must be a" in errors[0]
         bad = next(iter(env.values()), argv[-1])
         assert repr(bad) in errors[0]
+        assert next(iter(env), argv[-2]) in errors[0]   # names the knob

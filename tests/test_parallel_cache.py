@@ -2,7 +2,7 @@
 
 The load-bearing property is *bit-identical determinism*: the heap
 scheduler must replay the seed's linear-scan interleaving exactly, the
-multiprocessing path must reproduce the serial path exactly, and cached
+fork-worker path must reproduce the serial path exactly, and cached
 results must be indistinguishable (statistically) from fresh ones. Each
 is asserted here against small fig17-style comparisons.
 """

@@ -2,10 +2,9 @@
 
 The load-bearing properties:
 
-* **Pluggable result store** -- disk and sqlite backends round-trip
-  payloads behind the same contract (``get`` never raises, ``put`` is
-  atomic), :class:`ResultCache` works over either, and ``REPRO_STORE``
-  switches the session cache's backend.
+* **Result store** -- the disk store round-trips payloads (``get``
+  never raises, ``put`` is atomic), :class:`ResultCache` works over it,
+  and ``REPRO_STORE`` names the session cache's directory.
 * **Lease queue** -- claims are exclusive, heartbeats keep leases
   alive, expired leases are reclaimed exactly once with their reclaim
   count bumped, and requeues never lose items.
@@ -35,13 +34,12 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.harness.campaign import CampaignPolicy
-from repro.harness.parallel import execute_run, fork_available
+from repro.harness.campaign import CampaignPolicy, fork_available
+from repro.harness.parallel import execute_run
 from repro.harness.result_cache import (ResultCache, reset_session_cache,
                                         run_key, session_cache)
 from repro.service import (DiskResultStore, JobSpec, JobStore,
-                           LeaseQueue, QueueItem, SqliteResultStore,
-                           job_id_for, open_store)
+                           LeaseQueue, QueueItem, job_id_for)
 from repro.service.worker import MAX_RECLAIMS, Worker, run_worker
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
@@ -82,10 +80,8 @@ def read_journal(root, job_id):
 # Result stores
 # ----------------------------------------------------------------------
 class TestResultStores:
-    @pytest.mark.parametrize("flavour", ["disk", "sqlite"])
-    def test_round_trip(self, tmp_path, flavour):
-        store = (DiskResultStore(tmp_path / "s") if flavour == "disk"
-                 else SqliteResultStore(tmp_path / "s.db"))
+    def test_round_trip(self, tmp_path):
+        store = DiskResultStore(tmp_path / "s")
         assert store.get("k") is None
         store.put("k", {"payload": [1, 2, 3]})
         assert store.get("k") == {"payload": [1, 2, 3]}
@@ -93,6 +89,9 @@ class TestResultStores:
         assert sorted(store.keys()) == ["k"]
         store.put("k", "replaced")      # overwrite is fine
         assert store.get("k") == "replaced"
+        # Workers receive the store by pickle and read the same objects.
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.get("k") == "replaced"
 
     def test_disk_corruption_is_a_miss(self, tmp_path):
         store = DiskResultStore(tmp_path)
@@ -100,45 +99,39 @@ class TestResultStores:
         store.path_for("k").write_bytes(b"not a pickle")
         assert store.get("k") is None
 
-    def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "d"), DiskResultStore)
-        sqlite_store = open_store(f"sqlite:{tmp_path / 'x.db'}")
-        assert isinstance(sqlite_store, SqliteResultStore)
-
-    def test_sqlite_survives_pickling(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "s.db")
-        store.put("k", 7)
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.get("k") == 7
-
-    def test_result_cache_over_sqlite(self, tmp_path):
+    def test_result_cache_over_a_shared_store(self, tmp_path):
         workload = make_multithreaded(find_profile("blackscholes"),
                                       tiny_config(), 200, seed=3)
         spec = (tiny_config(), workload)
         result = execute_run(spec)
         key = run_key(*spec)
-        cache = ResultCache(
-            store=SqliteResultStore(tmp_path / "cache.db"))
+        cache = ResultCache(store=DiskResultStore(tmp_path / "cache"))
         cache.put(key, result)
-        fresh = ResultCache(
-            store=SqliteResultStore(tmp_path / "cache.db"))
+        fresh = ResultCache(store=DiskResultStore(tmp_path / "cache"))
         hit = fresh.get(key)
         assert hit is not None
         assert hit.stats.total_cycles == result.stats.total_cycles
 
     def test_result_cache_rejects_foreign_objects(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "cache.db")
+        store = DiskResultStore(tmp_path / "cache")
         store.put("k", {"not": "a RunResult"})
         assert ResultCache(store=store).get("k") is None
 
-    def test_repro_store_env_switches_session_cache(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_STORE",
-                           f"sqlite:{tmp_path / 'session.db'}")
+    def test_repro_store_env_must_name_a_directory(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "shared"))
         reset_session_cache()
-        assert isinstance(session_cache().store, SqliteResultStore)
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "plain"))
-        assert isinstance(session_cache().store, DiskResultStore)
+        assert session_cache().store.directory == tmp_path / "shared"
+        monkeypatch.delenv("REPRO_STORE")
+        assert session_cache().store.directory == tmp_path / "local"
+        # A sqlite: spelling is refused, not taken as a directory name.
+        monkeypatch.setenv("REPRO_STORE", f"sqlite:{tmp_path / 'x.db'}")
+        reset_session_cache()
+        with pytest.raises(ConfigError, match="REPRO_STORE"):
+            session_cache()
+        with pytest.raises(ConfigError, match="REPRO_STORE"):
+            JobStore(tmp_path / "svc")
 
 
 # ----------------------------------------------------------------------
@@ -346,8 +339,7 @@ class TestWorkerFleet:
 
     def test_identical_runs_dedupe_across_jobs(self, tmp_path,
                                                monkeypatch):
-        monkeypatch.setenv("REPRO_STORE",
-                           f"sqlite:{tmp_path / 'shared.db'}")
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "shared"))
         root_a, root_b = tmp_path / "a", tmp_path / "b"
         JobStore(root_a).submit(JobSpec.make("fuzz", SMALL_FUZZ))
         drain(root_a)
@@ -405,6 +397,30 @@ class TestOtherJobKinds:
         assert [p["ratio"] for p in summary["points"]] == [0.0, 1.0]
         for point in summary["points"]:
             assert point["geomean_speedup"] > 0
+
+    def test_figure_size_does_not_leak_into_the_next_item(
+            self, monkeypatch):
+        # One worker process runs figure items back to back: a
+        # default-size item after an accesses=300 one must not run at
+        # 300 (and commit that under the default-size content key).
+        import repro.cli
+        from repro.harness.reporting import Table
+        from repro.service.jobs import JOB_KINDS
+
+        seen = []
+
+        def fake_figure():
+            seen.append(os.environ.get("REPRO_ACCESSES"))
+            return Table("fake figure"), {}
+
+        monkeypatch.setitem(repro.cli.EXPERIMENTS, "fake", fake_figure)
+        monkeypatch.delenv("REPRO_ACCESSES", raising=False)
+        for accesses in (300, 0):
+            spec = JobSpec.make("figure", {"figure": "fake",
+                                           "accesses": accesses})
+            JOB_KINDS["figure"].execute(spec, 0)
+        assert seen == ["300", None]
+        assert "REPRO_ACCESSES" not in os.environ
 
     def test_sweep_items_share_the_interactive_cache_keys(self,
                                                           tmp_path):
