@@ -18,6 +18,7 @@ from repro.workloads.suites import make_multithreaded, make_rate_workload
 from benchmarks.conftest import run_experiment
 
 
+@experiments._instrumented                  # noqa: SLF001
 def shared_fraction_anchors():
     config = experiments.default_config()
     n = max(experiments.accesses_per_core() // 2, 1500)

@@ -153,9 +153,8 @@ class SecDirSystem(CMPSystem):
 
     def _insert_shared(self, entry: DirectoryEntry) -> None:
         shared = self._secdir.shared
-        if not shared.has_room(entry.block):
-            victim = shared.choose_victim(entry.block)
-            shared.remove(victim.block)
+        victim = shared.evict_for(entry.block)
+        if victim is not None:
             self._migrate_to_private(victim)
         shared.insert(entry)
 

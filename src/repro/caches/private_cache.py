@@ -5,6 +5,15 @@ contents) and is inclusive of both L1s, so an L2 eviction back-invalidates
 the L1 copy silently while the L2 eviction itself is notified to the
 directory -- matching Section III-A: "All evictions from the private cache
 hierarchy are notified to the sparse directory".
+
+Every coherence action on the hierarchy (fill, invalidate, downgrade,
+re-state, the lookups from the core) is one call that works on the three
+arrays' index and LRU dicts (``_index``, ``_sets``) itself, as the
+batched kernel does, instead of fanning out into :class:`SetAssocCache`
+calls: a starved-directory run makes one or two of these actions per
+access.  The arrays are reached through their own attributes, not
+aliases on the hierarchy, so a pickled hierarchy (a model-checker
+snapshot) holds nothing twice.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ class EvictionNotice:
     carry the block data (a full writeback), E/S notices are dataless
     (ZeroDEV's E notices additionally carry the fused-block low bits).
     """
+
+    __slots__ = ("core", "block", "state", "version", "is_code")
 
     core: int
     block: int
@@ -71,18 +82,18 @@ class PrivateHierarchy:
     # ------------------------------------------------------------------
     def probe(self, block: int) -> Optional[MESI]:
         """Coherence state of ``block`` in this core, or None."""
-        line = self._l2.peek(block)
+        line = self._l2._index.get(block)
         return line.state if line else None
 
     def line_of(self, block: int) -> Optional[L2Line]:
-        return self._l2.peek(block)
+        return self._l2._index.get(block)
 
     def cached_blocks(self):
         """All blocks resident in the L2 (the directory-visible set)."""
         return [line.block for line in self._l2.lines()]
 
     def __contains__(self, block: int) -> bool:
-        return block in self._l2
+        return block in self._l2._index
 
     # ------------------------------------------------------------------
     # Lookups from the core
@@ -94,27 +105,35 @@ class PrivateHierarchy:
         hit), or None on a core-cache miss.
         """
         l1 = self._l1i if code else self._l1d
-        if l1.lookup(block) is not None:
-            self._l2.lookup(block)      # keep L2 recency in sync
+        l2 = self._l2
+        if block in l1._index:
+            l1._sets[block & l1._set_mask].move_to_end(block)
+            # Keep L2 recency in sync (the L2 includes every L1 line).
+            l2._sets[block & l2._set_mask].move_to_end(block)
             return "l1"
-        line = self._l2.lookup(block)
-        if line is None:
+        if block not in l2._index:
             return None
+        l2._sets[block & l2._set_mask].move_to_end(block)
         l1.insert(L1Line(block))        # L1 victim needs no action
         return "l2"
 
     def write_hit_state(self, block: int) -> Optional[MESI]:
         """Current state for a store to ``block`` (touches, fills L1D)."""
-        line = self._l2.lookup(block)
+        l2 = self._l2
+        line = l2._index.get(block)
         if line is None:
             return None
-        if self._l1d.lookup(block) is None:
-            self._l1d.insert(L1Line(block))
+        l2._sets[block & l2._set_mask].move_to_end(block)
+        l1d = self._l1d
+        if block in l1d._index:
+            l1d._sets[block & l1d._set_mask].move_to_end(block)
+        else:
+            l1d.insert(L1Line(block))
         return line.state
 
     def commit_write(self, block: int, version: int) -> None:
         """Commit a store: requires M or E; E upgrades to M silently."""
-        line = self._l2.peek(block)
+        line = self._l2._index.get(block)
         if line is None or line.state is _S:
             raise ProtocolInvariantError(
                 f"core {self.core} writing block {block:#x} without "
@@ -127,28 +146,38 @@ class PrivateHierarchy:
     # Fills and coherence actions from the uncore
     # ------------------------------------------------------------------
     def fill(self, block: int, state: MESI, version: int,
-             code: bool) -> List[EvictionNotice]:
-        """Install ``block`` after a miss; returns L2 eviction notices."""
-        if block in self._l2:
+             code: bool) -> Optional[EvictionNotice]:
+        """Install ``block`` after a miss; returns the notice of the L2
+        victim it evicted, if any."""
+        l2 = self._l2
+        l2_index = l2._index
+        if block in l2_index:
             raise ProtocolInvariantError(
                 f"double fill of block {block:#x} in core {self.core}")
-        notices: List[EvictionNotice] = []
-        victim = self._l2.insert(
-            L2Line(block, state, version, dirty=state is _M,
-                   is_code=code))
-        if victim is not None:
+        notice = None
+        lru_set = l2._sets[block & l2._set_mask]
+        if len(lru_set) >= l2._n_ways:
+            victim_block, victim = lru_set.popitem(last=False)
+            del l2_index[victim_block]
             self.epoch += 1
-            self.shrink_log.append(victim.block)
-            self._back_invalidate_l1(victim.block)
+            self.shrink_log.append(victim_block)
+            # Inclusion: the victim's L1 copies go silently.
+            l1 = self._l1i
+            if l1._index.pop(victim_block, None) is not None:
+                del l1._sets[victim_block & l1._set_mask][victim_block]
+            l1 = self._l1d
+            if l1._index.pop(victim_block, None) is not None:
+                del l1._sets[victim_block & l1._set_mask][victim_block]
             if self.obs is not None:
-                self.obs.emit(EventKind.L2_EVICT, block=victim.block,
+                self.obs.emit(EventKind.L2_EVICT, block=victim_block,
                               core=self.core, cause=victim.state.name)
-            notices.append(EvictionNotice(self.core, victim.block,
-                                          victim.state, victim.version,
-                                          victim.is_code))
+            notice = EvictionNotice(self.core, victim_block, victim.state,
+                                    victim.version, victim.is_code)
+        lru_set[block] = l2_index[block] = L2Line(block, state, version,
+                                                  state is _M, code)
         l1 = self._l1i if code else self._l1d
         l1.insert(L1Line(block))
-        return notices
+        return notice
 
     def invalidate(self, block: int, cause: str = "") -> Optional[L2Line]:
         """Remove ``block`` everywhere; returns the L2 line if present.
@@ -159,16 +188,24 @@ class PrivateHierarchy:
         """
         self.epoch += 1
         self.shrink_log.append(block)
-        self._back_invalidate_l1(block)
-        line = self._l2.remove(block)
-        if line is not None and self.obs is not None:
-            self.obs.emit(EventKind.PRIV_INV, block=block,
-                          core=self.core, cause=cause)
+        l1 = self._l1i
+        if l1._index.pop(block, None) is not None:
+            del l1._sets[block & l1._set_mask][block]
+        l1 = self._l1d
+        if l1._index.pop(block, None) is not None:
+            del l1._sets[block & l1._set_mask][block]
+        l2 = self._l2
+        line = l2._index.pop(block, None)
+        if line is not None:
+            del l2._sets[block & l2._set_mask][block]
+            if self.obs is not None:
+                self.obs.emit(EventKind.PRIV_INV, block=block,
+                              core=self.core, cause=cause)
         return line
 
     def downgrade_to_s(self, block: int) -> L2Line:
         """Owner response to a forwarded GETS: M/E -> S, supply data."""
-        line = self._l2.peek(block)
+        line = self._l2._index.get(block)
         if line is None or line.state is _S:
             raise ProtocolInvariantError(
                 f"core {self.core} asked to downgrade block {block:#x} "
@@ -189,7 +226,7 @@ class PrivateHierarchy:
         when membership or S-ness changes, and a version refresh changes
         neither (S writes are already classified unsafe).
         """
-        line = self._l2.peek(block)
+        line = self._l2._index.get(block)
         if line is None or line.state is not _S:
             raise ProtocolInvariantError(
                 f"core {self.core} received an update for block "
@@ -198,7 +235,7 @@ class PrivateHierarchy:
         line.version = version
 
     def set_state(self, block: int, state: MESI) -> None:
-        line = self._l2.peek(block)
+        line = self._l2._index.get(block)
         if line is None:
             raise ProtocolInvariantError(
                 f"core {self.core} has no block {block:#x} to re-state")
@@ -209,8 +246,3 @@ class PrivateHierarchy:
             self.epoch += 1
             self.shrink_log.append(block)
         line.state = state
-
-    # ------------------------------------------------------------------
-    def _back_invalidate_l1(self, block: int) -> None:
-        self._l1i.remove(block)
-        self._l1d.remove(block)

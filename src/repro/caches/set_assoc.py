@@ -6,6 +6,14 @@ LRU-to-MRU order (first entry is LRU, last is MRU), giving O(1) hit-path
 recency updates -- this sits on the per-access critical path of the
 runner, where a per-touch ``list.remove`` (which compares dataclass lines
 field-by-field) dominated the profile.
+
+The layout is shared: :class:`~repro.caches.private_cache.PrivateHierarchy`
+and the batched kernel work on ``_index`` and ``_sets`` directly, so that
+a coherence action is one call (DESIGN.md section 8). The simulator
+calls ``insert`` (the L1 fills), ``lines`` and ``set_lines``;
+``lookup``, ``peek`` and ``remove`` are exercised only by
+``tests/test_set_assoc.py``, which checks them, and a core's L2 driven
+through the hierarchy, against its own brute-force LRU model.
 """
 
 from __future__ import annotations

@@ -98,25 +98,37 @@ class SparseDirectory:
         if self.obs is not None:
             self.obs.emit(EventKind.DIR_INSERT, block=block)
 
-    def choose_victim(self, block: int) -> DirectoryEntry:
-        """NRU victim of ``block``'s set (baseline DEV generation).
+    def evict_for(self, block: int) -> Optional[DirectoryEntry]:
+        """Free a way of ``block``'s set for a new entry, in one call.
 
-        Picks the first way with a clear reference bit; if every bit is
-        set, all bits are cleared first (the standard 1-bit NRU sweep).
+        A full set loses its NRU victim (baseline DEV generation): the
+        first way with a clear reference bit, or, if every bit is set,
+        the first way after all bits are cleared (the standard 1-bit NRU
+        sweep). The victim is removed (as by :meth:`remove`) and
+        returned -- the caller turns its private copies into DEVs.
+        Returns None when the set has room (always, for an unbounded
+        directory).
         """
-        if self.unbounded or self.replacement_disabled:
-            raise ProtocolInvariantError(
-                "victim requested from a directory that never evicts")
+        if self.unbounded:
+            return None
         ways = self._sets[block & self._set_mask]
         if len(ways) < self.ways:
+            return None
+        if self.replacement_disabled:
             raise ProtocolInvariantError(
-                "victim requested although the set has room")
-        for entry in ways:
-            if not entry.nru_ref:
-                return entry
-        for entry in ways:
-            entry.nru_ref = False
-        return ways[0]
+                "victim requested from a directory that never evicts")
+        for victim in ways:
+            if not victim.nru_ref:
+                break
+        else:
+            for entry in ways:
+                entry.nru_ref = False
+            victim = ways[0]
+        ways.remove(victim)
+        del self._index[victim.block]
+        if self.obs is not None:
+            self.obs.emit(EventKind.DIR_REMOVE, block=victim.block)
+        return victim
 
     def remove(self, block: int) -> DirectoryEntry:
         """Remove and return the entry for ``block``."""

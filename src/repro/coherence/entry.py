@@ -37,9 +37,10 @@ class EntryLocation(enum.Enum):
 # globals: on Python 3.11 each ``Enum.MEMBER`` read goes through
 # ``EnumType.__getattr__``'s Python-level hook.
 _ME, _S = DirState.ME, DirState.S
+_SPARSE = EntryLocation.SPARSE
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class DirectoryEntry:
     """Coherence-tracking record for one privately cached block.
 
@@ -55,12 +56,24 @@ class DirectoryEntry:
     location: EntryLocation = EntryLocation.SPARSE
     nru_ref: bool = True              # 1-bit NRU metadata (sparse dir)
 
-    def __post_init__(self) -> None:
-        if self.state is _ME:
-            if self.owner is None:
+    # Written out rather than generated: the generated ``__init__`` plus
+    # a ``__post_init__`` for the owner check cost two calls on every
+    # entry allocation, and a starved directory allocates on most misses.
+    def __init__(self, block: int, state: DirState,
+                 owner: Optional[int] = None, sharers: int = 0,
+                 location: EntryLocation = _SPARSE,
+                 nru_ref: bool = True) -> None:
+        if state is _ME:
+            if owner is None:
                 raise ProtocolInvariantError(
-                    f"M/E entry for block {self.block:#x} has no owner")
-            self.sharers |= 1 << self.owner
+                    f"M/E entry for block {block:#x} has no owner")
+            sharers |= 1 << owner
+        self.block = block
+        self.state = state
+        self.owner = owner
+        self.sharers = sharers
+        self.location = location
+        self.nru_ref = nru_ref
 
     # ------------------------------------------------------------------
     @property
@@ -98,7 +111,7 @@ class DirectoryEntry:
         self.sharers |= 1 << core
 
     def remove_sharer(self, core: int) -> None:
-        if not self.is_sharer(core):
+        if not self.sharers >> core & 1:
             raise ProtocolInvariantError(
                 f"core {core} is not a sharer of block {self.block:#x}")
         self.sharers &= ~(1 << core)

@@ -112,14 +112,13 @@ class CMPSystem:
         """Execute one memory reference; returns its core-visible latency
         in cycles and advances the core's local clock."""
         block = address >> BLOCK_SHIFT
-        if op is _WRITE:
+        is_write = op is _WRITE
+        if is_write:
             latency = self._write(core, block)
-            self.stats.record_latency(True, latency)
         else:
             latency = self._read(core, block, op is _IFETCH)
-            self.stats.record_latency(False, latency)
-        self.stats.advance_core(core,
-                                latency + self._lat.compute_per_access)
+        self.stats.record_access(core, is_write, latency,
+                                 latency + self._lat.compute_per_access)
         return latency
 
     def bank_of(self, block: int) -> LLCBank:
@@ -609,17 +608,20 @@ class CMPSystem:
         directory = self.directory
         assert directory is not None
         self.stats.dir_allocations += 1
-        if not directory.has_room(block):
-            victim = directory.choose_victim(block)
-            directory.remove(victim.block)
+        victim = directory.evict_for(block)
+        if victim is not None:
             self._process_dev(victim)
         entry = DirectoryEntry(block, state, owner, 1 << requester)
         directory.insert(entry)
         return entry
 
     def _process_dev(self, victim: DirectoryEntry) -> None:
-        """Invalidate every private copy the evicted entry was tracking."""
-        stats, mesh = self.stats, self.mesh
+        """Invalidate every private copy the evicted entry was tracking.
+
+        The entry is already out of the directory and dies here: its
+        sharer set is read and cleared once, up front.
+        """
+        stats, mesh, cores = self.stats, self.mesh, self.cores
         block = victim.block
         stats.dir_evictions += 1
         if self.obs is not None:
@@ -627,22 +629,23 @@ class CMPSystem:
                           cause=InvCause.DEV)
         bank = self.banks[block & self._bank_mask]
         bank_id = bank.bank_id
-        generated = False
+        sharers = victim.sharers
+        victim.sharers = 0
+        victim.owner = None
+        if sharers and "dev-leak-sharer" in self.mutations:
+            # Seeded bug: the home drops the first sharer from the entry
+            # without sending its invalidation, leaving a live private
+            # copy the directory no longer tracks.
+            sharers &= sharers - 1
+        invalidated = 0
         last_version = 0
-        leak_one = "dev-leak-sharer" in self.mutations
-        for sharer in list(victim.sharer_cores()):
-            if leak_one:
-                # Seeded bug: the home drops the first sharer from the
-                # entry without sending its invalidation, leaving a
-                # live private copy the directory no longer tracks.
-                leak_one = False
-                victim.remove_sharer(sharer)
-                continue
-            generated = True
-            stats.dev_invalidations += 1
-            stats.invalidations_sent += 1
+        while sharers:                  # lowest core first
+            low = sharers & -sharers
+            sharers ^= low
+            sharer = low.bit_length() - 1
+            invalidated += 1
             mesh.send_core_to_bank(_INV, sharer, bank_id)
-            line = self.cores[sharer].invalidate(block, InvCause.DEV)
+            line = cores[sharer].invalidate(block, InvCause.DEV)
             assert line is not None
             last_version = line.version
             if line.state is _MESI_M:
@@ -654,8 +657,9 @@ class CMPSystem:
                                        dirty=True)
             else:
                 mesh.send_core_to_bank(_INV_ACK, sharer, bank_id)
-            victim.remove_sharer(sharer)
-        if generated:
+        if invalidated:
+            stats.dev_invalidations += invalidated
+            stats.invalidations_sent += invalidated
             stats.dev_events += 1
             if bank.peek_data(block) is None:
                 self._presence_lost(block, last_version)
@@ -679,8 +683,8 @@ class CMPSystem:
     # ------------------------------------------------------------------
     def _fill_private(self, core: int, block: int, state: MESI,
                       version: int, code: bool) -> None:
-        notices = self.cores[core].fill(block, state, version, code)
-        for notice in notices:
+        notice = self.cores[core].fill(block, state, version, code)
+        if notice is not None:
             self._process_notice(notice)
 
     def _process_notice(self, notice: EvictionNotice) -> None:

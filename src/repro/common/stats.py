@@ -118,6 +118,20 @@ class SystemStats:
         else:
             self.read_latency_buckets[bucket] += 1
 
+    def record_access(self, core: int, is_write: bool, latency: int,
+                      cycles: int) -> None:
+        """One executed access in one call: ``record_latency(is_write,
+        latency)`` then ``advance_core(core, cycles)``."""
+        bucket = latency.bit_length() - 1 if latency > 1 else 0
+        if bucket >= self.LATENCY_BUCKETS:
+            bucket = self.LATENCY_BUCKETS - 1
+        if is_write:
+            self.write_latency_buckets[bucket] += 1
+        else:
+            self.read_latency_buckets[bucket] += 1
+        self.cycles[core] += cycles
+        self.accesses[core] += 1
+
     def latency_percentile(self, fraction: float,
                            writes: bool = False) -> int:
         """Approximate latency percentile (upper bucket bound).

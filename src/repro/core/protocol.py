@@ -193,17 +193,18 @@ class ZeroDEVSystem(CMPSystem):
         either way, but the entry disturbs two structures over its life
         (the design Section III-C4 argues against).
         """
-        if self.directory is not None:
-            if self.directory.has_room(entry.block):
-                self.directory.insert(entry)
-                return
+        directory = self.directory
+        if directory is not None:
             if self.config.directory.zerodev_replacement_enabled:
-                victim = self.directory.choose_victim(entry.block)
-                self.directory.remove(victim.block)
-                self.stats.dir_evictions += 1
-                self._place_entry_in_llc(victim,
-                                         self.bank_of(victim.block))
-                self.directory.insert(entry)
+                victim = directory.evict_for(entry.block)
+                if victim is not None:
+                    self.stats.dir_evictions += 1
+                    self._place_entry_in_llc(victim,
+                                             self.bank_of(victim.block))
+                directory.insert(entry)
+                return
+            if directory.has_room(entry.block):
+                directory.insert(entry)
                 return
         self._place_entry_in_llc(entry, self.bank_of(entry.block))
 

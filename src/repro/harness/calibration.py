@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 from repro.coherence.entry import DirState
 from repro.coherence.protocol import CMPSystem
 from repro.common.config import DirectoryConfig, SystemConfig
+from repro.harness.parallel import record_runs
 from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
 from repro.workloads.trace import Workload
@@ -54,8 +55,10 @@ def measure_shared_fraction(config: SystemConfig, workload: Workload,
     def probe(sys_) -> None:
         observations.append(shared_entry_fraction(sys_))
 
-    run_workload(system, workload, sample_every=interval,
-                 sample_fn=probe)
+    result = run_workload(system, workload, sample_every=interval,
+                          sample_fn=probe)
+    # The probe needs the live system, so it runs outside run_many.
+    record_runs(1, result.wall_seconds, result.stats.total_accesses)
     observations.append(shared_entry_fraction(system))
     # Skip the cold-start samples (everything starts exclusive).
     steady = observations[len(observations) // 4:]

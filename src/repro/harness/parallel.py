@@ -76,6 +76,21 @@ def telemetry_since(before: Dict[str, float]) -> Dict[str, float]:
             for key in _telemetry}
 
 
+def record_runs(runs: int, wall_seconds: float, accesses: int,
+                cache_hits: int = 0) -> None:
+    """Count finished runs in the session telemetry.
+
+    The one accounting path for simulated runs: :func:`run_many` calls
+    it once per batch, and the runs made outside it (multi-socket runs,
+    the calibration probes) once per run, so every run is counted once
+    wherever it executes.
+    """
+    _telemetry["runs"] += runs
+    _telemetry["cache_hits"] += cache_hits
+    _telemetry["wall_seconds"] += wall_seconds
+    _telemetry["accesses"] += accesses
+
+
 def parse_number(value, source: str, kind=int, allow_zero: bool = False):
     """Validate a count or a duration from the CLI or the environment.
 
@@ -217,15 +232,13 @@ def run_many(specs: Sequence[RunSpec], jobs: Optional[int] = None,
 
     completed = [results[index] for index, *_ in pending
                  if results[index] is not None]
-    _telemetry["runs"] += executed
-    _telemetry["cache_hits"] += len(specs) - len(pending)
+    record_runs(executed,
+                sum(result.wall_seconds for result in completed),
+                sum(result.stats.total_accesses for result in completed),
+                cache_hits=len(specs) - len(pending))
     if cache is not None:
         _telemetry["cache_dropped_puts"] += (cache.dropped_puts
                                              - dropped_before)
-    _telemetry["wall_seconds"] += sum(result.wall_seconds
-                                      for result in completed)
-    _telemetry["accesses"] += sum(result.stats.total_accesses
-                                  for result in completed)
     if failures:
         raise CampaignError(failures, None if journal is None
                             else str(journal.path))

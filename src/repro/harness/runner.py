@@ -229,6 +229,7 @@ def run_multisocket_workload(system, workload: Workload,
     n = len(traces)
     if n > per_socket * system.n_sockets:
         raise ValueError("workload larger than the multi-socket system")
+    started = perf_counter()
     lengths = [len(trace) for trace in traces]
     ops, addresses = _decode_traces(traces)
     homes = [divmod(slot, per_socket) for slot in range(n)]
@@ -258,4 +259,9 @@ def run_multisocket_workload(system, workload: Workload,
                            check_every=check_invariants_every)
     if check_invariants_every:
         system.check_invariants()
+    # Counted here because no multi-socket run goes through run_many
+    # (which imports this module, hence the late import).
+    from repro.harness.parallel import record_runs
+    record_runs(1, perf_counter() - started,
+                sum(stats.total_accesses for stats in system.stats))
     return system.stats

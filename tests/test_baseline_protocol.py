@@ -5,6 +5,7 @@ import pytest
 from repro.caches.block import LineKind, MESI
 from repro.coherence.entry import DirState
 from repro.common.config import DirectoryConfig, LLCDesign
+from repro.common.messages import MessageType
 from repro.harness.system_builder import build_system
 
 from tests.conftest import drive, tiny_config
@@ -130,9 +131,22 @@ class TestDirectoryEvictionVictims:
         system = build_system(dev_prone_config())
         drive(system, [(0, "R", 0), (1, "R", 0), (2, "R", 0),
                        (3, "R", 0)])
-        before = system.stats.dev_invalidations
+        stats = system.stats
+        victim = system._peek_entry(0)
+        assert victim.sharers == 0b1111
+        before = (stats.dev_invalidations, stats.invalidations_sent,
+                  stats.messages.get(MessageType.INV, 0))
+        # Blocks 2..16 fill directory set 0. The ninth entry finds every
+        # reference bit set, so the NRU sweep evicts the first way:
+        # block 0's entry.
         drive(system, [(0, "R", 2 * k) for k in range(1, 9)])
-        assert system.stats.dev_invalidations - before >= 1
+        assert system._peek_entry(0) is None
+        assert all(system.cores[core].probe(0) is None
+                   for core in range(4))
+        after = (stats.dev_invalidations, stats.invalidations_sent,
+                 stats.messages.get(MessageType.INV, 0))
+        assert [a - b for a, b in zip(after, before)] == [4, 4, 4]
+        assert victim.sharers == 0 and victim.owner is None
 
     def test_dirty_dev_retrieved_into_llc(self):
         system = build_system(dev_prone_config())

@@ -7,6 +7,7 @@ from repro.harness.calibration import (PAPER_SHARED_ENTRY_FRACTION,
                                        measure_shared_fraction,
                                        shared_entry_fraction)
 from repro.common.config import DirectoryConfig
+from repro.harness.parallel import telemetry_since, telemetry_snapshot
 from repro.harness.system_builder import build_system
 from repro.workloads import make_multithreaded
 from repro.workloads.synthetic import AppProfile
@@ -33,7 +34,12 @@ class TestSharedEntryFraction:
         profile = AppProfile("priv", shared_fraction=0.0,
                              code_fraction=0.0)
         workload = make_multithreaded(profile, config, 600, seed=2)
+        before = telemetry_snapshot()
         assert measure_shared_fraction(config, workload) < 0.05
+        # The probe runs outside run_many but is counted like its runs.
+        delta = telemetry_since(before)
+        assert delta["runs"] == 1
+        assert delta["accesses"] == workload.total_accesses
 
     def test_measure_shared_app_is_high(self):
         config = tiny_config()

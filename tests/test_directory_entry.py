@@ -103,29 +103,43 @@ class TestSparseDirectory:
             directory.insert(me_entry(8))
 
     def test_nru_victim_prefers_unreferenced(self):
-        directory = self.make(entries=8, ways=2)
+        directory = self.make(entries=12, ways=3)  # 4 sets
         directory.insert(me_entry(0))
         directory.insert(me_entry(4))
-        directory.lookup(4)                # both now referenced
-        victim = directory.choose_victim(8)
-        # All referenced: bits cleared, first way chosen.
+        assert directory.evict_for(8) is None      # set 0 has room
+        assert len(directory) == 2
+        directory.insert(me_entry(8))              # all referenced
+        victim = directory.evict_for(12)
+        # All referenced: bits cleared, first way chosen and removed.
         assert victim.block == 0
-        directory.lookup(0)                # re-reference 0 only
-        assert directory.choose_victim(8).block == 4
+        assert 0 not in directory and directory.peek(0) is None
+        assert [e.block for e in directory._sets[0]] == [4, 8]
+        assert not directory.peek(4).nru_ref
+        assert not directory.peek(8).nru_ref
+        assert directory.has_room(12)
+        directory.insert(me_entry(12))
+        directory.lookup(4)                # re-reference 4 only
+        # The first way with a clear bit goes, ahead of way 0.
+        assert directory.evict_for(16).block == 8
+        assert sorted(directory._index) == [4, 12]
+        assert [e.block for e in directory._sets[0]] == [4, 12]
 
     def test_unbounded_never_full(self):
         directory = self.make(unbounded=True)
         for block in range(1000):
             assert directory.has_room(block)
+            assert directory.evict_for(block) is None
             directory.insert(me_entry(block))
         assert len(directory) == 1000
-        with pytest.raises(ProtocolInvariantError):
-            directory.choose_victim(0)
 
     def test_replacement_disabled_refuses_victims(self):
-        directory = self.make(replacement_disabled=True)
+        directory = self.make(entries=8, ways=2, replacement_disabled=True)
+        directory.insert(me_entry(0))
+        assert directory.evict_for(4) is None      # set 0 has room
+        directory.insert(me_entry(4))
         with pytest.raises(ProtocolInvariantError):
-            directory.choose_victim(0)
+            directory.evict_for(8)
+        assert len(directory) == 2 and 0 in directory and 4 in directory
 
     def test_insert_sets_location(self):
         directory = self.make()

@@ -57,6 +57,11 @@ class TestExperimentSmoke:
     def test_multisocket_structure(self):
         table, results = experiments.multisocket_comparison(2)
         assert results["speedups"]
+        # Two multi-socket runs per app, all in the figure's telemetry.
+        meta = table.metadata
+        assert meta["runs_executed"] == 2 * len(results["speedups"])
+        assert meta["simulated_accesses"] > 0
+        assert meta["accesses_per_second"] > 0
 
     def test_fig23_mix_count(self):
         table, results = experiments.fig23_heterogeneous(n_mixes=2)

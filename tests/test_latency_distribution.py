@@ -23,6 +23,19 @@ class TestBucketing:
         assert stats.read_latency_buckets[1] == 1
         assert stats.read_latency_buckets[2] == 1
         assert stats.read_latency_buckets[8] == 1
+        # record_access (the per-access path) buckets as record_latency
+        # and advances the clock as advance_core.
+        one, both = SystemStats(2), SystemStats(2)
+        for core, is_write, latency in ((0, False, 1), (1, True, 3),
+                                        (0, True, 4), (1, False, 300),
+                                        (0, False, 1 << 20)):
+            one.record_access(core, is_write, latency, latency + 2)
+            both.record_latency(is_write, latency)
+            both.advance_core(core, latency + 2)
+        assert one.read_latency_buckets == both.read_latency_buckets
+        assert one.write_latency_buckets == both.write_latency_buckets
+        assert one.cycles == both.cycles and one.accesses == both.accesses
+        assert sum(one.read_latency_buckets) == 3
 
     def test_reads_and_writes_separate(self):
         stats = SystemStats(1)

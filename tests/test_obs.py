@@ -19,7 +19,8 @@ from repro.common.config import DirectoryConfig
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
 from repro.harness.parallel import (default_jobs, execute_run,
-                                    parse_number, run_many)
+                                    parse_number, run_many,
+                                    telemetry_since, telemetry_snapshot)
 from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
 from repro.obs import (Event, EventBus, EventKind, InvCause, JsonlSink,
@@ -297,8 +298,13 @@ class TestMultisocketTracing:
         attach_multisocket(system, bus)
         workload = make_multithreaded(
             find_profile("canneal"), tiny_config(n_cores=8), 300, seed=5)
+        before = telemetry_snapshot()
         run_multisocket_workload(system, workload,
                                  check_invariants_every=200)
+        # Counted once in the session telemetry, like a run_many run.
+        delta = telemetry_since(before)
+        assert delta["runs"] == 1
+        assert delta["accesses"] == workload.total_accesses
         counts = ring.counts()
         assert sum(count for key, count in counts.items()
                    if key.startswith("msg:")) > 0

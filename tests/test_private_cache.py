@@ -17,6 +17,21 @@ def make_hierarchy():
     )
 
 
+# The batched kernel's contract (repro.kernel): every mutation that can
+# shrink hit safety bumps ``epoch`` once and journals its block once in
+# ``shrink_log``; mutations that only extend safety do neither.
+def journal(hier):
+    return hier.epoch, list(hier.shrink_log)
+
+
+def assert_no_copy(hier, block):
+    """``block`` is gone from every array, index and LRU set alike."""
+    for array in (hier._l1i, hier._l1d, hier._l2):
+        assert block not in array
+        assert block not in [line.block for line in
+                             array.set_lines(array.set_of(block))]
+
+
 class TestFillAndLookup:
     def test_fill_then_l1_hit(self):
         hier = make_hierarchy()
@@ -49,14 +64,23 @@ class TestFillAndLookup:
 
 class TestEvictionNotices:
     def test_l2_eviction_produces_notice_and_back_invalidates(self):
-        hier = make_hierarchy()
-        for block in (0, 4, 8, 12):   # fill L2 set 0
-            hier.fill(block, MESI.E, 0, code=False)
-        notices = hier.fill(16, MESI.E, 0, code=False)
-        assert len(notices) == 1
-        assert notices[0].block == 0
-        assert notices[0].state is MESI.E
-        assert 0 not in hier
+        # 4-way L1s, so the L2 victim still has both L1 copies.
+        hier = PrivateHierarchy(0, CacheGeometry(512, 4),
+                                CacheGeometry(512, 4),
+                                CacheGeometry(1024, 4))
+        hier.fill(0, MESI.E, 0, code=True)
+        hier.read_hit_level(0, code=False)
+        for block in (4, 8, 12):      # fill L2 set 0, 0 is its LRU
+            assert hier.fill(block, MESI.E, 0, code=False) is None
+        assert 0 in hier._l1i and 0 in hier._l1d
+        assert journal(hier) == (0, [])         # victimless fills
+        # A code fill: the L1D set the victim shares stays untouched.
+        notice = hier.fill(16, MESI.S, 0, code=True)
+        assert notice is not None
+        assert notice.block == 0
+        assert notice.state is MESI.E
+        assert journal(hier) == (1, [0])        # the victim, once
+        assert_no_copy(hier, 0)
         assert hier.read_hit_level(0, code=False) is None
 
     def test_notice_carries_m_state_and_version(self):
@@ -65,16 +89,16 @@ class TestEvictionNotices:
         hier.commit_write(0, version=7)
         for block in (4, 8, 12):
             hier.fill(block, MESI.E, 0, code=False)
-        notices = hier.fill(16, MESI.E, 0, code=False)
-        assert notices[0].state is MESI.M
-        assert notices[0].version == 7
+        notice = hier.fill(16, MESI.E, 0, code=False)
+        assert notice.state is MESI.M
+        assert notice.version == 7
 
     def test_l1_eviction_is_silent(self):
         hier = make_hierarchy()
         hier.fill(0, MESI.E, 0, code=False)
         hier.fill(2, MESI.E, 0, code=False)
-        notices = hier.fill(4, MESI.E, 0, code=False)  # L1D set 0 full
-        assert notices == []
+        notice = hier.fill(4, MESI.E, 0, code=False)   # L1D set 0 full
+        assert notice is None
         assert 0 in hier                               # still in L2
 
 
@@ -89,15 +113,18 @@ class TestCoherenceActions:
         hier = make_hierarchy()
         hier.fill(3, MESI.E, 0, code=False)
         hier.commit_write(3, 9)
+        assert journal(hier) == (0, [])
         assert hier.probe(3) is MESI.M
         assert hier.line_of(3).version == 9
 
     def test_invalidate_returns_line(self):
         hier = make_hierarchy()
         hier.fill(3, MESI.E, 5, code=False)
+        hier.read_hit_level(3, code=True)       # 3 in L1I and L1D too
         line = hier.invalidate(3)
         assert line.version == 5
-        assert 3 not in hier
+        assert journal(hier) == (1, [3])
+        assert_no_copy(hier, 3)
         assert hier.invalidate(3) is None
 
     def test_downgrade_to_s(self):
@@ -107,6 +134,7 @@ class TestCoherenceActions:
         line = hier.downgrade_to_s(3)
         assert line.version == 4
         assert hier.probe(3) is MESI.S
+        assert journal(hier) == (1, [3])
 
     def test_downgrade_requires_ownership(self):
         hier = make_hierarchy()
@@ -119,6 +147,12 @@ class TestCoherenceActions:
         assert hier.write_hit_state(3) is None
         hier.fill(3, MESI.S, 0, code=False)
         assert hier.write_hit_state(3) is MESI.S
+        hier.set_state(3, MESI.E)               # the upgrade grant
+        assert hier.write_hit_state(3) is MESI.E
+        assert journal(hier) == (0, [])
+        hier.set_state(3, MESI.S)               # losing ownership
+        assert hier.write_hit_state(3) is MESI.S
+        assert journal(hier) == (1, [3])
 
     def test_cached_blocks(self):
         hier = make_hierarchy()

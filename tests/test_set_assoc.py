@@ -1,12 +1,15 @@
 """Unit tests for the generic set-associative array."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
-from repro.caches.block import L1Line
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.caches.block import L1Line, MESI
+from repro.caches.private_cache import PrivateHierarchy
 from repro.caches.set_assoc import SetAssocCache
 from repro.common.config import CacheGeometry
-from repro.common.errors import SimulationError
+from repro.common.errors import ProtocolInvariantError, SimulationError
 
 
 def make_cache(size=512, ways=2):
@@ -98,6 +101,12 @@ operations = st.lists(
 
 PROP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
+#: One long seeded sequence: the generated ones stay short, and this
+#: one evicts from every set many times over.
+_rng = random.Random(7)
+LONG_OPS = [(_rng.choice(["insert", "insert", "lookup", "peek", "remove"]),
+             _rng.randrange(32)) for _ in range(2000)]
+
 
 class TestLRUModelEquivalence:
     """Drive the O(1)-recency implementation and a brute-force reference
@@ -127,31 +136,51 @@ class TestLRUModelEquivalence:
         return False
 
     @given(operations)
+    @example(LONG_OPS)
     @PROP_SETTINGS
     def test_matches_reference_model(self, ops):
         cache = make_cache(size=1024, ways=self.WAYS)  # 4 sets x 4 ways
+        # A core's L2 of the same geometry, driven through the private
+        # hierarchy's coherence actions, which do the same LRU work on
+        # the array's dicts themselves. L1s as large as the L2 never
+        # evict, so only back-invalidation keeps them inside it.
+        geometry = CacheGeometry(1024, self.WAYS)
+        hier = PrivateHierarchy(0, geometry, geometry, geometry)
         sets = {}
-        for op, block in ops:
+        for step, (op, block) in enumerate(ops):
             expected = self._reference_apply(sets, op, block)
             if op == "insert":
                 if expected == "dup":
                     with pytest.raises(SimulationError):
                         cache.insert(L1Line(block))
+                    with pytest.raises(ProtocolInvariantError):
+                        hier.fill(block, MESI.E, 0, code=False)
                     continue
                 victim = cache.insert(L1Line(block))
                 assert (victim.block if victim else None) == expected
+                notice = hier.fill(block, MESI.E, 0, code=bool(step & 1))
+                assert (notice.block if notice else None) == expected
             elif op == "lookup":
                 assert (cache.lookup(block) is not None) is expected
+                level = hier.read_hit_level(block, code=bool(step & 2))
+                assert (level is not None) is expected
             elif op == "peek":
                 assert (cache.peek(block) is not None) is expected
+                assert (hier.line_of(block) is not None) is expected
             else:
                 removed = cache.remove(block)
                 assert (removed is not None) is expected
+                assert (hier.invalidate(block) is not None) is expected
             for set_idx, lru in sets.items():
                 got = [line.block for line in cache.set_lines(set_idx)]
                 assert got == lru, (
                     f"set {set_idx} LRU order diverged after "
                     f"{op}({block})")
+                assert [line.block for line in
+                        hier._l2.set_lines(set_idx)] == lru
+            l1_blocks = [line.block for l1 in (hier._l1i, hier._l1d)
+                         for line in l1.lines()]
+            assert set(l1_blocks) <= set(hier.cached_blocks())
 
     @given(operations)
     @PROP_SETTINGS
