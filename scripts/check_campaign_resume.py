@@ -8,7 +8,9 @@ re-runs the identical command to completion. The second invocation must
 
 * exit 0 with a clean verdict,
 * report resumed runs (so the journal really was consulted), and
-* leave the atomic checkpoint summary next to the journal.
+* render through ``repro report --html <journal>`` into one
+  self-contained page (no URL, script, stylesheet link or import) that
+  says the campaign is healthy.
 
 Because every committed run's payload is replayed from the journal, the
 resumed report is the one an uninterrupted campaign would have printed;
@@ -49,6 +51,35 @@ def committed_runs(journal: Path) -> int:
                 break
             count += record.get("kind") == "run_ok"
     return count
+
+
+#: Substrings that would make a rendered report depend on anything
+#: outside its own file.
+EXTERNAL_REFERENCES = ("http://", "https://", "<script", "<link",
+                       "@import")
+
+
+def check_html_report(journal: Path) -> str:
+    """Render the journal with ``repro report --html``; the failure
+    message, or ``""`` when the page is present, healthy and
+    self-contained."""
+    page = journal.with_suffix(".html")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "report", "--html", str(journal),
+         "--out", str(page)], capture_output=True, text=True, timeout=120)
+    if result.returncode != 0:
+        return (f"repro report --html exited {result.returncode}: "
+                f"{result.stderr.strip()}")
+    if not page.is_file():
+        return f"repro report --html did not write {page}"
+    html = page.read_text(encoding="utf-8")
+    if "campaign healthy" not in html:
+        return "HTML report does not say the campaign is healthy"
+    lowered = html.lower()
+    for needle in EXTERNAL_REFERENCES:
+        if needle in lowered:
+            return f"HTML report is not self-contained: contains {needle!r}"
+    return ""
 
 
 def main() -> int:
@@ -95,12 +126,12 @@ def main() -> int:
         if committed_runs(journal) != expected_runs:
             print("FAIL: journal does not hold every run", file=sys.stderr)
             return 1
-        if not journal.with_name(
-                journal.name + ".checkpoint.json").exists():
-            print("FAIL: checkpoint summary missing", file=sys.stderr)
+        problem = check_html_report(journal)
+        if problem:
+            print(f"FAIL: {problem}", file=sys.stderr)
             return 1
     print(f"OK: campaign killed at {survived}/{expected_runs} runs, "
-          f"resumed to a clean finish")
+          f"resumed to a clean finish with a self-contained HTML report")
     return 0
 
 

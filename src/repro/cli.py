@@ -17,7 +17,8 @@ Commands
     event stream and its ``*.timeseries.json`` sibling are written to
     ``PATH`` and a terminal report is printed (see ``repro report``).
 ``report [TRACE.jsonl]``
-    With a path: render the observability report for that event trace.
+    With a path: render the observability report for that event trace
+    or campaign journal (``--html``: as one self-contained HTML file).
     Without: rebuild EXPERIMENTS.md from the archived benchmark tables.
 ``simulate PATH``
     Run a saved trace bundle under a chosen protocol and print stats.
@@ -39,13 +40,6 @@ Commands
 ``shrink TRACE.npz``
     Re-shrink a saved fuzz trace against one model and emit the
     reduced ``.npz`` + pytest regression stub.
-``submit KIND [PARAMS]`` / ``work`` / ``status JOB`` / ``jobs``
-    The campaign job service (:mod:`repro.service`): submit a fuzz,
-    sweep, or figure spec as a JSON job into a shared service root,
-    drain the queue with any number of ``repro work`` processes (on any
-    number of hosts), and poll job state / fetch artifacts. ``repro
-    report --html`` renders a job's (or a trace's) self-contained HTML
-    experiment report.
 """
 
 from __future__ import annotations
@@ -335,130 +329,33 @@ def _command_shrink(args) -> int:
     return 1
 
 
-#: Default service root (``repro submit`` / ``work`` / ``status``).
-_SERVICE_ROOT_ENV = "REPRO_SERVICE_ROOT"
-
-
-def _service_root(args) -> str:
-    return (args.root or os.environ.get(_SERVICE_ROOT_ENV)
-            or ".repro-service")
-
-
-def _command_submit(args) -> int:
-    import json
-    from repro.service import JobSpec, JobStore
-
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"PARAMS must be a JSON object: {exc}") from None
-    if not isinstance(params, dict):
-        raise ConfigError("PARAMS must be a JSON object, got "
-                          f"{type(params).__name__}")
-    store = JobStore(_service_root(args))
-    record, created = store.submit(JobSpec.make(args.kind, params))
-    verb = "submitted" if created else "joined"
-    print(f"{verb} {record.describe()}")
-    print(f"  results: {store.job_dir(record.job_id)}")
-    if record.state == "done":
-        print("  already finished (content-addressed dedupe); see "
-              "report.html / summary.json")
-    return 0
-
-
-def _command_work(args) -> int:
-    from repro.service.worker import run_worker
-
-    processed = run_worker(
-        _service_root(args), worker_id=args.worker_id,
-        lease_ttl=args.lease_ttl, poll=args.poll, once=args.once,
-        until_idle=args.until_idle, max_items=args.max_items)
-    print(f"worker exit: {processed} item(s) processed")
-    return 0
-
-
-def _command_status(args) -> int:
-    from repro.service import JobStore
-
-    store = JobStore(_service_root(args))
-    record = store.record(args.job)
-    print(record.describe())
-    journal = store.journal_status(args.job)
-    if journal is not None:
-        print(f"  journal: {journal['committed']} committed run(s)")
-    for line in store.failure_lines(args.job):
-        print(f"  FAILED: {line}")
-    report = store.job_dir(args.job) / "report.html"
-    if report.is_file():
-        print(f"  report: {report}")
-    if record.state == "failed":
-        return 1
-    return EXIT_PARTIAL if record.state == "partial" else 0
-
-
-def _command_jobs(args) -> int:
-    from repro.service import JobStore
-
-    records = JobStore(_service_root(args)).list_jobs()
-    if not records:
-        print(f"no jobs under {_service_root(args)}")
-        return 0
-    for record in records:
-        print(record.describe())
-    return 0
-
-
-def _report_html(args) -> int:
-    """``repro report --html``: job directory, job id, or trace."""
-    from pathlib import Path
-    from repro.service.html_report import (render_trace_html,
-                                           write_job_report)
-    target = Path(args.path)
-    if not target.exists() and args.root is not None:
-        candidate = Path(_service_root(args)) / "jobs" / args.path
-        if candidate.is_dir():
-            target = candidate
-    if target.is_dir():
-        if not (target / "spec.json").is_file():
-            print(f"error: {target} is not a service job directory",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {write_job_report(target)}")
-        return 0
-    if not target.is_file():
-        print(f"error: no such trace or job: {args.path}",
-              file=sys.stderr)
-        return 2
-    out = Path(args.out) if args.out else target.with_suffix(".html")
-    from repro.common.ioutil import atomic_write_text
-    atomic_write_text(out, render_trace_html(target))
-    print(f"wrote {out}")
-    return 0
-
-
 def _command_report(args) -> int:
     """Render a trace report, or rebuild EXPERIMENTS.md when no path."""
-    if getattr(args, "html", False):
-        if not getattr(args, "path", None):
-            print("error: report --html needs a job id, job directory, "
-                  "or trace path", file=sys.stderr)
-            return 2
-        return _report_html(args)
-    if getattr(args, "path", None):
-        from pathlib import Path
-        from repro.obs.report import render_report
-        path = Path(args.path)
-        if not path.is_file():
-            print(f"error: no such trace: {path}", file=sys.stderr)
-            return 2
-        print(render_report(path))
-        return 0
-    import runpy
     from pathlib import Path
-    script = (Path(__file__).resolve().parent.parent.parent / "scripts"
-              / "build_experiments_md.py")
-    module = runpy.run_path(str(script))
-    return module["main"]()
+    if args.path is None:
+        if args.html:
+            print("error: report --html needs a trace or journal path",
+                  file=sys.stderr)
+            return 2
+        import runpy
+        script = (Path(__file__).resolve().parent.parent.parent
+                  / "scripts" / "build_experiments_md.py")
+        module = runpy.run_path(str(script))
+        return module["main"]()
+    path = Path(args.path)
+    if not path.is_file():
+        print(f"error: no such trace: {path}", file=sys.stderr)
+        return 2
+    if args.html:
+        from repro.common.ioutil import atomic_write_text
+        from repro.obs.report import render_trace_html
+        out = Path(args.out) if args.out else path.with_suffix(".html")
+        atomic_write_text(out, render_trace_html(path))
+        print(f"wrote {out}")
+        return 0
+    from repro.obs.report import render_report
+    print(render_report(path))
+    return 0
 
 
 def _configured(config, protocol: Protocol, ratio: float, policy: str):
@@ -526,9 +423,9 @@ def _fault_kinds():
 
 
 def _number(flag: str, kind=int, allow_zero: bool = False):
-    """argparse type for ``flag``: a positive integer (non-negative with
-    ``allow_zero``; positive and finite for ``kind=float``) or a
-    one-line error, validated by
+    """argparse type for ``flag``: a positive integer, or a positive
+    finite number for ``kind=float`` (non-negative either way with
+    ``allow_zero``), else a one-line error; validated by
     :func:`repro.harness.parallel.parse_number`."""
     def convert(value: str):
         try:
@@ -560,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = commands.add_parser("demo", help="baseline vs ZeroDEV demo")
     demo.add_argument("--app", default="freqmine")
-    demo.add_argument("--accesses", type=int, default=10_000)
+    demo.add_argument("--accesses", type=_number("--accesses"),
+                      default=10_000)
 
     verify = commands.add_parser(
         "verify", help="bounded-exhaustive protocol verification")
@@ -695,66 +593,24 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render a trace report, or rebuild "
                        "EXPERIMENTS.md from archived results")
     report.add_argument("path", nargs="?", default=None,
-                        help="a *.jsonl event trace, or (with --html) "
-                             "a service job id / job directory (omit "
-                             "to rebuild EXPERIMENTS.md)")
+                        help="a *.jsonl event trace or campaign journal "
+                             "(omit to rebuild EXPERIMENTS.md)")
     report.add_argument("--html", action="store_true",
                         help="write a self-contained HTML report "
                              "instead of the terminal rendering")
     report.add_argument("--out", default=None,
-                        help="output path for --html on a trace "
-                             "(default: alongside the trace)")
-    report.add_argument("--root", default=None,
-                        help="service root for resolving a job id "
-                             f"(default: ${_SERVICE_ROOT_ENV} or "
-                             ".repro-service)")
-
-    submit = commands.add_parser(
-        "submit", help="submit a JSON job to the campaign service")
-    submit.add_argument("kind", choices=("fuzz", "sweep", "figure"))
-    submit.add_argument("params", nargs="?", default=None,
-                        help="job parameters as a JSON object, e.g. "
-                             "'{\"budget\": 50, \"seed\": 1}'")
-    submit.add_argument("--root", default=None,
-                        help="service root directory (default: "
-                             f"${_SERVICE_ROOT_ENV} or .repro-service)")
-
-    work = commands.add_parser(
-        "work", help="run one service worker (start several for a "
-                     "fleet; hosts may share the root)")
-    work.add_argument("--root", default=None)
-    work.add_argument("--worker-id", default=None,
-                      help="override the hostname-pid worker id")
-    work.add_argument("--lease-ttl", type=float, default=30.0,
-                      help="seconds without a heartbeat before a "
-                           "dead worker's lease is reclaimed")
-    work.add_argument("--poll", type=_number("--poll", kind=float),
-                      default=0.5,
-                      help="idle polling interval in seconds")
-    work.add_argument("--once", action="store_true",
-                      help="process a single item, then exit")
-    work.add_argument("--until-idle", action="store_true",
-                      help="exit when no work is pending or in flight")
-    work.add_argument("--max-items", type=_number("--max-items"),
-                      default=None,
-                      help="exit after this many items")
-
-    status = commands.add_parser("status",
-                                 help="show one service job's state")
-    status.add_argument("job", help="job id (see 'repro jobs')")
-    status.add_argument("--root", default=None)
-
-    jobs_cmd = commands.add_parser("jobs",
-                                   help="list the service's jobs")
-    jobs_cmd.add_argument("--root", default=None)
+                        help="output path for --html (default: the "
+                             "trace path with an .html suffix)")
 
     trace = commands.add_parser(
         "trace", help="generate a trace bundle, or (with a .jsonl PATH "
                       "or --events) run it with event tracing")
     trace.add_argument("app")
     trace.add_argument("path")
-    trace.add_argument("--accesses", type=int, default=10_000)
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--accesses", type=_number("--accesses"),
+                       default=10_000)
+    trace.add_argument("--seed", type=_number("--seed", allow_zero=True),
+                       default=0)
     trace.add_argument("--rate", action="store_true",
                        help="rate (multi-programmed) instead of "
                             "multi-threaded")
@@ -764,13 +620,16 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--protocol", default="zerodev",
                        choices=[p.value for p in Protocol],
                        help="protocol for --events runs")
-    trace.add_argument("--ratio", type=float, default=0.0,
+    trace.add_argument("--ratio",
+                       type=_number("--ratio", kind=float,
+                                    allow_zero=True),
+                       default=0.0,
                        help="directory ratio R for --events runs "
                             "(0 = no directory for ZeroDEV)")
     trace.add_argument("--policy", default="fuse-private-spill-shared",
                        choices=[p.value for p in DirCachingPolicy],
                        help="entry-caching policy for --events runs")
-    trace.add_argument("--epoch", type=int, default=1000,
+    trace.add_argument("--epoch", type=_number("--epoch"), default=1000,
                        help="accesses per time-series epoch")
 
     simulate = commands.add_parser("simulate",
@@ -778,7 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("path")
     simulate.add_argument("--protocol", default="zerodev",
                           choices=[p.value for p in Protocol])
-    simulate.add_argument("--ratio", type=float, default=0.0,
+    simulate.add_argument("--ratio",
+                          type=_number("--ratio", kind=float,
+                                       allow_zero=True),
+                          default=0.0,
                           help="directory ratio R (0 = no directory for "
                                "ZeroDEV, 1.0 for others)")
     simulate.add_argument("--policy", default="fuse-private-spill-shared",
@@ -799,10 +661,6 @@ def main(argv=None) -> int:
         "report": _command_report,
         "trace": _command_trace,
         "simulate": _command_simulate,
-        "submit": _command_submit,
-        "work": _command_work,
-        "status": _command_status,
-        "jobs": _command_jobs,
     }[args.command]
     try:
         return handler(args)

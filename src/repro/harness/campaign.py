@@ -23,12 +23,11 @@ the failure modes long unattended executions actually hit:
   worker, any ``OSError``) are re-executed up to
   :attr:`CampaignPolicy.retries` times, with capped exponential delays.
 * **Checkpoint/resume** -- a :class:`CampaignJournal` appends one JSONL
-  record per committed run (key + pickled payload, flushed and fsynced)
-  and keeps an atomic sibling checkpoint file via
-  :mod:`repro.common.ioutil`. Re-running the same campaign with the same
-  journal skips every committed run and replays its recorded payload,
-  so the resumed campaign's aggregate statistics are bit-identical to an
-  uninterrupted one.
+  record per committed run (key + pickled payload, flushed and fsynced).
+  Re-running the same campaign with the same journal skips every
+  committed run and replays its recorded payload, so the resumed
+  campaign's aggregate statistics are bit-identical to an uninterrupted
+  one.
 
 ``jobs=1``, or a platform without ``fork``, runs every attempt in
 process under the same policy, minus worker-death isolation.
@@ -57,13 +56,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigError
-from repro.common.ioutil import atomic_write_text
 from repro.obs.events import EventKind
 
 __all__ = [
     "CampaignError", "CampaignJournal", "CampaignPolicy", "NO_RETRIES",
-    "RunFailure", "RunSuccess", "campaign_map", "execute_guarded",
-    "fork_available", "journal_summary", "policy_from_env", "values_of",
+    "RunFailure", "RunSuccess", "campaign_map", "fork_available",
+    "policy_from_env", "values_of",
 ]
 
 #: Failure kinds a campaign distinguishes (``RunFailure.kind``).
@@ -101,9 +99,10 @@ class CampaignPolicy:
 NO_RETRIES = CampaignPolicy(retries=0)
 
 
-def policy_from_env(base: CampaignPolicy = NO_RETRIES) -> CampaignPolicy:
-    """``base`` with ``REPRO_RUN_TIMEOUT`` (positive seconds) and
-    ``REPRO_RETRIES`` (a non-negative count) applied where they are set.
+def policy_from_env() -> CampaignPolicy:
+    """:data:`NO_RETRIES` with ``REPRO_RUN_TIMEOUT`` (positive seconds)
+    and ``REPRO_RETRIES`` (a non-negative count) applied where they are
+    set.
 
     Malformed values raise :class:`~repro.common.errors.ConfigError`
     naming the variable (see
@@ -120,7 +119,7 @@ def policy_from_env(base: CampaignPolicy = NO_RETRIES) -> CampaignPolicy:
         if raw:
             changes[attr] = parse_number(raw, name, kind=kind,
                                          allow_zero=allow_zero)
-    return replace(base, **changes)
+    return replace(NO_RETRIES, **changes)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +185,7 @@ def values_of(outcomes: Sequence[RunOutcome]) -> List[Any]:
 
 
 # ----------------------------------------------------------------------
-# Journal: append-only JSONL + atomic checkpoint
+# Journal: append-only JSONL
 # ----------------------------------------------------------------------
 _MISS = object()
 
@@ -197,10 +196,8 @@ class CampaignJournal:
     One ``run_ok`` record per committed run (key + base64-pickled
     payload), flushed and fsynced before the commit is acknowledged;
     retry/timeout/worker-death/resume-skip notes ride along as
-    event-style records. A sibling ``<name>.checkpoint.json`` summary is
-    republished atomically after every commit. A torn trailing line
-    (the writer died mid-append) is ignored on load, so a journal is
-    always resumable.
+    event-style records. A torn trailing line (the writer died
+    mid-append) is ignored on load, so a journal is always resumable.
     """
 
     def __init__(self, path) -> None:
@@ -276,7 +273,6 @@ class CampaignJournal:
                      durable=True)
         self._committed[key] = payload
         self.counts["run_ok"] = self.counts.get("run_ok", 0) + 1
-        self._checkpoint()
 
     def note(self, kind: str, step: int = -1, cause: str = "",
              **extra) -> None:
@@ -289,20 +285,6 @@ class CampaignJournal:
         record.update(extra)
         self._append(record)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    def _checkpoint(self) -> None:
-        checkpoint = {
-            "journal": self.path.name,
-            "committed": self.counts.get("run_ok", 0),
-            "counts": dict(self.counts),
-            "meta": {key: value for key, value in self.meta.items()
-                     if key != "kind"},
-        }
-        atomic_write_text(self.checkpoint_path(),
-                          json.dumps(checkpoint, indent=1) + "\n")
-
-    def checkpoint_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".checkpoint.json")
 
     # -- reads ---------------------------------------------------------
     def get(self, key: str) -> Any:
@@ -326,55 +308,8 @@ class CampaignJournal:
         self.close()
 
 
-def journal_summary(journal_path) -> Dict[str, Any]:
-    """Progress summary for a journal, torn-checkpoint tolerant.
-
-    Prefers the atomic ``<name>.checkpoint.json`` sibling (cheap: no
-    payload decoding); a checkpoint that is missing, truncated mid-write
-    (copied while being replaced, or damaged by the filesystem), or
-    decodes to the wrong shape falls back to replaying the journal --
-    the same guard the journal itself applies to a torn trailing line.
-    The fallback marks the summary with ``"recovered": True``.
-    """
-    journal_path = Path(journal_path)
-    checkpoint = journal_path.with_name(
-        journal_path.name + ".checkpoint.json")
-    try:
-        summary = json.loads(checkpoint.read_text(encoding="utf-8"))
-        if isinstance(summary, dict) and "committed" in summary:
-            return summary
-    except (OSError, ValueError):
-        pass                            # torn/corrupt: replay instead
-    counts: Dict[str, int] = {}
-    meta: Dict[str, Any] = {}
-    if journal_path.exists():
-        with journal_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break               # torn tail: same rule as _load
-                kind = record.get("kind")
-                if kind == "meta":
-                    meta.update({key: value
-                                 for key, value in record.items()
-                                 if key != "kind"})
-                    continue
-                counts[kind] = counts.get(kind, 0) + 1
-    return {
-        "journal": journal_path.name,
-        "committed": counts.get("run_ok", 0),
-        "counts": counts,
-        "meta": meta,
-        "recovered": True,
-    }
-
-
 # ----------------------------------------------------------------------
-# Guarded execution (in process, in the workers and in the service)
+# Guarded execution (in process and in the workers)
 # ----------------------------------------------------------------------
 class _RunTimeout(BaseException):
     # BaseException deliberately: the run under execution (oracle,
@@ -398,8 +333,8 @@ def execute_guarded(fn, item, timeout: Optional[float]) -> tuple:
 
     Returns ``("ok", value)`` or
     ``("err", kind, error_type, message, traceback, transient)``.
-    Shared by the campaign executor's in-process path, its fork
-    workers, and the service worker fleet (:mod:`repro.service.worker`).
+    Shared by the campaign executor's in-process path and its fork
+    workers.
     """
     armed = False
     if timeout and _alarm_available():

@@ -95,17 +95,16 @@ def parse_number(value, source: str, kind=int, allow_zero: bool = False):
     """Validate a count or a duration from the CLI or the environment.
 
     With ``kind=int`` (worker counts, sizes, depths) accepts a positive
-    integer, as int or decimal string, or a non-negative one with
-    ``allow_zero``; with ``kind=float`` (durations) a positive finite
-    number.  Anything else -- zero, negatives, a float where an integer
-    is due, NaN, infinity or non-numeric text -- raises
+    integer, as int or decimal string; with ``kind=float`` (durations,
+    ratios) a positive finite number. ``allow_zero`` admits zero too.
+    Anything else -- zero, negatives, a float where an integer is due,
+    NaN, infinity or non-numeric text -- raises
     :class:`~repro.common.errors.ConfigError` naming ``source`` so the
     CLI can fail with a one-line message instead of a traceback.
     """
-    if kind is int:
-        what = "a non-negative integer" if allow_zero else "a positive integer"
-    else:
-        what = "a positive finite number"
+    sign = "non-negative" if allow_zero else "positive"
+    what = (f"a {sign} integer" if kind is int
+            else f"a {sign} finite number")
     try:
         number = kind(str(value).strip())
     except (TypeError, ValueError):

@@ -14,12 +14,14 @@ Two tiers:
 
 * in-process memoization (always on), so the reference/baseline
   configurations shared by fig17-fig27 are simulated once per session;
-* an optional persistent tier, a
-  :class:`~repro.service.store.DiskResultStore` directory
-  (``REPRO_CACHE_DIR``, or the fleet-shared ``REPRO_STORE``), that
-  persists detached :class:`~repro.harness.runner.RunResult` payloads
-  across sessions and across users submitting through
-  :mod:`repro.service`.
+* an optional disk tier (``REPRO_CACHE_DIR``, or its deprecated alias
+  ``REPRO_STORE``, which takes precedence) that persists detached
+  :class:`~repro.harness.runner.RunResult` payloads across sessions,
+  one ``<key>.pkl`` file per run. A disk read never raises: a missing,
+  truncated, bit-flipped or wrong-object entry is a miss and the run
+  is recomputed. A write is published temp-then-rename, so a reader
+  never sees half a payload; a failed write is counted in
+  :attr:`ResultCache.dropped_puts` and warned about once.
 """
 
 from __future__ import annotations
@@ -27,16 +29,22 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
+import pickle
+import tempfile
 import warnings
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro.common.config import SystemConfig, resolve_kernel
+from repro.common.errors import ConfigError
 from repro.harness.runner import RunResult
-from repro.service.store import DiskResultStore, store_from_env
 from repro.workloads.trace import Workload
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+#: Deprecated alias of ``REPRO_CACHE_DIR`` that takes precedence over
+#: it; kept so existing settings still work.
+_STORE_ENV = "REPRO_STORE"
 
 
 def _canonical(value):
@@ -75,24 +83,15 @@ def run_key(config: SystemConfig, workload: Workload, **extra) -> str:
 
 
 class ResultCache:
-    """Memoizes detached run results in memory and optionally in a
-    persistent :class:`~repro.service.store.DiskResultStore`.
+    """Memoizes detached run results in memory and, given a
+    ``directory``, on disk."""
 
-    ``directory`` keeps the historical constructor: it opens the store
-    in that directory. ``store`` accepts an open store directly (the
-    service passes its shared store here).
-    """
-
-    def __init__(self, directory: Optional[os.PathLike] = None,
-                 store: Optional[DiskResultStore] = None) -> None:
-        if store is None and directory is not None:
-            store = DiskResultStore(directory)
+    def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self._memo: Dict[str, RunResult] = {}
-        self.store = store
-        self.directory = store.directory if store is not None else None
+        self.directory = Path(directory) if directory is not None else None
         self.hits = 0
         self.misses = 0
-        #: Store publishes dropped by OSError (disk full, permissions).
+        #: Disk publishes dropped by OSError (disk full, permissions).
         #: The in-memory tier still memoizes; a nonzero count means the
         #: campaign is running without cross-session persistence.
         self.dropped_puts = 0
@@ -101,15 +100,48 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memo)
 
+    def _path_for(self, key: str) -> Path:
+        return self.directory / f"{key}.pkl"
+
+    def _load(self, key: str) -> Optional[RunResult]:
+        """The disk entry for ``key``, or ``None`` (never raises)."""
+        try:
+            blob = self._path_for(key).read_bytes()
+        except OSError:
+            return None
+        try:
+            result = pickle.loads(blob)
+        except Exception:              # noqa: BLE001 - damaged entry
+            # Decoding a damaged pickle can raise nearly anything
+            # (UnpicklingError, ValueError, EOFError, ...): a miss.
+            return None
+        # A damaged entry can decode "successfully" into the wrong
+        # object; treat that as a miss too.
+        return result if isinstance(result, RunResult) else None
+
+    def _publish(self, key: str, result: RunResult) -> None:
+        """Write ``result`` temp-then-rename (OSError on failure)."""
+        temp = None
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, temp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(pickle.dumps(
+                    result, protocol=pickle.HIGHEST_PROTOCOL))
+            os.replace(temp, self._path_for(key))
+        except OSError:
+            if temp is not None:
+                try:
+                    os.unlink(temp)
+                except OSError:
+                    pass
+            raise
+
     def get(self, key: str) -> Optional[RunResult]:
         result = self._memo.get(key)
-        if result is None and self.store is not None:
-            result = self.store.get(key)
-            if not isinstance(result, RunResult):
-                # A damaged entry can decode "successfully" into the
-                # wrong object; treat that as a miss too.
-                result = None
-            else:
+        if result is None and self.directory is not None:
+            result = self._load(key)
+            if result is not None:
                 self._memo[key] = result
         if result is None:
             self.misses += 1
@@ -122,20 +154,20 @@ class ResultCache:
     def put(self, key: str, result: RunResult) -> None:
         detached = result.detached()
         self._memo[key] = detached
-        if self.store is not None:
+        if self.directory is not None:
             try:
-                self.store.put(key, detached)
+                self._publish(key, detached)
             except OSError as exc:
                 # A full or read-only disk must not kill the
                 # campaign, but it must not be silent either: without
-                # store publishes every future session re-simulates
+                # disk publishes every future session re-simulates
                 # from scratch.
                 self.dropped_puts += 1
                 if not self._warned_dropped:
                     self._warned_dropped = True
                     warnings.warn(
                         f"result cache cannot write to "
-                        f"{self.store.describe()}: {exc!r}; persistent "
+                        f"{self.directory}: {exc!r}; persistent "
                         f"memoization is disabled for the affected "
                         f"entries (further drops counted in "
                         f"dropped_puts)",
@@ -154,27 +186,24 @@ _session_spec: Optional[str] = None
 
 
 def _env_spec() -> Optional[str]:
-    """The persistent-store directory the environment selects."""
-    store = os.environ.get("REPRO_STORE")
-    if store and store.strip():
-        return store.strip()
-    return os.environ.get(_CACHE_DIR_ENV) or None
+    """The disk-tier directory the environment selects."""
+    store = (os.environ.get(_STORE_ENV) or "").strip()
+    if store.startswith("sqlite:"):
+        raise ConfigError(f"{_STORE_ENV} must be a directory (the sqlite "
+                          f"store was removed), got {store!r}")
+    return store or os.environ.get(_CACHE_DIR_ENV) or None
 
 
 def session_cache() -> ResultCache:
     """The process-wide cache.
 
     Persistent iff the environment names a directory: ``REPRO_STORE``
-    takes precedence over the historical ``REPRO_CACHE_DIR``.
+    takes precedence over ``REPRO_CACHE_DIR``.
     """
     global _session, _session_spec
     spec = _env_spec()
     if _session is None or _session_spec != spec:
-        store = store_from_env()
-        if store is None and spec is not None:
-            _session = ResultCache(spec)
-        else:
-            _session = ResultCache(store=store)
+        _session = ResultCache(spec)
         _session_spec = spec
     return _session
 

@@ -119,42 +119,6 @@ class Sweep:
         return (base.total_cycles / stats.total_cycles
                 if stats.total_cycles else 1.0)
 
-    def plan_specs(self, values: Sequence[object],
-                   workloads: Sequence[Workload]) -> List:
-        """The full run list in a fixed, item-addressable order.
-
-        Baseline (reference) runs for every workload first, then one
-        run per (value, workload) pair. The job service executes these
-        items individually across a worker fleet and folds them back
-        with :meth:`fold_results`; duplicate runs across jobs dedupe
-        through the shared content-addressed result store.
-        """
-        configs = [self._config_for(value) for value in values]
-        return ([(self._reference, workload) for workload in workloads]
-                + [(config, workload) for config in configs
-                   for workload in workloads])
-
-    def fold_results(self, values: Sequence[object],
-                     workloads: Sequence[Workload],
-                     results: Sequence) -> List[SweepPoint]:
-        """Fold results aligned with :meth:`plan_specs` into points."""
-        cursor = iter(results)
-        baselines = {}
-        for workload in workloads:
-            run = next(cursor)
-            baselines[workload.name] = BaselineSummary(
-                run.cycles, tuple(run.per_core_cycles))
-        points = []
-        for value in values:
-            point = SweepPoint(value)
-            for workload in workloads:
-                result = next(cursor)
-                point.speedups[workload.name] = self._speedup(
-                    baselines[workload.name], result.stats)
-                point.accumulate_counters(self._counters, result.stats)
-            points.append(point)
-        return points
-
     def run(self, values: Sequence[object],
             workloads: Sequence[Workload],
             resume: Optional[object] = None,

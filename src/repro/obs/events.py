@@ -81,14 +81,6 @@ class EventKind(enum.Enum):
     MC_MERGE = "mc_merge"          # per-level partition/merge stats
     MC_CEX = "mc_cex"              # counterexample found (cause=error type)
 
-    # Job service (repro.service): fleet-level health events, written to
-    # a job's operational events log with ``step`` carrying the item
-    # index. Reclaims are the service's worker-death signal: a lease
-    # only expires when its owner stopped heartbeating.
-    LEASE_RECLAIM = "lease_reclaim"  # expired lease re-queued (cause=owner)
-    JOB_STATE = "job_state"          # job state transition (cause=state)
-    STORE_HIT = "store_hit"          # run served from the result store
-
 
 #: ``cause`` tags carried by PRIV_INV events.  ``DEV`` marks the paper's
 #: directory-eviction victims; the rest are the legitimate coherence and

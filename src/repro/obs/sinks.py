@@ -46,37 +46,6 @@ class JsonlSink:
             self._handle.close()
 
 
-class AppendJsonlSink:
-    """Append-mode JSONL sink shared by concurrent writers.
-
-    Unlike :class:`JsonlSink` (one writer, truncate-on-open), this sink
-    opens in append mode and emits each record as a single short
-    ``write`` + ``flush``, so many processes -- a service worker fleet
-    sharing one job's events log -- can interleave whole lines without a
-    lock. Records are plain dicts (:meth:`write_record`) or
-    :class:`Event` objects (:meth:`handle`); readers tolerate unknown
-    kinds, so free-form service records ride alongside typed events.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.events_written = 0
-
-    def write_record(self, record: dict) -> None:
-        line = json.dumps(record) + "\n"
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-        self.events_written += 1
-
-    def handle(self, event: Event) -> None:
-        self.write_record(event.to_record())
-
-    def close(self) -> None:           # open-per-write: nothing held
-        pass
-
-
 class RingBufferSink:
     """Keeps the most recent ``capacity`` events in memory."""
 

@@ -149,19 +149,15 @@ class FuzzReport:
 class CampaignPlan:
     """The deterministic (trace x model) grid one campaign executes.
 
-    Shared by :func:`run_campaign` (in-process execution via
-    ``campaign_map``) and the job service (item-granular execution by a
-    worker fleet): both sides derive the *same* run order, run keys, and
-    fold, so a service job's report is bit-identical to an in-process
-    campaign over the same spec.
+    :func:`run_campaign` executes it one flat position at a time
+    (trace-major, model-minor) under ``campaign_map`` and folds the
+    outcomes back in that order, so the report is the same at any
+    ``jobs`` value and after a resume.
     """
 
-    seed: int
-    budget: int
     specs: List[ModelSpec]
     traces: List[FuzzTrace]
     check_every: int = 1
-    steps_per_trace: int = 48
     fault: Optional[FaultPlan] = None
 
     def __len__(self) -> int:
@@ -169,64 +165,37 @@ class CampaignPlan:
 
     @property
     def keys(self) -> List[str]:
-        """Run keys in execution order (trace-major, model-minor)."""
+        """Run keys in execution order."""
         return [f"t{trace_index:04d}:{spec.name}"
                 for trace_index in range(len(self.traces))
                 for spec in self.specs]
 
-    def job(self, position: int) -> Tuple[ModelSpec, FuzzTrace]:
-        """The (model, trace) pair at one flat position."""
-        trace_index, spec_index = divmod(position, len(self.specs))
-        return self.specs[spec_index], self.traces[trace_index]
-
     def run_one(self, position: int) -> Outcome:
-        """Execute the single run at ``position`` (campaign and service
-        workers)."""
-        spec, trace = self.job(position)
-        return run_trace(spec, trace, check_every=self.check_every,
-                         fault=self.fault)
+        """Execute the single run at ``position`` (in process or in a
+        campaign worker)."""
+        trace_index, spec_index = divmod(position, len(self.specs))
+        return run_trace(self.specs[spec_index], self.traces[trace_index],
+                         check_every=self.check_every, fault=self.fault)
 
 
-def plan_campaign(seed: int, budget: int,
-                  models: Optional[Sequence[ModelSpec]] = None,
-                  check_every: int = 1, steps_per_trace: int = 48,
-                  fault: Optional[FaultPlan] = None) -> CampaignPlan:
-    """Materialize the deterministic grid for one campaign spec."""
-    specs = _models_for(fault, models)
-    geometry = TraceGeometry.of(micro_config())
-    generator = TraceGenerator(geometry, seed,
-                               steps_per_trace=steps_per_trace)
-    traces = [generator.trace(index) for index in range(budget)]
-    return CampaignPlan(seed, budget, specs, traces,
-                        check_every=check_every,
-                        steps_per_trace=steps_per_trace, fault=fault)
+def _fold(report: FuzzReport, plan: CampaignPlan, runs) -> None:
+    """Fold ``campaign_map``'s outcomes (plan order) into ``report``.
 
-
-def build_report(plan: CampaignPlan) -> FuzzReport:
-    """An empty report carrying the plan's identity."""
-    return FuzzReport(plan.seed, plan.budget,
-                      tuple(spec.name for spec in plan.specs),
-                      fault=(None if plan.fault is None
-                             else plan.fault.kind.value))
-
-
-def fold_flat(report: FuzzReport, plan: CampaignPlan,
-              flat: Sequence[Optional[Outcome]]) -> FuzzReport:
-    """Fold flat per-run outcomes (plan order) into ``report``.
-
-    ``None`` marks a run the harness lost (crash/timeout after retries);
-    callers record those in ``report.harness_failures`` themselves, with
-    whatever attribution they have (typed :class:`RunFailure` records
-    in-process, fail-record files in the service).
+    A run the harness lost (crash/timeout after retries) is recorded in
+    ``report.harness_failures`` and left out of the verdict.
     """
     report.traces_run = len(plan.traces)
     per_trace: List[List[Optional[Outcome]]] = [
         [None] * len(plan.specs) for _ in plan.traces]
-    for position, outcome in enumerate(flat):
+    for position, run in enumerate(runs):
+        report.retried_runs += max(0, run.attempts - 1)
+        if not isinstance(run, RunSuccess):
+            report.harness_failures.append(str(run))
+            continue
+        report.resumed_runs += int(run.resumed)
         trace_index, spec_index = divmod(position, len(plan.specs))
-        if outcome is not None:
-            per_trace[trace_index][spec_index] = outcome
-            report.runs += 1
+        per_trace[trace_index][spec_index] = run.value
+        report.runs += 1
 
     for trace, trace_outcomes in zip(plan.traces, per_trace):
         if plan.fault is not None:
@@ -244,14 +213,6 @@ def fold_flat(report: FuzzReport, plan: CampaignPlan,
                 for o in completed if o.ok)
             report.digest_mismatches.append(
                 f"{trace.name}: final-memory digests disagree ({detail})")
-    return report
-
-
-def maybe_shrink(report: FuzzReport, plan: CampaignPlan,
-                 out_dir=None) -> None:
-    """ddmin-shrink the report's divergences (clean campaigns only)."""
-    if plan.fault is None:
-        _shrink_divergences(report, plan.specs, plan.check_every, out_dir)
 
 
 def _models_for(fault: Optional[FaultPlan],
@@ -288,10 +249,14 @@ def run_campaign(seed: int, budget: int,
     ``policy`` sets per-run timeout/retry behaviour; the default retries
     transient worker deaths once and never hangs the batch on one run.
     """
-    plan = plan_campaign(seed, budget, models=models,
-                         check_every=check_every,
-                         steps_per_trace=steps_per_trace, fault=fault)
-    report = build_report(plan)
+    specs = _models_for(fault, models)
+    generator = TraceGenerator(TraceGeometry.of(micro_config()), seed,
+                               steps_per_trace=steps_per_trace)
+    plan = CampaignPlan(specs,
+                        [generator.trace(index) for index in range(budget)],
+                        check_every=check_every, fault=fault)
+    report = FuzzReport(seed, budget, tuple(spec.name for spec in specs),
+                        fault=None if fault is None else fault.kind.value)
     policy = policy or CampaignPolicy(retries=1)
     journal = None if resume is None else CampaignJournal(resume)
     if journal is not None:
@@ -300,7 +265,7 @@ def run_campaign(seed: int, budget: int,
             campaign="fuzz", seed=seed, check_every=check_every,
             steps_per_trace=steps_per_trace,
             fault=None if fault is None else fault.kind.value,
-            models=[spec.name for spec in plan.specs])
+            models=[spec.name for spec in specs])
 
     try:
         outcomes = campaign_map(plan.run_one, range(len(plan)),
@@ -309,20 +274,10 @@ def run_campaign(seed: int, budget: int,
     finally:
         if journal is not None:
             journal.close()
+    _fold(report, plan, outcomes)
 
-    flat: List[Optional[Outcome]] = [None] * len(outcomes)
-    for position, run in enumerate(outcomes):
-        if isinstance(run, RunSuccess):
-            flat[position] = run.value
-            report.resumed_runs += int(run.resumed)
-            report.retried_runs += max(0, run.attempts - 1)
-        else:
-            report.harness_failures.append(str(run))
-            report.retried_runs += max(0, run.attempts - 1)
-    fold_flat(report, plan, flat)
-
-    if shrink:
-        maybe_shrink(report, plan, out_dir)
+    if shrink and fault is None:
+        _shrink_divergences(report, specs, check_every, out_dir)
     return report
 
 

@@ -142,7 +142,7 @@ def model_matrix() -> List[ModelSpec]:
 def _specs_by_name() -> Dict[str, ModelSpec]:
     """Memoized name -> spec table.
 
-    Fuzz campaigns and the worker fleet resolve models per item;
+    The CLI, shrinking and the mutation gate resolve models by name;
     rebuilding every config on each lookup is pure waste (the matrix is
     immutable: ModelSpec and SystemConfig are frozen dataclasses).
     """

@@ -77,3 +77,11 @@ def block_in_bank_set(config: SystemConfig, bank: int, set_idx: int,
     bank_bits = config.llc_banks.bit_length() - 1
     set_bits = config.llc_bank_sets.bit_length() - 1
     return (tag << (bank_bits + set_bits)) | (set_idx << bank_bits) | bank
+
+
+def assert_self_contained(html: str) -> None:
+    """No URL, script, stylesheet link or import: a rendered report
+    shows the same offline as anywhere else."""
+    lowered = html.lower()
+    for needle in ("http://", "https://", "<script", "<link", "@import"):
+        assert needle not in lowered, needle

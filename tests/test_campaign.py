@@ -33,8 +33,8 @@ from repro.harness import parallel
 from repro.harness.campaign import (NO_RETRIES, CampaignError,
                                     CampaignJournal, CampaignPolicy,
                                     RunFailure, RunSuccess, campaign_map,
-                                    fork_available, journal_summary,
-                                    policy_from_env, values_of)
+                                    fork_available, policy_from_env,
+                                    values_of)
 from repro.harness.parallel import (run_many, telemetry_since,
                                     telemetry_snapshot)
 from repro.harness.result_cache import (ResultCache, reset_session_cache,
@@ -290,15 +290,20 @@ class TestJournal:
             with pytest.raises(ConfigError, match="different campaign"):
                 journal.ensure_meta(seed=8)
 
-    def test_checkpoint_file_tracks_commits(self, tmp_path):
+    def test_commit_counts_survive_reopen(self, tmp_path):
+        from repro.obs.report import summarize
+
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
             campaign_map(_identity, [1, 2, 3], keys=["a", "b", "c"],
                          journal=journal)
-            checkpoint = json.loads(
-                journal.checkpoint_path().read_text())
-        assert checkpoint["committed"] == 3
-        assert checkpoint["counts"]["run_ok"] == 3
+            assert journal.counts["run_ok"] == len(journal) == 3
+        with CampaignJournal(path) as journal:
+            assert journal.counts["run_ok"] == len(journal) == 3
+        # The journal is the whole record: ``repro report`` reads the
+        # same count from it, and nothing else is written beside it.
+        assert summarize(path)["campaign"]["run_ok"] == 3
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_journal_renders_as_campaign_report(self, tmp_path):
         from repro.obs.report import render_report
@@ -590,15 +595,15 @@ class TestRunManyMatrix:
 # Policy plumbing
 # ----------------------------------------------------------------------
 class TestPolicyFromEnv:
-    def test_unset_variables_keep_the_base(self, monkeypatch):
+    def test_unset_variables_keep_the_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
         assert policy_from_env() == NO_RETRIES
-        assert policy_from_env(CampaignPolicy()) == CampaignPolicy()
-        # Each variable sets one value; the other keeps the base's.
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        assert policy_from_env(CampaignPolicy()) == CampaignPolicy(
-            retries=0)
+        # Each variable sets one value; the other keeps the default's.
+        monkeypatch.setenv("REPRO_RETRIES", "3")
+        policy = policy_from_env()
+        assert policy.retries == 3
+        assert policy.run_timeout is None
 
     def test_values_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_TIMEOUT", "12.5")
@@ -632,56 +637,3 @@ class TestPolicyFromEnv:
         assert policy.backoff(2) == 1.0
         assert policy.backoff(3) == 2.0
         assert policy.backoff(10) == 2.0
-
-
-class TestJournalSummary:
-    """The torn-checkpoint guard: ``journal_summary`` must survive a
-    checkpoint damaged mid-replace, exactly as the journal itself
-    survives a torn trailing line."""
-
-    def _journal_with_commits(self, tmp_path, n=3):
-        path = tmp_path / "soak.jsonl"
-        journal = CampaignJournal(path)
-        journal.ensure_meta(campaign="fuzz", seed=7)
-        for index in range(n):
-            journal.commit(f"run{index}", {"value": index})
-        journal.note("run_retry", step=1, cause="flaky")
-        journal.close()
-        return path
-
-    def test_prefers_intact_checkpoint(self, tmp_path):
-        path = self._journal_with_commits(tmp_path)
-        summary = journal_summary(path)
-        assert summary["committed"] == 3
-        assert "recovered" not in summary
-
-    @pytest.mark.parametrize("damage", [
-        "",                             # truncated to nothing
-        '{"journal": "soak.jsonl", "comm',  # torn mid-write
-        "[1, 2, 3]",                    # wrong shape entirely
-    ])
-    def test_torn_checkpoint_falls_back_to_journal(self, tmp_path,
-                                                   damage):
-        path = self._journal_with_commits(tmp_path)
-        path.with_name(path.name + ".checkpoint.json").write_text(damage)
-        summary = journal_summary(path)
-        assert summary["recovered"] is True
-        assert summary["committed"] == 3
-        assert summary["counts"]["run_retry"] == 1
-        assert summary["meta"]["campaign"] == "fuzz"
-        assert summary["meta"]["seed"] == 7
-
-    def test_missing_checkpoint_replays(self, tmp_path):
-        path = self._journal_with_commits(tmp_path)
-        path.with_name(path.name + ".checkpoint.json").unlink()
-        summary = journal_summary(path)
-        assert summary["recovered"] is True
-        assert summary["committed"] == 3
-
-    def test_torn_journal_tail_tolerated_too(self, tmp_path):
-        path = self._journal_with_commits(tmp_path)
-        path.with_name(path.name + ".checkpoint.json").unlink()
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"kind": "run_ok", "key": "torn')
-        summary = journal_summary(path)
-        assert summary["committed"] == 3

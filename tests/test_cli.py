@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.harness.result_cache import reset_session_cache
 from repro.workloads import make_multithreaded
 from repro.workloads.trace import Workload
 from repro.workloads.suites import find_profile
 
-from tests.conftest import tiny_config
+from tests.conftest import assert_self_contained, tiny_config
 
 
 class TestTracePersistence:
@@ -129,6 +130,14 @@ class TestCli:
         assert "runs resumed from journal" in out
         assert main(["report", str(journal)]) == 0
         assert "campaign healthy" in capsys.readouterr().out
+        page = tmp_path / "fuzz.html"
+        assert main(["report", "--html", str(journal),
+                     "--out", str(page)]) == 0
+        html = page.read_text(encoding="utf-8")
+        assert_self_contained(html)
+        assert "campaign healthy" in html
+        # 2 traces x 16 models, all replayed on the second invocation.
+        assert "<div><b>32</b> resume skips</div>" in html
 
 
 #: Runs that would verify nothing (or die in int()/NumPy) must be
@@ -157,13 +166,29 @@ BAD_NUMBERS = [
     (["fuzz", "--run-timeout", "-1"], {}),
     (["fuzz", "--jobs", "2", "--run-timeout", "0"], {}),
     (["fuzz", "--retries", "-3"], {}),
-    (["work", "--poll", "-1"], {}),
-    (["work", "--max-items", "-2"], {}),
     (["run", "fig2"], {"REPRO_RUN_TIMEOUT": "nan"}),
     (["run", "fig2"], {"REPRO_RUN_TIMEOUT": "0"}),
     (["run", "fig2"], {"REPRO_RETRIES": "-1"}),
-    (["work", "--until-idle"], {"REPRO_RUN_TIMEOUT": "soon"}),
-    (["work", "--until-idle"], {"REPRO_RETRIES": "many"}),
+    (["run", "fig2"], {"REPRO_RUN_TIMEOUT": "soon"}),
+    (["run", "fig2"], {"REPRO_RETRIES": "many"}),
+    (["demo", "--accesses", "0"], {}),
+    (["trace", "canneal", "x.npz", "--accesses", "-5"], {}),
+    (["trace", "canneal", "x.jsonl", "--epoch", "0"], {}),
+    (["trace", "canneal", "x.npz", "--seed", "-1"], {}),
+    (["trace", "canneal", "x.jsonl", "--protocol", "baseline",
+      "--ratio", "nan"], {}),
+    (["trace", "canneal", "x.jsonl", "--protocol", "baseline",
+      "--ratio", "-1"], {}),
+    (["trace", "canneal", "x.jsonl", "--ratio", "nan"], {}),
+    (["simulate", "x.npz", "--ratio", "-1"], {}),
+    (["demo", "--accesses", "-1"], {}),
+    (["trace", "canneal", "x.npz", "--accesses", "0"], {}),
+    (["trace", "canneal", "x.npz", "--epoch", "-3"], {}),
+    (["trace", "canneal", "x.jsonl", "--ratio", "inf"], {}),
+    (["trace", "canneal", "x.jsonl", "--protocol", "baseline",
+      "--ratio", "inf"], {}),
+    (["simulate", "x.npz", "--ratio", "nan"], {}),
+    (["simulate", "x.npz", "--ratio", "inf"], {}),
 ]
 
 
@@ -173,7 +198,8 @@ class TestNumberValidation:
         ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()])
              for argv, env in BAD_NUMBERS])
     def test_rejected_with_one_line_error(self, argv, env, capsys,
-                                          monkeypatch):
+                                          monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)     # a command that ran writes here
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         try:
@@ -189,3 +215,33 @@ class TestNumberValidation:
         bad = next(iter(env.values()), argv[-1])
         assert repr(bad) in errors[0]
         assert next(iter(env), argv[-2]) in errors[0]   # names the knob
+
+    def test_zero_accepted_where_it_means_something(self, capsys,
+                                                    tmp_path):
+        # Seed 0 is a seed; ratio 0 is "no directory" under ZeroDEV
+        # (and the 1.0 default for the other protocols).
+        bundle = str(tmp_path / "t.npz")
+        assert main(["trace", "canneal", bundle, "--accesses", "200",
+                     "--seed", "0"]) == 0
+        assert main(["simulate", bundle, "--ratio", "0"]) == 0
+        assert main(["simulate", bundle, "--protocol", "baseline",
+                     "--ratio", "0"]) == 0
+        assert main(["trace", "canneal", str(tmp_path / "t.jsonl"),
+                     "--accesses", "200", "--ratio", "0"]) == 0
+        assert "error:" not in capsys.readouterr().err
+
+    def test_sqlite_store_is_one_error_line(self, capsys, monkeypatch,
+                                            tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_STORE", f"sqlite:{tmp_path / 'r.db'}")
+        reset_session_cache()
+        try:
+            assert main(["run", "fig19", "--accesses", "300"]) == 2
+        finally:
+            reset_session_cache()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert "REPRO_STORE must be a directory" in errors[0]
+        assert not (tmp_path / "r.db").exists()

@@ -11,6 +11,7 @@ sinks/report pipeline must round-trip through JSONL.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,12 @@ from repro.obs import (Event, EventBus, EventKind, InvCause, JsonlSink,
                        PhaseProfiler, RingBufferSink, TimeSeriesAggregator,
                        TraceSession, attach, detach, load_trace,
                        render_report, summarize, timeseries_path_for)
+from repro.obs.report import render_trace_html
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
 
-from tests.conftest import tiny_config, zerodev_config
+from tests.conftest import (assert_self_contained, tiny_config,
+                            zerodev_config)
 
 
 def small_workload(name="canneal", accesses=400, seed=11):
@@ -266,6 +269,184 @@ class TestReport:
         assert len(events) == 1
 
 
+def write_jsonl(path, records, tail=""):
+    """A trace or journal made of ``records``, plus raw ``tail`` text."""
+    path.write_text("".join(json.dumps(record) + "\n"
+                            for record in records) + tail,
+                    encoding="utf-8")
+    return path
+
+
+#: A journal's records: 3 commits, 1 failure, 2 retries, 4 resume skips.
+FAILED_JOURNAL = ([{"kind": "meta", "campaign": "fuzz"}]
+                  + [{"kind": "run_ok", "key": key} for key in "abc"]
+                  + [{"kind": "run_failure", "step": 3, "cause": "error"}]
+                  + [{"kind": "run_retry", "step": 1}] * 2
+                  + [{"kind": "resume_skip", "step": 0}] * 4)
+
+
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory):
+    """A ZeroDEV trace with a time series and a DEV-heavy baseline one."""
+    root = tmp_path_factory.mktemp("traced")
+    workload = small_workload(accesses=500)
+    zpath, bpath = root / "z.jsonl", root / "b.jsonl"
+    with TraceSession(build_system(zerodev_config()), jsonl=zpath,
+                      epoch=100) as session:
+        session.run(workload)
+    with TraceSession(build_system(sparse_baseline_config()),
+                      jsonl=bpath) as session:
+        session.run(workload)
+    return zpath, bpath
+
+
+class TestHtmlReport:
+    def test_zerodev_page_is_self_contained_and_ok(self, traced_runs):
+        zpath, _bpath = traced_runs
+        html = render_trace_html(zpath)
+        assert html.startswith("<!doctype html>")
+        assert_self_contained(html)
+        assert "<span class=\"badge ok\">ok</span> " \
+            "ZERO directory-eviction victims" in html
+        assert "<title>repro trace z.jsonl</title>" in html
+
+    def test_baseline_page_counts_devs_as_failed(self, traced_runs):
+        _zpath, bpath = traced_runs
+        devs = summarize(bpath)["dev_invalidations"]
+        assert devs > 0
+        html = render_trace_html(bpath)
+        assert_self_contained(html)
+        assert (f"<span class=\"badge failed\">failed</span> "
+                f"{devs:,} DEV-caused invalidations") in html
+
+    def test_event_totals_match_summary_in_count_order(self, traced_runs):
+        for path in traced_runs:
+            rows = re.findall(r"<tr><td><code>([^<]*)</code></td>"
+                              r"<td>([\d,]+)</td></tr>",
+                              render_trace_html(path))
+            counts = [int(count.replace(",", "")) for _kind, count in rows]
+            assert dict(zip((kind for kind, _ in rows), counts)) == \
+                summarize(path)["kinds"]
+            assert counts == sorted(counts, reverse=True)
+
+    def test_meta_table_follows_the_meta_keys(self, traced_runs):
+        zpath, _bpath = traced_runs
+        html = render_trace_html(zpath)
+        meta_table = html.split("<table>", 2)[1]
+        assert re.findall(r"<td class=\"kv\">(\w+)</td>", meta_table) == \
+            ["workload", "protocol", "n_cores", "epoch_accesses"]
+        assert "kernel" not in meta_table    # in the meta, not shown
+
+    def test_markup_in_trace_values_is_escaped(self, tmp_path):
+        path = write_jsonl(tmp_path / "a&b.jsonl", [
+            {"kind": "meta", "workload": "<script>alert(1)</script>"},
+            {"kind": "<b>odd</b>", "step": 1}])
+        html = render_trace_html(path)
+        assert_self_contained(html)
+        assert "&lt;script&gt;alert(1)&lt;/script&gt;" in html
+        assert "<code>&lt;b&gt;odd&lt;/b&gt;</code>" in html
+        assert "<h1>a&amp;b.jsonl</h1>" in html
+
+    def test_time_series_charts_nonzero_gauges_only(self, tmp_path):
+        path = write_jsonl(tmp_path / "t.jsonl",
+                           [{"kind": "msg", "step": 1, "cause": "GETS"}])
+        gauges = [{"mpki": 1.0, "fused_entries": 0, "dir_occupancy": 0},
+                  {"mpki": 3.0, "fused_entries": 5, "dir_occupancy": 0},
+                  {"mpki": 2.0, "fused_entries": 0, "dir_occupancy": 0}]
+        timeseries_path_for(path).write_text(
+            json.dumps({"epoch_accesses": 10, "gauges": gauges}))
+        html = render_trace_html(path)
+        assert "<h2>Time series</h2>" in html
+        assert html.count("<svg") == 2
+        assert ">fused_entries</td><td>peak 5.0</td>" in html
+        assert ">mpki</td><td>peak 3.0</td>" in html
+        assert "dir_occupancy" not in html
+
+    def test_single_sample_series_is_one_point(self, tmp_path):
+        path = write_jsonl(tmp_path / "t.jsonl",
+                           [{"kind": "msg", "step": 1, "cause": "GETS"}])
+        timeseries_path_for(path).write_text(
+            json.dumps({"gauges": [{"mpki": 4.0}]}))
+        html = render_trace_html(path)
+        assert html.count("<svg") == 1
+        assert "points=\"0.0,2.0\"" in html
+
+    @pytest.mark.parametrize("archive", [None, "{not json", "[1, 2, 3]"],
+                             ids=["missing", "undecodable", "not-a-dict"])
+    def test_no_usable_series_means_no_chart_section(self, tmp_path,
+                                                     archive):
+        path = write_jsonl(tmp_path / "t.jsonl",
+                           [{"kind": "msg", "step": 1, "cause": "GETS"}])
+        if archive is not None:
+            timeseries_path_for(path).write_text(archive)
+        html = render_trace_html(path)
+        assert "<svg" not in html and "Time series" not in html
+        assert "<code>msg</code></td><td>1</td>" in html
+
+    def test_torn_trace_renders_the_intact_prefix(self, tmp_path):
+        path = write_jsonl(tmp_path / "t.jsonl",
+                           [{"kind": "msg", "step": 1, "cause": "GETS"},
+                            {"kind": "msg", "step": 2, "cause": "GETX"}],
+                           tail='{"kind": "priv_inv", "cau')
+        html = render_trace_html(path)
+        assert "<code>msg</code></td><td>2</td>" in html
+        assert "priv_inv" not in html
+
+    def test_campaign_page_shows_every_health_cell(self, tmp_path):
+        path = write_jsonl(tmp_path / "j.jsonl", FAILED_JOURNAL)
+        html = render_trace_html(path)
+        assert_self_contained(html)
+        assert "<span class=\"badge failed\">failed</span> " \
+            "1 unresolved run failure(s)" in html
+        cells = re.findall(r"<div><b>(\d+)</b> ([a-z ]+)</div>", html)
+        assert cells == [("3", "committed runs"), ("1", "failed runs"),
+                         ("2", "retries"), ("0", "timeouts"),
+                         ("0", "worker deaths"), ("4", "resume skips")]
+        assert "directory-eviction" not in html
+
+    def test_campaign_page_agrees_with_the_terminal_report(self,
+                                                           tmp_path):
+        path = write_jsonl(tmp_path / "j.jsonl", FAILED_JOURNAL)
+        html_cells = {label: int(count) for count, label in re.findall(
+            r"<div><b>(\d+)</b> ([a-z ]+)</div>", render_trace_html(path))}
+        text = render_report(path)
+        health = text.split("campaign health:\n", 1)[1].split("\n\n")[0]
+        terminal = {line[:16].strip(): int(line[16:].replace(",", ""))
+                    for line in health.splitlines()}
+        assert terminal == html_cells
+        assert "verdict: 1 unresolved run failure(s)" in text
+
+    def test_healthy_campaign_journal(self, tmp_path):
+        from repro.harness.campaign import CampaignJournal, campaign_map
+        path = tmp_path / "ok.jsonl"
+        with CampaignJournal(path) as journal:
+            journal.ensure_meta(campaign="test")
+            campaign_map(lambda value: value, [1, 2], keys=["a", "b"],
+                         journal=journal)
+        html = render_trace_html(path)
+        assert_self_contained(html)
+        assert "<span class=\"badge ok\">ok</span> " \
+            "campaign healthy (all runs committed)" in html
+        assert "<div><b>2</b> committed runs</div>" in html
+
+    def test_every_style_rule_is_used(self, traced_runs, tmp_path):
+        from repro.obs.report import _STYLE
+        pages = [render_trace_html(path) for path in traced_runs]
+        pages.append(render_trace_html(
+            write_jsonl(tmp_path / "j.jsonl", FAILED_JOURNAL)))
+        used = "\n".join(page.split("</style>", 1)[1] for page in pages)
+        simple = [part for group in re.findall(r"([^{}]+)\{", _STYLE)
+                  for selector in group.split(",")
+                  for part in selector.split()]
+        assert simple
+        for part in simple:
+            tag, *classes = part.split(".")
+            if tag:
+                assert f"<{tag}" in used, part
+            for name in classes:
+                assert re.search(rf"class=\"[^\"]*\b{name}\b", used), part
+
+
 class TestMultisocketTracing:
     def test_socket_invalidations_are_cause_tagged(self):
         from repro.common.addressing import BLOCK_SHIFT
@@ -361,6 +542,18 @@ class TestJobsValidation:
         with pytest.raises(ConfigError):
             parse_number(bad, "--jobs")
 
+    def test_non_negative_float_admits_zero_only(self):
+        assert parse_number("0", "--ratio", kind=float,
+                            allow_zero=True) == 0.0
+        assert parse_number("0.25", "--ratio", kind=float,
+                            allow_zero=True) == 0.25
+        for bad in ("-1", "nan", "inf", "-inf", "x"):
+            with pytest.raises(ConfigError,
+                               match="a non-negative finite number"):
+                parse_number(bad, "--ratio", kind=float, allow_zero=True)
+        with pytest.raises(ConfigError, match="a positive finite number"):
+            parse_number("0", "--run-timeout", kind=float)
+
     def test_default_jobs_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
@@ -412,6 +605,11 @@ class TestCliSurfacing:
         assert "ZERO directory-eviction victims" in out
         assert main(["report", path]) == 0
         assert "trace report" in capsys.readouterr().out
+        assert main(["report", "--html", path]) == 0
+        html = (tmp_path / "run.html").read_text(encoding="utf-8")
+        assert_self_contained(html)
+        assert "ZERO directory-eviction victims" in html
+        assert "<svg" in html           # --epoch 200 archived a series
 
     def test_trace_events_baseline_shows_devs(self, capsys, tmp_path):
         from repro.cli import main
@@ -425,3 +623,9 @@ class TestCliSurfacing:
         from repro.cli import main
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace" in capsys.readouterr().err
+        for target in (tmp_path / "nope.jsonl", tmp_path):
+            assert main(["report", "--html", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1, err

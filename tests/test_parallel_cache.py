@@ -9,9 +9,13 @@ is asserted here against small fig17-style comparisons.
 
 from __future__ import annotations
 
+import pickle
+import warnings
+
 import pytest
 
 from repro.common.config import DirCachingPolicy, DirectoryConfig
+from repro.common.errors import ConfigError
 from repro.harness.parallel import run_many
 from repro.harness.result_cache import (ResultCache, run_key,
                                         reset_session_cache,
@@ -218,6 +222,137 @@ class TestResultCache:
         assert cache.get(key) is None
         assert not run_many([(config, workload)], jobs=1,
                             cache=cache)[0].cached
+
+    def test_repro_store_env_must_name_a_directory(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "shared"))
+        reset_session_cache()
+        assert session_cache().directory == tmp_path / "shared"
+        monkeypatch.delenv("REPRO_STORE")
+        assert session_cache().directory == tmp_path / "local"
+        # A sqlite: spelling is refused, not taken as a directory name.
+        monkeypatch.setenv("REPRO_STORE", f"sqlite:{tmp_path / 'x.db'}")
+        reset_session_cache()
+        with pytest.raises(ConfigError, match="REPRO_STORE"):
+            session_cache()
+
+
+def one_result(workload=None):
+    """(key, detached result) of one small run."""
+    config, workload = tiny_config(), workload or small_workload()
+    return (run_key(config, workload),
+            run_workload(build_system(config), workload).detached())
+
+
+class TestDiskTier:
+    def test_put_publishes_one_pkl_and_no_temp_file(self, tmp_path):
+        key, result = one_result()
+        ResultCache(tmp_path).put(key, result)
+        assert [path.name for path in tmp_path.iterdir()] == [f"{key}.pkl"]
+
+    def test_hand_written_entry_is_served(self, tmp_path):
+        # The on-disk format is a plain pickle of the detached result
+        # under <key>.pkl: directories written by earlier versions hit.
+        key, result = one_result()
+        (tmp_path / f"{key}.pkl").write_bytes(
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        hit = ResultCache(tmp_path).get(key)
+        assert hit is not None and hit.cached
+        assert hit.stats.as_dict() == result.stats.as_dict()
+
+    def test_directories_are_made_on_first_put(self, tmp_path):
+        key, result = one_result()
+        cache = ResultCache(tmp_path / "a" / "b")
+        assert cache.get(key) is None
+        assert not (tmp_path / "a").exists()    # a read creates nothing
+        cache.put(key, result)
+        assert (tmp_path / "a" / "b" / f"{key}.pkl").is_file()
+
+    def test_put_replaces_an_existing_entry(self, tmp_path):
+        key, first = one_result()
+        _other_key, second = one_result(small_workload("canneal"))
+        ResultCache(tmp_path).put(key, first)
+        ResultCache(tmp_path).put(key, second)
+        hit = ResultCache(tmp_path).get(key)
+        assert hit.stats.as_dict() == second.stats.as_dict()
+        assert hit.stats.as_dict() != first.stats.as_dict()
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path,
+                                               monkeypatch):
+        key, result = one_result()
+        cache = ResultCache(tmp_path)
+
+        def refuse(_source, _target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("repro.harness.result_cache.os.replace",
+                            refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cache.put(key, result)
+        assert cache.dropped_puts == 1
+        assert list(tmp_path.iterdir()) == []
+        assert cache.get(key) is not None       # memory still serves
+
+    def test_unreadable_entry_is_a_miss(self, tmp_path):
+        key, _result = one_result()
+        (tmp_path / f"{key}.pkl").mkdir()       # read_bytes raises
+        cache = ResultCache(tmp_path)
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_disk_hit_is_memoized(self, tmp_path):
+        key, result = one_result()
+        ResultCache(tmp_path).put(key, result)
+        reader = ResultCache(tmp_path)
+        assert reader.get(key) is not None
+        (tmp_path / f"{key}.pkl").unlink()
+        assert reader.get(key) is not None
+        assert (reader.hits, reader.misses, len(reader)) == (2, 0, 1)
+
+    def test_clear_forgets_memory_not_disk(self, tmp_path):
+        key, result = one_result()
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+        cache.get(key)
+        cache.clear()
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert cache.get(key) is not None
+        assert cache.hits == 1
+
+    def test_memory_only_cache_writes_nothing(self, tmp_path,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        key, result = one_result()
+        cache = ResultCache()
+        cache.put(key, result)
+        assert cache.get(key) is not None
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSessionCache:
+    def test_no_environment_means_memory_only(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert session_cache().directory is None
+
+    def test_blank_repro_store_falls_back_to_cache_dir(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "  ")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert session_cache().directory == tmp_path
+
+    def test_reused_until_the_environment_changes(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "one"))
+        first = session_cache()
+        assert session_cache() is first
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "two"))
+        second = session_cache()
+        assert second is not first
+        assert second.directory == tmp_path / "two"
 
 
 class TestRunKey:

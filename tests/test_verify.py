@@ -158,7 +158,6 @@ class TestCampaign:
             assert report.digest_mismatches \
                 == uninterrupted.digest_mismatches
         assert journal.exists()
-        assert (tmp_path / "fuzz.jsonl.checkpoint.json").exists()
 
     def test_resume_rejects_different_campaign(self, tmp_path):
         journal = tmp_path / "fuzz.jsonl"
