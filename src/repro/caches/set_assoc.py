@@ -9,11 +9,12 @@ field-by-field) dominated the profile.
 
 The layout is shared: :class:`~repro.caches.private_cache.PrivateHierarchy`
 and the batched kernel work on ``_index`` and ``_sets`` directly, so that
-a coherence action is one call (DESIGN.md section 8). The simulator
-calls ``insert`` (the L1 fills), ``lines`` and ``set_lines``;
-``lookup``, ``peek`` and ``remove`` are exercised only by
-``tests/test_set_assoc.py``, which checks them, and a core's L2 driven
-through the hierarchy, against its own brute-force LRU model.
+a coherence action is one call (DESIGN.md section 8), and so does the
+model checker's canonical signature. The simulator calls ``insert``
+(the L1 fills) and ``lines``; ``lookup``, ``peek``, ``remove`` and
+``set_lines`` are exercised only by the tests: ``tests/test_set_assoc.py``
+checks them, and a core's L2 driven through the hierarchy, against its
+own brute-force LRU model.
 """
 
 from __future__ import annotations

@@ -48,8 +48,9 @@ import argparse
 import os
 import sys
 
-from repro.common.config import (DirCachingPolicy, DirectoryConfig,
-                                 LLCDesign, LLCReplacement, Protocol,
+from repro.common.config import (CacheGeometry, DirCachingPolicy,
+                                 DirectoryConfig, LLCDesign,
+                                 LLCReplacement, Protocol, SystemConfig,
                                  scaled_socket)
 from repro.common.errors import ConfigError
 from repro.harness import experiments
@@ -144,6 +145,32 @@ def _command_demo(args) -> int:
     return 0
 
 
+def verify_explorer(protocol: str):
+    """The explorer ``repro verify --protocol P`` runs: two cores and
+    blocks 0, 8, 1 on a micro socket of that protocol."""
+    from repro.coherence.exhaustive import ExhaustiveExplorer
+
+    def micro() -> SystemConfig:
+        base = SystemConfig(
+            n_cores=2,
+            l1i=CacheGeometry(256, 2), l1d=CacheGeometry(256, 2),
+            l2=CacheGeometry(512, 2), llc=CacheGeometry(1024, 2),
+            llc_banks=2, directory=DirectoryConfig(ratio=0.5))
+        if protocol == "zerodev":
+            return base.with_(
+                protocol=Protocol.ZERODEV,
+                directory=DirectoryConfig(ratio=None),
+                llc_replacement=LLCReplacement.DATA_LRU)
+        if protocol == "dls":
+            return base.with_(
+                protocol=Protocol.DLS,
+                directory=DirectoryConfig(ratio=None),
+                llc_design=LLCDesign.INCLUSIVE)
+        return base.with_(protocol=Protocol(protocol))
+
+    return ExhaustiveExplorer(micro, cores=(0, 1), blocks=(0, 8, 1))
+
+
 def _command_verify(args) -> int:
     """Bounded-exhaustive protocol verification (see PROTOCOL.md §6)."""
     if args.kernel_diff:
@@ -154,28 +181,7 @@ def _command_verify(args) -> int:
         raise ConfigError(
             "--seed only applies to sampled exploration; add --samples "
             "N (or --kernel-diff, whose campaign is seeded)")
-    from repro.coherence.exhaustive import ExhaustiveExplorer
-    from repro.common.config import CacheGeometry, SystemConfig
-
-    def micro() -> SystemConfig:
-        base = SystemConfig(
-            n_cores=2,
-            l1i=CacheGeometry(256, 2), l1d=CacheGeometry(256, 2),
-            l2=CacheGeometry(512, 2), llc=CacheGeometry(1024, 2),
-            llc_banks=2, directory=DirectoryConfig(ratio=0.5))
-        if args.protocol == "zerodev":
-            return base.with_(
-                protocol=Protocol.ZERODEV,
-                directory=DirectoryConfig(ratio=None),
-                llc_replacement=LLCReplacement.DATA_LRU)
-        if args.protocol == "dls":
-            return base.with_(
-                protocol=Protocol.DLS,
-                directory=DirectoryConfig(ratio=None),
-                llc_design=LLCDesign.INCLUSIVE)
-        return base.with_(protocol=Protocol(args.protocol))
-
-    explorer = ExhaustiveExplorer(micro, cores=(0, 1), blocks=(0, 8, 1))
+    explorer = verify_explorer(args.protocol)
     jobs = args.jobs or 1
     if args.samples:
         seed = args.seed if args.seed is not None else 0

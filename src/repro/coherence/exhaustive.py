@@ -128,9 +128,11 @@ class ExhaustiveExplorer:
         invariants (plus ``extra_check``) are checked after every
         transition, interleavings that reach the same canonical state
         are expanded once, and each transition costs O(1) instead of
-        O(depth).  ``jobs`` fork workers share each frontier level; the
-        report is identical at any count.  Returns a
-        :class:`~repro.verify.modelcheck.ModelCheckReport`.
+        O(depth).  Snapshots share only the config tree: every state
+        keeps its own stats, mesh and DRAM model, so ``extra_check``
+        may read a state's stats.  ``jobs`` fork workers share each
+        frontier level; the report is identical at any count.  Returns
+        a :class:`~repro.verify.modelcheck.ModelCheckReport`.
         """
         from repro.verify.modelcheck import (ModelCheckReport,
                                              _explore_frontier,

@@ -14,8 +14,7 @@ Two tiers:
 
 * in-process memoization (always on), so the reference/baseline
   configurations shared by fig17-fig27 are simulated once per session;
-* an optional disk tier (``REPRO_CACHE_DIR``, or its deprecated alias
-  ``REPRO_STORE``, which takes precedence) that persists detached
+* an optional disk tier (``REPRO_CACHE_DIR``) that persists detached
   :class:`~repro.harness.runner.RunResult` payloads across sessions,
   one ``<key>.pkl`` file per run. A disk read never raises: a missing,
   truncated, bit-flipped or wrong-object entry is a miss and the run
@@ -42,9 +41,10 @@ from repro.harness.runner import RunResult
 from repro.workloads.trace import Workload
 
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Deprecated alias of ``REPRO_CACHE_DIR`` that takes precedence over
-#: it; kept so existing settings still work.
-_STORE_ENV = "REPRO_STORE"
+#: The retired alias of ``REPRO_CACHE_DIR``.  Any non-blank value is an
+#: error that names the replacement, so a setting that no longer does
+#: anything cannot go unnoticed.
+_RETIRED_ENV = "REPRO_STORE"
 
 
 def _canonical(value):
@@ -187,18 +187,18 @@ _session_spec: Optional[str] = None
 
 def _env_spec() -> Optional[str]:
     """The disk-tier directory the environment selects."""
-    store = (os.environ.get(_STORE_ENV) or "").strip()
-    if store.startswith("sqlite:"):
-        raise ConfigError(f"{_STORE_ENV} must be a directory (the sqlite "
-                          f"store was removed), got {store!r}")
-    return store or os.environ.get(_CACHE_DIR_ENV) or None
+    retired = (os.environ.get(_RETIRED_ENV) or "").strip()
+    if retired:
+        raise ConfigError(
+            f"{_RETIRED_ENV}={retired!r} is no longer read; name the "
+            f"cache directory in {_CACHE_DIR_ENV}")
+    return os.environ.get(_CACHE_DIR_ENV) or None
 
 
 def session_cache() -> ResultCache:
     """The process-wide cache.
 
-    Persistent iff the environment names a directory: ``REPRO_STORE``
-    takes precedence over ``REPRO_CACHE_DIR``.
+    Persistent iff ``REPRO_CACHE_DIR`` names a directory.
     """
     global _session, _session_spec
     spec = _env_spec()

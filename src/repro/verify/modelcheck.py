@@ -8,13 +8,17 @@ states some other sequence already produced.  This module enumerates
 with memoized dedup.
 
 * **Snapshots.** The simulator is deterministic plain-Python state, so a
-  frontier node is just ``pickle.dumps(system)``.  Expanding a node
-  unpickles the parent once per alphabet symbol, applies the access, and
-  checks the successor -- O(1) work per transition regardless of depth,
-  versus O(depth) for sequence replay.  Latency-only components (stats,
-  the mesh, the DRAM model) are stripped before snapshotting and
-  reattached from per-process shared instances on load (``wake``), which
-  roughly halves snapshot bytes on the micro geometry.
+  frontier node is a pickle of the system.  Expanding a node unpickles
+  the parent once per alphabet symbol, applies the access, and checks
+  the successor -- O(1) work per transition regardless of depth, versus
+  O(depth) for sequence replay.  Only states a later level expands are
+  snapshotted: the last level's new states are counted and deduped,
+  never pickled.  A snapshot (:class:`_Snapshots`) pickles what no
+  transition changes by reference into a table built from the root --
+  the frozen config tree and, for :func:`explore_model`, each socket's
+  latency-only stats, mesh and DRAM model, one copy of which serves
+  every state loaded in a process -- enum members by name, and the LRU
+  ``OrderedDict`` sets without the state lookup of their own reduction.
 * **Canonicalization.** A state's identity is a blake2b digest over the
   protocol-visible state only: private L2 lines in per-set LRU order,
   directory entries (with NRU bits and way order), LLC frames per set in
@@ -59,12 +63,16 @@ fuzz baseline, proving the frontier catches what sampling misses.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import pickle
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import weakref
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.coherence.exhaustive import Counterexample
 from repro.common.addressing import BLOCK_SHIFT
@@ -94,32 +102,30 @@ DEFAULT_MAX_STATES = 250_000
 # Canonicalization
 # ----------------------------------------------------------------------
 def _entry_sig(entry) -> tuple:
-    return (entry.block, entry.state.value, entry.owner, entry.sharers,
-            entry.location.value, entry.nru_ref)
-
-
-def _l2_sig(line) -> tuple:
-    return (line.block, line.state.value, line.version, line.dirty,
-            line.is_code)
-
-
-def _frame_sig(line) -> tuple:
-    entry = line.entry
-    return (line.block, line.kind.value, line.dirty, line.version,
-            None if entry is None else _entry_sig(entry))
+    return (entry.block, entry.state._value_, entry.owner, entry.sharers,
+            entry.location._value_, entry.nru_ref)
 
 
 def _socket_sig(socket) -> tuple:
     """Protocol-visible state of one CMP socket (order-sensitive where
-    replacement policy reads order, sorted where it does not)."""
+    replacement policy reads order, sorted where it does not).
+
+    Built in one pass over the live structures -- each core's L2 sets
+    and each bank's frame lists, both in LRU-to-MRU order -- reading
+    enum members' ``_value_`` rather than the ``.value`` property."""
     cores = tuple(
-        tuple(tuple(_l2_sig(line) for line in hier._l2.set_lines(idx))
-              for idx in range(hier._l2.geometry.sets))
+        tuple(tuple((line.block, line.state._value_, line.version,
+                     line.dirty, line.is_code)
+                    for line in lru_set.values())
+              for lru_set in hier._l2._sets)
         for hier in socket.cores)
     banks = tuple(
-        tuple(tuple(_frame_sig(frame)
-                    for frame in bank.frames_in_set(idx))
-              for idx in range(bank.sets))
+        tuple(tuple((frame.block, frame.kind._value_, frame.dirty,
+                     frame.version,
+                     None if frame.entry is None
+                     else _entry_sig(frame.entry))
+                    for frame in frames)
+              for frames in bank._frames)
         for bank in socket.banks)
     directory: tuple = ()
     if socket.directory is not None:
@@ -154,7 +160,7 @@ def system_sig(system, multisocket: bool = False) -> tuple:
     return (
         tuple(_socket_sig(socket) for socket in system.sockets),
         tuple(sorted(
-            (block, entry.state.value, entry.owner, entry.sharers)
+            (block, entry.state._value_, entry.owner, entry.sharers)
             for block, entry in system._entries.items()
             if entry.sharers)),
         tuple(sorted(system._garbage)),
@@ -313,6 +319,99 @@ class ModelCheckReport:
 
 
 # ----------------------------------------------------------------------
+# Snapshots
+# ----------------------------------------------------------------------
+#: The by-reference tables of the explorations in progress, by token.
+#: ``pickle.loads`` can only reach them through a function it finds by
+#: import name (:func:`_shared`), so they live here; each codec removes
+#: its own when it is collected.  Fork workers inherit them, so a
+#: reference names the same object in the parent and in every worker.
+_SHARED: Dict[int, tuple] = {}
+_TOKENS = itertools.count()
+
+
+def _shared(token: int, index: int):
+    """Unpickle one by-reference object of a snapshot."""
+    return _SHARED[token][index]
+
+
+def _frozen_tree(root) -> list:
+    """``root`` and every frozen dataclass under it, reached through the
+    fields of frozen dataclasses (a config and its parts)."""
+    tree: list = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        params = getattr(type(node), "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            continue
+        tree.append(node)
+        stack.extend(getattr(node, f.name) for f in fields(node))
+    return tree
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles the objects of ``refs`` (``id`` -> reduce value) by
+    reference, an ``OrderedDict`` without looking up instance state it
+    does not have, and an enum member by name; everything else as
+    :func:`pickle.dumps` does.  The C pickler asks only about objects
+    that are not builtin containers or atoms."""
+
+    def __init__(self, file, refs: Dict[int, tuple]) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.refs = refs
+
+    def reducer_override(self, obj):
+        if type(obj) is OrderedDict:
+            # Its own reduction looks up instance state through
+            # copyreg._slotnames on every pickle (CPython 3.11 cannot
+            # cache the answer on a C type).  This writes the bytes that
+            # reduction writes, so a load refills the set item by item;
+            # (OrderedDict, (items,)) would build a tuple per item and
+            # load slower.
+            return OrderedDict, (), None, None, iter(obj.items())
+        ref = self.refs.get(id(obj))
+        if ref is not None:
+            return ref
+        if isinstance(obj, Enum):
+            return getattr, (type(obj), obj._name_)
+        return NotImplemented
+
+
+class _Snapshots:
+    """The snapshot codec of one exploration.
+
+    :meth:`dump` pickles a state with what no transition changes by
+    reference into a table built from the root before level 1: every
+    frozen dataclass of the root's config tree (the same objects
+    ``CMPSystem._lat`` and each ``SetAssocCache.geometry`` point at)
+    and the ``shared`` objects the caller names.  Enum members go by
+    name.  A snapshot is restored with plain :func:`pickle.loads`, in
+    this process or in a worker forked while the codec is alive.
+    Nothing mutable that a protocol decision reads may be shared.
+    """
+
+    def __init__(self, root, shared: Iterable = ()) -> None:
+        self._table = tuple(_frozen_tree(getattr(root, "config", None))
+                            + list(shared))
+        token = next(_TOKENS)
+        _SHARED[token] = self._table
+        weakref.finalize(self, _SHARED.pop, token, None)
+        self._buffer = io.BytesIO()
+        self._pickler = _SnapshotPickler(self._buffer, {
+            id(obj): (_shared, (token, index))
+            for index, obj in enumerate(self._table)})
+
+    def dump(self, system) -> bytes:
+        buffer = self._buffer
+        buffer.seek(0)
+        buffer.truncate()
+        self._pickler.dump(system)
+        self._pickler.clear_memo()
+        return buffer.getvalue()
+
+
+# ----------------------------------------------------------------------
 # The frontier engine
 # ----------------------------------------------------------------------
 def _portable_error(error: BaseException) -> BaseException:
@@ -334,7 +433,9 @@ class _ExpandContext:
     check: Callable
     canonical: Callable
     trim: Callable
-    wake: Optional[Callable]
+    #: Snapshots a new state; None on the last level, whose new states
+    #: are only counted and deduped, never expanded.
+    snapshot: Optional[Callable]
     alphabet: Tuple[tuple, ...]
     #: The frozen pre-level seen-set (workers only read it).
     seen: set
@@ -350,7 +451,8 @@ class _ExpandContext:
 
 #: Per-transition outcome records emitted by workers and replayed by the
 #: serial merge: ("c", error) counterexample, ("d",) duplicate of a
-#: pre-level or partition-local state, ("n", key, snapshot) candidate.
+#: pre-level or partition-local state, ("n", key, snapshot) candidate
+#: (its snapshot is None on the last level).
 _REC_CEX, _REC_DUP, _REC_NEW = "c", "d", "n"
 
 
@@ -373,8 +475,6 @@ def _expand_partition(ctx: _ExpandContext,
         stop = False
         for symbol in ctx.alphabet:
             system = pickle.loads(snapshot)
-            if ctx.wake is not None:
-                ctx.wake(system)
             try:
                 ctx.issue(system, symbol)
                 ctx.check(system)
@@ -387,10 +487,11 @@ def _expand_partition(ctx: _ExpandContext,
                 records.append((_REC_DUP,))
                 continue
             local_new.add(key)
-            ctx.trim(system)
-            records.append(
-                (_REC_NEW, key,
-                 pickle.dumps(system, pickle.HIGHEST_PROTOCOL)))
+            if ctx.snapshot is None:
+                records.append((_REC_NEW, key, None))
+            else:
+                ctx.trim(system)
+                records.append((_REC_NEW, key, ctx.snapshot(system)))
             if len(local_new) >= ctx.candidate_budget:
                 stop = True
                 break
@@ -421,7 +522,7 @@ def _explore_frontier(report: ModelCheckReport,
                       alphabet: Sequence[tuple], depth: int,
                       max_states: int, budget_s: Optional[float],
                       bus=None, jobs: int = 1,
-                      wake: Optional[Callable] = None
+                      shared: Optional[Callable] = None
                       ) -> ModelCheckReport:
     """Generic memoized BFS shared by the spec-level entry point and
     :meth:`ExhaustiveExplorer.explore_memoized`.
@@ -432,6 +533,11 @@ def _explore_frontier(report: ModelCheckReport,
     serial BFS order), replaying every counter against the growing
     seen-set.  ``jobs=1`` runs the identical expand/merge code in
     process, so reports are bit-identical at any worker count.
+
+    Only states a later level expands are snapshotted (the root and the
+    new states of every level but the last), by a :class:`_Snapshots`
+    codec that pickles the root's config tree, plus whatever
+    ``shared(root)`` names, by reference.
     """
     started = time.perf_counter()
     deadline = None if budget_s is None else started + budget_s
@@ -457,8 +563,8 @@ def _explore_frontier(report: ModelCheckReport,
     trim(root)
     seen = {canonical(root)}
     report.unique_states = 1
-    frontier: List[Tuple[bytes, tuple]] = [
-        (pickle.dumps(root, pickle.HIGHEST_PROTOCOL), ())]
+    snapshots = _Snapshots(root, () if shared is None else shared(root))
+    frontier: List[Tuple[bytes, tuple]] = [(snapshots.dump(root), ())]
     level_unique: List[int] = []
 
     for level in range(1, depth + 1):
@@ -466,9 +572,11 @@ def _explore_frontier(report: ModelCheckReport,
             report.capped = True
             break
         parts = _partition(frontier, jobs)
+        last = level == depth
         ctx = _ExpandContext(
             issue=issue, check=check, canonical=canonical, trim=trim,
-            wake=wake, alphabet=alphabet, seen=seen, deadline=deadline,
+            snapshot=None if last else snapshots.dump,
+            alphabet=alphabet, seen=seen, deadline=deadline,
             candidate_budget=max(1, max_states - report.unique_states))
         if len(parts) == 1:
             outcomes = [_expand_partition(ctx, parts[0])]
@@ -498,7 +606,7 @@ def _explore_frontier(report: ModelCheckReport,
                     if tag == _REC_DUP:
                         report.dedup_hits += 1
                         continue
-                    key, snapshot = record[1], record[2]
+                    key = record[1]
                     if key in seen:
                         report.dedup_hits += 1
                         continue
@@ -508,7 +616,9 @@ def _explore_frontier(report: ModelCheckReport,
                     if report.unique_states >= max_states:
                         verdict = "capped"
                         break
-                    next_frontier.append((snapshot, path + (symbol,)))
+                    if not last:
+                        next_frontier.append((record[2],
+                                              path + (symbol,)))
                 if verdict:
                     break
             if verdict:
@@ -619,45 +729,34 @@ def _spec_canonical(spec: ModelSpec, group=()):
 
 
 def _spec_trim(spec: ModelSpec):
+    """Empty each core's shrink journal before a state is snapshotted.
+
+    The journal is a kernel-sync aid that grows with every
+    invalidation; modelcheck runs the scalar access path only, so
+    dropping it keeps snapshots O(state), not O(path).  Nothing else is
+    stripped: what no transition changes is pickled by reference
+    instead (:class:`_Snapshots`, :func:`_spec_shared`)."""
     from repro.verify.checks import each_socket
 
     def trim(system) -> None:
-        # The per-core shrink journal is a kernel-sync aid that grows
-        # with every invalidation; modelcheck runs the scalar access
-        # path only, so dropping it keeps snapshots O(state), not
-        # O(path).  Stats, the mesh, and the DRAM model are latency-only
-        # (already excluded from the canonical key, so nothing here can
-        # feed back into protocol decisions) -- stripping them roughly
-        # halves the snapshot; ``wake`` reattaches shared instances.
         for socket in each_socket(spec, system):
             for hier in socket.cores:
                 hier.shrink_log.clear()
-            socket.stats = None
-            socket.mesh = None
-            socket.dram = None
     return trim
 
 
-def _spec_wake(spec: ModelSpec):
+def _spec_shared(spec: ModelSpec):
+    """What :func:`explore_model` snapshots share besides the config
+    tree: each socket's stats, mesh and DRAM model.  They are
+    latency-only (the canonical key excludes them, so they cannot feed
+    back into a protocol decision), and one copy of each, the root's,
+    serves every state loaded in a process."""
     from repro.verify.checks import each_socket
 
-    #: Per-process donor instances for the trimmed latency-only parts,
-    #: built lazily so fork workers each populate their own copy.  The
-    #: mesh and DRAM model hold the *same* stats object their socket
-    #: gets, preserving the construction-time aliasing.
-    donors: List[tuple] = []
-
-    def wake(system) -> None:
-        if not donors:
-            template = spec.build()
-            for socket in each_socket(spec, template):
-                donors.append((socket.stats, socket.mesh, socket.dram))
-        for socket, (stats, mesh, dram) in zip(
-                each_socket(spec, system), donors):
-            socket.stats = stats
-            socket.mesh = mesh
-            socket.dram = dram
-    return wake
+    def shared(root) -> list:
+        return [part for socket in each_socket(spec, root)
+                for part in (socket.stats, socket.mesh, socket.dram)]
+    return shared
 
 
 def build_alphabet(cores: Sequence[int] = MICRO_CORES,
@@ -714,7 +813,7 @@ def explore_model(spec: ModelSpec, depth: int,
         report, build, _spec_issue(spec), _spec_check(spec),
         _spec_canonical(spec, group), _spec_trim(spec),
         alphabet, depth, max_states, budget_s, bus=bus, jobs=jobs,
-        wake=_spec_wake(spec))
+        shared=_spec_shared(spec))
 
 
 def check_matrix(depth: int, models: Optional[Sequence[ModelSpec]] = None,

@@ -230,10 +230,14 @@ class TestNumberValidation:
                      "--accesses", "200", "--ratio", "0"]) == 0
         assert "error:" not in capsys.readouterr().err
 
-    def test_sqlite_store_is_one_error_line(self, capsys, monkeypatch,
-                                            tmp_path):
+    def test_repro_store_is_one_error_line(self, capsys, monkeypatch,
+                                           tmp_path):
+        # The retired REPRO_STORE is refused up front, naming the
+        # variable that replaced it, and nothing lands in its directory.
+        store = tmp_path / "store"
+        store.mkdir()
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_STORE", f"sqlite:{tmp_path / 'r.db'}")
+        monkeypatch.setenv("REPRO_STORE", str(store))
         reset_session_cache()
         try:
             assert main(["run", "fig19", "--accesses", "300"]) == 2
@@ -243,5 +247,6 @@ class TestNumberValidation:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1, err
-        assert "REPRO_STORE must be a directory" in errors[0]
-        assert not (tmp_path / "r.db").exists()
+        assert "REPRO_STORE" in errors[0]
+        assert "REPRO_CACHE_DIR" in errors[0]
+        assert list(store.iterdir()) == []

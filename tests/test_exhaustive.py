@@ -98,8 +98,15 @@ class TestExhaustiveZeroDev:
     def test_jobs_do_not_change_the_report(self):
         # repro verify --depth N --jobs J forks frontier workers; the
         # report must be the serial one at any worker count.
+        def own_stats(system):
+            # Snapshots share only the config tree here: every state
+            # keeps its own stats, so a level-L state has made exactly
+            # L accesses (shared stats would count every transition).
+            no_devs(system)
+            assert system.stats.total_accesses <= 3
+
         reports = [ExhaustiveExplorer(zerodev_micro, cores=(0, 1),
-                                      blocks=BLOCKS, extra_check=no_devs)
+                                      blocks=BLOCKS, extra_check=own_stats)
                    .explore_memoized(depth=3, jobs=jobs)
                    for jobs in (1, 2)]
         assert reports[0].ok

@@ -28,9 +28,11 @@ from repro.obs.events import EventKind
 from repro.verify import run_campaign, run_trace, shrink_trace
 from repro.verify.checks import DivergenceError, shadow_of
 from repro.verify.modelcheck import (MICRO_BLOCKS, ModelCheckReport,
-                                     _explore_frontier, build_alphabet,
+                                     _explore_frontier, _Snapshots,
+                                     _spec_shared, build_alphabet,
                                      canonical_key, explore_model,
-                                     frontier_vs_replay, mutation_gate)
+                                     frontier_vs_replay, mutation_gate,
+                                     system_key)
 from repro.verify.models import model_by_name, model_matrix
 from repro.verify.mutations import (MUTATIONS, arm_mutation,
                                     mutant_spec, reference_spec)
@@ -96,7 +98,15 @@ class TestFrontier:
         "baseline-1x", "zerodev-fuse-private-spill-shared",
         "zerodev-fuse-private-spill-shared-splru",
     ])
-    def test_clean_to_depth_three(self, name):
+    def test_clean_to_depth_three(self, name, monkeypatch):
+        dumps = []
+        dump = _Snapshots.dump
+
+        def counting_dump(snapshots, system):
+            dumps.append(len(dumps))
+            return dump(snapshots, system)
+
+        monkeypatch.setattr(_Snapshots, "dump", counting_dump)
         report = explore_model(spec_of(name), 3)
         assert report.ok
         assert report.depth_reached == 3
@@ -107,6 +117,9 @@ class TestFrontier:
         assert report.unique_states == 1 + sum(report.level_unique)
         assert report.transitions == \
             report.unique_states - 1 + report.dedup_hits
+        # Only states a later level expands are snapshotted: the root
+        # and the new states of every level but the last.
+        assert len(dumps) == 1 + sum(report.level_unique[:-1])
 
     def test_two_socket_clean_shallow(self):
         report = explore_model(spec_of("zerodev-2socket-sol1"), 2)
@@ -377,8 +390,29 @@ class TestMutations:
         spec = spec_of()
         system = spec.build()
         arm_mutation(system, "skip-corrupt-restore")
-        clone = pickle.loads(pickle.dumps(system))
+        snapshots = _Snapshots(system, _spec_shared(spec)(system))
+        snapshot = snapshots.dump(system)
+        clone, other = pickle.loads(snapshot), pickle.loads(snapshot)
         assert "skip-corrupt-restore" in clone.mutations
+        # Two loads of one snapshot are independent states...
+        before = system_key(other)
+        clone.access(0, Op.WRITE, 0)
+        assert system_key(clone) != before
+        assert system_key(other) == before
+        # ...that share with the root what no transition changes: the
+        # config and its frozen parts, and explore_model's latency-only
+        # stats, mesh and DRAM model.
+        config = system.config
+        for load in (clone, other):
+            assert load.config is config
+            assert load._lat is config.latency
+            for hier in load.cores:
+                assert hier._l1i.geometry is config.l1i
+                assert hier._l1d.geometry is config.l1d
+                assert hier._l2.geometry is config.l2
+            assert load.stats is system.stats
+            assert load.mesh is system.mesh
+            assert load.dram is system.dram
 
     def test_unknown_mutation_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown mutation"):
@@ -441,9 +475,22 @@ class TestParallelDeterminism:
 
 
 class TestStatsComparison:
-    def test_replay_fault_is_reported_not_raised(self):
+    def test_replay_fault_is_reported_not_raised(self, monkeypatch):
         # Regression: a faulting model used to escape the stats gate as
-        # an unhandled exception; it must surface as a verdict.
+        # an unhandled exception; it must surface as a verdict.  Replay
+        # gets the frontier's wall-clock, so on a real clock a fast
+        # frontier could stop it before the fault; a clock that never
+        # advances lets replay run until it halts on the fault (the
+        # frontier refutes the mutant within depth 3 and replay tries
+        # every sequence up to that depth, so it always gets there).
+        import repro.verify.modelcheck as mc
+
+        class FrozenTime:
+            @staticmethod
+            def perf_counter():
+                return 0.0
+
+        monkeypatch.setattr(mc, "time", FrozenTime)
         mutation = MUTATIONS["skip-corrupt-restore"]
         spec = reference_spec(mutation.reference_model)
         comparison = frontier_vs_replay(

@@ -223,19 +223,20 @@ class TestResultCache:
         assert not run_many([(config, workload)], jobs=1,
                             cache=cache)[0].cached
 
-    def test_repro_store_env_must_name_a_directory(self, tmp_path,
-                                                   monkeypatch):
+    def test_repro_store_is_refused(self, tmp_path, monkeypatch):
+        # REPRO_STORE was an alias of REPRO_CACHE_DIR that won over it;
+        # any value, a directory or the old sqlite: spelling, is now an
+        # error that names the variable to use instead.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "shared"))
-        reset_session_cache()
-        assert session_cache().directory == tmp_path / "shared"
+        for value in (str(tmp_path / "shared"),
+                      f"sqlite:{tmp_path / 'x.db'}"):
+            monkeypatch.setenv("REPRO_STORE", value)
+            reset_session_cache()
+            with pytest.raises(ConfigError, match="REPRO_CACHE_DIR"):
+                session_cache()
         monkeypatch.delenv("REPRO_STORE")
         assert session_cache().directory == tmp_path / "local"
-        # A sqlite: spelling is refused, not taken as a directory name.
-        monkeypatch.setenv("REPRO_STORE", f"sqlite:{tmp_path / 'x.db'}")
-        reset_session_cache()
-        with pytest.raises(ConfigError, match="REPRO_STORE"):
-            session_cache()
+        assert not (tmp_path / "shared").exists()
 
 
 def one_result(workload=None):
@@ -339,9 +340,13 @@ class TestSessionCache:
 
     def test_blank_repro_store_falls_back_to_cache_dir(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "  ")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert session_cache().directory == tmp_path
+        # A blank value of the retired REPRO_STORE counts as unset.
+        for blank in ("", "  "):
+            monkeypatch.setenv("REPRO_STORE", blank)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+            assert session_cache().directory == tmp_path
+            monkeypatch.delenv("REPRO_CACHE_DIR")
+            assert session_cache().directory is None
 
     def test_reused_until_the_environment_changes(self, tmp_path,
                                                   monkeypatch):
