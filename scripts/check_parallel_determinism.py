@@ -1,18 +1,21 @@
 #!/usr/bin/env python
-"""CI smoke: jobs=1, jobs=2 and kernel=scalar agree.
+"""CI smoke: jobs=1, jobs=2 and kernel=batched agree.
 
 Runs a small fig17-style batch (baseline + ZeroDEV over two workloads)
 in process and on two fork workers, with caching disabled so
 both paths actually simulate, and fails loudly on the first divergent
-stat. The same batch is then re-run under the scalar access kernel
-(``kernel="scalar"``), which must be bit-identical to the default
-batched kernel (the repro.kernel contract). The scalar leg also runs
+stat. The same batch is then re-run under the batched access kernel
+(``kernel="batched"``), which must be bit-identical to the default
+scalar kernel (the repro.kernel contract). The batched leg also runs
 two specs where the figures run -- ``default_config()`` plus
 ``workload_for`` at seed 11, one Base-1/32x and one ZDev-NoDir -- so the
 contract is asserted in the regime it claims to cover, not only on the
 small batch. The simulator is deterministic, so any difference is a
 harness or kernel bug (scheduling, pickling, result-ordering, or
 run-ahead retirement), not noise.
+
+Run from the repository root: ``PYTHONPATH=src python
+scripts/check_parallel_determinism.py``.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ def figure_specs():
     ]
 
 
-def as_scalar(specs):
-    return [(config.with_(kernel="scalar"), workload)
+def as_batched(specs):
+    return [(config.with_(kernel="batched"), workload)
             for config, workload in specs]
 
 
@@ -87,18 +90,18 @@ def main() -> int:
 
     serial = run_many(specs, jobs=1, cache=None)
     parallel = run_many(specs, jobs=2, cache=None)
-    scalar = run_many(as_scalar(specs), jobs=1, cache=None)
-    figure_batched = run_many(figure, jobs=1, cache=None)
-    figure_scalar = run_many(as_scalar(figure), jobs=1, cache=None)
+    batched = run_many(as_batched(specs), jobs=1, cache=None)
+    figure_scalar = run_many(figure, jobs=1, cache=None)
+    figure_batched = run_many(as_batched(figure), jobs=1, cache=None)
 
     if (diverged("jobs=2", serial, parallel)
-            or diverged("kernel=scalar", serial, scalar)
-            or diverged("kernel=scalar at figure scale", figure_batched,
-                        figure_scalar)):
+            or diverged("kernel=batched", serial, batched)
+            or diverged("kernel=batched at figure scale", figure_scalar,
+                        figure_batched)):
         return 1
     print(f"OK: {len(specs)} runs bit-identical between jobs=1, "
-          f"jobs=2, and the scalar kernel; {len(figure)} figure-scale "
-          f"runs bit-identical between the batched and scalar kernels")
+          f"jobs=2, and the batched kernel; {len(figure)} figure-scale "
+          f"runs bit-identical between the scalar and batched kernels")
     return 0
 
 

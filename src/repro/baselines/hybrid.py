@@ -27,7 +27,6 @@ of the registered hybrid models compose sockets.
 
 from __future__ import annotations
 
-from repro.caches.block import MESI
 from repro.caches.llc import LLCBank
 from repro.coherence.protocol import CMPSystem
 from repro.common.config import Protocol
@@ -41,12 +40,12 @@ class HybridSystem(CMPSystem):
 
     PROTOCOL = Protocol.HYBRID
 
-    def _write(self, core: int, block: int) -> int:
-        if self.cores[core].probe(block) is not MESI.S:
-            # M/E hit or write miss: the baseline invalidate path.
-            return super()._write(core, block)
-        hier = self.cores[core]
-        hier.write_hit_state(block)     # recency touch + L1D fill
+    def _write(self, core: int, block: int, line) -> int:
+        if line is None:
+            # Write miss: the baseline invalidate path.
+            return super()._write(core, block, line)
+        # A store to an S copy (M/E store hits retire in access()).
+        self.cores[core].write_hit_state(block)  # recency touch + L1D fill
         self.stats.l2_hits += 1
         self.stats.update_pushes += 1
         latency = (self._lat.l1_hit + self._lat.l2_hit

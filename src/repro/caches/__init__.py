@@ -1,18 +1,15 @@
 """Cache structures: private hierarchy, shared LLC, replacement policies."""
 
-from repro.caches.block import L1Line, L2Line, LLCLine, LineKind, MESI
+from repro.caches.block import L2Line, LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
 from repro.caches.private_cache import EvictionNotice, PrivateHierarchy
-from repro.caches.set_assoc import SetAssocCache
 
 __all__ = [
     "EvictionNotice",
-    "L1Line",
     "L2Line",
     "LLCBank",
     "LLCLine",
     "LineKind",
     "MESI",
     "PrivateHierarchy",
-    "SetAssocCache",
 ]

@@ -31,18 +31,6 @@ class MESI(enum.Enum):
 
 
 @dataclass
-class L1Line:
-    """One L1 (instruction or data) line: a pure presence filter.
-
-    Coherence state and the data version live at the L2; the L1 only
-    shortens hit latency. L2 is inclusive of both L1s, so an L2 eviction
-    back-invalidates these lines.
-    """
-
-    block: int
-
-
-@dataclass
 class L2Line:
     """One private L2 line, the coherence endpoint of a core."""
 

@@ -6,23 +6,27 @@ the L1 copy silently while the L2 eviction itself is notified to the
 directory -- matching Section III-A: "All evictions from the private cache
 hierarchy are notified to the sparse directory".
 
-Every coherence action on the hierarchy (fill, invalidate, downgrade,
-re-state, the lookups from the core) is one call that works on the three
-arrays' index and LRU dicts (``_index``, ``_sets``) itself, as the
-batched kernel does, instead of fanning out into :class:`SetAssocCache`
-calls: a starved-directory run makes one or two of these actions per
-access.  The arrays are reached through their own attributes, not
-aliases on the hierarchy, so a pickled hierarchy (a model-checker
-snapshot) holds nothing twice.
+The hierarchy owns its three arrays as plain attributes.  Each array is
+a list of per-set ``OrderedDict``s in LRU-to-MRU order (first entry is
+LRU, last is MRU), so a recency touch, an install and an eviction are
+O(1) dict moves.  The L2 also keeps ``l2_index`` (block -> line) for
+one-probe lookups; the L1s only shorten hit latency, so their sets map
+block -> None (presence, nothing else).  Every coherence action on the
+hierarchy (fill, invalidate, downgrade, re-state, the store touch) is
+one call that does its own dict work.  Private *hits* retire inside
+``CMPSystem.access``, which reads and moves these dicts itself -- the
+one reader outside this module on the simulation path (DESIGN.md
+section 8).  There are no aliases: every attribute is pickled into
+each model-checker snapshot.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.caches.block import L1Line, L2Line, MESI
-from repro.caches.set_assoc import SetAssocCache
+from repro.caches.block import L2Line, MESI
 from repro.common.config import CacheGeometry
 from repro.common.errors import ProtocolInvariantError
 from repro.obs.events import EventKind
@@ -51,6 +55,10 @@ class EvictionNotice:
     is_code: bool
 
 
+def _lru_sets(geometry: CacheGeometry) -> List["OrderedDict"]:
+    return [OrderedDict() for _ in range(geometry.sets)]
+
+
 class PrivateHierarchy:
     """One core's L1I + L1D + L2 stack."""
 
@@ -60,16 +68,26 @@ class PrivateHierarchy:
     def __init__(self, core: int, l1i: CacheGeometry, l1d: CacheGeometry,
                  l2: CacheGeometry) -> None:
         self.core = core
-        self._l1i: SetAssocCache[L1Line] = SetAssocCache(l1i)
-        self._l1d: SetAssocCache[L1Line] = SetAssocCache(l1d)
-        self._l2: SetAssocCache[L2Line] = SetAssocCache(l2)
+        #: Resident L2 lines by block, and the L2's LRU sets (set of a
+        #: block: ``block & l2_mask``).
+        self.l2_index: Dict[int, L2Line] = {}
+        self.l2_sets: List["OrderedDict[int, L2Line]"] = _lru_sets(l2)
+        self.l2_mask = l2.sets - 1
+        self.l2_ways = l2.ways
+        #: The L1s' LRU sets: presence only (block -> None).
+        self.l1i_sets: List["OrderedDict[int, None]"] = _lru_sets(l1i)
+        self.l1i_mask = l1i.sets - 1
+        self.l1i_ways = l1i.ways
+        self.l1d_sets: List["OrderedDict[int, None]"] = _lru_sets(l1d)
+        self.l1d_mask = l1d.sets - 1
+        self.l1d_ways = l1d.ways
         #: Safety-shrink journal for the batched kernel (repro.kernel):
         #: ``epoch`` is bumped and the affected block appended to
         #: ``shrink_log`` by every mutation that can make a previously
         #: safe hit unsafe (invalidation, downgrade, re-state to S, and
         #: the L2 *victim* of a fill).  Mutations that only extend
         #: safety -- the fill itself, the upgrade grant to E, the
-        #: silent E->M of commit_write -- deliberately do not, because
+        #: silent E->M of a store hit -- deliberately do not, because
         #: the kernel's cached classification is allowed to
         #: under-approximate (an unclassified hit just takes the scalar
         #: hit path).  The kernel is the journal's single consumer and
@@ -82,58 +100,45 @@ class PrivateHierarchy:
     # ------------------------------------------------------------------
     def probe(self, block: int) -> Optional[MESI]:
         """Coherence state of ``block`` in this core, or None."""
-        line = self._l2._index.get(block)
+        line = self.l2_index.get(block)
         return line.state if line else None
 
     def line_of(self, block: int) -> Optional[L2Line]:
-        return self._l2._index.get(block)
+        return self.l2_index.get(block)
 
     def cached_blocks(self):
         """All blocks resident in the L2 (the directory-visible set)."""
-        return [line.block for line in self._l2.lines()]
+        return list(self.l2_index)
 
     def __contains__(self, block: int) -> bool:
-        return block in self._l2._index
+        return block in self.l2_index
 
     # ------------------------------------------------------------------
-    # Lookups from the core
+    # Stores from the core
     # ------------------------------------------------------------------
-    def read_hit_level(self, block: int, code: bool) -> Optional[str]:
-        """Service a read/ifetch locally if possible.
-
-        Returns ``"l1"`` or ``"l2"`` on a hit (filling the L1 on an L2
-        hit), or None on a core-cache miss.
-        """
-        l1 = self._l1i if code else self._l1d
-        l2 = self._l2
-        if block in l1._index:
-            l1._sets[block & l1._set_mask].move_to_end(block)
-            # Keep L2 recency in sync (the L2 includes every L1 line).
-            l2._sets[block & l2._set_mask].move_to_end(block)
-            return "l1"
-        if block not in l2._index:
-            return None
-        l2._sets[block & l2._set_mask].move_to_end(block)
-        l1.insert(L1Line(block))        # L1 victim needs no action
-        return "l2"
-
     def write_hit_state(self, block: int) -> Optional[MESI]:
-        """Current state for a store to ``block`` (touches, fills L1D)."""
-        l2 = self._l2
-        line = l2._index.get(block)
+        """Current state for a store to ``block`` (touches, fills L1D).
+
+        The M/E store hit retires inside ``CMPSystem.access``; this is
+        the recency work of a store to an S copy (an upgrade, or a
+        hybrid update push) before its uncore transaction.
+        """
+        line = self.l2_index.get(block)
         if line is None:
             return None
-        l2._sets[block & l2._set_mask].move_to_end(block)
-        l1d = self._l1d
-        if block in l1d._index:
-            l1d._sets[block & l1d._set_mask].move_to_end(block)
+        self.l2_sets[block & self.l2_mask].move_to_end(block)
+        l1 = self.l1d_sets[block & self.l1d_mask]
+        if block in l1:
+            l1.move_to_end(block)
         else:
-            l1d.insert(L1Line(block))
+            if len(l1) >= self.l1d_ways:
+                l1.popitem(last=False)          # L1 victims go silently
+            l1[block] = None
         return line.state
 
     def commit_write(self, block: int, version: int) -> None:
         """Commit a store: requires M or E; E upgrades to M silently."""
-        line = self._l2._index.get(block)
+        line = self.l2_index.get(block)
         if line is None or line.state is _S:
             raise ProtocolInvariantError(
                 f"core {self.core} writing block {block:#x} without "
@@ -149,25 +154,22 @@ class PrivateHierarchy:
              code: bool) -> Optional[EvictionNotice]:
         """Install ``block`` after a miss; returns the notice of the L2
         victim it evicted, if any."""
-        l2 = self._l2
-        l2_index = l2._index
+        l2_index = self.l2_index
         if block in l2_index:
             raise ProtocolInvariantError(
                 f"double fill of block {block:#x} in core {self.core}")
         notice = None
-        lru_set = l2._sets[block & l2._set_mask]
-        if len(lru_set) >= l2._n_ways:
+        lru_set = self.l2_sets[block & self.l2_mask]
+        if len(lru_set) >= self.l2_ways:
             victim_block, victim = lru_set.popitem(last=False)
             del l2_index[victim_block]
             self.epoch += 1
             self.shrink_log.append(victim_block)
             # Inclusion: the victim's L1 copies go silently.
-            l1 = self._l1i
-            if l1._index.pop(victim_block, None) is not None:
-                del l1._sets[victim_block & l1._set_mask][victim_block]
-            l1 = self._l1d
-            if l1._index.pop(victim_block, None) is not None:
-                del l1._sets[victim_block & l1._set_mask][victim_block]
+            self.l1i_sets[victim_block & self.l1i_mask].pop(victim_block,
+                                                            None)
+            self.l1d_sets[victim_block & self.l1d_mask].pop(victim_block,
+                                                            None)
             if self.obs is not None:
                 self.obs.emit(EventKind.L2_EVICT, block=victim_block,
                               core=self.core, cause=victim.state.name)
@@ -175,8 +177,15 @@ class PrivateHierarchy:
                                     victim.version, victim.is_code)
         lru_set[block] = l2_index[block] = L2Line(block, state, version,
                                                   state is _M, code)
-        l1 = self._l1i if code else self._l1d
-        l1.insert(L1Line(block))
+        if code:
+            l1 = self.l1i_sets[block & self.l1i_mask]
+            ways = self.l1i_ways
+        else:
+            l1 = self.l1d_sets[block & self.l1d_mask]
+            ways = self.l1d_ways
+        if len(l1) >= ways:
+            l1.popitem(last=False)              # L1 victims go silently
+        l1[block] = None
         return notice
 
     def invalidate(self, block: int, cause: str = "") -> Optional[L2Line]:
@@ -188,16 +197,11 @@ class PrivateHierarchy:
         """
         self.epoch += 1
         self.shrink_log.append(block)
-        l1 = self._l1i
-        if l1._index.pop(block, None) is not None:
-            del l1._sets[block & l1._set_mask][block]
-        l1 = self._l1d
-        if l1._index.pop(block, None) is not None:
-            del l1._sets[block & l1._set_mask][block]
-        l2 = self._l2
-        line = l2._index.pop(block, None)
+        self.l1i_sets[block & self.l1i_mask].pop(block, None)
+        self.l1d_sets[block & self.l1d_mask].pop(block, None)
+        line = self.l2_index.pop(block, None)
         if line is not None:
-            del l2._sets[block & l2._set_mask][block]
+            del self.l2_sets[block & self.l2_mask][block]
             if self.obs is not None:
                 self.obs.emit(EventKind.PRIV_INV, block=block,
                               core=self.core, cause=cause)
@@ -205,7 +209,7 @@ class PrivateHierarchy:
 
     def downgrade_to_s(self, block: int) -> L2Line:
         """Owner response to a forwarded GETS: M/E -> S, supply data."""
-        line = self._l2._index.get(block)
+        line = self.l2_index.get(block)
         if line is None or line.state is _S:
             raise ProtocolInvariantError(
                 f"core {self.core} asked to downgrade block {block:#x} "
@@ -226,7 +230,7 @@ class PrivateHierarchy:
         when membership or S-ness changes, and a version refresh changes
         neither (S writes are already classified unsafe).
         """
-        line = self._l2._index.get(block)
+        line = self.l2_index.get(block)
         if line is None or line.state is not _S:
             raise ProtocolInvariantError(
                 f"core {self.core} received an update for block "
@@ -235,7 +239,7 @@ class PrivateHierarchy:
         line.version = version
 
     def set_state(self, block: int, state: MESI) -> None:
-        line = self._l2._index.get(block)
+        line = self.l2_index.get(block)
         if line is None:
             raise ProtocolInvariantError(
                 f"core {self.core} has no block {block:#x} to re-state")

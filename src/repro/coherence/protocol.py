@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.caches.block import LLCLine, LineKind, MESI
+from repro.caches.block import L2Line, LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
 from repro.caches.private_cache import EvictionNotice, PrivateHierarchy
 from repro.coherence.directory import SparseDirectory
@@ -31,7 +31,7 @@ from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import LLCDesign, Protocol, SystemConfig
 from repro.common.errors import ProtocolInvariantError
 from repro.common.messages import MessageType as MT
-from repro.common.stats import SystemStats
+from repro.common.stats import SystemStats, latency_bucket
 from repro.dram.model import DramModel
 from repro.interconnect.mesh import Mesh
 from repro.obs.events import EventKind, InvCause
@@ -91,6 +91,20 @@ class CMPSystem:
         self._epd = config.llc_design is LLCDesign.EPD
         self._inclusive = config.llc_design is LLCDesign.INCLUSIVE
         self._check_data = config.check_data
+        # The private hits access() retires itself: per class, the
+        # core-visible latency, the clock step (latency plus compute)
+        # and the latency bucket, as _read/_write would record them.
+        lat = config.latency
+        self._r1_lat = lat.l1_hit
+        self._r2_lat = lat.l1_hit + lat.l2_hit
+        self._w_lat = max(1, int(lat.l1_hit
+                                 * lat.store_visibility_fraction))
+        self._r1_step = self._r1_lat + lat.compute_per_access
+        self._r2_step = self._r2_lat + lat.compute_per_access
+        self._w_step = self._w_lat + lat.compute_per_access
+        self._r1_bucket = latency_bucket(self._r1_lat)
+        self._r2_bucket = latency_bucket(self._r2_lat)
+        self._w_bucket = latency_bucket(self._w_lat)
         #: Multi-socket composition seam: when set (by MultiSocketSystem),
         #: memory-side operations route through the inter-socket layer.
         self.memory_side = None
@@ -110,16 +124,72 @@ class CMPSystem:
     # ------------------------------------------------------------------
     def access(self, core: int, op: Op, address: int) -> int:
         """Execute one memory reference; returns its core-visible latency
-        in cycles and advances the core's local clock."""
+        in cycles and advances the core's local clock.
+
+        Private hits retire here without a further call: an L1 or L2
+        read hit (READ or IFETCH; an L2 hit fills the L1 silently) and a
+        store hit on an M/E line (E->M is silent).  They touch only the
+        issuing core's arrays, clock and counters and the shadow's
+        version of the block, emit no event and write no shrink-journal
+        entry.  A store to an S copy and every L2 miss go to
+        ``_write``/``_read`` with the L2 probe's result.
+        """
         block = address >> BLOCK_SHIFT
-        is_write = op is _WRITE
-        if is_write:
-            latency = self._write(core, block)
-        else:
+        hier = self.cores[core]
+        line = hier.l2_index.get(block)
+        if op is _WRITE:
+            if line is None or line.state is _MESI_S:
+                latency = self._write(core, block, line)
+                self.stats.record_access(
+                    core, True, latency,
+                    latency + self._lat.compute_per_access)
+                return latency
+            hier.l2_sets[block & hier.l2_mask].move_to_end(block)
+            l1 = hier.l1d_sets[block & hier.l1d_mask]
+            if block in l1:
+                l1.move_to_end(block)
+            else:
+                if len(l1) >= hier.l1d_ways:
+                    l1.popitem(last=False)      # L1 victims go silently
+                l1[block] = None
+            latest = self.shadow._latest        # noqa: SLF001
+            version = latest.get(block, 0) + 1
+            latest[block] = version
+            line.state = _MESI_M
+            line.dirty = True
+            line.version = version
+            stats = self.stats
+            stats.write_latency_buckets[self._w_bucket] += 1
+            stats.cycles[core] += self._w_step
+            stats.accesses[core] += 1
+            return self._w_lat
+        if line is None:
             latency = self._read(core, block, op is _IFETCH)
-        self.stats.record_access(core, is_write, latency,
-                                 latency + self._lat.compute_per_access)
-        return latency
+            self.stats.record_access(core, False, latency,
+                                     latency + self._lat.compute_per_access)
+            return latency
+        hier.l2_sets[block & hier.l2_mask].move_to_end(block)
+        code = op is _IFETCH
+        if code:
+            l1 = hier.l1i_sets[block & hier.l1i_mask]
+        else:
+            l1 = hier.l1d_sets[block & hier.l1d_mask]
+        stats = self.stats
+        if block in l1:
+            l1.move_to_end(block)
+            stats.l1_hits += 1
+            stats.read_latency_buckets[self._r1_bucket] += 1
+            stats.cycles[core] += self._r1_step
+            stats.accesses[core] += 1
+            return self._r1_lat
+        if len(l1) >= (hier.l1i_ways if code else hier.l1d_ways):
+            l1.popitem(last=False)              # L1 victims go silently
+        l1[block] = None
+        stats.l2_hits += 1
+        stats.read_latency_buckets[self._r2_bucket] += 1
+        stats.cycles[core] += self._r2_step
+        stats.accesses[core] += 1
+        return self._r2_lat
 
     def bank_of(self, block: int) -> LLCBank:
         return self.banks[block & self._bank_mask]
@@ -128,41 +198,33 @@ class CMPSystem:
     # Core-side paths
     # ------------------------------------------------------------------
     def _read(self, core: int, block: int, code: bool) -> int:
-        level = self.cores[core].read_hit_level(block, code)
-        lat = self._lat
-        if level == "l1":
-            self.stats.l1_hits += 1
-            return lat.l1_hit
-        if level == "l2":
-            self.stats.l2_hits += 1
-            return lat.l1_hit + lat.l2_hit
+        """A read or instruction fetch that missed the L2: a GETS."""
         latency, version = self._gets(core, block, code)
         if self._check_data:
             self.shadow.check_read(block, version, "GETS response")
+        lat = self._lat
         # The OOO window hides part of the uncore latency (MLP).
         exposed = max(1, int(latency * lat.load_visibility_fraction))
         return lat.l1_hit + lat.l2_hit + exposed
 
-    def _write(self, core: int, block: int) -> int:
+    def _write(self, core: int, block: int,
+               line: Optional[L2Line]) -> int:
+        """A store that needs the uncore: an upgrade of the core's S copy
+        ``line``, or a write miss (``line`` is None)."""
         hier = self.cores[core]
-        state = hier.write_hit_state(block)
-        if state is not None and state is not _MESI_S:
-            # M hit, or silent E->M transition.
-            latency = self._lat.l1_hit
-        elif state is _MESI_S:
+        lat = self._lat
+        if line is not None:
+            hier.write_hit_state(block)     # recency touch + L1D fill
             self.stats.l2_hits += 1
             self.stats.upgrades += 1
-            latency = (self._lat.l1_hit + self._lat.l2_hit
-                       + self._upgrade(core, block))
+            latency = lat.l1_hit + lat.l2_hit + self._upgrade(core, block)
         else:
-            latency = (self._lat.l1_hit + self._lat.l2_hit
-                       + self._getx(core, block))
+            latency = lat.l1_hit + lat.l2_hit + self._getx(core, block)
         version = self.shadow.commit_write(block)
         hier.commit_write(block, version)
         # Stores drain through the store buffer; only a fraction of the
         # miss latency is exposed on the critical path.
-        exposed = self._lat.store_visibility_fraction
-        return max(1, int(latency * exposed))
+        return max(1, int(latency * lat.store_visibility_fraction))
 
     # ------------------------------------------------------------------
     # GETS: read / instruction-fetch miss

@@ -52,11 +52,12 @@ class CacheGeometry:
         return self.blocks // self.ways
 
 
-#: Access-kernel identifiers (see :mod:`repro.kernel`): ``batched``
-#: pre-classifies private-cache hits and retires them in bulk under a
-#: bit-identity contract against ``scalar`` (the per-message protocol
-#: walk), enforced by ``repro verify --kernel-diff``.
-#: ``REPRO_KERNEL=scalar`` is the runtime escape hatch.
+#: Access-kernel identifiers: ``scalar`` (the default) issues every
+#: access through ``CMPSystem.access``, which retires private hits
+#: itself; ``batched`` (:mod:`repro.kernel`) pre-classifies private
+#: hits and retires them in bulk under a bit-identity contract against
+#: ``scalar``, enforced by ``repro verify --kernel-diff``.
+#: ``REPRO_KERNEL=batched`` selects it at run time.
 KERNELS = ("batched", "scalar")
 KERNEL_ENV = "REPRO_KERNEL"
 
@@ -215,12 +216,12 @@ class SystemConfig:
     # Multi-grain Directory region size in blocks (1 KB regions).
     mgd_region_blocks: int = 16
     check_data: bool = True           # shadow-memory version checking
-    #: Access kernel driving the runner hot path (``repro.kernel``):
-    #: ``batched`` or ``scalar``, bit-identical by contract
+    #: Access kernel driving the runner hot path: ``scalar`` or
+    #: ``batched`` (``repro.kernel``), bit-identical by contract
     #: (``repro verify --kernel-diff``); the field
     #: participates in result-cache keys so cached results never mix
     #: kernels.
-    kernel: str = "batched"
+    kernel: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.n_cores <= 0:

@@ -209,6 +209,12 @@ class SystemStats:
         return result
 
 
+def latency_bucket(latency: int) -> int:
+    """The histogram bucket ``record_latency`` files ``latency`` under."""
+    bucket = latency.bit_length() - 1 if latency > 1 else 0
+    return min(bucket, SystemStats.LATENCY_BUCKETS - 1)
+
+
 def weighted_speedup(base_cycles: List[int], new_cycles: List[int]) -> float:
     """Weighted speedup of a multi-programmed run versus a baseline run.
 

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common.config import (DirCachingPolicy, DirectoryConfig,
                                  LLCDesign, LLCReplacement, Protocol,
                                  SystemConfig, CacheGeometry,
-                                 scaled_socket)
+                                 resolve_kernel, scaled_socket)
 from repro.common.stats import weighted_speedup
 from repro.harness.campaign import policy_from_env
 from repro.harness.energy import estimate_energy
@@ -90,7 +90,8 @@ def _instrumented(fn):
     rate drops although the figure finishes sooner.
     ``aggregate_accesses_per_second`` divides by the experiment's own
     wall-clock: the figure's throughput. ``cpu_count`` says how many
-    CPUs the workers shared.
+    CPUs the workers shared, and ``kernel`` which access kernel ran
+    (``REPRO_KERNEL`` or the config's default).
     """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -109,6 +110,7 @@ def _instrumented(fn):
             "simulated_accesses": int(accesses),
             "accesses_per_second": (
                 int(accesses / run_wall) if run_wall else 0),
+            "kernel": resolve_kernel(default_config()),
             "aggregate_accesses_per_second": (
                 int(accesses / elapsed) if elapsed else 0),
             "cpu_count": os.cpu_count() or 1,

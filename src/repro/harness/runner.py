@@ -10,7 +10,11 @@ by the single-socket and multi-socket entry points. The ready set is a
 binary heap keyed by ``(local_clock, slot)`` -- because an access only
 advances the issuing core's clock, popping the heap minimum selects
 exactly the core the previous O(n_cores) linear scan selected (ties break
-toward the lower core index in both), at O(log n) per access.
+toward the lower core index in both), at O(log n) per access.  Between
+warm-up, check and sample boundaries the loop calls each slot's
+``access`` straight from its decoded streams; private hits retire
+inside ``CMPSystem.access``.  ``kernel="batched"`` hands the run to
+:func:`repro.kernel.drive_batched` instead.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import heapq
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, List, Optional
+
+import numpy as np
 
 from repro.coherence.protocol import CMPSystem
 from repro.common.config import resolve_kernel
@@ -56,41 +62,78 @@ class RunResult:
                          self.wall_seconds, self.cached, self.trace_path)
 
 
+#: Op enums by integer code, as an object array: indexing it with a
+#: trace's code array maps every op in C.
+_OPS = np.array(OP_BY_CODE, dtype=object)
+
+
 def _decode_traces(traces):
     """Pre-decode op enums and convert addresses to Python ints.
 
     The per-access ``OP_BY_CODE[...]``/``int(np.int64)`` conversions are
-    hoisted out of the hot loop: ``tolist()`` converts each numpy array
-    once, in C.
+    hoisted out of the hot loop: the op lookup is one NumPy take and
+    ``tolist()`` converts each array once, both in C.
     """
-    ops = [[OP_BY_CODE[code] for code in trace.ops.tolist()]
-           for trace in traces]
+    ops = [_OPS[trace.ops].tolist() for trace in traces]
     addresses = [trace.addresses.tolist() for trace in traces]
     return ops, addresses
 
 
-def _drive_interleaved(lengths: List[int],
-                       issue: Callable[[int, int], int],
+def _drive_interleaved(slots: List[tuple],
                        check: Optional[Callable[[], None]] = None,
                        check_every: int = 0,
                        sample: Optional[Callable[[], None]] = None,
                        sample_every: int = 0,
                        warmup: int = 0,
-                       on_warmup: Optional[Callable[[], None]] = None
-                       ) -> int:
+                       on_warmup: Optional[Callable[[], None]] = None,
+                       obs=None) -> int:
     """Issue every slot's references in global simulated-time order.
 
-    ``issue(slot, index)`` performs one access and returns the slot's new
-    local clock. Returns the number of accesses issued.
+    Each slot is ``(access, core, stats, ops, addresses)``: its i-th
+    reference is ``access(core, ops[i], addresses[i])``, after which
+    its local clock is ``stats.cycles[core]``.  Between warm-up, check
+    and sample boundaries the loop calls ``access`` straight from the
+    streams, advancing ``obs.step`` first when a bus is given (every
+    event then carries its global access index).  Returns the number
+    of accesses issued.
     """
-    n = len(lengths)
+    n = len(slots)
+    lengths = [len(slot[3]) for slot in slots]
     positions = [0] * n
     heap = [(0, slot) for slot in range(n) if lengths[slot]]
     heapq.heapify(heap)
     heapreplace = heapq.heapreplace
     heappop = heapq.heappop
+    if sample is None:
+        sample_every = 0
+    total = sum(lengths)
     step = 0
-    while heap:
+    while step < total:
+        stop = total
+        if warmup > step:
+            stop = warmup
+        if check_every:
+            stop = min(stop, step - step % check_every + check_every)
+        if sample_every:
+            stop = min(stop, step - step % sample_every + sample_every)
+        for _ in range(stop - step):
+            slot = heap[0][1]
+            access, core, stats, ops, addresses = slots[slot]
+            index = positions[slot]
+            if obs is not None:
+                obs.step += 1
+            access(core, ops[index], addresses[index])
+            index += 1
+            positions[slot] = index
+            if index < lengths[slot]:
+                heapreplace(heap, (stats.cycles[core], slot))
+            else:
+                heappop(heap)
+        step = stop
+        if check_every and step % check_every == 0:
+            check()
+        if sample_every and step % sample_every == 0:
+            sample()
         if warmup and step == warmup:
             if on_warmup is not None:
                 on_warmup()
@@ -98,19 +141,6 @@ def _drive_interleaved(lengths: List[int],
             heap = [(0, slot) for slot in range(n)
                     if positions[slot] < lengths[slot]]
             heapq.heapify(heap)
-        slot = heap[0][1]
-        index = positions[slot]
-        clock = issue(slot, index)
-        positions[slot] = index + 1
-        step += 1
-        if index + 1 < lengths[slot]:
-            heapreplace(heap, (clock, slot))
-        else:
-            heappop(heap)
-        if check_every and step % check_every == 0:
-            check()
-        if sample_every and sample is not None and step % sample_every == 0:
-            sample()
     return step
 
 
@@ -146,29 +176,7 @@ def run_workload(system: CMPSystem, workload: Workload,
         ops, addresses = _decode_traces(traces)
     access = system.access
     stats = system.stats
-    cycles = stats.cycles
-
-    def issue(core: int, index: int) -> int:
-        access(core, ops[core][index], addresses[core][index])
-        return cycles[core]
-
     obs = getattr(system, "obs", None)
-    if obs is not None:
-        # Tracing enabled: advance the event-bus step clock once per
-        # issued access so every event carries its global access index.
-        # Built only on this branch; the disabled path keeps the plain
-        # closure above untouched.
-        plain_issue = issue
-
-        def issue(core: int, index: int,
-                  _issue=plain_issue, _obs=obs) -> int:
-            _obs.step += 1
-            return _issue(core, index)
-
-    def on_warmup() -> None:
-        nonlocal cycles
-        stats.reset()
-        cycles = stats.cycles
 
     # Gauge sampling observes intermediate states, which are schedule-
     # dependent: the batched kernel retires safe hits of different
@@ -179,10 +187,15 @@ def run_workload(system: CMPSystem, workload: Workload,
         kernel = "scalar"
 
     def drive() -> None:
-        sample = (None if sample_fn is None
-                  else lambda: sample_fn(system))
         if kernel == "batched":
             from repro.kernel import SlotKernel, drive_batched
+
+            def issue(core: int, index: int) -> int:
+                if obs is not None:
+                    obs.step += 1
+                access(core, ops[core][index], addresses[core][index])
+                return stats.cycles[core]
+
             slots = [SlotKernel(core, system.cores[core], stats,
                                 system.shadow, system.config.latency,
                                 trace.ops, trace.addresses)
@@ -190,15 +203,17 @@ def run_workload(system: CMPSystem, workload: Workload,
             drive_batched(slots, issue,
                           check=system.check_invariants,
                           check_every=check_invariants_every,
-                          warmup=warmup, on_warmup=on_warmup, obs=obs)
+                          warmup=warmup, on_warmup=stats.reset, obs=obs)
             return
         _drive_interleaved(
-            lengths, issue,
+            [(access, core, stats, ops[core], addresses[core])
+             for core in range(n)],
             check=system.check_invariants,
             check_every=check_invariants_every,
-            sample=sample,
+            sample=(None if sample_fn is None
+                    else lambda: sample_fn(system)),
             sample_every=sample_every,
-            warmup=warmup, on_warmup=on_warmup)
+            warmup=warmup, on_warmup=stats.reset, obs=obs)
 
     if profiler is not None:
         with profiler.phase("drive"):
@@ -230,19 +245,19 @@ def run_multisocket_workload(system, workload: Workload,
     if n > per_socket * system.n_sockets:
         raise ValueError("workload larger than the multi-socket system")
     started = perf_counter()
-    lengths = [len(trace) for trace in traces]
     ops, addresses = _decode_traces(traces)
     homes = [divmod(slot, per_socket) for slot in range(n)]
     sockets = system.sockets
-    access = system.access
-
-    def issue(slot: int, index: int) -> int:
-        socket, core = homes[slot]
-        access(socket, core, ops[slot][index], addresses[slot][index])
-        return sockets[socket].stats.cycles[core]
 
     if resolve_kernel(system.config) == "batched":
         from repro.kernel import SlotKernel, drive_batched
+        access = system.access
+
+        def issue(slot: int, index: int) -> int:
+            socket, core = homes[slot]
+            access(socket, core, ops[slot][index], addresses[slot][index])
+            return sockets[socket].stats.cycles[core]
+
         slots = []
         for slot, trace in enumerate(traces):
             socket, core = homes[slot]
@@ -254,9 +269,12 @@ def run_multisocket_workload(system, workload: Workload,
                       check=system.check_invariants,
                       check_every=check_invariants_every)
     else:
-        _drive_interleaved(lengths, issue,
-                           check=system.check_invariants,
-                           check_every=check_invariants_every)
+        _drive_interleaved(
+            [(sockets[socket].access, core, sockets[socket].stats,
+              ops[slot], addresses[slot])
+             for slot, (socket, core) in enumerate(homes)],
+            check=system.check_invariants,
+            check_every=check_invariants_every)
     if check_invariants_every:
         system.check_invariants()
     # Counted here because no multi-socket run goes through run_many

@@ -1,15 +1,17 @@
-"""Batched access kernel for the simulation hot path.
+"""Batched access kernel: the opt-in second hit path.
 
-The overwhelming majority of accesses in every figure workload are
-private-cache hits: the block is already in the issuing core's L2 in a
-state that can service the request without any uncore message. The
-scalar path still walks ``CMPSystem.access -> _read/_write ->
-PrivateHierarchy`` one reference at a time; this package pre-classifies
-each core's upcoming access window with a Python scan over the core's
-L2 index and retires the safe-hit prefix in bulk, falling back to the
-unmodified scalar protocol for anything that could touch directory
-state (misses, upgrades, DEV paths, fuse/unfuse, corrupted-home,
-cross-socket flows).
+Most accesses in every figure workload are private-cache hits: the
+block is already in the issuing core's L2 in a state that can service
+the request without any uncore message.  The default ``scalar`` kernel
+retires those inside ``CMPSystem.access``, one reference at a time.
+This package (``kernel="batched"`` or ``REPRO_KERNEL=batched``)
+pre-classifies each core's upcoming access window with a Python scan
+over the core's L2 index and retires the safe-hit prefix in bulk,
+issuing anything that could touch directory state (misses, upgrades,
+DEV paths, fuse/unfuse, corrupted-home, cross-socket flows) through
+``access``.  It no longer beats the scalar kernel (DESIGN.md section
+11) and stays as the independent hit path ``repro verify
+--kernel-diff`` diffs the scalar one against.
 
 The contract is **bit identity**: identical final stats, identical
 shadow memory, and identical event streams (order, payloads, and step

@@ -85,8 +85,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.caches.block import L1Line, MESI
+from repro.caches.block import MESI
 from repro.common.addressing import BLOCK_SHIFT
+from repro.common.stats import latency_bucket
 
 #: Accesses classified per scan. The scan stops at the first unsafe
 #: access anyway; the window only caps the work per scan in long
@@ -133,11 +134,6 @@ ADAPT_STREAK = 2
 _NO_LIMIT = 1 << 62
 
 
-def _bucket(latency: int, n_buckets: int) -> int:
-    """The power-of-two latency bucket (mirrors record_latency)."""
-    return min(max(latency, 1).bit_length() - 1, n_buckets - 1)
-
-
 class SlotKernel:
     """Fast-path state for one scheduling slot (one core of one socket).
 
@@ -150,8 +146,8 @@ class SlotKernel:
     __slots__ = ("core", "hier", "stats", "length", "ops", "blocks",
                  "_hot", "_cls_epoch", "_cls_base", "_cls_safe_end",
                  "_cls_capped", "_cls_cum",
-                 "_l1i_index", "_l1i_sets", "_l1i_mask", "_l1i_ways",
-                 "_l1d_index", "_l1d_sets", "_l1d_mask", "_l1d_ways",
+                 "_l1i_sets", "_l1i_mask", "_l1i_ways",
+                 "_l1d_sets", "_l1d_mask", "_l1d_ways",
                  "_l2_index", "_l2_sets", "_l2_mask", "_shadow_latest",
                  "_r1_step", "_r2_step", "_w_step",
                  "_r1_bucket", "_r2_bucket", "_w_bucket")
@@ -170,25 +166,22 @@ class SlotKernel:
         self._cls_safe_end = 0
         self._cls_capped = True
         self._cls_cum: List[int] = []
-        # The container objects below are created once per cache and
+        # The hierarchy's dicts and set lists are created once and
         # mutated in place, so the references stay valid across the
         # whole run (stats.cycles does NOT: reset() replaces it, so it
         # is re-fetched at every flush).
-        l1i, l1d, l2 = hier._l1i, hier._l1d, hier._l2  # noqa: SLF001
-        self._l1i_index = l1i._index                   # noqa: SLF001
-        self._l1i_sets = l1i._sets                     # noqa: SLF001
-        self._l1i_mask = l1i._set_mask                 # noqa: SLF001
-        self._l1i_ways = l1i._n_ways                   # noqa: SLF001
-        self._l1d_index = l1d._index                   # noqa: SLF001
-        self._l1d_sets = l1d._sets                     # noqa: SLF001
-        self._l1d_mask = l1d._set_mask                 # noqa: SLF001
-        self._l1d_ways = l1d._n_ways                   # noqa: SLF001
-        self._l2_index = l2._index                     # noqa: SLF001
-        self._l2_sets = l2._sets                       # noqa: SLF001
-        self._l2_mask = l2._set_mask                   # noqa: SLF001
+        self._l1i_sets = hier.l1i_sets
+        self._l1i_mask = hier.l1i_mask
+        self._l1i_ways = hier.l1i_ways
+        self._l1d_sets = hier.l1d_sets
+        self._l1d_mask = hier.l1d_mask
+        self._l1d_ways = hier.l1d_ways
+        self._l2_index = hier.l2_index
+        self._l2_sets = hier.l2_sets
+        self._l2_mask = hier.l2_mask
         self._shadow_latest = shadow._latest           # noqa: SLF001
-        # Latency constants of the three hit classes (see CMPSystem
-        # _read/_write): these are exactly what the scalar path records.
+        # Latency constants of the three hit classes (see
+        # CMPSystem.access): exactly what the scalar path records.
         r1_lat = latency.l1_hit
         r2_lat = latency.l1_hit + latency.l2_hit
         w_lat = max(1, int(latency.l1_hit
@@ -197,18 +190,17 @@ class SlotKernel:
         self._r1_step = r1_lat + compute
         self._r2_step = r2_lat + compute
         self._w_step = w_lat + compute
-        n_buckets = stats.LATENCY_BUCKETS
-        self._r1_bucket = _bucket(r1_lat, n_buckets)
-        self._r2_bucket = _bucket(r2_lat, n_buckets)
-        self._w_bucket = _bucket(w_lat, n_buckets)
+        self._r1_bucket = latency_bucket(r1_lat)
+        self._r2_bucket = latency_bucket(r2_lat)
+        self._w_bucket = latency_bucket(w_lat)
         # One-shot binding tuple for retire_run: a single unpack
         # replaces ~20 attribute loads per call, which matters when
         # tight horizons keep bulk runs short.
         self._hot = (self.ops, self.blocks,
-                     self._l1i_index, self._l1i_sets, self._l1i_mask,
-                     self._l1i_ways, self._l1d_index, self._l1d_sets,
-                     self._l1d_mask, self._l1d_ways, self._l2_index,
-                     self._l2_sets, self._l2_mask, self._shadow_latest,
+                     self._l1i_sets, self._l1i_mask, self._l1i_ways,
+                     self._l1d_sets, self._l1d_mask, self._l1d_ways,
+                     self._l2_index, self._l2_sets, self._l2_mask,
+                     self._shadow_latest,
                      self._r1_step, self._r2_step, self._w_step)
 
     # ------------------------------------------------------------------
@@ -343,9 +335,9 @@ class SlotKernel:
         and the silent E->M on stores, per-class latencies, latency
         buckets, and per-core counters.
         """
-        (ops, blocks, l1i_index, l1i_sets, l1i_mask, l1i_ways,
-         l1d_index, l1d_sets, l1d_mask, l1d_ways, l2_index, l2_sets,
-         l2_mask, latest, r1_step, r2_step, w_step) = self._hot
+        (ops, blocks, l1i_sets, l1i_mask, l1i_ways, l1d_sets, l1d_mask,
+         l1d_ways, l2_index, l2_sets, l2_mask, latest, r1_step, r2_step,
+         w_step) = self._hot
         latest_get = latest.get
         mesi_m = MESI.M
         n_l1 = n_l2 = n_writes = 0
@@ -361,34 +353,28 @@ class SlotKernel:
             if clock >= limit:
                 break
             if opc == 0:                              # READ
-                if block in l1d_index:
-                    l1d_sets[block & l1d_mask].move_to_end(block)
+                lru = l1d_sets[block & l1d_mask]
+                if block in lru:
+                    lru.move_to_end(block)
                     l2_sets[block & l2_mask].move_to_end(block)
                     n_l1 += 1
                     clock += r1_step
                 else:
                     l2_sets[block & l2_mask].move_to_end(block)
-                    lru = l1d_sets[block & l1d_mask]
                     if len(lru) >= l1d_ways:
-                        victim = lru.popitem(last=False)[1]
-                        del l1d_index[victim.block]
-                    line = L1Line(block)
-                    lru[block] = line
-                    l1d_index[block] = line
+                        lru.popitem(last=False)
+                    lru[block] = None
                     n_l2 += 1
                     clock += r2_step
             elif opc == 1:                            # WRITE (M/E hit)
                 l2_sets[block & l2_mask].move_to_end(block)
-                if block in l1d_index:
-                    l1d_sets[block & l1d_mask].move_to_end(block)
+                lru = l1d_sets[block & l1d_mask]
+                if block in lru:
+                    lru.move_to_end(block)
                 else:
-                    lru = l1d_sets[block & l1d_mask]
                     if len(lru) >= l1d_ways:
-                        victim = lru.popitem(last=False)[1]
-                        del l1d_index[victim.block]
-                    line = L1Line(block)
-                    lru[block] = line
-                    l1d_index[block] = line
+                        lru.popitem(last=False)
+                    lru[block] = None
                 version = latest_get(block, 0) + 1
                 latest[block] = version
                 l2_line = l2_index[block]
@@ -398,20 +384,17 @@ class SlotKernel:
                 n_writes += 1
                 clock += w_step
             else:                                     # IFETCH
-                if block in l1i_index:
-                    l1i_sets[block & l1i_mask].move_to_end(block)
+                lru = l1i_sets[block & l1i_mask]
+                if block in lru:
+                    lru.move_to_end(block)
                     l2_sets[block & l2_mask].move_to_end(block)
                     n_l1 += 1
                     clock += r1_step
                 else:
                     l2_sets[block & l2_mask].move_to_end(block)
-                    lru = l1i_sets[block & l1i_mask]
                     if len(lru) >= l1i_ways:
-                        victim = lru.popitem(last=False)[1]
-                        del l1i_index[victim.block]
-                    line = L1Line(block)
-                    lru[block] = line
-                    l1i_index[block] = line
+                        lru.popitem(last=False)
+                    lru[block] = None
                     n_l2 += 1
                     clock += r2_step
         # Each retired access bumped exactly one of the three counters.

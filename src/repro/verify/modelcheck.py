@@ -117,7 +117,7 @@ def _socket_sig(socket) -> tuple:
         tuple(tuple((line.block, line.state._value_, line.version,
                      line.dirty, line.is_code)
                     for line in lru_set.values())
-              for lru_set in hier._l2._sets)
+              for lru_set in hier.l2_sets)
         for hier in socket.cores)
     banks = tuple(
         tuple(tuple((frame.block, frame.kind._value_, frame.dirty,
@@ -383,10 +383,9 @@ class _Snapshots:
 
     :meth:`dump` pickles a state with what no transition changes by
     reference into a table built from the root before level 1: every
-    frozen dataclass of the root's config tree (the same objects
-    ``CMPSystem._lat`` and each ``SetAssocCache.geometry`` point at)
-    and the ``shared`` objects the caller names.  Enum members go by
-    name.  A snapshot is restored with plain :func:`pickle.loads`, in
+    frozen dataclass of the root's config tree (``CMPSystem._lat``
+    among them) and the ``shared`` objects the caller names.  Enum
+    members go by name.  A snapshot is restored with plain :func:`pickle.loads`, in
     this process or in a worker forked while the codec is alive.
     Nothing mutable that a protocol decision reads may be shared.
     """
@@ -787,8 +786,9 @@ def explore_model(spec: ModelSpec, depth: int,
     across fork workers (reports stay bit-identical); ``symmetry``
     canonicalizes orbit-minimally over the sound core/block relabelings
     of :func:`repro.verify.symmetry.symmetry_group` (core relabelings
-    are dropped automatically while a mutation is armed -- seeded bugs
-    may be core-id-dependent).
+    are dropped automatically while a mutation is armed, by
+    ``mutation`` or by a ``MutantSpec`` -- seeded bugs may be
+    core-id-dependent).
     """
     alphabet = (list(symbols) if symbols is not None
                 else build_alphabet(cores, blocks, ops))

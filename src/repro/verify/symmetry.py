@@ -28,7 +28,7 @@ Soundness (the full argument lives in PROTOCOL.md §6):
   commute) -- both latency-only.  Seeded *mutations* may be
   id-dependent (``dev-leak-sharer`` drops the lowest-id sharer), so an
   armed mutant keeps block permutations but drops core permutations
-  (``cores_symmetric=False``).
+  (``cores_symmetric=False``, implied by a ``MutantSpec``).
 * **SecDir and MgD** organize directory state by region/way classes
   whose grouping is not a pure low-bit function of the block id, so
   both degrade to the trivial group rather than risk an unsound merge.
@@ -151,9 +151,11 @@ def symmetry_group(spec: ModelSpec, alphabet: Sequence[tuple],
     """Every sound relabeling of ``spec`` that maps ``alphabet`` onto
     itself: identity first, deterministic order, capped at ``max_size``.
 
-    ``cores_symmetric=False`` restricts to block permutations (used
-    whenever a seeded mutation is armed -- mutations may be
-    core-id-dependent, see the module docstring)."""
+    ``cores_symmetric=False`` restricts to block permutations, as does
+    a spec whose builds arm a seeded mutation (a ``MutantSpec``):
+    mutations may be core-id-dependent, see the module docstring."""
+    if getattr(spec, "mutation", ""):
+        cores_symmetric = False
     n_cores = spec.config.n_cores
     identity_cores = tuple(range(n_cores))
     identity = Relabeling(identity_cores, {})

@@ -108,8 +108,9 @@ class TestSystemConfig:
 
 
 class TestKernelSelection:
-    def test_default_is_batched(self):
-        assert table1_socket().kernel == "batched"
+    def test_default_is_scalar(self):
+        assert table1_socket().kernel == "scalar"
+        assert SystemConfig().kernel == "scalar"
         assert "batched" in KERNELS and "scalar" in KERNELS
 
     def test_unknown_kernel_rejected(self):
@@ -132,10 +133,12 @@ class TestKernelSelection:
     def test_resolve_prefers_env(self, monkeypatch):
         config = table1_socket()
         monkeypatch.delenv(KERNEL_ENV, raising=False)
+        assert resolve_kernel(config) == "scalar"
+        assert resolve_kernel(config.with_(kernel="batched")) == "batched"
+        monkeypatch.setenv(KERNEL_ENV, "batched")
         assert resolve_kernel(config) == "batched"
         monkeypatch.setenv(KERNEL_ENV, "scalar")
-        assert resolve_kernel(config) == "scalar"
-        assert resolve_kernel(config.with_(kernel="scalar")) == "scalar"
+        assert resolve_kernel(config.with_(kernel="batched")) == "scalar"
 
     def test_resolve_rejects_unknown_env(self, monkeypatch):
         for name in ("turbo", "vectorized"):

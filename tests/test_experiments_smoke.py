@@ -4,6 +4,7 @@ These keep ``repro.harness.experiments`` exercised by the unit suite; the
 full-scale versions run under ``pytest benchmarks/ --benchmark-only``.
 """
 
+import itertools
 import os
 from types import SimpleNamespace
 
@@ -93,7 +94,7 @@ class TestInstrumentedThroughput:
     def oversubscribed(self, monkeypatch):
         # A 10 s experiment whose runs report 20 s of summed run wall,
         # as two workers sharing one CPU would.
-        clock = iter([100.0, 110.0])
+        clock = itertools.cycle([100.0, 110.0])
         monkeypatch.setattr(experiments, "time", SimpleNamespace(
             perf_counter=lambda: next(clock)))
         monkeypatch.setattr(experiments, "telemetry_snapshot",
@@ -109,7 +110,9 @@ class TestInstrumentedThroughput:
             return Table("stub figure"), {}
         return figure
 
-    def test_metadata_reports_both_rates(self, oversubscribed):
+    def test_metadata_reports_both_rates(self, oversubscribed,
+                                         monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         table, _ = oversubscribed()
         meta = table.metadata
         assert meta["experiment_wall_seconds"] == 10.0
@@ -117,6 +120,12 @@ class TestInstrumentedThroughput:
         assert meta["accesses_per_second"] == self.ACCESSES // 20
         assert meta["aggregate_accesses_per_second"] == self.ACCESSES // 10
         assert meta["cpu_count"] == 3
+        # The timing names the kernel that produced it.
+        assert meta["kernel"] == "scalar"
+        monkeypatch.setenv("REPRO_KERNEL", "batched")
+        table, _ = oversubscribed()
+        assert table.metadata["kernel"] == "batched"
+        assert table.metadata["accesses_per_second"] == self.ACCESSES // 20
 
     def test_run_summary_prints_aggregate_rate(self, oversubscribed,
                                                monkeypatch, capsys):

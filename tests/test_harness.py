@@ -31,6 +31,9 @@ class TestRunner:
         b = self.run(tiny_config())
         assert a.per_core_cycles == b.per_core_cycles
         assert a.stats.traffic_bytes == b.stats.traffic_bytes
+        # The batched kernel, with the same invariant sweeps.
+        c = self.run(tiny_config(kernel="batched"))
+        assert c.stats.as_dict() == a.stats.as_dict()
 
     def test_interleaves_by_local_time(self):
         result = self.run(tiny_config())
@@ -68,26 +71,56 @@ class TestWarmupBoundary:
     """
 
     def test_drive_interleaved_issues_each_access_exactly_once(self):
+        from types import SimpleNamespace
+
         from repro.harness.runner import _drive_interleaved
 
         lengths = [5, 50, 50]
         issued = []
-        clocks = [0] * len(lengths)
+        log = []
+        stats = SimpleNamespace(cycles=[0] * len(lengths))
+        obs = SimpleNamespace(step=0)
 
-        def issue(slot, index):
+        def access(slot, op, index):
+            # The bus step already counts this access.
+            assert obs.step == len(issued) + 1
             issued.append((slot, index))
-            clocks[slot] += 7 + slot     # uneven, deterministic
-            return clocks[slot]
+            stats.cycles[slot] += 7 + slot     # uneven, deterministic
 
-        steps = _drive_interleaved(list(lengths), issue, warmup=30,
-                                   on_warmup=lambda: None)
-        assert steps == sum(lengths)
+        def boundary(name):
+            return lambda: log.append((name, len(issued)))
+
+        slots = [(access, slot, stats, [None] * length,
+                  list(range(length)))
+                 for slot, length in enumerate(lengths)]
+        steps = _drive_interleaved(slots, check=boundary("check"),
+                                   check_every=10,
+                                   sample=boundary("sample"),
+                                   sample_every=15, warmup=30,
+                                   on_warmup=boundary("warmup"), obs=obs)
+        assert steps == obs.step == sum(lengths)
         # Exactly once each: no access replayed across the boundary,
         # none dropped, per-core counts equal the trace lengths.
         assert len(issued) == len(set(issued)) == sum(lengths)
         for slot, length in enumerate(lengths):
             assert [i for s, i in issued if s == slot] == list(
                 range(length))
+        # Every boundary fires once at its step; where they coincide,
+        # the check and the sample see the warm-up's last state.
+        expected = sorted(
+            [("check", k) for k in range(10, 106, 10)]
+            + [("sample", k) for k in range(15, 106, 15)]
+            + [("warmup", 30)],
+            key=lambda event: (event[1],
+                               ("check", "sample", "warmup").index(
+                                   event[0])))
+        assert log == expected
+        # Every slot re-entered the ROI at clock 0: after the boundary
+        # the slot with the smallest clock goes first.
+        assert issued[30][0] == min(
+            slot for slot in range(3)
+            if sum(1 for s, _ in issued[:30] if s == slot)
+            < lengths[slot])
 
     def test_short_trace_contributes_no_roi_stats(self):
         from repro.workloads.trace import CoreTrace, Workload

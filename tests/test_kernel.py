@@ -127,9 +127,11 @@ class TestBitIdentity:
 class TestKernelSelection:
     def test_env_override(self, monkeypatch):
         config = tiny_config()
+        assert resolve_kernel(config) == "scalar"
+        monkeypatch.setenv("REPRO_KERNEL", "batched")
         assert resolve_kernel(config) == "batched"
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert resolve_kernel(config) == "scalar"
+        assert resolve_kernel(config.with_(kernel="batched")) == "scalar"
 
     def test_env_rejects_unknown(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "turbo")
@@ -145,13 +147,13 @@ class TestKernelSelection:
         config = tiny_config()
         workload = make_multithreaded(find_profile("blackscholes"),
                                       config, 50, seed=1)
-        batched_key = run_key(config, workload)
-        assert run_key(config.with_(kernel="scalar"), workload) != \
-            batched_key
+        scalar_key = run_key(config, workload)
+        assert run_key(config.with_(kernel="batched"), workload) != \
+            scalar_key
         # The env override must also change the key, or a REPRO_KERNEL
         # run could replay results cached under the other kernel.
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert run_key(config, workload) != batched_key
+        monkeypatch.setenv("REPRO_KERNEL", "batched")
+        assert run_key(config, workload) != scalar_key
 
 
 class TestClassification:

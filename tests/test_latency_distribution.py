@@ -70,6 +70,10 @@ class TestEndToEndDistribution:
         total = sum(stats.read_latency_buckets) \
             + sum(stats.write_latency_buckets)
         assert total == stats.total_accesses
+        # The batched kernel buckets its bulk-retired hits the same way.
+        batched = self.run(tiny_config(kernel="batched"))
+        assert batched.read_latency_buckets == stats.read_latency_buckets
+        assert batched.write_latency_buckets == stats.write_latency_buckets
 
     def test_median_is_l1_like(self):
         stats = self.run(tiny_config())

@@ -407,9 +407,8 @@ class TestMutations:
             assert load.config is config
             assert load._lat is config.latency
             for hier in load.cores:
-                assert hier._l1i.geometry is config.l1i
-                assert hier._l1d.geometry is config.l1d
-                assert hier._l2.geometry is config.l2
+                assert hier.l2_mask == config.l2.sets - 1
+                assert hier.l1d_ways == config.l1d.ways
             assert load.stats is system.stats
             assert load.mesh is system.mesh
             assert load.dram is system.dram
@@ -499,6 +498,26 @@ class TestStatsComparison:
         assert not comparison.frontier.ok
         assert comparison.replay_error
         assert "replay check failure" in comparison.summary()
+        # With symmetry, both legs drop core relabelings for the armed
+        # mutant, as explore_model's mutation argument does.
+        import repro.verify.symmetry as symmetry
+        armed = explore_model(spec, 3, blocks=mutation.blocks,
+                              mutation=mutation.name, symmetry=True)
+        sizes = []
+        real_group = symmetry.symmetry_group
+
+        def spy_group(*args, **kwargs):
+            group = real_group(*args, **kwargs)
+            sizes.append(len(group))
+            return group
+
+        monkeypatch.setattr(symmetry, "symmetry_group", spy_group)
+        reduced = frontier_vs_replay(
+            mutant_spec(spec, mutation.name), 3,
+            blocks=mutation.blocks, symmetry=True)
+        assert sizes == [armed.group_size] * 2
+        assert reduced.frontier.unique_states == armed.unique_states
+        assert reduced.replay_error
 
     def test_frontier_beats_replay_at_equal_wallclock(self):
         # The full >=10x claim needs depth 8 (~3 minutes) and lives in

@@ -164,10 +164,12 @@ class TestAttachDetach:
     def test_tracing_does_not_perturb_stats(self, config_fn, tmp_path):
         workload = small_workload()
         plain = run_workload(build_system(config_fn()), workload)
-        with TraceSession(build_system(config_fn()),
-                          jsonl=tmp_path / "t.jsonl") as session:
-            traced = session.run(workload)
-        assert traced.stats.as_dict() == plain.stats.as_dict()
+        for kernel in ("scalar", "batched"):
+            config = config_fn().with_(kernel=kernel)
+            with TraceSession(build_system(config),
+                              jsonl=tmp_path / f"{kernel}.jsonl") as session:
+                traced = session.run(workload)
+            assert traced.stats.as_dict() == plain.stats.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -472,24 +474,30 @@ class TestMultisocketTracing:
         from repro.harness.runner import run_multisocket_workload
         from repro.multisocket import MultiSocketSystem
         from repro.obs import attach_multisocket
-        system = MultiSocketSystem(zerodev_config(), n_sockets=2)
-        bus = EventBus()
-        ring = RingBufferSink(1 << 16)
-        bus.subscribe(ring)
-        attach_multisocket(system, bus)
         workload = make_multithreaded(
             find_profile("canneal"), tiny_config(n_cores=8), 300, seed=5)
-        before = telemetry_snapshot()
-        run_multisocket_workload(system, workload,
-                                 check_invariants_every=200)
-        # Counted once in the session telemetry, like a run_many run.
-        delta = telemetry_since(before)
-        assert delta["runs"] == 1
-        assert delta["accesses"] == workload.total_accesses
-        counts = ring.counts()
-        assert sum(count for key, count in counts.items()
-                   if key.startswith("msg:")) > 0
-        assert counts.get("priv_inv:dev", 0) == 0   # still zero DEVs
+        per_kernel = {}
+        for kernel in ("scalar", "batched"):
+            system = MultiSocketSystem(zerodev_config(kernel=kernel),
+                                       n_sockets=2)
+            bus = EventBus()
+            ring = RingBufferSink(1 << 16)
+            bus.subscribe(ring)
+            attach_multisocket(system, bus)
+            before = telemetry_snapshot()
+            run_multisocket_workload(system, workload,
+                                     check_invariants_every=200)
+            # Counted once in the session telemetry, like a run_many
+            # run.
+            delta = telemetry_since(before)
+            assert delta["runs"] == 1
+            assert delta["accesses"] == workload.total_accesses
+            counts = ring.counts()
+            assert sum(count for key, count in counts.items()
+                       if key.startswith("msg:")) > 0
+            assert counts.get("priv_inv:dev", 0) == 0   # still no DEVs
+            per_kernel[kernel] = counts
+        assert per_kernel["scalar"] == per_kernel["batched"]
 
 
 # ---------------------------------------------------------------------------

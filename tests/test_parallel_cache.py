@@ -87,8 +87,11 @@ class TestLinearScanEquivalence:
                              int(trace.addresses[index]))
             positions[best] += 1
 
-        heap_run = run_workload(build_system(config), workload)
-        assert heap_run.stats.as_dict() == reference.stats.as_dict()
+        # Both kernels: batched must land on the same statistics.
+        for kernel in ("scalar", "batched"):
+            heap_run = run_workload(
+                build_system(config.with_(kernel=kernel)), workload)
+            assert heap_run.stats.as_dict() == reference.stats.as_dict()
 
 
 class TestRunMany:

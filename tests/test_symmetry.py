@@ -19,13 +19,16 @@ The drift guards promised by the module docstring:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.verify.modelcheck import (MICRO_BLOCKS, build_alphabet,
                                      canonical_key, explore_model,
                                      system_sig)
 from repro.verify.models import model_by_name
-from repro.verify.mutations import MUTATIONS, reference_spec
+from repro.verify.mutations import (MUTATIONS, mutant_spec,
+                                    reference_spec)
 from repro.verify.symmetry import (placement_modulus,
                                    relabel_system_sig, symmetry_group)
 from repro.workloads.trace import Op
@@ -205,5 +208,19 @@ class TestMutationDifferential:
             len(reduced.counterexample.sequence)
         assert type(plain.counterexample.error).__name__ == \
             type(reduced.counterexample.error).__name__
-        # Armed mutants keep only the block-permutation subgroup.
+        # Armed mutants keep only the block-permutation subgroup,
+        # whichever route arms the bug: a MutantSpec explores exactly
+        # what the mutation argument does.
         assert reduced.group_size >= 1
+        via_spec = explore_model(mutant_spec(spec, name),
+                                 mutation.catch_depth,
+                                 blocks=mutation.blocks,
+                                 symbols=mutation.symbols or None,
+                                 symmetry=True)
+
+        def semantic(report):
+            payload = json.loads(report.identity_bytes())
+            del payload["model"], payload["mutation"]
+            return payload
+
+        assert semantic(via_spec) == semantic(reduced)
