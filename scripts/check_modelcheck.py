@@ -8,17 +8,23 @@ Six assertions, mirroring the contract in PROTOCOL.md:
    SecDir, MgD, the DLS and hybrid update/invalidate contenders, and
    both 2-socket solutions) explores to the CI depth over the micro
    alphabet with zero counterexamples -- the contenders' presence is
-   asserted, so the matrix cannot silently shrink back to 14.
+   asserted, so the matrix cannot silently shrink back to 14 -- and
+   explores exactly the pinned numbers of unique states and
+   transitions.
 2. **The checker catches what fuzz misses.** Every seeded protocol
    mutation from repro.verify.mutations is refuted by the frontier at
-   its documented depth, while the pinned fixed-seed, fixed-budget,
-   short-trace fuzz baseline stays green on at least one of them --
-   the coverage gap that justifies the model checker's existence.
+   its documented depth with exactly its pinned counterexample (path,
+   error type and message: a check rewrite that changes which
+   violation fires first, or its wording, fails here), while the
+   pinned fixed-seed, fixed-budget, short-trace fuzz baseline stays
+   green on at least one of them -- the coverage gap that justifies
+   the model checker's existence.
 3. **Parallel bit-identity.** jobs=1 and jobs=4 produce byte-identical
    reports (counters, per-level ledger, counterexample path) on a clean
    model and on the deepest seeded mutation.
 4. **Symmetry soundness in anger.** The full mutation gate still
-   catches every seeded bug with orbit-minimal canonicalization on.
+   catches every seeded bug with orbit-minimal canonicalization on,
+   with the same pinned counterexamples.
 5. **Symmetry depth gate.** With symmetry on, a clean stats model
    completes CI_DEPTH + 2 uncapped -- the state-collapse the reduction
    exists to buy.
@@ -42,8 +48,48 @@ from repro.verify.modelcheck import (check_matrix, explore_model,
                                      mutation_gate)
 from repro.verify.models import model_by_name
 from repro.verify.mutations import MUTATIONS
+from repro.workloads.trace import Op
 
 CI_DEPTH = 4
+R, W = Op.READ, Op.WRITE
+#: Each clean-matrix model at CI_DEPTH: (unique states, transitions).
+MATRIX_PINNED = {
+    "baseline-1x": (1641, 5376), "baseline-quarter": (3577, 9600),
+    "secdir": (1257, 4800), "mgd": (1257, 4800), "dls": (1257, 4800),
+    "hybrid": (1551, 5304), "zerodev-spill-all": (2281, 6744),
+    "zerodev-fuse-private-spill-shared": (1329, 4800),
+    "zerodev-fuse-all": (1257, 4800),
+    "zerodev-fpss-epd": (1316, 4800),
+    "zerodev-fpss-inclusive": (1043, 4368),
+    "zerodev-fuse-private-spill-shared-splru": (1329, 4800),
+    "zerodev-spill-all-splru": (1705, 5376),
+    "baseline-2socket": (2211, 6012),
+    "zerodev-2socket-sol1": (2299, 6204),
+    "zerodev-2socket-sol2": (2299, 6204),
+}
+#: Each seeded mutation's BFS-first counterexample: the (core, op,
+#: block) path, the error type and its message.
+MUTATION_PINNED = {
+    "dev-leak-sharer": (
+        ((0, R, 0), (0, R, 8), (0, R, 4)), "ProtocolInvariantError",
+        "baseline eviction notice for untracked block 0x0 from core 0"),
+    "drop-splru-reorder": (
+        ((0, R, 0), (0, R, 8), (1, R, 0), (1, R, 8)), "DivergenceError",
+        "spLRU order inverted for block 0x8: spilled entry is older than "
+        "its block"),
+    "skip-corrupt-restore": (
+        ((0, W, 0), (0, R, 8), (0, R, 16)), "ProtocolInvariantError",
+        "case (iiib): block 0x0 resident in LLC while its entry is "
+        "housed in memory"),
+    "skip-denf-nack": (
+        ((0, W, 0), (0, W, 8), (0, W, 16), (1, R, 8), (1, R, 0),
+         (1, R, 16), (1, R, 8)), "ProtocolInvariantError",
+        "stale data: block 0x8 read from GETS response returned version "
+        "0, latest is 1"),
+    "skip-socket-restore": (
+        ((1, R, 0), (1, R, 8), (1, R, 16)), "ProtocolInvariantError",
+        "corrupted block 0x0 has no socket sharers"),
+}
 DEPTH_GATE_MODEL = "zerodev-fuse-private-spill-shared"
 IDENTITY_MUTATION = "skip-denf-nack"
 #: ``repro verify --protocol P --depth CI_DEPTH``: (unique states,
@@ -59,6 +105,18 @@ VERIFY_PINNED = {
 def _identity_reports(**kwargs):
     return [report.identity_bytes() for report in (
         explore_model(jobs=jobs, **kwargs) for jobs in (1, 4))]
+
+
+def _unpinned_counterexamples(verdicts) -> list:
+    """The verdicts whose counterexample is not the pinned one."""
+    wrong = []
+    for verdict in verdicts:
+        cex = verdict.counterexample
+        found = None if cex is None else (
+            tuple(cex.sequence), type(cex.error).__name__, str(cex.error))
+        if found != MUTATION_PINNED.get(verdict.mutation):
+            wrong.append(f"{verdict.mutation}: {found}")
+    return wrong
 
 
 def main() -> int:
@@ -81,6 +139,12 @@ def main() -> int:
     if capped:
         print(f"FAIL: {len(capped)} exploration(s) capped before depth "
               f"{CI_DEPTH} -- raise the ceiling, the depth is the gate")
+        return 1
+    counts = {r.model: (r.unique_states, r.transitions) for r in reports}
+    if counts != MATRIX_PINNED:
+        moved = sorted(set(counts.items()) ^ set(MATRIX_PINNED.items()))
+        print(f"FAIL: the clean matrix explored other (unique states, "
+              f"transitions) than pinned: {moved}")
         return 1
 
     # jobs=1 vs jobs=4 bit-identity: a clean model, then the deepest
@@ -113,6 +177,12 @@ def main() -> int:
         print("FAIL: modelcheck missed seeded mutation(s): "
               + ", ".join(missed_by_modelcheck))
         return 1
+    wrong = _unpinned_counterexamples(verdicts)
+    if wrong or len(verdicts) != len(MUTATION_PINNED):
+        print("FAIL: counterexample(s) differ from the pinned ones: "
+              + "; ".join(wrong or [f"{len(verdicts)} mutations, "
+                                    f"{len(MUTATION_PINNED)} pinned"]))
+        return 1
     missed_by_fuzz = [v.mutation for v in verdicts if not v.fuzz_caught]
     if not missed_by_fuzz:
         print("FAIL: the fixed-budget fuzz baseline caught every "
@@ -128,6 +198,11 @@ def main() -> int:
     if missed_with_symmetry:
         print("FAIL: symmetry reduction hid seeded mutation(s): "
               + ", ".join(missed_with_symmetry))
+        return 1
+    wrong = _unpinned_counterexamples(symmetric)
+    if wrong:
+        print("FAIL: with --symmetry, counterexample(s) differ from the "
+              "pinned ones: " + "; ".join(wrong))
         return 1
     print(f"symmetry gate: all {len(symmetric)} mutations caught with "
           f"--symmetry")

@@ -19,7 +19,7 @@ victim handling, and the shared-read critical path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.caches.block import L2Line, LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
@@ -818,28 +818,49 @@ class CMPSystem:
         assert self.directory is not None
         return self.directory.peek(block)
 
-    def check_invariants(self) -> None:
-        """Verify SWMR and directory precision over the whole socket."""
-        tracked = {}
+    def check_invariants(self) -> Dict[int, int]:
+        """Verify SWMR and directory precision over the whole socket.
+
+        One pass over each core's L2 index records, per block, the
+        bitmask of the cores holding it and whether one of them owns it
+        (M or E); the bitmask is compared with the entry's sharer bits,
+        and the holder lists are built only to word an error.
+        Returns the owned blocks (block -> owning core) in the order the
+        pass met them, which the multi-socket check reads instead of
+        walking the caches again.
+        """
+        holders: Dict[int, int] = {}
+        owned: Dict[int, int] = {}
         for core, hier in enumerate(self.cores):
-            for block in hier.cached_blocks():
-                state = hier.probe(block)
-                tracked.setdefault(block, []).append((core, state))
-        for block, holders in tracked.items():
-            owners = [c for c, s in holders if s is not _MESI_S]
-            if owners and len(holders) > 1:
+            bit = 1 << core
+            for block, line in hier.l2_index.items():
+                holders[block] = holders.get(block, 0) | bit
+                if line.state is not _MESI_S:
+                    owned[block] = core
+        for block, mask in holders.items():
+            owner = block in owned
+            if owner and mask & (mask - 1):
                 raise ProtocolInvariantError(
-                    f"SWMR violated for block {block:#x}: {holders}")
+                    f"SWMR violated for block {block:#x}: "
+                    f"{self._holders(block, mask)}")
             entry = self._peek_entry(block)
             if entry is None:
                 raise ProtocolInvariantError(
                     f"block {block:#x} privately cached but untracked")
-            holder_set = {c for c, _ in holders}
-            entry_set = set(entry.sharer_cores())
-            if holder_set != entry_set:
+            if entry.sharers != mask:
+                holder_cores = [c for c, _ in self._holders(block, mask)]
                 raise ProtocolInvariantError(
                     f"directory imprecise for block {block:#x}: entry "
-                    f"{sorted(entry_set)} vs caches {sorted(holder_set)}")
-            if owners and entry.state is not _DIR_ME:
+                    f"{list(entry.sharer_cores())} vs caches "
+                    f"{holder_cores}")
+            if owner and entry.state is not _DIR_ME:
                 raise ProtocolInvariantError(
                     f"entry state S but core owns block {block:#x}")
+        return owned
+
+    def _holders(self, block: int, mask: int) -> List[Tuple[int, MESI]]:
+        """(core, state) of each core in ``mask`` holding ``block``,
+        lowest core first."""
+        return [(core, hier.l2_index[block].state)
+                for core, hier in enumerate(self.cores)
+                if mask >> core & 1]

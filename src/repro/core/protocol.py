@@ -25,7 +25,7 @@ including no directory at all.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.caches.block import LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
@@ -480,40 +480,49 @@ class ZeroDEVSystem(CMPSystem):
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        super().check_invariants()
+    def check_invariants(self) -> Dict[int, int]:
+        """The base checks plus ZeroDEV's: no DEV, every spilled or
+        fused frame's entry where its frame says, the FPSS placement
+        rule, and case (iiib).  Walks each bank's frame lists directly;
+        returns what the base check returns."""
+        owned = super().check_invariants()
         if self.stats.dev_invalidations or self.stats.dev_events:
             raise ProtocolInvariantError(
                 "ZeroDEV generated directory eviction victims")
+        fpss = self._policy is _FPSS
         for bank in self.banks:
-            for frame in bank.all_frames():
-                if frame.kind is _SPILLED_LINE:
-                    entry = frame.entry
-                    assert entry is not None
-                    if entry.location is not _LLC_SPILLED:
-                        raise ProtocolInvariantError(
-                            f"spill frame/location mismatch for block "
-                            f"{frame.block:#x}")
-                    if (self._policy is _FPSS
-                            and entry.state is _DIR_ME
-                            and bank.peek_data(frame.block) is not None):
-                        raise ProtocolInvariantError(
-                            f"FPSS invariant: M/E entry of resident block "
-                            f"{frame.block:#x} is spilled, not fused")
-                elif frame.kind is _FUSED_LINE:
-                    entry = frame.entry
-                    assert entry is not None
-                    if entry.location is not _LLC_FUSED:
-                        raise ProtocolInvariantError(
-                            f"fused frame/location mismatch for block "
-                            f"{frame.block:#x}")
-                    if (self._policy is _FPSS
-                            and entry.state is not _DIR_ME):
-                        raise ProtocolInvariantError(
-                            f"FPSS invariant: fused entry of block "
-                            f"{frame.block:#x} is not M/E")
+            for frames in bank._frames:
+                for frame in frames:
+                    kind = frame.kind
+                    if kind is _SPILLED_LINE:
+                        entry = frame.entry
+                        assert entry is not None
+                        if entry.location is not _LLC_SPILLED:
+                            raise ProtocolInvariantError(
+                                f"spill frame/location mismatch for block "
+                                f"{frame.block:#x}")
+                        if (fpss
+                                and entry.state is _DIR_ME
+                                and bank.peek_data(frame.block)
+                                is not None):
+                            raise ProtocolInvariantError(
+                                f"FPSS invariant: M/E entry of resident "
+                                f"block {frame.block:#x} is spilled, not "
+                                f"fused")
+                    elif kind is _FUSED_LINE:
+                        entry = frame.entry
+                        assert entry is not None
+                        if entry.location is not _LLC_FUSED:
+                            raise ProtocolInvariantError(
+                                f"fused frame/location mismatch for block "
+                                f"{frame.block:#x}")
+                        if fpss and entry.state is not _DIR_ME:
+                            raise ProtocolInvariantError(
+                                f"FPSS invariant: fused entry of block "
+                                f"{frame.block:#x} is not M/E")
         for block in self._housing.housed_blocks():
             if self.bank_of(block).peek_data(block) is not None:
                 raise ProtocolInvariantError(
                     f"case (iiib): block {block:#x} resident in LLC while "
                     "its entry is housed in memory")
+        return owned

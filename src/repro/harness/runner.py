@@ -237,7 +237,9 @@ def run_multisocket_workload(system, workload: Workload,
     Trace ``i`` maps to socket ``i // cores_per_socket``, core
     ``i % cores_per_socket``. Returns the per-socket stats list. Shares
     the scheduling engine with :func:`run_workload`; each slot's clock is
-    its core's clock within its socket's stats.
+    its core's clock within its socket's stats.  When a bus is attached
+    (``attach_multisocket``) its ``step`` advances once per access, as
+    in :func:`run_workload`.
     """
     per_socket = system.config.n_cores
     traces = workload.traces
@@ -248,12 +250,15 @@ def run_multisocket_workload(system, workload: Workload,
     ops, addresses = _decode_traces(traces)
     homes = [divmod(slot, per_socket) for slot in range(n)]
     sockets = system.sockets
+    obs = getattr(system, "obs", None)
 
     if resolve_kernel(system.config) == "batched":
         from repro.kernel import SlotKernel, drive_batched
         access = system.access
 
         def issue(slot: int, index: int) -> int:
+            if obs is not None:
+                obs.step += 1
             socket, core = homes[slot]
             access(socket, core, ops[slot][index], addresses[slot][index])
             return sockets[socket].stats.cycles[core]
@@ -267,14 +272,14 @@ def run_multisocket_workload(system, workload: Workload,
                 system.config.latency, trace.ops, trace.addresses))
         drive_batched(slots, issue,
                       check=system.check_invariants,
-                      check_every=check_invariants_every)
+                      check_every=check_invariants_every, obs=obs)
     else:
         _drive_interleaved(
             [(sockets[socket].access, core, sockets[socket].stats,
               ops[slot], addresses[slot])
              for slot, (socket, core) in enumerate(homes)],
             check=system.check_invariants,
-            check_every=check_invariants_every)
+            check_every=check_invariants_every, obs=obs)
     if check_invariants_every:
         system.check_invariants()
     # Counted here because no multi-socket run goes through run_many

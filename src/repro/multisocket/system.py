@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.block import MESI
 from repro.coherence.entry import DirectoryEntry, DirState
 from repro.coherence.protocol import CMPSystem
 from repro.coherence.shadow import ShadowMemory
@@ -42,6 +41,10 @@ from repro.core.housing import DirEvictBitmap
 from repro.harness.system_builder import build_system
 from repro.obs.events import EventKind, InvCause
 from repro.workloads.trace import Op
+
+# Read once per owned block by every check, bound once as a module
+# global like the protocols' enum members.
+_DIR_ME = DirState.ME
 
 
 class SocketEntry:
@@ -522,22 +525,20 @@ class MultiSocketSystem:
     # Invariants
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
+        """Every socket's own checks, then socket-level SWMR over the
+        blocks the sockets' checks report owned, then the corrupted
+        bitmaps."""
+        owners: Dict[int, int] = {}       # block -> owning-socket bits
         for socket in self.sockets:
-            socket.check_invariants()
-        owners: Dict[int, List[int]] = {}
-        for socket in self.sockets:
-            for core in range(socket.config.n_cores):
-                for block in socket.cores[core].cached_blocks():
-                    state = socket.cores[core].probe(block)
-                    if state is not MESI.S:
-                        owners.setdefault(block, []).append(
-                            socket.node_id)
-        for block, holders in owners.items():
+            bit = 1 << socket.node_id
+            for block in socket.check_invariants():
+                owners[block] = owners.get(block, 0) | bit
+        for block, sockets in owners.items():
             entry = self._entries.get(block)
             if entry is None:
                 raise ProtocolInvariantError(
                     f"owned block {block:#x} untracked at socket level")
-            if entry.state is not DirState.ME or len(set(holders)) > 1:
+            if entry.state is not _DIR_ME or sockets & (sockets - 1):
                 raise ProtocolInvariantError(
                     f"socket-level SWMR violated for block {block:#x}")
         # Corrupted-bitmap consistency: a socket-local garbage bit means

@@ -27,6 +27,9 @@ from repro.common.config import LLCReplacement, Protocol
 from repro.common.errors import ProtocolInvariantError
 from repro.verify.models import ModelSpec
 
+# Read for every resident frame, bound once as a module global.
+_SPILLED = LineKind.SPILLED
+
 
 class DivergenceError(ProtocolInvariantError):
     """A model-level verification check failed (the model diverged from
@@ -36,34 +39,36 @@ class DivergenceError(ProtocolInvariantError):
 def each_socket(spec: ModelSpec, system):
     """The CMP systems of ``system`` (itself, or its sockets)."""
     if spec.n_sockets == 1:
-        yield system
-    else:
-        yield from system.sockets
+        return (system,)
+    return system.sockets
 
 
 def check_llc_structure(spec: ModelSpec, system) -> None:
-    """Occupancy, duplicate-frame, spill-index, and spLRU-order checks."""
+    """Occupancy, duplicate-frame, spill-index, and spLRU-order checks.
+
+    Walks each bank's frame lists directly and skips empty sets, where
+    none of the checks can fail."""
     sp_lru = spec.config.llc_replacement is LLCReplacement.SP_LRU
     for socket in each_socket(spec, system):
         for bank in socket.banks:
             spilled_seen = 0
-            for set_idx in range(bank.sets):
-                frames = bank.frames_in_set(set_idx)
+            for set_idx, frames in enumerate(bank._frames):
+                if not frames:
+                    continue
                 if len(frames) > bank.ways:
                     raise DivergenceError(
                         f"bank {bank.bank_id} set {set_idx} holds "
                         f"{len(frames)} frames in {bank.ways} ways")
                 data_pos, spill_pos = {}, {}
                 for pos, line in enumerate(frames):
-                    bucket = (spill_pos
-                              if line.kind is LineKind.SPILLED
-                              else data_pos)
+                    spilled = line.kind is _SPILLED
+                    bucket = spill_pos if spilled else data_pos
                     if line.block in bucket:
                         raise DivergenceError(
                             f"duplicate {line.kind.name} frame for block "
                             f"{line.block:#x} in bank {bank.bank_id}")
                     bucket[line.block] = pos
-                    if line.kind is LineKind.SPILLED:
+                    if spilled:
                         spilled_seen += 1
                         if bank.peek_spill(line.block) is not line:
                             raise DivergenceError(

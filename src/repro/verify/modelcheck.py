@@ -15,10 +15,15 @@ with memoized dedup.
   snapshotted: the last level's new states are counted and deduped,
   never pickled.  A snapshot (:class:`_Snapshots`) pickles what no
   transition changes by reference into a table built from the root --
-  the frozen config tree and, for :func:`explore_model`, each socket's
+  the frozen config tree, every class and enum member of the imported
+  ``repro`` modules and, for :func:`explore_model`, each socket's
   latency-only stats, mesh and DRAM model, one copy of which serves
-  every state loaded in a process -- enum members by name, and the LRU
-  ``OrderedDict`` sets without the state lookup of their own reduction.
+  every state loaded in a process -- and the LRU ``OrderedDict`` sets
+  without the state lookup of their own reduction.  A level expands
+  with the cyclic garbage collector off: a discarded successor is
+  freed by reference counting, once the one cycle of a multi-socket
+  state (each socket's ``memory_side`` points back at the system) is
+  cut.
 * **Canonicalization.** A state's identity is a blake2b digest over the
   protocol-visible state only: private L2 lines in per-set LRU order,
   directory entries (with NRU bits and way order), LLC frames per set in
@@ -62,11 +67,13 @@ fuzz baseline, proving the frontier catches what sampling misses.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import itertools
 import json
 import pickle
+import sys
 import time
 import weakref
 from collections import OrderedDict
@@ -112,39 +119,41 @@ def _socket_sig(socket) -> tuple:
 
     Built in one pass over the live structures -- each core's L2 sets
     and each bank's frame lists, both in LRU-to-MRU order -- reading
-    enum members' ``_value_`` rather than the ``.value`` property."""
-    cores = tuple(
-        tuple(tuple((line.block, line.state._value_, line.version,
-                     line.dirty, line.is_code)
-                    for line in lru_set.values())
-              for lru_set in hier.l2_sets)
-        for hier in socket.cores)
-    banks = tuple(
-        tuple(tuple((frame.block, frame.kind._value_, frame.dirty,
-                     frame.version,
-                     None if frame.entry is None
-                     else _entry_sig(frame.entry))
-                    for frame in frames)
-              for frames in bank._frames)
-        for bank in socket.banks)
+    enum members' ``_value_`` rather than the ``.value`` property.
+    Every tuple is built from a list comprehension: ``tuple()`` of a
+    generator resumes the generator once per item."""
+    cores = tuple([
+        tuple([tuple([(line.block, line.state._value_, line.version,
+                       line.dirty, line.is_code)
+                      for line in lru_set.values()])
+               for lru_set in hier.l2_sets])
+        for hier in socket.cores])
+    banks = tuple([
+        tuple([tuple([(frame.block, frame.kind._value_, frame.dirty,
+                       frame.version,
+                       None if frame.entry is None
+                       else _entry_sig(frame.entry))
+                      for frame in frames])
+               for frames in bank._frames])
+        for bank in socket.banks])
     directory: tuple = ()
     if socket.directory is not None:
         dir_ = socket.directory
         if dir_.unbounded:
-            directory = tuple(sorted(
+            directory = tuple(sorted([
                 (block, _entry_sig(entry))
-                for block, entry in dir_._index.items()))
+                for block, entry in dir_._index.items()]))
         else:
             # Way order carries the NRU scan order, so it is identity.
-            directory = tuple(
-                tuple(_entry_sig(entry) for entry in ways)
-                for ways in dir_._sets)
+            directory = tuple([
+                tuple([_entry_sig(entry) for entry in ways])
+                for ways in dir_._sets])
     housing: tuple = ()
     housed = getattr(socket, "_housing", None)
     if housed is not None:
         housing = (
-            tuple(sorted((block, _entry_sig(entry))
-                         for block, entry in housed._housed.items())),
+            tuple(sorted([(block, _entry_sig(entry))
+                          for block, entry in housed._housed.items()])),
             tuple(sorted(housed._garbage)))
     dram = tuple(sorted(socket._dram_version.items()))
     return (cores, banks, directory, housing, dram)
@@ -158,11 +167,11 @@ def system_sig(system, multisocket: bool = False) -> tuple:
             _socket_sig(system),
             tuple(sorted(system.shadow._latest.items())))
     return (
-        tuple(_socket_sig(socket) for socket in system.sockets),
-        tuple(sorted(
+        tuple([_socket_sig(socket) for socket in system.sockets]),
+        tuple(sorted([
             (block, entry.state._value_, entry.owner, entry.sharers)
             for block, entry in system._entries.items()
-            if entry.sharers)),
+            if entry.sharers])),
         tuple(sorted(system._garbage)),
         tuple(sorted(system._dram_version.items())),
         tuple(sorted(system.shadow._latest.items())))
@@ -350,12 +359,33 @@ def _frozen_tree(root) -> list:
     return tree
 
 
+def _repro_types() -> list:
+    """Every class the imported ``repro`` modules define, each followed
+    by its members when it is an enum.  None of them ever changes, and
+    each costs an import-name lookup per load when pickled by name."""
+    found: Dict[int, object] = {}
+    for name in sorted(sys.modules):
+        module = sys.modules[name]
+        if module is None or (name != "repro"
+                              and not name.startswith("repro.")):
+            continue
+        for value in vars(module).values():
+            if not isinstance(value, type) or value.__module__ != name:
+                continue
+            found.setdefault(id(value), value)
+            if issubclass(value, Enum):
+                for member in value.__members__.values():
+                    found.setdefault(id(member), member)
+    return list(found.values())
+
+
 class _SnapshotPickler(pickle.Pickler):
     """Pickles the objects of ``refs`` (``id`` -> reduce value) by
     reference, an ``OrderedDict`` without looking up instance state it
-    does not have, and an enum member by name; everything else as
-    :func:`pickle.dumps` does.  The C pickler asks only about objects
-    that are not builtin containers or atoms."""
+    does not have, and an enum member the table lacks by name;
+    everything else as :func:`pickle.dumps` does.  The C pickler asks
+    only about objects that are not builtin containers or atoms, classes
+    included."""
 
     def __init__(self, file, refs: Dict[int, tuple]) -> None:
         super().__init__(file, pickle.HIGHEST_PROTOCOL)
@@ -384,15 +414,19 @@ class _Snapshots:
     :meth:`dump` pickles a state with what no transition changes by
     reference into a table built from the root before level 1: every
     frozen dataclass of the root's config tree (``CMPSystem._lat``
-    among them) and the ``shared`` objects the caller names.  Enum
-    members go by name.  A snapshot is restored with plain :func:`pickle.loads`, in
-    this process or in a worker forked while the codec is alive.
-    Nothing mutable that a protocol decision reads may be shared.
+    among them), the ``shared`` objects the caller names, and every
+    class and enum member of the imported ``repro`` modules
+    (:func:`_repro_types`), so a load resolves none of them by import
+    name.  Anything the table lacks still pickles by name (an enum
+    member through ``getattr``), so the table only saves time.  A
+    snapshot is restored with plain :func:`pickle.loads`, in this
+    process or in a worker forked while the codec is alive.  Nothing
+    mutable that a protocol decision reads may be shared.
     """
 
     def __init__(self, root, shared: Iterable = ()) -> None:
         self._table = tuple(_frozen_tree(getattr(root, "config", None))
-                            + list(shared))
+                            + list(shared) + _repro_types())
         token = next(_TOKENS)
         _SHARED[token] = self._table
         weakref.finalize(self, _SHARED.pop, token, None)
@@ -446,6 +480,9 @@ class _ExpandContext:
     #: is fresh-at-merge or duplicates one counted earlier in merge
     #: order), so the global cap fires first and truncation is exact.
     candidate_budget: int
+    #: Breaks the reference cycles of a successor that is done with, so
+    #: reference counting frees it; None when states hold no cycle.
+    discard: Optional[Callable] = None
 
 
 #: Per-transition outcome records emitted by workers and replayed by the
@@ -460,43 +497,59 @@ def _expand_partition(ctx: _ExpandContext,
     """Expand one contiguous frontier chunk against the pre-level
     seen-set.  Returns ``(records_per_node, timed_out)``; stops early on
     a counterexample, the candidate budget, or the deadline (the merge
-    provably never consumes past a truncation point)."""
-    local_new: set = set()
-    node_records: List[List[tuple]] = []
-    timed_out = False
-    for snapshot, _path in nodes:
-        if ctx.deadline is not None \
-                and time.perf_counter() > ctx.deadline:
-            timed_out = True
-            break
-        records: List[tuple] = []
-        node_records.append(records)
-        stop = False
-        for symbol in ctx.alphabet:
-            system = pickle.loads(snapshot)
-            try:
-                ctx.issue(system, symbol)
-                ctx.check(system)
-            except Exception as error:    # noqa: BLE001 - reported
-                records.append((_REC_CEX, _portable_error(error)))
-                stop = True
+    provably never consumes past a truncation point).
+
+    Runs with the cyclic garbage collector off, and puts back the state
+    it found on every way out.  Every successor is freed by reference
+    counting once ``ctx.discard`` has cut its cycles, so the collections
+    that a level's allocations would trigger could only rescan live
+    objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        local_new: set = set()
+        node_records: List[List[tuple]] = []
+        timed_out = False
+        discard = ctx.discard
+        for snapshot, _path in nodes:
+            if ctx.deadline is not None \
+                    and time.perf_counter() > ctx.deadline:
+                timed_out = True
                 break
-            key = ctx.canonical(system)
-            if key in ctx.seen or key in local_new:
-                records.append((_REC_DUP,))
-                continue
-            local_new.add(key)
-            if ctx.snapshot is None:
-                records.append((_REC_NEW, key, None))
-            else:
-                ctx.trim(system)
-                records.append((_REC_NEW, key, ctx.snapshot(system)))
-            if len(local_new) >= ctx.candidate_budget:
-                stop = True
+            records: List[tuple] = []
+            node_records.append(records)
+            stop = False
+            for symbol in ctx.alphabet:
+                system = pickle.loads(snapshot)
+                try:
+                    ctx.issue(system, symbol)
+                    ctx.check(system)
+                except Exception as error:    # noqa: BLE001 - reported
+                    records.append((_REC_CEX, _portable_error(error)))
+                    stop = True
+                else:
+                    key = ctx.canonical(system)
+                    if key in ctx.seen or key in local_new:
+                        records.append((_REC_DUP,))
+                    else:
+                        local_new.add(key)
+                        if ctx.snapshot is None:
+                            records.append((_REC_NEW, key, None))
+                        else:
+                            ctx.trim(system)
+                            records.append((_REC_NEW, key,
+                                            ctx.snapshot(system)))
+                        stop = len(local_new) >= ctx.candidate_budget
+                if discard is not None:
+                    discard(system)
+                if stop:
+                    break
+            if stop:
                 break
-        if stop:
-            break
-    return node_records, timed_out
+        return node_records, timed_out
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _partition(frontier: Sequence, jobs: int) -> List[Sequence]:
@@ -521,7 +574,8 @@ def _explore_frontier(report: ModelCheckReport,
                       alphabet: Sequence[tuple], depth: int,
                       max_states: int, budget_s: Optional[float],
                       bus=None, jobs: int = 1,
-                      shared: Optional[Callable] = None
+                      shared: Optional[Callable] = None,
+                      discard: Optional[Callable] = None
                       ) -> ModelCheckReport:
     """Generic memoized BFS shared by the spec-level entry point and
     :meth:`ExhaustiveExplorer.explore_memoized`.
@@ -536,7 +590,10 @@ def _explore_frontier(report: ModelCheckReport,
     Only states a later level expands are snapshotted (the root and the
     new states of every level but the last), by a :class:`_Snapshots`
     codec that pickles the root's config tree, plus whatever
-    ``shared(root)`` names, by reference.
+    ``shared(root)`` names, by reference.  ``discard(system)`` breaks
+    the reference cycles of a successor once it is done with; it is
+    needed when states hold cycles, because expansion runs without the
+    cyclic collector (:func:`_expand_partition`).
     """
     started = time.perf_counter()
     deadline = None if budget_s is None else started + budget_s
@@ -576,7 +633,8 @@ def _explore_frontier(report: ModelCheckReport,
             issue=issue, check=check, canonical=canonical, trim=trim,
             snapshot=None if last else snapshots.dump,
             alphabet=alphabet, seen=seen, deadline=deadline,
-            candidate_budget=max(1, max_states - report.unique_states))
+            candidate_budget=max(1, max_states - report.unique_states),
+            discard=discard)
         if len(parts) == 1:
             outcomes = [_expand_partition(ctx, parts[0])]
         else:
@@ -758,6 +816,20 @@ def _spec_shared(spec: ModelSpec):
     return shared
 
 
+def _spec_discard(spec: ModelSpec):
+    """Cut the one reference cycle of a multi-socket state: each
+    socket's ``memory_side`` points back at the system.  Without it a
+    discarded state is freed by reference counting alone.  None for a
+    single-socket spec, whose states hold no cycle."""
+    if spec.n_sockets == 1:
+        return None
+
+    def discard(system) -> None:
+        for socket in system.sockets:
+            socket.memory_side = None
+    return discard
+
+
 def build_alphabet(cores: Sequence[int] = MICRO_CORES,
                    blocks: Sequence[int] = MICRO_BLOCKS,
                    ops: Sequence[Op] = MICRO_OPS) -> List[tuple]:
@@ -813,7 +885,7 @@ def explore_model(spec: ModelSpec, depth: int,
         report, build, _spec_issue(spec), _spec_check(spec),
         _spec_canonical(spec, group), _spec_trim(spec),
         alphabet, depth, max_states, budget_s, bus=bus, jobs=jobs,
-        shared=_spec_shared(spec))
+        shared=_spec_shared(spec), discard=_spec_discard(spec))
 
 
 def check_matrix(depth: int, models: Optional[Sequence[ModelSpec]] = None,
@@ -973,6 +1045,9 @@ class MutationVerdict:
     fuzz_budget: int = 0
     fuzz_seed: int = 0
     fuzz_steps: int = 0
+    #: The frontier's counterexample (path, error), when it caught one.
+    counterexample: Optional[Counterexample] = field(default=None,
+                                                     repr=False)
 
     def summary(self) -> str:
         mc = (f"caught at depth {self.catch_depth} "
@@ -1026,6 +1101,7 @@ def mutation_gate(names: Optional[Sequence[str]] = None,
                                symmetry=symmetry)
         if not report.ok:
             verdict.caught_by_modelcheck = True
+            verdict.counterexample = report.counterexample
             verdict.catch_depth = len(report.counterexample.sequence)
             verdict.modelcheck_error = type(
                 report.counterexample.error).__name__

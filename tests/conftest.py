@@ -8,6 +8,8 @@ a handful of accesses.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from typing import Iterable, List, Tuple
 
 import pytest
@@ -59,6 +61,28 @@ def drive(system: CMPSystem,
                                        block << BLOCK_SHIFT))
     system.check_invariants()
     return latencies
+
+
+@contextlib.contextmanager
+def fails_with(error_type: type, prefix: str):
+    """The body must raise ``error_type`` itself (not a subclass) with a
+    message that starts with ``prefix``."""
+    with pytest.raises(error_type) as caught:
+        yield caught
+    assert caught.type is error_type, caught.type
+    assert str(caught.value).startswith(prefix), str(caught.value)
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic garbage collector on or off, then
+    put back the state found."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture

@@ -7,13 +7,13 @@ surfaces.
 
 import pytest
 
-from repro.caches.block import LineKind, MESI
-from repro.coherence.entry import DirState, EntryLocation
+from repro.caches.block import LLCLine, LineKind, MESI
+from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.shadow import ShadowMemory
 from repro.common.errors import (ProtocolInvariantError, SimulationError)
 from repro.harness.system_builder import build_system
 
-from tests.conftest import drive, tiny_config, zerodev_config
+from tests.conftest import drive, fails_with, tiny_config, zerodev_config
 
 
 class TestShadowMemory:
@@ -43,43 +43,91 @@ class TestInvariantDetection:
         # Corrupt: give core 1 a second owned copy behind the
         # protocol's back.
         baseline.cores[1].fill(5, MESI.M, 99, code=False)
-        with pytest.raises(ProtocolInvariantError, match="SWMR"):
+        # The holder list is only built to word the error.
+        with fails_with(ProtocolInvariantError,
+                        "SWMR violated for block 0x5: [(0, <MESI.M: 'M'>)"
+                        ", (1, <MESI.M: 'M'>)]"):
             baseline.check_invariants()
 
     def test_untracked_block_detected(self, baseline):
         drive(baseline, [(0, "R", 5)])
         baseline.directory.remove(5)
-        with pytest.raises(ProtocolInvariantError, match="untracked"):
+        with fails_with(ProtocolInvariantError,
+                        "block 0x5 privately cached but untracked"):
             baseline.check_invariants()
 
     def test_imprecise_sharer_vector_detected(self, baseline):
         drive(baseline, [(0, "R", 5)])
         entry = baseline._peek_entry(5)
         entry.add_sharer(3)                    # core 3 has no copy
-        with pytest.raises(ProtocolInvariantError, match="imprecise"):
+        with fails_with(ProtocolInvariantError,
+                        "directory imprecise for block 0x5: entry [0, 3] "
+                        "vs caches [0]"):
+            baseline.check_invariants()
+        entry.remove_sharer(3)
+        baseline.check_invariants()
+        entry.state = DirState.S               # core 0 still holds E
+        with fails_with(ProtocolInvariantError,
+                        "entry state S but core owns block 0x5"):
             baseline.check_invariants()
 
     def test_fused_state_mismatch_detected(self, zerodev):
         drive(zerodev, [(0, "R", 5)])          # fused M/E entry (FPSS)
-        line = zerodev.bank_of(5).peek_data(5)
+        bank = zerodev.bank_of(5)
+        line = bank.peek_data(5)
         assert line.kind is LineKind.FUSED
         line.entry.state = DirState.S          # corrupt: fused but S
         with pytest.raises(ProtocolInvariantError,
                            match="FPSS|state S but core owns"):
             zerodev.check_invariants()
+        # With core 0's copy in S too, only FPSS's own rule is broken:
+        # a fused entry must be M/E.
+        zerodev.cores[0].set_state(5, MESI.S)
+        with fails_with(ProtocolInvariantError,
+                        "FPSS invariant: fused entry of block 0x5 is not "
+                        "M/E"):
+            zerodev.check_invariants()
+        # And an M/E entry must not be spilled while its block is
+        # resident: spill it beside the block.
+        zerodev.cores[0].set_state(5, MESI.E)
+        entry = bank.unfuse(5)
+        entry.state = DirState.ME
+        entry.location = EntryLocation.LLC_SPILLED
+        bank.insert(LLCLine(5, LineKind.SPILLED, entry=entry))
+        with fails_with(ProtocolInvariantError,
+                        "FPSS invariant: M/E entry of resident block 0x5 "
+                        "is spilled, not fused"):
+            zerodev.check_invariants()
 
     def test_location_mismatch_detected(self, zerodev):
         drive(zerodev, [(0, "R", 5)])
-        line = zerodev.bank_of(5).peek_data(5)
+        bank = zerodev.bank_of(5)
+        line = bank.peek_data(5)
         line.entry.location = EntryLocation.MEMORY
-        with pytest.raises(ProtocolInvariantError, match="mismatch"):
+        with fails_with(ProtocolInvariantError,
+                        "fused frame/location mismatch for block 0x5"):
+            zerodev.check_invariants()
+        entry = bank.unfuse(5)
+        bank.insert(LLCLine(5, LineKind.SPILLED, entry=entry))
+        with fails_with(ProtocolInvariantError,
+                        "spill frame/location mismatch for block 0x5"):
+            zerodev.check_invariants()
+        bank.free_spill(5)
+        assert bank.fuse(5, entry)
+        zerodev.check_invariants()
+        # Case (iiib): a second entry for the resident block housed in
+        # memory.
+        zerodev._housing.house(5, DirectoryEntry(5, DirState.ME, owner=0))
+        with fails_with(ProtocolInvariantError,
+                        "case (iiib): block 0x5 resident in LLC while its "
+                        "entry is housed in memory"):
             zerodev.check_invariants()
 
     def test_dev_counter_guard(self, zerodev):
         drive(zerodev, [(0, "R", 5)])
         zerodev.stats.dev_invalidations = 1    # should be impossible
-        with pytest.raises(ProtocolInvariantError,
-                           match="eviction victims"):
+        with fails_with(ProtocolInvariantError,
+                        "ZeroDEV generated directory eviction victims"):
             zerodev.check_invariants()
 
 

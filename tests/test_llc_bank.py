@@ -1,5 +1,7 @@
 """Unit tests for the LLC bank: frame kinds, policies, fuse/spill."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.caches.block import LLCLine, LineKind
@@ -7,10 +9,22 @@ from repro.caches.llc import LLCBank
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.common.config import LLCReplacement
 from repro.common.errors import ProtocolInvariantError, SimulationError
+from repro.verify.checks import DivergenceError, check_llc_structure
+from repro.verify.models import ModelSpec, micro_config
+
+from tests.conftest import fails_with
 
 
 def make_bank(ways=4, sets=4, replacement=LLCReplacement.LRU):
     return LLCBank(0, sets, ways, replacement, n_banks=1)
+
+
+def llc_check(bank):
+    """The verify layer's ``check_llc_structure`` on a socket whose only
+    bank is ``bank``."""
+    spec = ModelSpec("one-bank",
+                     micro_config(llc_replacement=bank.replacement))
+    check_llc_structure(spec, SimpleNamespace(banks=[bank]))
 
 
 def data(block, dirty=False, version=0):
@@ -43,12 +57,22 @@ class TestBasicFrames:
         assert bank.lookup_data(4).kind is LineKind.DATA
         assert bank.lookup_spill(4).kind is LineKind.SPILLED
         assert len(bank.frames_in_set(bank.set_of(4))) == 2
+        llc_check(bank)
+        del bank._spill_index[4]               # the frame stays resident
+        with fails_with(DivergenceError, "spilled frame for block 0x4 "
+                        "missing from the spill index"):
+            llc_check(bank)
 
     def test_duplicate_data_frame_rejected(self):
         bank = make_bank()
         bank.insert(data(4))
         with pytest.raises(SimulationError):
             bank.insert(data(4))
+        # The checker catches one planted behind the bank's back.
+        bank.frames_in_set(bank.set_of(4)).append(data(4))
+        with fails_with(DivergenceError,
+                        "duplicate DATA frame for block 0x4 in bank 0"):
+            llc_check(bank)
 
     def test_lru_victim(self):
         bank = make_bank(ways=2)
@@ -56,6 +80,11 @@ class TestBasicFrames:
         bank.insert(data(4))
         victim = bank.insert(data(8))
         assert victim.block == 0
+        llc_check(bank)
+        bank.frames_in_set(0).append(data(12))
+        with fails_with(DivergenceError,
+                        "bank 0 set 0 holds 3 frames in 2 ways"):
+            llc_check(bank)
 
     def test_counts(self):
         bank = make_bank()
@@ -67,6 +96,11 @@ class TestBasicFrames:
         assert bank.data_block_count() == 2
         assert bank.spilled_count() == 1
         assert bank.fused_count() == 1
+        llc_check(bank)
+        bank._spill_index[12] = spill(12)      # indexed, not resident
+        with fails_with(DivergenceError, "bank 0 spill index tracks 2 "
+                        "entries but 1 spilled frames are resident"):
+            llc_check(bank)
 
 
 class TestFuseUnfuse:
@@ -130,6 +164,11 @@ class TestSpLRU:
         assert [(f.block, f.kind) for f in frames[-2:]] == [
             (4, LineKind.DATA), (4, LineKind.SPILLED)]
         assert bank.choose_victim(bank.set_of(4)).block == 8
+        llc_check(bank)
+        frames[-2:] = frames[-1:-3:-1]         # the pre-fix order
+        with fails_with(DivergenceError, "spLRU order inverted for block "
+                        "0x4: spilled entry is older than its block"):
+            llc_check(bank)
 
     def test_spill_insert_not_reordered(self):
         # The reorder applies to data inserts only; a freshly spilled

@@ -18,7 +18,11 @@ Covers the frontier engine and its harness:
 
 from __future__ import annotations
 
+import gc
+import io
 import pickle
+import sys
+from enum import Enum
 
 import pytest
 
@@ -39,9 +43,39 @@ from repro.verify.mutations import (MUTATIONS, arm_mutation,
 from repro.verify.tracegen import FuzzTrace
 from repro.workloads.trace import Op
 
+from tests.conftest import collector
+
 
 def spec_of(name="zerodev-fuse-private-spill-shared"):
     return model_by_name(name)
+
+
+def assert_live_types(state):
+    """Every class and enum member reachable from ``state`` is the
+    object its module holds under its name."""
+    stack, seen = [state], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        cls = type(obj)
+        if cls.__module__.startswith("repro"):
+            module = sys.modules[cls.__module__]
+            assert getattr(module, cls.__qualname__) is cls
+            if isinstance(obj, Enum):
+                assert cls[obj._name_] is obj
+                continue
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+        elif hasattr(cls, "__slots__"):
+            stack.extend(getattr(obj, slot) for slot in cls.__slots__
+                         if hasattr(obj, slot))
 
 
 def issue_all(spec, system, sequence):
@@ -160,7 +194,10 @@ class TestFrontier:
         # depth_reached past the last *complete* level, even though the
         # capped level's transitions were checked and its fresh states
         # counted.  Every exit must leave the ledger consistent.
-        report = explore_model(spec_of(), 4, max_states=50)
+        for enabled in (True, False):
+            with collector(enabled):
+                report = explore_model(spec_of(), 4, max_states=50)
+                assert gc.isenabled() is enabled
         assert report.ok and report.capped
         assert report.unique_states == 50  # the cap is exact
         assert report.depth_reached == len(report.level_unique)
@@ -185,20 +222,27 @@ class TestFrontier:
 
         monkeypatch.setattr(mc, "time", FakeTime)
         alphabet = [1, 2, 3]
+        collecting = []
 
         def issue(system, symbol):
             system.append(symbol)
 
         def check(system):
+            collecting.append(gc.isenabled())
             FakeTime.now += 0.1
 
         report = ModelCheckReport("toy", 3, len(alphabet))
         # Root check: t=0.1.  Level 1 (3 checks): t=0.4.  Level 2 node
         # 1 (3 checks): t=0.7 > deadline -> timed out before node 2.
-        _explore_frontier(
-            report, list, issue, check,
-            lambda s: repr(s).encode(), lambda s: None,
-            alphabet, 3, 250_000, budget_s=0.65)
+        with collector(True):
+            _explore_frontier(
+                report, list, issue, check,
+                lambda s: repr(s).encode(), lambda s: None,
+                alphabet, 3, 250_000, budget_s=0.65)
+            assert gc.isenabled()
+        # The collector is off only while a level expands: the root is
+        # checked before the first.
+        assert collecting == [True] + [False] * 6
         assert report.ok and report.capped
         assert report.level_unique == (3, 3)
         assert report.depth_reached == 2
@@ -243,22 +287,44 @@ class TestFrontier:
             raise DivergenceError("root is already broken")
 
         report = ModelCheckReport("toy", 3, 2)
-        _explore_frontier(
-            report, list, lambda s, a: s.append(a), check,
-            lambda s: repr(s).encode(), lambda s: None,
-            [1, 2], 3, 250_000, None)
+        with collector(False):
+            _explore_frontier(
+                report, list, lambda s, a: s.append(a), check,
+                lambda s: repr(s).encode(), lambda s: None,
+                [1, 2], 3, 250_000, None)
+            assert not gc.isenabled()
         assert not report.ok
         assert report.counterexample.sequence == ()
         assert report.unique_states == 1
         assert report.level_unique == ()
         assert report.depth_reached == 0
 
+        # An error no check reports (here from the canonical key)
+        # leaves expansion with the collector as it was found.
+        def canonical(system):
+            if system:
+                raise RuntimeError("unkeyable state")
+            return b""
+
+        for enabled in (True, False):
+            with collector(enabled):
+                with pytest.raises(RuntimeError, match="unkeyable"):
+                    _explore_frontier(
+                        ModelCheckReport("toy", 3, 2), list,
+                        lambda s, a: s.append(a), lambda s: None,
+                        canonical, lambda s: None, [1, 2], 3, 250_000,
+                        None)
+                assert gc.isenabled() is enabled
+
     def test_mid_level_counterexample_accounting(self):
         mutation = MUTATIONS["skip-corrupt-restore"]
         spec = reference_spec(mutation.reference_model)
-        report = explore_model(spec, mutation.catch_depth,
-                               blocks=mutation.blocks,
-                               mutation=mutation.name)
+        for enabled in (True, False):
+            with collector(enabled):
+                report = explore_model(spec, mutation.catch_depth,
+                                       blocks=mutation.blocks,
+                                       mutation=mutation.name)
+                assert gc.isenabled() is enabled
         assert not report.ok
         assert report.depth_reached == len(report.level_unique)
         assert report.unique_states == 1 + sum(report.level_unique)
@@ -412,6 +478,31 @@ class TestMutations:
             assert load.stats is system.stats
             assert load.mesh is system.mesh
             assert load.dram is system.dram
+        # Classes and enum members go by reference too: a loaded
+        # state's are the very objects this process holds.
+        assert_live_types(clone)
+        # A 2-socket snapshot names no repro class or enum member by
+        # module and name, only the function that resolves references.
+        spec = spec_of("zerodev-2socket-sol1")
+        system = spec.build()
+        issue_all(spec, system, [(0, Op.WRITE, 0), (1, Op.READ, 0),
+                                 (1, Op.WRITE, 8), (0, Op.READ, 1)])
+        codec = _Snapshots(system, _spec_shared(spec)(system))
+        snapshot = codec.dump(system)
+        named = []
+
+        class Spy(pickle.Unpickler):
+            def find_class(self, module, name):
+                named.append((module, name))
+                return super().find_class(module, name)
+
+        load = Spy(io.BytesIO(snapshot)).load()
+        assert system_key(load, multisocket=True) == \
+            system_key(system, multisocket=True)
+        assert [pair for pair in named if pair[0].startswith("repro")] \
+            == [("repro.verify.modelcheck", "_shared")]
+        assert ("builtins", "getattr") not in named
+        assert_live_types(load)
 
     def test_unknown_mutation_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown mutation"):

@@ -6,12 +6,12 @@ from repro.caches.block import MESI
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCReplacement, Protocol)
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ProtocolInvariantError
 from repro.coherence.entry import DirState
 from repro.multisocket import MultiSocketSystem
 from repro.workloads.trace import Op
 
-from tests.conftest import tiny_config
+from tests.conftest import fails_with, tiny_config
 
 
 def make_multi(n_sockets=2, **kw):
@@ -42,6 +42,16 @@ class TestSocketLevelMESI:
         assert entry.state is DirState.ME and entry.owner == 0
         assert system.sockets[0].cores[0].probe(8) is MESI.E
         system.check_invariants()
+        # The socket-level checks read the blocks the sockets' own
+        # checks report owned.
+        entry.state = DirState.S
+        with fails_with(ProtocolInvariantError,
+                        "socket-level SWMR violated for block 0x8"):
+            system.check_invariants()
+        del system._entries[8]
+        with fails_with(ProtocolInvariantError,
+                        "owned block 0x8 untracked at socket level"):
+            system.check_invariants()
 
     def test_cross_socket_read_downgrades_owner(self):
         system = make_multi()
@@ -59,6 +69,17 @@ class TestSocketLevelMESI:
         access(system, 1, 0, "R", 8)
         # Socket 1's core must be S (a silent E->M would be incoherent).
         assert system.sockets[1].cores[0].probe(8) is MESI.S
+        system.check_invariants()
+        # Plant owned copies in both sockets, each consistent with its
+        # own socket's entry, under an M/E socket-level entry: two
+        # owning sockets.
+        for socket in system.sockets:
+            socket.cores[0].set_state(8, MESI.M)
+            socket._peek_entry(8).make_owned(0)
+        system._entries[8].state = DirState.ME
+        with fails_with(ProtocolInvariantError,
+                        "socket-level SWMR violated for block 0x8"):
+            system.check_invariants()
 
     def test_cross_socket_write_invalidates(self):
         system = make_multi()
@@ -136,6 +157,17 @@ class TestMultiSocketZeroDev:
         assert system.is_garbage(block)
         assert system.sockets[0].cores[0].probe(block) is MESI.S
         system.check_invariants()
+        # The corrupted bitmaps must agree: a socket's garbage bit
+        # needs a corrupted home image, and that needs a sharer socket.
+        system.sockets[1]._housing._garbage.add(999)
+        with fails_with(ProtocolInvariantError, "socket 1 marks block "
+                        "0x3e7 corrupted but home memory is clean"):
+            system.check_invariants()
+        system.sockets[1]._housing._garbage.discard(999)
+        system._garbage.add(999)
+        with fails_with(ProtocolInvariantError,
+                        "corrupted block 0x3e7 has no socket sharers"):
+            system.check_invariants()
 
     def test_owner_socket_serves_corrupted_block(self):
         system = self.cramped()

@@ -496,6 +496,14 @@ class TestMultisocketTracing:
             assert sum(count for key, count in counts.items()
                        if key.startswith("msg:")) > 0
             assert counts.get("priv_inv:dev", 0) == 0   # still no DEVs
+            # The bus step is the global access index, as on one
+            # socket: it never goes back and ends at the accesses
+            # issued.
+            steps = [event.step for event in ring.events]
+            assert len(ring) == ring.total_seen
+            assert steps == sorted(steps) and steps[0] >= 1
+            assert bus.step == workload.total_accesses
+            assert steps[-1] <= bus.step
             per_kernel[kernel] = counts
         assert per_kernel["scalar"] == per_kernel["batched"]
 

@@ -14,6 +14,8 @@ Covers the four pillars of the subsystem:
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -25,6 +27,8 @@ from repro.verify.faults import (DETECTABLE, FaultKind, FaultPlan,
                                  arm_fault, corrupt_cache_files)
 from repro.verify.models import micro_config
 from repro.verify.tracegen import PATTERNS, TraceGeometry
+
+from tests.conftest import collector
 
 
 def generator(seed=1, steps=48):
@@ -119,6 +123,25 @@ class TestModelMatrix:
         assert outcome.ok, str(outcome)
         if spec.is_zerodev:
             assert outcome.dev_invalidations == 0
+        # The model checker expands a level with the cyclic collector
+        # off, so every successor it discards must be freed by
+        # reference counting alone.
+        from repro.verify import modelcheck as mc
+        root = spec.build()
+        codec = mc._Snapshots(root, mc._spec_shared(spec)(root))
+        alphabet = tuple(mc.build_alphabet())
+        ctx = mc._ExpandContext(
+            issue=mc._spec_issue(spec), check=mc._spec_check(spec),
+            canonical=mc._spec_canonical(spec), trim=mc._spec_trim(spec),
+            snapshot=codec.dump, alphabet=alphabet, seen=set(),
+            deadline=None, candidate_budget=len(alphabet) + 1,
+            discard=mc._spec_discard(spec))
+        nodes = [(codec.dump(root), ())]
+        gc.collect()
+        with collector(False):
+            records, _ = mc._expand_partition(ctx, nodes)
+            assert gc.collect() == 0
+        assert len(records[0]) == len(alphabet)
 
 
 class TestCampaign:

@@ -3,7 +3,7 @@ directory-entry eviction from the LLC into home memory (Section III-D)."""
 
 import pytest
 
-from repro.caches.block import LineKind, MESI
+from repro.caches.block import LLCLine, LineKind, MESI
 from repro.coherence.entry import EntryLocation
 from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCReplacement, Protocol)
@@ -11,8 +11,10 @@ from repro.common.errors import ProtocolInvariantError
 from repro.core.housing import DirEvictBitmap, MemoryHousing
 from repro.coherence.entry import DirectoryEntry, DirState
 from repro.harness.system_builder import build_system
+from repro.verify.checks import DivergenceError, check_housing
+from repro.verify.models import ModelSpec
 
-from tests.conftest import drive, tiny_config
+from tests.conftest import drive, fails_with, tiny_config
 
 
 def cramped_zerodev(**kw):
@@ -71,6 +73,21 @@ class TestWbDe:
         system = cramped_zerodev()
         block = force_wb_de(system)
         assert system.bank_of(block).peek_data(block) is None
+        # The verify layer's housing check: a housed block is garbage
+        # and has no LLC frame of either kind.
+        spec = ModelSpec("cramped", system.config)
+        check_housing(spec, system)
+        system._housing._garbage.discard(block)
+        with fails_with(DivergenceError, f"block {block:#x} houses an "
+                        "entry but is not marked corrupted"):
+            check_housing(spec, system)
+        system._housing._garbage.add(block)
+        system.bank_of(block)._spill_index[block] = LLCLine(
+            block, LineKind.SPILLED)
+        with fails_with(DivergenceError, f"block {block:#x} is "
+                        "LLC-resident while its entry is housed in memory "
+                        "(case iiib)"):
+            check_housing(spec, system)
 
     def test_demand_access_promotes_entry(self):
         system = cramped_zerodev()
