@@ -28,11 +28,10 @@ Six assertions, mirroring the contract in PROTOCOL.md:
 5. **Symmetry depth gate.** With symmetry on, a clean stats model
    completes CI_DEPTH + 2 uncapped -- the state-collapse the reduction
    exists to buy.
-6. **The frontier's other caller.** ``repro verify --depth 4`` on each
-   of its six protocols (``ExhaustiveExplorer.explore_memoized``, whose
-   snapshots keep their own stats) is clean, reports byte-identically
-   at jobs=1 and jobs=2, and explores exactly the pinned numbers of
-   unique states and transitions.
+6. **Hybrid under directory pressure.** ``hybrid-quarter``, a gate-only
+   spec (the matrix ``hybrid`` runs at a 1x directory), explores to the
+   CI depth clean with exactly its pinned numbers of unique states and
+   transitions: the one state space the matrix pins do not cover.
 
 Everything is deterministic (BFS order, pinned seeds, order-insensitive
 merges), so any failure is a protocol or checker regression, not noise.
@@ -43,10 +42,10 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.cli import verify_explorer
+from repro.common.config import DirectoryConfig, Protocol
 from repro.verify.modelcheck import (check_matrix, explore_model,
                                      mutation_gate)
-from repro.verify.models import model_by_name
+from repro.verify.models import ModelSpec, micro_config, model_by_name
 from repro.verify.mutations import MUTATIONS
 from repro.workloads.trace import Op
 
@@ -92,14 +91,15 @@ MUTATION_PINNED = {
 }
 DEPTH_GATE_MODEL = "zerodev-fuse-private-spill-shared"
 IDENTITY_MUTATION = "skip-denf-nack"
-#: ``repro verify --protocol P --depth CI_DEPTH``: (unique states,
-#: transitions) per protocol.  A change to either is a change in what
-#: the frontier explores, never noise.
-VERIFY_PINNED = {
-    "baseline": (3577, 9600), "zerodev": (1329, 4800),
-    "secdir": (1257, 4800), "mgd": (1257, 4800),
-    "dls": (1257, 4800), "hybrid": (3455, 9528),
-}
+#: The update protocol with a quarter-size directory, so its entry
+#: evictions fire at the CI depth, and its (unique states, transitions)
+#: there.  A change to either is a change in what the frontier
+#: explores, never noise.
+HYBRID_QUARTER = ModelSpec(
+    "hybrid-quarter",
+    micro_config(protocol=Protocol.HYBRID,
+                 directory=DirectoryConfig(ratio=0.25)))
+HYBRID_QUARTER_PINNED = (3455, 9528)
 
 
 def _identity_reports(**kwargs):
@@ -216,34 +216,24 @@ def main() -> int:
               f"did not complete depth {CI_DEPTH + 2} cleanly")
         return 1
 
-    # explore_memoized: the six `repro verify` protocols, jobs 1 and 2.
-    for protocol, pinned in VERIFY_PINNED.items():
-        serial, forked = (
-            verify_explorer(protocol).explore_memoized(CI_DEPTH, jobs=jobs)
-            for jobs in (1, 2))
-        counts = (serial.unique_states, serial.transitions)
-        print(f"verify {protocol}: {counts[0]:,} unique states, "
-              f"{counts[1]:,} transitions at depth {serial.depth_reached}")
-        if not serial.ok or serial.capped:
-            print(f"FAIL: repro verify --protocol {protocol} --depth "
-                  f"{CI_DEPTH} is not clean: {serial.summary()}")
-            return 1
-        if serial.identity_bytes() != forked.identity_bytes():
-            print(f"FAIL: explore_memoized jobs=1 vs jobs=2 reports "
-                  f"differ on {protocol}:\n  {serial.identity_bytes()!r}"
-                  f"\n  {forked.identity_bytes()!r}")
-            return 1
-        if counts != pinned:
-            print(f"FAIL: {protocol} explored {counts} (unique states, "
-                  f"transitions), pinned {pinned}")
-            return 1
+    hybrid = explore_model(HYBRID_QUARTER, CI_DEPTH)
+    print(hybrid.summary())
+    if not hybrid.ok or hybrid.capped:
+        print(f"FAIL: {HYBRID_QUARTER.name} is not clean at depth "
+              f"{CI_DEPTH}")
+        return 1
+    counts = (hybrid.unique_states, hybrid.transitions)
+    if counts != HYBRID_QUARTER_PINNED:
+        print(f"FAIL: {HYBRID_QUARTER.name} explored {counts} (unique "
+              f"states, transitions), pinned {HYBRID_QUARTER_PINNED}")
+        return 1
 
     print(f"OK: {len(reports)} models clean at depth {CI_DEPTH}, "
           f"jobs=1==jobs=4, {len(verdicts)} mutations caught by "
           f"modelcheck ({len(missed_by_fuzz)} missed by fuzz: "
           f"{', '.join(missed_by_fuzz)}), symmetry gate clean at depth "
-          f"{CI_DEPTH + 2}, {len(VERIFY_PINNED)} verify protocols pinned "
-          f"at jobs=1==jobs=2 [{time.perf_counter() - started:.1f}s]")
+          f"{CI_DEPTH + 2}, {HYBRID_QUARTER.name} pinned "
+          f"[{time.perf_counter() - started:.1f}s]")
     return 0
 
 

@@ -4,7 +4,7 @@ Data contents are modeled as monotonically increasing *versions*: every
 committed store creates a fresh version number, and a shadow memory records
 the latest version of every block. A protocol is data-correct exactly when
 every load observes the latest version -- which the simulator asserts on
-every access when ``check_data`` is enabled.
+every GETS and GETX response.
 """
 
 from __future__ import annotations

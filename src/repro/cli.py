@@ -22,15 +22,18 @@ Commands
     Without: rebuild EXPERIMENTS.md from the archived benchmark tables.
 ``simulate PATH``
     Run a saved trace bundle under a chosen protocol and print stats.
+``verify --kernel-diff``
+    The scalar-vs-batched kernel differential: seeded fuzz traces through
+    the whole model matrix under both access kernels, which must agree
+    bit for bit. Without ``--kernel-diff`` it refuses with one line
+    naming ``modelcheck`` and ``fuzz``.
 ``modelcheck``
-    Memoized bounded-exhaustive model checking: a BFS snapshot frontier
-    with canonical-state dedup over the micro alphabet, across the
-    whole model matrix (or ``--models``). ``--stats`` reports unique
-    canonical states versus per-sequence replay at equal wall-clock;
-    ``--mutations`` runs the seeded-bug gate (every mutation caught by
-    modelcheck, at least one missed by the fixed-budget fuzz baseline);
-    ``--out`` saves counterexample prefixes as ``repro
-    shrink``-compatible ``.npz`` traces.
+    The bounded-exhaustive model checker: a BFS snapshot frontier with
+    canonical-state dedup over the micro alphabet, across the whole
+    model matrix (or ``--models``). ``--mutations`` runs the seeded-bug
+    gate (every mutation caught by modelcheck, at least one missed by
+    the fixed-budget fuzz baseline); ``--out`` saves counterexample
+    prefixes as ``repro shrink``-compatible ``.npz`` traces.
 ``fuzz``
     Differential fuzzing: seeded adversarial traces through the whole
     model matrix with per-step invariant checking; failures are ddmin-
@@ -48,10 +51,8 @@ import argparse
 import os
 import sys
 
-from repro.common.config import (CacheGeometry, DirCachingPolicy,
-                                 DirectoryConfig, LLCDesign,
-                                 LLCReplacement, Protocol, SystemConfig,
-                                 scaled_socket)
+from repro.common.config import (DirCachingPolicy, DirectoryConfig,
+                                 LLCReplacement, Protocol, scaled_socket)
 from repro.common.errors import ConfigError
 from repro.harness import experiments
 from repro.harness.parallel import parse_number
@@ -145,68 +146,16 @@ def _command_demo(args) -> int:
     return 0
 
 
-def verify_explorer(protocol: str):
-    """The explorer ``repro verify --protocol P`` runs: two cores and
-    blocks 0, 8, 1 on a micro socket of that protocol."""
-    from repro.coherence.exhaustive import ExhaustiveExplorer
-
-    def micro() -> SystemConfig:
-        base = SystemConfig(
-            n_cores=2,
-            l1i=CacheGeometry(256, 2), l1d=CacheGeometry(256, 2),
-            l2=CacheGeometry(512, 2), llc=CacheGeometry(1024, 2),
-            llc_banks=2, directory=DirectoryConfig(ratio=0.5))
-        if protocol == "zerodev":
-            return base.with_(
-                protocol=Protocol.ZERODEV,
-                directory=DirectoryConfig(ratio=None),
-                llc_replacement=LLCReplacement.DATA_LRU)
-        if protocol == "dls":
-            return base.with_(
-                protocol=Protocol.DLS,
-                directory=DirectoryConfig(ratio=None),
-                llc_design=LLCDesign.INCLUSIVE)
-        return base.with_(protocol=Protocol(protocol))
-
-    return ExhaustiveExplorer(micro, cores=(0, 1), blocks=(0, 8, 1))
-
-
 def _command_verify(args) -> int:
-    """Bounded-exhaustive protocol verification (see PROTOCOL.md §6)."""
-    if args.kernel_diff:
-        return _verify_kernel_diff(args)
-    if args.seed is not None and not args.samples:
-        # A silently ignored seed makes "repro verify --seed N" look
-        # like it varied the run when it exhausted the same tree.
+    """Scalar-vs-batched bit-identity differential (repro.kernel).
+
+    Anything else, including the retired exploration options, is refused
+    with one line naming what replaced it."""
+    if not args.kernel_diff:
         raise ConfigError(
-            "--seed only applies to sampled exploration; add --samples "
-            "N (or --kernel-diff, whose campaign is seeded)")
-    explorer = verify_explorer(args.protocol)
-    jobs = args.jobs or 1
-    if args.samples:
-        seed = args.seed if args.seed is not None else 0
-        report = explorer.explore_sampled(depth=args.depth,
-                                          samples=args.samples,
-                                          seed=seed, jobs=jobs)
-        print(f"{args.protocol}: sampled {report.sequences_explored:,} "
-              f"of the depth-{args.depth} sequences (seed {seed}), "
-              f"checked {report.states_checked:,} states")
-    else:
-        report = explorer.explore_memoized(depth=args.depth, jobs=jobs)
-        capped = " (capped)" if report.capped else ""
-        print(f"{args.protocol}: explored {report.unique_states:,} "
-              f"unique states to depth {report.depth_reached}"
-              f"/{args.depth}{capped}, checked "
-              f"{report.transitions:,} transitions")
-    if report.ok:
-        print("all invariants hold")
-        return 0
-    print(f"COUNTEREXAMPLE: {report.counterexample}")
-    return 1
-
-
-def _verify_kernel_diff(args) -> int:
-    """Scalar-vs-batched bit-identity differential (repro.kernel)."""
+            "repro verify runs only --kernel-diff; for bounded-exhaustive "
+            "checking run repro modelcheck --models NAME --depth N, for "
+            "sampled traces repro fuzz")
     from repro.kernel.diff import run_kernel_diff
 
     report = run_kernel_diff(
@@ -220,9 +169,8 @@ def _verify_kernel_diff(args) -> int:
 
 def _command_modelcheck(args) -> int:
     """Memoized bounded-exhaustive checking (see PROTOCOL.md §6)."""
-    import os
     from repro.harness.parallel import default_jobs
-    from repro.verify.modelcheck import (MICRO_BLOCKS, frontier_vs_replay,
+    from repro.verify.modelcheck import (MICRO_BLOCKS, explore_model,
                                          mutation_gate)
     from repro.verify.models import model_by_name, model_matrix
 
@@ -246,23 +194,12 @@ def _command_modelcheck(args) -> int:
               f"{missed} missed by the fuzz baseline")
         return 0 if caught else 1
 
-    if args.stats:
-        # Replay needs several levels of headroom before memoization
-        # pays 10x, hence the deeper default.
-        depth = args.depth if args.depth is not None else 8
-        comparison = frontier_vs_replay(specs[0], depth, blocks=blocks,
-                                        jobs=jobs, symmetry=symmetry)
-        print(comparison.summary())
-        return 0 if comparison.frontier.ok else 1
-
-    depth = args.depth if args.depth is not None else 5
     kwargs = {}
     if args.max_states is not None:
         kwargs["max_states"] = args.max_states
     reports = []
     for spec in specs:
-        from repro.verify.modelcheck import explore_model
-        report = explore_model(spec, depth, blocks=blocks,
+        report = explore_model(spec, args.depth, blocks=blocks,
                                mutation=args.mutation or "",
                                budget_s=args.budget_s, jobs=jobs,
                                symmetry=symmetry, **kwargs)
@@ -467,26 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
                       default=10_000)
 
     verify = commands.add_parser(
-        "verify", help="bounded-exhaustive protocol verification")
-    verify.add_argument("--protocol", default="zerodev",
-                        choices=[p.value for p in Protocol])
-    verify.add_argument("--depth", type=_number("--depth"), default=3)
-    verify.add_argument("--samples",
-                        type=_number("--samples", allow_zero=True),
-                        default=0,
-                        help="sample this many sequences instead of "
-                             "exhausting the depth (0 = exhaustive)")
-    verify.add_argument("--seed", type=int, default=None,
-                        help="sampling seed (needs --samples) or "
-                             "kernel-diff campaign seed (default 0)")
-    verify.add_argument("--jobs", type=_number("--jobs"), default=None,
-                        help="fork workers per frontier level, or over "
-                             "the sampled sequences (reports are "
-                             "identical at any count)")
+        "verify", help="scalar-vs-batched kernel bit-identity "
+                       "differential (--kernel-diff)")
     verify.add_argument("--kernel-diff", action="store_true",
                         help="scalar-vs-batched bit-identity "
                              "differential over the fuzz model matrix "
-                             "instead of state exploration")
+                             "(required)")
+    verify.add_argument("--seed", type=int, default=None,
+                        help="kernel-diff campaign seed (default 0)")
     verify.add_argument("--budget", type=_number("--budget"), default=25,
                         help="traces per kernel-diff campaign (each runs "
                              "on every model under both kernels)")
@@ -509,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated model names "
                                  "(default: the whole matrix)")
     modelcheck.add_argument("--depth", type=_number("--depth"),
-                            default=None,
+                            default=5,
                             help="BFS depth over the micro alphabet "
-                                 "(default 5; 8 with --stats)")
+                                 "(default 5)")
     modelcheck.add_argument("--blocks", default=None,
                             help="comma-separated block alphabet "
                                  "(default: 0,8,1)")
@@ -523,10 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=None,
                             help="wall-clock budget per model in "
                                  "seconds (exploration caps cleanly)")
-    modelcheck.add_argument("--stats", action="store_true",
-                            help="frontier-vs-replay comparison: unique "
-                                 "canonical states at equal wall-clock "
-                                 "(one model, deeper default depth)")
     modelcheck.add_argument("--mutations", action="store_true",
                             help="run the seeded-bug gate: every "
                                  "mutation through modelcheck and the "
@@ -655,7 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown and (args.command != "verify" or args.kernel_diff):
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     handler = {
         "list": _command_list,
         "run": _command_run,

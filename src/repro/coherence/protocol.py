@@ -90,7 +90,6 @@ class CMPSystem:
         # Read on every miss transaction; the config is frozen.
         self._epd = config.llc_design is LLCDesign.EPD
         self._inclusive = config.llc_design is LLCDesign.INCLUSIVE
-        self._check_data = config.check_data
         # The private hits access() retires itself: per class, the
         # core-visible latency, the clock step (latency plus compute)
         # and the latency bucket, as _read/_write would record them.
@@ -116,8 +115,7 @@ class CMPSystem:
             return None
         return SparseDirectory(
             self.config.directory_entries, dcfg.ways,
-            unbounded=dcfg.unbounded,
-            replacement_disabled=dcfg.replacement_disabled)
+            unbounded=dcfg.unbounded)
 
     # ------------------------------------------------------------------
     # Public interface
@@ -200,8 +198,7 @@ class CMPSystem:
     def _read(self, core: int, block: int, code: bool) -> int:
         """A read or instruction fetch that missed the L2: a GETS."""
         latency, version = self._gets(core, block, code)
-        if self._check_data:
-            self.shadow.check_read(block, version, "GETS response")
+        self.shadow.check_read(block, version, "GETS response")
         lat = self._lat
         # The OOO window hides part of the uncore latency (MLP).
         exposed = max(1, int(latency * lat.load_visibility_fraction))
@@ -376,8 +373,7 @@ class CMPSystem:
             latency, version, entry = self._fill_from_uncore(
                 core, block, code=False, bank=bank, llc_line=llc_line,
                 latency=latency, exclusive=True)
-        if self._check_data:
-            self.shadow.check_read(block, version, "GETX response")
+        self.shadow.check_read(block, version, "GETX response")
         self._block_became_owned(bank, block)
         self._fill_private(core, block, _MESI_M, version, code=False)
         return latency
@@ -818,16 +814,17 @@ class CMPSystem:
         assert self.directory is not None
         return self.directory.peek(block)
 
-    def check_invariants(self) -> Dict[int, int]:
+    def check_invariants(self) -> Tuple[Dict[int, int], Dict[int, int]]:
         """Verify SWMR and directory precision over the whole socket.
 
         One pass over each core's L2 index records, per block, the
         bitmask of the cores holding it and whether one of them owns it
         (M or E); the bitmask is compared with the entry's sharer bits,
         and the holder lists are built only to word an error.
-        Returns the owned blocks (block -> owning core) in the order the
-        pass met them, which the multi-socket check reads instead of
-        walking the caches again.
+        Returns the holder masks (block -> bitmask of the cores holding
+        it) and the owned blocks (block -> owning core), both in the
+        order the pass met them, which the multi-socket check reads
+        instead of walking the caches again.
         """
         holders: Dict[int, int] = {}
         owned: Dict[int, int] = {}
@@ -856,7 +853,7 @@ class CMPSystem:
             if owner and entry.state is not _DIR_ME:
                 raise ProtocolInvariantError(
                     f"entry state S but core owns block {block:#x}")
-        return owned
+        return holders, owned
 
     def _holders(self, block: int, mask: int) -> List[Tuple[int, MESI]]:
         """(core, state) of each core in ``mask`` holding ``block``,

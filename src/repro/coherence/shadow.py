@@ -2,8 +2,9 @@
 
 Block contents are modeled as versions (see ``caches.block``). The shadow
 records, outside the protocol, the latest committed version of every block.
-When ``check_data`` is enabled the protocol asserts that every load is
-served the latest version -- a full end-to-end data-correctness check of
+The protocol asserts, always, that every GETS and GETX response serves
+the latest version (a private hit reads a copy such a response filled,
+kept current by SWMR) -- a full end-to-end data-correctness check of
 whatever coherence scheme is running.
 
 Versions are **per block**: the n-th store to a block commits version n,

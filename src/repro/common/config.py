@@ -123,7 +123,6 @@ class DirectoryConfig:
     ratio: Optional[float] = 1.0
     ways: int = 8
     unbounded: bool = False
-    replacement_disabled: bool = False  # ZeroDEV option (Section III-C4)
     #: Ablation knob: run ZeroDEV with a replacement-*enabled* sparse
     #: directory -- a victim entry is relocated to the LLC instead of
     #: being invalidated. Section III-C4 argues the replacement-disabled
@@ -215,7 +214,6 @@ class SystemConfig:
     secdir_shared_ways: int = 5
     # Multi-grain Directory region size in blocks (1 KB regions).
     mgd_region_blocks: int = 16
-    check_data: bool = True           # shadow-memory version checking
     #: Access kernel driving the runner hot path: ``scalar`` or
     #: ``batched`` (``repro.kernel``), bit-identical by contract
     #: (``repro verify --kernel-diff``); the field

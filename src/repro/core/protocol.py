@@ -480,12 +480,12 @@ class ZeroDEVSystem(CMPSystem):
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
-    def check_invariants(self) -> Dict[int, int]:
+    def check_invariants(self) -> Tuple[Dict[int, int], Dict[int, int]]:
         """The base checks plus ZeroDEV's: no DEV, every spilled or
         fused frame's entry where its frame says, the FPSS placement
         rule, and case (iiib).  Walks each bank's frame lists directly;
         returns what the base check returns."""
-        owned = super().check_invariants()
+        found = super().check_invariants()
         if self.stats.dev_invalidations or self.stats.dev_events:
             raise ProtocolInvariantError(
                 "ZeroDEV generated directory eviction victims")
@@ -525,4 +525,4 @@ class ZeroDEVSystem(CMPSystem):
                 raise ProtocolInvariantError(
                     f"case (iiib): block {block:#x} resident in LLC while "
                     "its entry is housed in memory")
-        return owned
+        return found

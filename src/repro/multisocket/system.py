@@ -526,21 +526,42 @@ class MultiSocketSystem:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Every socket's own checks, then socket-level SWMR over the
-        blocks the sockets' checks report owned, then the corrupted
-        bitmaps."""
+        blocks the sockets' checks report owned, then socket-level
+        directory precision, then the corrupted bitmaps.
+
+        Precision: an entry's sharer bits are exactly the sockets that
+        hold the block, in a core's cache or as LLC data -- a socket's
+        bit clears only when its last copy leaves (``presence_lost``).
+        The core side comes from the holder masks the sockets' checks
+        report; the LLC side from each bank's data index."""
         owners: Dict[int, int] = {}       # block -> owning-socket bits
+        present: Dict[int, int] = {}      # block -> holding-socket bits
         for socket in self.sockets:
             bit = 1 << socket.node_id
-            for block in socket.check_invariants():
+            holders, owned = socket.check_invariants()
+            for block in owned:
                 owners[block] = owners.get(block, 0) | bit
+            for block in holders:
+                present[block] = present.get(block, 0) | bit
+            for bank in socket.banks:
+                for block in bank._data_index:  # noqa: SLF001
+                    present[block] = present.get(block, 0) | bit
+        entries = self._entries
         for block, sockets in owners.items():
-            entry = self._entries.get(block)
+            entry = entries.get(block)
             if entry is None:
                 raise ProtocolInvariantError(
                     f"owned block {block:#x} untracked at socket level")
             if entry.state is not _DIR_ME or sockets & (sockets - 1):
                 raise ProtocolInvariantError(
                     f"socket-level SWMR violated for block {block:#x}")
+        for block, sockets in present.items():
+            entry = entries.get(block)
+            if entry is None or entry.sharers != sockets:
+                self._imprecise(block, sockets)
+        for block, entry in entries.items():
+            if entry.sharers and block not in present:
+                self._imprecise(block, 0)
         # Corrupted-bitmap consistency: a socket-local garbage bit means
         # the socket's segment of home memory holds entry bits, which is
         # only possible while the home image is corrupted system-wide;
@@ -560,3 +581,14 @@ class MultiSocketSystem:
             if entry is None or entry.empty:
                 raise ProtocolInvariantError(
                     f"corrupted block {block:#x} has no socket sharers")
+
+    def _imprecise(self, block: int, sockets: int) -> None:
+        """Word a socket-level precision failure: ``sockets`` hold
+        ``block`` but its entry lists others."""
+        entry = self._entries.get(block)
+        listed = [] if entry is None else list(entry.sharer_sockets())
+        holding = [node for node in range(self.n_sockets)
+                   if sockets >> node & 1]
+        raise ProtocolInvariantError(
+            f"socket-level directory imprecise for block {block:#x}: "
+            f"entry {listed} vs sockets holding {holding}")

@@ -25,8 +25,9 @@ that claim adversarially:
 * :mod:`repro.verify.checks` -- the per-step structural invariant suite
   (shared by the fuzz oracle and the model checker).
 * :mod:`repro.verify.modelcheck` -- bounded-exhaustive exploration
-  (``repro modelcheck``): a memoized snapshot frontier with canonical
-  state dedup, counterexample prefixes replayable through the shrinker.
+  (``repro modelcheck``, the only one): a memoized snapshot frontier
+  with canonical state dedup, counterexample prefixes replayable
+  through the shrinker.
 * :mod:`repro.verify.mutations` -- seeded protocol bugs proving the
   checkers catch what they claim to catch.
 """
@@ -35,8 +36,7 @@ from repro.verify.checks import check_step, dev_count
 from repro.verify.differential import FuzzReport, run_campaign
 from repro.verify.faults import FaultKind, FaultPlan, arm_fault
 from repro.verify.modelcheck import (ModelCheckReport, check_matrix,
-                                     explore_model, frontier_vs_replay,
-                                     mutation_gate)
+                                     explore_model, mutation_gate)
 from repro.verify.models import ModelSpec, model_by_name, model_matrix
 from repro.verify.mutations import (MUTATIONS, arm_mutation,
                                     mutant_spec, mutation_names)
@@ -49,7 +49,7 @@ __all__ = [
     "MUTATIONS", "ModelCheckReport", "ModelSpec", "Outcome",
     "TraceGenerator", "arm_fault", "arm_mutation", "check_matrix",
     "check_step", "dev_count", "emit_regression", "explore_model",
-    "frontier_vs_replay", "model_by_name", "model_matrix",
+    "model_by_name", "model_matrix",
     "mutant_spec", "mutation_gate", "mutation_names", "run_campaign",
     "run_trace", "shrink_trace",
 ]

@@ -1,9 +1,9 @@
 """Memoized bounded-exhaustive model checking of the protocol core.
 
-``repro verify`` (PR 3) enumerates *access sequences*: every sequence of
-depth ``d`` over the micro alphabet is replayed on a fresh system, which
-costs ``|A|^d`` full replays even though almost all of them land in
-states some other sequence already produced.  This module enumerates
+The one bounded-exhaustive front end (``repro modelcheck``).  Replaying
+every access sequence of depth ``d`` over the micro alphabet would cost
+``|A|^d`` full replays even though almost all of them land in states
+some other sequence already produced, so this module enumerates
 *states* instead: a BFS over (canonical system state, pending access)
 with memoized dedup.
 
@@ -49,11 +49,11 @@ with memoized dedup.
   counterexample (always the BFS-first one) are bit-identical at any
   worker count (``ModelCheckReport.identity_bytes`` is the comparison
   form; asserted for jobs 1/2/4 by tests and CI).
-* **Checks.** Each transition runs the system's own ``check_invariants``
-  plus the structural battery shared with the fuzz oracle
-  (:mod:`repro.verify.checks`), and ZeroDEV models additionally assert a
-  zero DEV count after every access -- stronger than the oracle's
-  end-of-trace check.
+* **Checks.** Each transition runs
+  :func:`~repro.verify.checks.check_step`: the system's own
+  ``check_invariants`` (on ZeroDEV models these refuse any DEV after
+  every access -- stronger than the oracle's end-of-trace count) plus
+  the structural battery shared with the fuzz oracle.
 * **Counterexamples.** A failing transition reports its access path
   from the initial state.  :meth:`ModelCheckReport.counterexample_trace`
   converts it to a :class:`~repro.verify.tracegen.FuzzTrace`, so a
@@ -67,6 +67,7 @@ fuzz baseline, proving the frontier catches what sampling misses.
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import io
@@ -81,12 +82,14 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.coherence.exhaustive import Counterexample
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.errors import ConfigError
 from repro.harness.campaign import NO_RETRIES, campaign_map, values_of
 from repro.obs.events import EventKind
-from repro.verify.checks import check_step, dev_count, DivergenceError
+from repro.verify.checks import check_step, DivergenceError
+# Not called here: perfbench's traced ``verify`` workload wraps
+# ``modelcheck.dev_count`` (and ``check_step``) by module and name.
+from repro.verify.checks import dev_count  # noqa: F401
 from repro.verify.models import TRACE_CORES, ModelSpec
 from repro.verify.tracegen import FuzzTrace
 from repro.workloads.trace import Op
@@ -210,14 +213,26 @@ def canonical_key(spec: ModelSpec, system, group=None) -> bytes:
 
 
 def system_key(system, multisocket: bool = False) -> bytes:
-    """:func:`canonical_key` without the spec (for callers that hold a
-    built system but no :class:`ModelSpec`, e.g. the legacy explorer)."""
+    """:func:`canonical_key` without the spec or a symmetry group."""
     return _digest(system_sig(system, multisocket=multisocket))
 
 
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
+@dataclass
+class Counterexample:
+    """A failing access sequence and the error it triggered."""
+
+    sequence: Tuple[Tuple[int, Op, int], ...]
+    error: Exception
+
+    def __str__(self) -> str:
+        steps = ", ".join(f"c{core}:{op.name[0]}@{block}"
+                          for core, op, block in self.sequence)
+        return f"[{steps}] -> {self.error}"
+
+
 @dataclass
 class ModelCheckReport:
     """Outcome of one memoized frontier exploration.
@@ -259,13 +274,6 @@ class ModelCheckReport:
     @property
     def ok(self) -> bool:
         return self.counterexample is None
-
-    @property
-    def states_checked(self) -> int:
-        """States checked = transitions (every successor is checked
-        before dedup, so duplicates are checked too -- soundness over
-        the stats-excluding canonical key)."""
-        return self.transitions
 
     def identity_bytes(self) -> bytes:
         """Canonical byte form for cross-worker-count comparison.
@@ -571,14 +579,13 @@ def _explore_frontier(report: ModelCheckReport,
                       check: Callable[[object], None],
                       canonical: Callable[[object], bytes],
                       trim: Callable[[object], None],
+                      shared: Callable[[object], Iterable],
                       alphabet: Sequence[tuple], depth: int,
                       max_states: int, budget_s: Optional[float],
                       bus=None, jobs: int = 1,
-                      shared: Optional[Callable] = None,
                       discard: Optional[Callable] = None
                       ) -> ModelCheckReport:
-    """Generic memoized BFS shared by the spec-level entry point and
-    :meth:`ExhaustiveExplorer.explore_memoized`.
+    """The memoized BFS behind :func:`explore_model`.
 
     Per level: partition the frontier across ``jobs`` fork workers,
     expand each chunk independently, then merge the per-transition
@@ -619,7 +626,7 @@ def _explore_frontier(report: ModelCheckReport,
     trim(root)
     seen = {canonical(root)}
     report.unique_states = 1
-    snapshots = _Snapshots(root, () if shared is None else shared(root))
+    snapshots = _Snapshots(root, shared(root))
     frontier: List[Tuple[bytes, tuple]] = [(snapshots.dump(root), ())]
     level_unique: List[int] = []
 
@@ -736,17 +743,6 @@ def _spec_issue(spec: ModelSpec):
         else:
             system.access(socket, core, op, block << BLOCK_SHIFT)
     return issue
-
-
-def _spec_check(spec: ModelSpec):
-    def check(system) -> None:
-        check_step(spec, system)
-        if spec.is_zerodev:
-            devs = dev_count(spec, system)
-            if devs:
-                raise DivergenceError(
-                    f"ZeroDEV model issued {devs} DEV invalidations")
-    return check
 
 
 def _spec_canonical(spec: ModelSpec, group=()):
@@ -882,10 +878,11 @@ def explore_model(spec: ModelSpec, depth: int,
         return system
 
     return _explore_frontier(
-        report, build, _spec_issue(spec), _spec_check(spec),
+        report, build, _spec_issue(spec),
+        functools.partial(check_step, spec),
         _spec_canonical(spec, group), _spec_trim(spec),
-        alphabet, depth, max_states, budget_s, bus=bus, jobs=jobs,
-        shared=_spec_shared(spec), discard=_spec_discard(spec))
+        _spec_shared(spec), alphabet, depth, max_states, budget_s,
+        bus=bus, jobs=jobs, discard=_spec_discard(spec))
 
 
 def check_matrix(depth: int, models: Optional[Sequence[ModelSpec]] = None,
@@ -902,131 +899,6 @@ def check_matrix(depth: int, models: Optional[Sequence[ModelSpec]] = None,
                           budget_s=budget_s, bus=bus, jobs=jobs,
                           symmetry=symmetry)
             for spec in specs]
-
-
-# ----------------------------------------------------------------------
-# Frontier vs per-sequence replay (the --stats gate)
-# ----------------------------------------------------------------------
-@dataclass
-class StatsComparison:
-    """Unique canonical states reached at equal wall-clock: memoized
-    frontier versus the per-sequence full replay it replaces."""
-
-    model: str
-    depth: int
-    frontier: ModelCheckReport = field(repr=False)
-    #: What iterative per-sequence replay got through in the frontier's
-    #: wall-clock: completed sequences/accesses and the depth it was
-    #: working at when time ran out.
-    replay_sequences: int = 0
-    replay_accesses: int = 0
-    replay_depth: int = 0
-    #: Unique canonical states those sequences actually visited --
-    #: measured exactly, with the canonicalization cost kept off
-    #: replay's clock (real replay never canonicalized anything).
-    replay_unique: int = 0
-    replay_elapsed_s: float = 0.0
-    #: A check failure during replay, reported instead of raised: the
-    #: stats gate always returns a comparison, even on a faulty model.
-    replay_error: str = ""
-
-    @property
-    def ratio(self) -> float:
-        return self.frontier.unique_states / max(1, self.replay_unique)
-
-    def summary(self) -> str:
-        f = self.frontier
-        mode = ""
-        if f.symmetry:
-            mode += f", symmetry x{f.group_size}"
-        if f.jobs > 1:
-            mode += f", jobs {f.jobs}"
-        lines = (
-            f"{self.model} @ depth {self.depth} "
-            f"({f.elapsed_s:.2f}s wall-clock each{mode}):\n"
-            f"  frontier: {f.unique_states:,} unique canonical states "
-            f"({f.transitions:,} transitions, {f.dedup_hits:,} dedup "
-            f"hits, depth {f.depth_reached} reached)\n"
-            f"  replay:   {self.replay_unique:,} unique states "
-            f"({self.replay_sequences:,} sequences replayed, working at "
-            f"depth {self.replay_depth})\n"
-            f"  frontier checks {self.ratio:.1f}x more unique states "
-            f"at equal wall-clock")
-        if self.replay_error:
-            lines += f"\n  replay check failure: {self.replay_error}"
-        return lines
-
-
-def frontier_vs_replay(spec: ModelSpec, depth: int,
-                       cores: Sequence[int] = MICRO_CORES,
-                       blocks: Sequence[int] = MICRO_BLOCKS,
-                       max_states: int = DEFAULT_MAX_STATES,
-                       jobs: int = 1, symmetry: bool = False
-                       ) -> StatsComparison:
-    """Run the frontier to ``depth``, then give per-sequence replay the
-    same wall-clock and count what it covers.
-
-    The replay loop is the per-sequence baseline -- fresh system per
-    sequence, one access plus one invariant check per step, iterative
-    deepening so shallow depths complete first.  Its
-    unique-state count is measured exactly by canonicalizing every state
-    it passes through (with the same symmetry group as the frontier, so
-    the counts compare like for like), but that canonicalization cost is
-    subtracted from replay's clock (real replay never did any), which
-    errs in replay's favour.  The wall-clock budget is enforced per
-    *access*, and a check failure during replay is reported through
-    ``replay_error`` instead of escaping the gate.
-    """
-    frontier = explore_model(spec, depth, cores=cores, blocks=blocks,
-                             max_states=max_states, jobs=jobs,
-                             symmetry=symmetry)
-    budget = frontier.elapsed_s
-    alphabet = build_alphabet(cores, blocks)
-    issue = _spec_issue(spec)
-    check = _spec_check(spec)
-    group: tuple = ()
-    if symmetry:
-        from repro.verify.symmetry import symmetry_group
-        group = symmetry_group(spec, alphabet)
-    canonical = _spec_canonical(spec, group)
-    comparison = StatsComparison(spec.name, depth, frontier)
-
-    seen = {canonical(spec.build())}
-    canon_overhead = 0.0
-    started = time.perf_counter()
-    halted = False
-    for d in itertools.count(1):
-        comparison.replay_depth = d
-        for sequence in itertools.product(alphabet, repeat=d):
-            system = spec.build()
-            completed = True
-            for symbol in sequence:
-                if time.perf_counter() - started - canon_overhead \
-                        > budget:
-                    halted, completed = True, False
-                    break
-                try:
-                    issue(system, symbol)
-                    check(system)
-                except Exception as error:  # noqa: BLE001 - reported
-                    comparison.replay_error = (
-                        f"{type(error).__name__}: {error}")
-                    halted, completed = True, False
-                    break
-                comparison.replay_accesses += 1
-                canon_started = time.perf_counter()
-                seen.add(canonical(system))
-                canon_overhead += time.perf_counter() - canon_started
-            if completed:
-                comparison.replay_sequences += 1
-            if halted:
-                break
-        if halted:
-            break
-    comparison.replay_elapsed_s = (
-        time.perf_counter() - started - canon_overhead)
-    comparison.replay_unique = len(seen)
-    return comparison
 
 
 # ----------------------------------------------------------------------

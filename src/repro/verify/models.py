@@ -36,7 +36,7 @@ TRACE_CORES = 4
 
 
 def micro_config(**overrides) -> SystemConfig:
-    """The shared micro geometry (mirrors tests/test_exhaustive.py)."""
+    """The shared micro geometry of the fuzz and modelcheck models."""
     base = dict(
         n_cores=TRACE_CORES,
         l1i=CacheGeometry(256, 2),      # 4 blocks

@@ -2,9 +2,9 @@
 
 Correctness here is layered, from cheap to thorough:
 
-1. **Per-access**: the protocol's built-in shadow-memory check
-   (``check_data``) asserts every load is served the latest committed
-   version -- the load-value half of the equivalence claim.
+1. **Per-access**: the protocol's built-in shadow-memory check asserts
+   every GETS and GETX response serves the latest committed version --
+   the load-value half of the equivalence claim.
 2. **Per-step** (every ``check_every`` accesses): the system's own
    ``check_invariants`` (SWMR, directory precision, entry-location
    exclusivity, corrupted-bitmap consistency) plus the structural checks

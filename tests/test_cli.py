@@ -1,12 +1,15 @@
 """Tests for the command-line interface and trace persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.harness.result_cache import reset_session_cache
+from repro.verify.tracegen import FuzzTrace
 from repro.workloads import make_multithreaded
-from repro.workloads.trace import Workload
+from repro.workloads.trace import Op, Workload
 from repro.workloads.suites import find_profile
 
 from tests.conftest import assert_self_contained, tiny_config
@@ -75,31 +78,117 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_verify_command(self, capsys):
-        assert main(["verify", "--depth", "2"]) == 0
+    def test_modelcheck_command(self, capsys):
+        assert main(["modelcheck", "--models",
+                     "zerodev-fuse-private-spill-shared",
+                     "--depth", "2"]) == 0
         out = capsys.readouterr().out
-        assert "all invariants hold" in out
+        assert "zerodev-fuse-private-spill-shared: depth 2/2, " in out
+        assert out.endswith("0 counterexample(s)\n")
 
-    def test_verify_baseline(self, capsys):
-        assert main(["verify", "--protocol", "baseline",
+    def test_modelcheck_baseline(self, capsys):
+        assert main(["modelcheck", "--models", "baseline-quarter",
                      "--depth", "2"]) == 0
+        assert "baseline-quarter: depth 2/2, " in capsys.readouterr().out
 
-    def test_verify_dls(self, capsys):
-        assert main(["verify", "--protocol", "dls",
+    def test_modelcheck_dls(self, capsys):
+        assert main(["modelcheck", "--models", "dls,hybrid",
                      "--depth", "2"]) == 0
-        assert "all invariants hold" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "dls: depth 2/2, " in out and "hybrid: depth 2/2, " in out
+        assert "2 models: " in out
 
-    def test_verify_seed_without_samples_rejected(self, capsys):
-        # A silently ignored --seed looked like a varied run; it is now
-        # a clean one-line error, never a traceback.
-        assert main(["verify", "--seed", "3", "--depth", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "--samples" in err
+    def test_modelcheck_blocks(self, capsys):
+        # --blocks replaces the micro block alphabet: 2 cores x 2 ops x
+        # 1 block is 4 symbols, so depth 1 checks 4 transitions.
+        assert main(["modelcheck", "--models", "baseline-1x",
+                     "--blocks", "0x8", "--depth", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "baseline-1x: depth 1/1, 5 unique states, " \
+               "4 transitions checked" in out
 
-    def test_verify_seed_with_samples_accepted(self, capsys):
-        assert main(["verify", "--depth", "2", "--samples", "5",
-                     "--seed", "3"]) == 0
-        assert "seed 3" in capsys.readouterr().out
+    def test_modelcheck_unknown_model_is_one_error_line(self, capsys):
+        assert main(["modelcheck", "--models", "baseline-1x,no-such",
+                     "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert "unknown model 'no-such'" in errors[0]
+
+    def test_modelcheck_counterexample_out_shrinks(self, capsys,
+                                                   tmp_path):
+        # An armed mutation's counterexample is saved as a FuzzTrace
+        # .npz that repro shrink loads; the run itself exits 1.
+        model = "zerodev-fuse-private-spill-shared"
+        assert main(["modelcheck", "--models", model, "--depth", "3",
+                     "--blocks", "0,8,16", "--mutation",
+                     "skip-corrupt-restore", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        path = tmp_path / f"modelcheck-{model}.npz"
+        assert f"wrote {path}" in out
+        assert "1 counterexample(s)" in out
+        trace = FuzzTrace.load(path)
+        assert trace.steps == ((0, Op.WRITE.value, 0),
+                               (0, Op.READ.value, 8),
+                               (0, Op.READ.value, 16))
+        # The clean model runs the prefix without a failure.
+        assert main(["shrink", str(path), "--model", model]) == 0
+        assert "nothing to shrink" in capsys.readouterr().out
+
+    def test_modelcheck_max_states_caps(self, capsys):
+        assert main(["modelcheck", "--models", "baseline-1x",
+                     "--depth", "4", "--max-states", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "20 unique states" in out and "(capped)" in out
+
+    def test_modelcheck_jobs(self, capsys):
+        # Fork workers share each level; the report is the serial one.
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["modelcheck", "--models", "baseline-1x",
+                         "--depth", "3", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        serial, forked = (re.sub(r"[0-9.]+s\b", "Xs", out)
+                          for out in outputs)
+        assert "(jobs 2)" in forked
+        assert forked.replace(" (jobs 2)", "") == serial
+
+    def test_modelcheck_symmetry(self, capsys):
+        assert main(["modelcheck", "--models", "baseline-1x",
+                     "--depth", "2", "--symmetry"]) == 0
+        assert "(symmetry x" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["verify", "--seed", "3"],
+        ["verify", "--protocol", "baseline", "--depth", "2",
+         "--samples", "5", "--seed", "3", "--jobs", "2"],
+    ], ids=["bare", "seed", "retired-options"])
+    def test_verify_without_kernel_diff_is_refused(self, argv, capsys):
+        # Bounded-exhaustive checking moved to repro modelcheck, sampled
+        # traces to repro fuzz: repro verify names both, in one line.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert "repro modelcheck --models NAME --depth N" in errors[0]
+        assert "repro fuzz" in errors[0]
+
+    def test_unknown_options_elsewhere_still_rejected(self, capsys):
+        # Only repro verify without --kernel-diff turns unknown options
+        # into its refusal; everywhere else argparse rejects them.
+        for argv, unknown in (
+                (["verify", "--kernel-diff", "--depth", "2"], "--depth 2"),
+                (["modelcheck", "--stats"], "--stats"),
+                (["list", "--bogus"], "--bogus")):
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            assert caught.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: {unknown}\n" in err
 
     def test_verify_kernel_diff_accepts_seed(self, capsys):
         # CI passes --seed with --kernel-diff; it seeds the campaign.
@@ -143,16 +232,14 @@ class TestCli:
 #: Runs that would verify nothing (or die in int()/NumPy) must be
 #: refused up front: exit 2 and one error line naming the bad value.
 BAD_NUMBERS = [
-    (["verify", "--depth", "-1"], {}),
-    (["verify", "--depth", "0"], {}),
-    (["verify", "--samples", "-3"], {}),
-    (["verify", "--jobs", "0"], {}),
     (["verify", "--kernel-diff", "--budget", "0"], {}),
     (["verify", "--kernel-diff", "--steps-per-trace", "0"], {}),
     (["verify", "--kernel-diff", "--check-every", "-1"], {}),
     (["fuzz", "--budget", "0"], {}),
     (["fuzz", "--check-every", "-2"], {}),
     (["modelcheck", "--depth", "-2"], {}),
+    (["modelcheck", "--depth", "0"], {}),
+    (["modelcheck", "--jobs", "0"], {}),
     (["modelcheck", "--max-states", "0"], {}),
     (["modelcheck", "--budget-s", "-1"], {}),
     (["modelcheck", "--budget-s", "nan"], {}),

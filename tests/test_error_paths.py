@@ -37,6 +37,21 @@ class TestShadowMemory:
         assert len(set(versions)) == 5
 
 
+class TestDataCheck:
+    @pytest.mark.parametrize("op, response", [("R", "GETS"),
+                                              ("W", "GETX")])
+    def test_stale_response_is_refused(self, baseline, op, response):
+        # Every uncore response is checked against the shadow, with no
+        # switch to turn it off: a store committed behind the caches'
+        # back makes core 0's copy stale for core 1's request.
+        drive(baseline, [(0, "R", 5)])
+        baseline.shadow.commit_write(5)
+        with fails_with(ProtocolInvariantError,
+                        f"stale data: block 0x5 read from {response} "
+                        "response returned version 0, latest is 1"):
+            drive(baseline, [(1, op, 5)])
+
+
 class TestInvariantDetection:
     def test_swmr_violation_detected(self, baseline):
         drive(baseline, [(0, "W", 5)])

@@ -5,8 +5,9 @@ Covers the frontier engine and its harness:
 * canonicalization -- symmetric interleavings collapse, latency-only
   state (stats) is excluded, soundness is preserved by checking every
   transition;
-* clean exploration across representative matrix models, plus the
-  ``explore_memoized`` bridge on the legacy explorer;
+* clean exploration across representative matrix models, and pinned
+  counts on the geometries the matrix lacks (code fetches, and the EPD
+  and inclusive LLCs under a quarter-size baseline directory);
 * counterexample prefixes that replay through ``run_trace`` and shrink
   through ``repro shrink`` exactly like fuzz divergences;
 * the mutation gate -- every seeded bug caught by modelcheck at its
@@ -31,13 +32,14 @@ from repro.obs.bus import EventBus
 from repro.obs.events import EventKind
 from repro.verify import run_campaign, run_trace, shrink_trace
 from repro.verify.checks import DivergenceError, shadow_of
-from repro.verify.modelcheck import (MICRO_BLOCKS, ModelCheckReport,
-                                     _explore_frontier, _Snapshots,
-                                     _spec_shared, build_alphabet,
-                                     canonical_key, explore_model,
-                                     frontier_vs_replay, mutation_gate,
+from repro.common.config import DirectoryConfig, LLCDesign
+from repro.verify.modelcheck import (ModelCheckReport, _explore_frontier,
+                                     _Snapshots, _spec_shared,
+                                     build_alphabet, canonical_key,
+                                     explore_model, mutation_gate,
                                      system_key)
-from repro.verify.models import model_by_name, model_matrix
+from repro.verify.models import (ModelSpec, micro_config, model_by_name,
+                                 model_matrix)
 from repro.verify.mutations import (MUTATIONS, arm_mutation,
                                     mutant_spec, reference_spec)
 from repro.verify.tracegen import FuzzTrace
@@ -76,6 +78,11 @@ def assert_live_types(state):
         elif hasattr(cls, "__slots__"):
             stack.extend(getattr(obj, slot) for slot in cls.__slots__
                          if hasattr(obj, slot))
+
+
+def no_shared(root):
+    """A toy exploration shares nothing with its root."""
+    return ()
 
 
 def issue_all(spec, system, sequence):
@@ -237,7 +244,7 @@ class TestFrontier:
         with collector(True):
             _explore_frontier(
                 report, list, issue, check,
-                lambda s: repr(s).encode(), lambda s: None,
+                lambda s: repr(s).encode(), lambda s: None, no_shared,
                 alphabet, 3, 250_000, budget_s=0.65)
             assert gc.isenabled()
         # The collector is off only while a level expands: the root is
@@ -269,7 +276,7 @@ class TestFrontier:
         report = ModelCheckReport("toy", 3, 2)
         _explore_frontier(
             report, list, lambda s, a: s.append(a), check,
-            lambda s: repr(s).encode(), lambda s: None,
+            lambda s: repr(s).encode(), lambda s: None, no_shared,
             [1, 2], 3, 250_000, budget_s=0.25)
         # Root t=0.1, level 1 completes at t=0.3 (one node, so its
         # mid-node expiry is only seen at the next boundary); level 2's
@@ -290,7 +297,7 @@ class TestFrontier:
         with collector(False):
             _explore_frontier(
                 report, list, lambda s, a: s.append(a), check,
-                lambda s: repr(s).encode(), lambda s: None,
+                lambda s: repr(s).encode(), lambda s: None, no_shared,
                 [1, 2], 3, 250_000, None)
             assert not gc.isenabled()
         assert not report.ok
@@ -312,8 +319,8 @@ class TestFrontier:
                     _explore_frontier(
                         ModelCheckReport("toy", 3, 2), list,
                         lambda s, a: s.append(a), lambda s: None,
-                        canonical, lambda s: None, [1, 2], 3, 250_000,
-                        None)
+                        canonical, lambda s: None, no_shared, [1, 2], 3,
+                        250_000, None)
                 assert gc.isenabled() is enabled
 
     def test_mid_level_counterexample_accounting(self):
@@ -369,15 +376,66 @@ class TestFrontier:
             assert event.core == partitions <= 2
             assert transitions <= frontier * len(build_alphabet())
 
-    def test_explore_memoized_bridges_legacy_explorer(self):
-        from repro.coherence.exhaustive import ExhaustiveExplorer
-        from repro.verify.models import micro_config
-        explorer = ExhaustiveExplorer(micro_config, cores=(0, 1),
-                                      blocks=MICRO_BLOCKS)
-        memoized = explorer.explore_memoized(depth=3)
-        assert memoized.ok
-        assert memoized.depth_reached == 3
-        assert memoized.alphabet_size == len(build_alphabet())
+
+#: Geometries the model matrix lacks, over the two micro cores with the
+#: matrix's quarter-size baseline directory (8 entries): the model, its
+#: ops, and per block alphabet the (unique states, transitions) it
+#: explores at depth 3.  Blocks 0, 8 and 16 share an L2 set and an LLC
+#: set, so only they reach the L2 notices and LLC victims where the EPD
+#: and inclusive designs differ from the non-inclusive one (whose
+#: counts the inclusive LLC has on 0, 8, 1).
+QUARTER = DirectoryConfig(ratio=0.25)
+READ_WRITE = (Op.READ, Op.WRITE)
+BEYOND_MATRIX = {
+    "code-fetches": (
+        "baseline-quarter", micro_config(directory=QUARTER),
+        (Op.READ, Op.WRITE, Op.IFETCH), {(0, 8): (659, 1284)}),
+    "epd": (
+        "baseline-quarter-epd",
+        micro_config(directory=QUARTER, llc_design=LLCDesign.EPD),
+        READ_WRITE, {(0, 8, 1): (752, 1452), (0, 8, 16): (832, 1452)}),
+    "inclusive": (
+        "baseline-quarter-inclusive",
+        micro_config(directory=QUARTER, llc_design=LLCDesign.INCLUSIVE),
+        READ_WRITE, {(0, 8, 1): (800, 1452), (0, 8, 16): (688, 1452)}),
+}
+
+
+class TestBeyondTheMatrix:
+    @pytest.mark.parametrize("case", sorted(BEYOND_MATRIX))
+    def test_clean_with_pinned_counts(self, case):
+        name, config, ops, pinned = BEYOND_MATRIX[case]
+        spec = ModelSpec(name, config)
+        for blocks, counts in pinned.items():
+            report = explore_model(spec, 3, blocks=blocks, ops=ops)
+            assert report.ok, str(report.counterexample)
+            assert not report.capped and report.depth_reached == 3
+            assert (report.unique_states, report.transitions) == counts
+
+    @pytest.mark.parametrize("name", ["zerodev-fuse-private-spill-shared",
+                                      "zerodev-2socket-sol1"])
+    def test_a_dev_is_refused_by_the_system_check(self, name):
+        # The frontier checks each state with check_step alone: on a
+        # ZeroDEV model the system's own check refuses any DEV, on one
+        # socket and on two.
+        spec = spec_of(name)
+
+        class Planted(ModelSpec):
+            def build(self):
+                system = spec.build()
+                stats = (system.stats if spec.n_sockets == 1
+                         else system.stats[-1])
+                stats.dev_invalidations = 1
+                return system
+
+        report = explore_model(
+            Planted(spec.name, spec.config, spec.n_sockets,
+                    spec.dir_cache_blocks, spec.dir_solution), 1)
+        assert not report.ok and report.counterexample.sequence == ()
+        error = report.counterexample.error
+        assert type(error).__name__ == "ProtocolInvariantError"
+        assert str(error) == \
+            "ZeroDEV generated directory eviction victims"
 
 
 class TestCounterexamples:
@@ -562,63 +620,6 @@ class TestParallelDeterminism:
         report.elapsed_s += 123.0
         report.jobs = 8
         assert report.identity_bytes() == before
-
-
-class TestStatsComparison:
-    def test_replay_fault_is_reported_not_raised(self, monkeypatch):
-        # Regression: a faulting model used to escape the stats gate as
-        # an unhandled exception; it must surface as a verdict.  Replay
-        # gets the frontier's wall-clock, so on a real clock a fast
-        # frontier could stop it before the fault; a clock that never
-        # advances lets replay run until it halts on the fault (the
-        # frontier refutes the mutant within depth 3 and replay tries
-        # every sequence up to that depth, so it always gets there).
-        import repro.verify.modelcheck as mc
-
-        class FrozenTime:
-            @staticmethod
-            def perf_counter():
-                return 0.0
-
-        monkeypatch.setattr(mc, "time", FrozenTime)
-        mutation = MUTATIONS["skip-corrupt-restore"]
-        spec = reference_spec(mutation.reference_model)
-        comparison = frontier_vs_replay(
-            mutant_spec(spec, mutation.name), 3,
-            blocks=mutation.blocks)
-        assert not comparison.frontier.ok
-        assert comparison.replay_error
-        assert "replay check failure" in comparison.summary()
-        # With symmetry, both legs drop core relabelings for the armed
-        # mutant, as explore_model's mutation argument does.
-        import repro.verify.symmetry as symmetry
-        armed = explore_model(spec, 3, blocks=mutation.blocks,
-                              mutation=mutation.name, symmetry=True)
-        sizes = []
-        real_group = symmetry.symmetry_group
-
-        def spy_group(*args, **kwargs):
-            group = real_group(*args, **kwargs)
-            sizes.append(len(group))
-            return group
-
-        monkeypatch.setattr(symmetry, "symmetry_group", spy_group)
-        reduced = frontier_vs_replay(
-            mutant_spec(spec, mutation.name), 3,
-            blocks=mutation.blocks, symmetry=True)
-        assert sizes == [armed.group_size] * 2
-        assert reduced.frontier.unique_states == armed.unique_states
-        assert reduced.replay_error
-
-    def test_frontier_beats_replay_at_equal_wallclock(self):
-        # The full >=10x claim needs depth 8 (~3 minutes) and lives in
-        # ``repro modelcheck --stats``; this is the cheap monotone
-        # version of the same measurement.
-        comparison = frontier_vs_replay(spec_of(), 4)
-        assert comparison.frontier.ok
-        assert comparison.replay_unique >= 1
-        assert comparison.ratio >= 1.0
-        assert "unique canonical states" in comparison.summary()
 
 
 class TestVerifyLayerRegressions:

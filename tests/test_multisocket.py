@@ -9,6 +9,7 @@ from repro.common.config import (CacheGeometry, DirCachingPolicy,
 from repro.common.errors import ConfigError, ProtocolInvariantError
 from repro.coherence.entry import DirState
 from repro.multisocket import MultiSocketSystem
+from repro.multisocket.system import SocketEntry
 from repro.workloads.trace import Op
 
 from tests.conftest import fails_with, tiny_config
@@ -236,6 +237,108 @@ class TestMultiSocketZeroDev:
                        (k * 5 + socket) % 48)
         system.check_invariants()
         assert sum(s.dev_invalidations for s in system.stats) == 0
+
+
+def matrix_system(name="zerodev-2socket-sol1"):
+    """A 2-socket model of the verification matrix (2 cores a socket)."""
+    from repro.verify.models import model_by_name
+    return model_by_name(name).build()
+
+
+IMPRECISE = "socket-level directory imprecise for block "
+
+
+class TestSocketDirectoryPrecision:
+    """A socket-level entry lists exactly the sockets that hold its
+    block, in a core's cache or as LLC data."""
+
+    def owned_by_socket_0(self):
+        system = matrix_system()
+        access(system, 0, 0, "R", 8)
+        entry = system._entries[8]
+        assert (entry.state, entry.sharers) == (DirState.ME, 0b1)
+        system.check_invariants()
+        return system, entry
+
+    def shared_by_both(self):
+        system = matrix_system()
+        access(system, 0, 0, "R", 8)
+        access(system, 1, 0, "R", 8)
+        entry = system._entries[8]
+        assert (entry.state, entry.sharers) == (DirState.S, 0b11)
+        system.check_invariants()
+        return system, entry
+
+    def test_owned_entry_listing_a_socket_without_a_copy(self):
+        system, entry = self.owned_by_socket_0()
+        entry.sharers = 0b11
+        with fails_with(ProtocolInvariantError, IMPRECISE +
+                        "0x8: entry [0, 1] vs sockets holding [0]"):
+            system.check_invariants()
+
+    def test_owned_entry_missing_the_owning_socket(self):
+        system, entry = self.owned_by_socket_0()
+        entry.sharers = 0b10
+        with fails_with(ProtocolInvariantError, IMPRECISE +
+                        "0x8: entry [1] vs sockets holding [0]"):
+            system.check_invariants()
+
+    def test_shared_entry_missing_socket_1(self):
+        system, entry = self.shared_by_both()
+        entry.sharers = 0b01
+        with fails_with(ProtocolInvariantError, IMPRECISE +
+                        "0x8: entry [0] vs sockets holding [0, 1]"):
+            system.check_invariants()
+
+    def test_shared_entry_missing_socket_0(self):
+        system, entry = self.shared_by_both()
+        entry.sharers = 0b10
+        with fails_with(ProtocolInvariantError, IMPRECISE +
+                        "0x8: entry [1] vs sockets holding [0, 1]"):
+            system.check_invariants()
+
+    def test_llc_copy_keeps_its_socket_listed(self):
+        # Socket 0 writes block 0, then two same-set reads push it out
+        # of the core's L2: the dirty copy lives on in the LLC alone,
+        # and the socket stays a sharer until that copy leaves too.
+        system = matrix_system()
+        for block in (0, 8, 16):
+            access(system, 0, 0, "W" if block == 0 else "R", block)
+        socket = system.sockets[0]
+        assert all(hier.probe(0) is None for hier in socket.cores)
+        assert socket.bank_of(0).peek_data(0) is not None
+        assert system._entries[0].sharers == 0b1
+        system.check_invariants()
+        del system._entries[0]
+        with fails_with(ProtocolInvariantError, IMPRECISE +
+                        "0x0: entry [] vs sockets holding [0]"):
+            system.check_invariants()
+
+    def test_entry_for_a_block_no_socket_holds(self):
+        system, _entry = self.owned_by_socket_0()
+        system._entries[5] = SocketEntry(DirState.S, None, 0b10)
+        with fails_with(ProtocolInvariantError, IMPRECISE +
+                        "0x5: entry [1] vs sockets holding []"):
+            system.check_invariants()
+
+    @pytest.mark.parametrize("name", ["baseline-2socket",
+                                      "zerodev-2socket-sol1",
+                                      "zerodev-2socket-sol2"])
+    def test_last_copy_leaving_clears_the_bit(self, name):
+        # Socket 1's reads of blocks 0 and 16 evict its copies of block
+        # 8 (same L2 and LLC set): its bit clears and the entry keeps
+        # socket 0 alone; every state in between is precise.
+        system = matrix_system(name)
+        for socket, block in ((0, 8), (1, 8), (1, 0)):
+            access(system, socket, 0, "R", block)
+            system.check_invariants()
+        assert system._entries[8].sharers == 0b11
+        access(system, 1, 0, "R", 16)
+        system.check_invariants()
+        entry = system._entries[8]
+        assert (entry.state, entry.sharers) == (DirState.S, 0b1)
+        assert all(hier.probe(8) is None
+                   for hier in system.sockets[1].cores)
 
 
 class TestSocketDirectoryCache:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import DirectoryConfig
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
@@ -32,7 +33,7 @@ from repro.obs.report import render_trace_html
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
 
-from tests.conftest import (assert_self_contained, tiny_config,
+from tests.conftest import (OPS, assert_self_contained, tiny_config,
                             zerodev_config)
 
 
@@ -170,6 +171,74 @@ class TestAttachDetach:
                               jsonl=tmp_path / f"{kernel}.jsonl") as session:
                 traced = session.run(workload)
             assert traced.stats.as_dict() == plain.stats.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# The bounded protocol trace: attach + a ring, one step per access
+# ---------------------------------------------------------------------------
+def ring_trace(config, script):
+    """Drive (core, op-letter, block) steps on an attached system,
+    advancing the bus step before each access as the runner does; the
+    ring's events other than messages, as (step, kind, block, core,
+    cause) tuples."""
+    system = build_system(config)
+    bus, ring = EventBus(), RingBufferSink(256)
+    bus.subscribe(ring)
+    attach(system, bus)
+    for step, (core, op, block) in enumerate(script, 1):
+        bus.step = step
+        system.access(core, OPS[op], block << BLOCK_SHIFT)
+    system.check_invariants()
+    return [(e.step, e.kind.value, e.block, e.core, e.cause)
+            for e in ring.events if e.kind is not EventKind.MSG]
+
+
+class TestProtocolTrace:
+    def test_entry_allocation(self):
+        # One entry for the first reader; a second sharer joins it.
+        assert ring_trace(tiny_config(), [(0, "R", 5), (1, "R", 5)]) \
+            == [(1, "dir_insert", 5, -1, "")]
+
+    def test_eviction_notice_frees_the_entry(self):
+        # Five reads fill one 4-way L2 set: the fifth evicts block 0,
+        # whose notice (state E) frees its entry in the same step.
+        events = ring_trace(tiny_config(),
+                            [(0, "R", 8 * k) for k in range(5)])
+        assert events == [(k + 1, "dir_insert", 8 * k, -1, "")
+                          for k in range(5)] + [
+            (5, "l2_evict", 0, 0, "E"), (5, "dir_remove", 0, -1, "")]
+
+    def test_llc_victim(self):
+        # Five writes to one 4-way LLC set: each fill past the fourth
+        # evicts that set's LRU data frame.
+        events = ring_trace(tiny_config(),
+                            [(0, "W", 32 * k) for k in range(5)])
+        assert [event for event in events if event[1] == "llc_evict"] \
+            == [(5, "llc_evict", 0, -1, "data"),
+                (5, "llc_evict", 32, -1, "data")]
+
+    def test_dev(self):
+        # Two 8-way directory sets: the ninth even block evicts the
+        # first from the even set, and its sharer is invalidated as a
+        # DEV in the same step.
+        events = ring_trace(tiny_config(
+            directory=DirectoryConfig(ratio=0.125)),
+            [(0, "R", 2 * k) for k in range(9)])
+        assert events[-4:] == [
+            (9, "dir_remove", 0, -1, ""),
+            (9, "dir_evict", 0, -1, InvCause.DEV),
+            (9, "priv_inv", 0, 0, InvCause.DEV),
+            (9, "dir_insert", 16, -1, "")]
+
+    def test_zerodev_entry_lifecycle_without_a_dev(self):
+        # No sparse directory: the entry fuses with its block, spills
+        # when the block turns shared, and fuses again on the write.
+        assert ring_trace(zerodev_config(),
+                          [(0, "R", 5), (1, "R", 5), (1, "W", 5)]) == [
+            (1, "entry_fuse", 5, -1, ""), (2, "entry_unfuse", 5, -1, ""),
+            (2, "entry_spill", 5, -1, ""),
+            (3, "priv_inv", 5, 0, InvCause.GETX),
+            (3, "entry_fuse", 5, -1, "")]
 
 
 # ---------------------------------------------------------------------------

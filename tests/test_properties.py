@@ -3,7 +3,7 @@
 Every random access sequence, on every protocol, must terminate with
 
 * data correctness (every load observes the latest committed version --
-  checked on every read by the shadow memory while ``check_data`` is on),
+  checked by the shadow memory on every GETS and GETX response),
 * SWMR and directory precision (``check_invariants``), and
 * for ZeroDEV: zero DEV invalidations, ever.
 

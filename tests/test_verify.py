@@ -14,6 +14,7 @@ Covers the four pillars of the subsystem:
 
 from __future__ import annotations
 
+import functools
 import gc
 
 import pytest
@@ -131,7 +132,8 @@ class TestModelMatrix:
         codec = mc._Snapshots(root, mc._spec_shared(spec)(root))
         alphabet = tuple(mc.build_alphabet())
         ctx = mc._ExpandContext(
-            issue=mc._spec_issue(spec), check=mc._spec_check(spec),
+            issue=mc._spec_issue(spec),
+            check=functools.partial(mc.check_step, spec),
             canonical=mc._spec_canonical(spec), trim=mc._spec_trim(spec),
             snapshot=codec.dump, alphabet=alphabet, seen=set(),
             deadline=None, candidate_budget=len(alphabet) + 1,
