@@ -13,6 +13,13 @@ The bank implements the three replacement policies of the study:
   spilled entry is then moved to MRU, so the block always ages out first.
 * ``dataLRU`` -- the LRU *ordinary* (``V=1``) block is evicted before any
   spilled or fused entry in the set.
+
+Each protocol action on the bank is one call that does its own dict
+work (DESIGN.md §8): ``entry_of`` is ZeroDEV's whole in-bank entry
+search (spilled frame, then fused frame), touching a spilled hit as an
+access or leaving the order alone as a probe; ``insert`` and ``remove``
+pick the frame's index themselves; ``fuse`` and ``unfuse`` read the
+module-global enum members below.
 """
 
 from __future__ import annotations
@@ -25,10 +32,11 @@ from repro.common.config import LLCReplacement
 from repro.common.errors import ProtocolInvariantError, SimulationError
 from repro.obs.events import EventKind
 
-# Frame kinds read on every insert and remove, bound once as module
-# globals: on Python 3.11 each ``Enum.MEMBER`` read goes through
-# ``EnumType.__getattr__``'s Python-level hook.
-_DATA, _SPILLED = LineKind.DATA, LineKind.SPILLED
+# Enum members read on every insert, remove, fuse and unfuse, bound once
+# as module globals: on Python 3.11 each ``Enum.MEMBER`` read goes
+# through ``EnumType.__getattr__``'s Python-level hook.
+_DATA, _FUSED, _SPILLED = LineKind.DATA, LineKind.FUSED, LineKind.SPILLED
+_LLC_FUSED = EntryLocation.LLC_FUSED
 
 
 class LLCBank:
@@ -59,11 +67,6 @@ class LLCBank:
     def set_of(self, block: int) -> int:
         return (block >> self._bank_bits) & self._set_mask
 
-    def _index_for(self, line: LLCLine) -> Dict[int, LLCLine]:
-        if line.kind is _SPILLED:
-            return self._spill_index
-        return self._data_index
-
     # ------------------------------------------------------------------
     # Lookup / recency
     # ------------------------------------------------------------------
@@ -83,12 +86,26 @@ class LLCBank:
                     self._touch(spill)  # entry ends above its block
         return line
 
-    def lookup_spill(self, block: int, touch: bool = True
-                     ) -> Optional[LLCLine]:
+    def entry_of(self, block: int, touch: bool = True
+                 ) -> Optional[DirectoryEntry]:
+        """The directory entry ``block`` keeps in this bank: its spilled
+        frame's, else its fused frame's, else None.  A spilled hit with
+        ``touch`` moves that frame to MRU (the entry is being accessed;
+        spLRU keeps it above its block that way); a fused frame is the
+        block's own and is left where it is."""
         line = self._spill_index.get(block)
-        if line is not None and touch:
-            self._touch(line)
-        return line
+        if line is not None:
+            if touch:
+                frames = self._frames[(block >> self._bank_bits)
+                                      & self._set_mask]
+                if frames[-1] is not line:
+                    frames.remove(line)
+                    frames.append(line)
+            return line.entry
+        line = self._data_index.get(block)
+        if line is not None and line.kind is _FUSED:
+            return line.entry
+        return None
 
     def _touch(self, line: LLCLine) -> None:
         """Move ``line`` to MRU (frames are found by identity)."""
@@ -161,7 +178,8 @@ class LLCBank:
         The inserted line's own block is always protected from victim
         selection (its other frame may be in the same set)."""
         block = line.block
-        index = self._index_for(line)
+        index = (self._spill_index if line.kind is _SPILLED
+                 else self._data_index)
         if block in index:
             raise SimulationError(
                 f"bank {self.bank_id}: duplicate {line.kind.value} frame "
@@ -174,7 +192,10 @@ class LLCBank:
                 set_idx, protect_block if protect_block is not None
                 else block)
             frames.remove(victim)
-            del self._index_for(victim)[victim.block]
+            if victim.kind is _SPILLED:
+                del self._spill_index[victim.block]
+            else:
+                del self._data_index[victim.block]
         frames.append(line)
         index[block] = line
         if self._sp_lru and line.kind is not _SPILLED:
@@ -199,7 +220,10 @@ class LLCBank:
         block = line.block
         self._frames[(block >> self._bank_bits)
                      & self._set_mask].remove(line)
-        del self._index_for(line)[block]
+        if line.kind is _SPILLED:
+            del self._spill_index[block]
+        else:
+            del self._data_index[block]
 
     # ------------------------------------------------------------------
     # ZeroDEV entry management on existing frames
@@ -212,11 +236,11 @@ class LLCBank:
         (V=0, D=1, b0=0) with the block's dirtiness preserved in b1.
         """
         line = self._data_index.get(block)
-        if line is None or line.kind is not LineKind.DATA:
+        if line is None or line.kind is not _DATA:
             return False
-        line.kind = LineKind.FUSED
+        line.kind = _FUSED
         line.entry = entry
-        entry.location = EntryLocation.LLC_FUSED
+        entry.location = _LLC_FUSED
         if self.obs is not None:
             self.obs.emit(EventKind.ENTRY_FUSE, block=block)
         return True
@@ -225,13 +249,13 @@ class LLCBank:
         """Detach the fused entry, restoring the frame to an ordinary
         block (the reconstruction step of Section III-C2)."""
         line = self._data_index.get(block)
-        if line is None or line.kind is not LineKind.FUSED:
+        if line is None or line.kind is not _FUSED:
             raise ProtocolInvariantError(
                 f"no fused entry for block {block:#x} in bank "
                 f"{self.bank_id}")
         entry = line.entry
         assert entry is not None
-        line.kind = LineKind.DATA
+        line.kind = _DATA
         line.entry = None
         if self.obs is not None:
             self.obs.emit(EventKind.ENTRY_UNFUSE, block=block)
@@ -264,7 +288,7 @@ class LLCBank:
 
     def fused_count(self) -> int:
         return sum(1 for line in self._data_index.values()
-                   if line.kind is LineKind.FUSED)
+                   if line.kind is _FUSED)
 
     def data_block_count(self) -> int:
         return len(self._data_index)

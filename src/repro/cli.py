@@ -167,6 +167,33 @@ def _command_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _option_list(option: str, text: str, parse=str) -> list:
+    """The non-blank items of a comma-separated option, each through
+    ``parse``.  An empty list or a repeated item is refused: the run
+    would check nothing, or check the same thing twice, and exit 0."""
+    values = [parse(item.strip()) for item in text.split(",")
+              if item.strip()]
+    if not values:
+        raise ConfigError(f"{option} names nothing")
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise ConfigError(
+            f"{option} repeats {', '.join(map(str, repeated))}")
+    return values
+
+
+def _block_number(item: str) -> int:
+    """One ``--blocks`` item: a non-negative integer (any base prefix)."""
+    try:
+        block = int(item, 0)
+    except ValueError:
+        raise ConfigError(
+            f"--blocks item {item!r} is not an integer") from None
+    if block < 0:
+        raise ConfigError(f"--blocks item {item!r} is negative")
+    return block
+
+
 def _command_modelcheck(args) -> int:
     """Memoized bounded-exhaustive checking (see PROTOCOL.md §6)."""
     from repro.harness.parallel import default_jobs
@@ -175,11 +202,11 @@ def _command_modelcheck(args) -> int:
     from repro.verify.models import model_by_name, model_matrix
 
     specs = (list(model_matrix()) if args.models is None
-             else [model_by_name(name.strip())
-                   for name in args.models.split(",") if name.strip()])
+             else [model_by_name(name)
+                   for name in _option_list("--models", args.models)])
     blocks = (MICRO_BLOCKS if args.blocks is None
-              else tuple(int(b, 0)
-                         for b in args.blocks.split(",") if b.strip()))
+              else tuple(_option_list("--blocks", args.blocks,
+                                      _block_number)))
     jobs = args.jobs if args.jobs is not None else default_jobs()
     symmetry = bool(args.symmetry)
 

@@ -59,6 +59,11 @@ class CMPSystem:
     #: Which Protocol enum value this class implements (sanity check).
     PROTOCOL = Protocol.BASELINE
 
+    #: Message type of a clean eviction notice from an E copy (ZeroDEV's
+    #: carries the low-order bits that rebuild a fused frame); an S
+    #: copy's clean notice is always EVICT_CLEAN.
+    E_NOTICE = _EVICT_CLEAN
+
     #: Seeded-mutation seam (repro.verify.mutations): names of armed
     #: protocol mutations. Empty on every real run; the verify layer
     #: arms these to prove its checkers catch the seeded bug.
@@ -197,38 +202,6 @@ class CMPSystem:
     # ------------------------------------------------------------------
     def _read(self, core: int, block: int, code: bool) -> int:
         """A read or instruction fetch that missed the L2: a GETS."""
-        latency, version = self._gets(core, block, code)
-        self.shadow.check_read(block, version, "GETS response")
-        lat = self._lat
-        # The OOO window hides part of the uncore latency (MLP).
-        exposed = max(1, int(latency * lat.load_visibility_fraction))
-        return lat.l1_hit + lat.l2_hit + exposed
-
-    def _write(self, core: int, block: int,
-               line: Optional[L2Line]) -> int:
-        """A store that needs the uncore: an upgrade of the core's S copy
-        ``line``, or a write miss (``line`` is None)."""
-        hier = self.cores[core]
-        lat = self._lat
-        if line is not None:
-            hier.write_hit_state(block)     # recency touch + L1D fill
-            self.stats.l2_hits += 1
-            self.stats.upgrades += 1
-            latency = lat.l1_hit + lat.l2_hit + self._upgrade(core, block)
-        else:
-            latency = lat.l1_hit + lat.l2_hit + self._getx(core, block)
-        version = self.shadow.commit_write(block)
-        hier.commit_write(block, version)
-        # Stores drain through the store buffer; only a fraction of the
-        # miss latency is exposed on the critical path.
-        return max(1, int(latency * lat.store_visibility_fraction))
-
-    # ------------------------------------------------------------------
-    # GETS: read / instruction-fetch miss
-    # ------------------------------------------------------------------
-    def _gets(self, core: int, block: int, code: bool
-              ) -> Tuple[int, int]:
-        """Service a core read miss; returns (uncore latency, version)."""
         self.stats.core_cache_misses += 1
         bank = self.banks[block & self._bank_mask]   # home, once
         lat = self._lat
@@ -256,8 +229,33 @@ class CMPSystem:
 
         state = _MESI_S if (code or entry.state is _DIR_S) else _MESI_E
         self._fill_private(core, block, state, version, code)
-        return latency, version
+        self.shadow.check_read(block, version, "GETS response")
+        # The OOO window hides part of the uncore latency (MLP).
+        exposed = max(1, int(latency * lat.load_visibility_fraction))
+        return lat.l1_hit + lat.l2_hit + exposed
 
+    def _write(self, core: int, block: int,
+               line: Optional[L2Line]) -> int:
+        """A store that needs the uncore: an upgrade of the core's S copy
+        ``line``, or a write miss (``line`` is None)."""
+        hier = self.cores[core]
+        lat = self._lat
+        if line is not None:
+            hier.write_hit_state(block)     # recency touch + L1D fill
+            self.stats.l2_hits += 1
+            self.stats.upgrades += 1
+            latency = lat.l1_hit + lat.l2_hit + self._upgrade(core, block)
+        else:
+            latency = lat.l1_hit + lat.l2_hit + self._getx(core, block)
+        version = self.shadow.commit_write(block)
+        hier.commit_write(block, version)
+        # Stores drain through the store buffer; only a fraction of the
+        # miss latency is exposed on the critical path.
+        return max(1, int(latency * lat.store_visibility_fraction))
+
+    # ------------------------------------------------------------------
+    # GETS paths: the entry is M/E (three hops) or S
+    # ------------------------------------------------------------------
     def _forward_gets(self, core: int, block: int, entry: DirectoryEntry,
                       bank: LLCBank, llc_line: Optional[LLCLine]
                       ) -> Tuple[int, int]:
@@ -336,7 +334,7 @@ class CMPSystem:
         latency += extra
         llc_line = bank.lookup_data(block)
         if entry is not None or (llc_line is not None
-                                 and self._llc_data_usable(llc_line)):
+                                 and llc_line.kind is _DATA_LINE):
             # The socket holds a valid copy: remote read copies (if any)
             # must be invalidated before granting ownership.
             latency += self._acquire_socket_exclusive(block)
@@ -431,7 +429,7 @@ class CMPSystem:
             entry.remove_sharer(sharer)
         if not need_data:
             return 0, inv_path
-        if llc_line is not None and self._llc_data_usable(llc_line):
+        if llc_line is not None and llc_line.kind is _DATA_LINE:
             self.stats.llc_data_hits += 1
             data_path = (self._lat.llc_data + self.mesh.send_bank_to_core(
                 _DATA, bank.bank_id, requester))
@@ -451,8 +449,9 @@ class CMPSystem:
                           latency: int, exclusive: bool
                           ) -> Tuple[int, int, DirectoryEntry]:
         """No live directory entry: serve from the LLC or main memory and
-        allocate a fresh entry (the DEV-generating step in the baseline)."""
-        if llc_line is not None and self._llc_data_usable(llc_line):
+        allocate a fresh entry (the DEV-generating step in the baseline).
+        A fused frame is corrupted: it cannot supply data."""
+        if llc_line is not None and llc_line.kind is _DATA_LINE:
             self.stats.llc_data_hits += 1
             latency += self._lat.llc_data
             latency += self.mesh.send_bank_to_core(_DATA, bank.bank_id,
@@ -532,24 +531,29 @@ class CMPSystem:
 
     def _fill_llc_from_memory(self, bank: LLCBank, block: int,
                               version: int, code: bool) -> None:
-        """Demand fills allocate in the LLC -- except data fills in EPD."""
+        """Demand fills allocate in the LLC -- except data fills in EPD.
+
+        Only a miss that found no frame and no entry of ``block`` fills
+        from memory (an entry frame without an entry raises first), so
+        the frame is inserted without probing for one (``insert``
+        refuses a duplicate), and ``_data_allocated`` has no spilled
+        entry to re-fuse: the block's entry is allocated after the
+        fill."""
         if self._epd and not code:
             return
-        self._install_llc_data(bank, block, version, dirty=False)
+        victim = bank.insert(LLCLine(block, _DATA_LINE, version=version))
+        if victim is not None:
+            self._handle_llc_victim(bank, victim)
 
     # ------------------------------------------------------------------
     # LLC management
     # ------------------------------------------------------------------
-    def _llc_data_usable(self, llc_line: LLCLine) -> bool:
-        """Can this frame supply data? Fused frames are corrupted."""
-        return llc_line.kind is _DATA_LINE
-
     def _llc_serves_shared_read(self, entry: DirectoryEntry,
                                 llc_line: Optional[LLCLine],
                                 bank: LLCBank) -> Tuple[bool, int]:
         """Hook: can the LLC serve a read to this shared block, and at
         what extra critical-path cost? (ZeroDEV policies override.)"""
-        if llc_line is None or not self._llc_data_usable(llc_line):
+        if llc_line is None or llc_line.kind is not _DATA_LINE:
             return False, 0
         return True, 0
 
@@ -612,19 +616,28 @@ class CMPSystem:
         """Hook: a real-data DRAM write un-corrupts the home block."""
 
     def _handle_llc_victim(self, bank: LLCBank, victim: LLCLine) -> None:
-        """Process an LLC replacement victim (baseline: plain writeback;
-        inclusive design adds back-invalidation)."""
+        """Process an LLC replacement victim: a data frame is written
+        back if dirty (an inclusive LLC back-invalidates its private
+        copies first); a spilled or fused frame goes to
+        ``_entry_frame_evicted``."""
         self.stats.llc_evictions += 1
         if victim.kind is not _DATA_LINE:
-            raise ProtocolInvariantError(
-                "baseline LLC should never hold directory-entry frames")
+            self._entry_frame_evicted(bank, victim)
+            return
         if self._inclusive:
             self._back_invalidate(bank, victim)
         if victim.dirty:
             self._writeback_to_memory(victim)
-        if self._peek_entry(victim.block) is None:
+        if (self.memory_side is not None
+                and self._peek_entry(victim.block) is None):
             # The LLC copy was the socket's last: tell the home socket.
             self._presence_lost(victim.block, victim.version)
+
+    def _entry_frame_evicted(self, bank: LLCBank, victim: LLCLine) -> None:
+        """Hook: the LLC evicted a spilled or fused entry frame (ZeroDEV
+        writes the entry back to memory)."""
+        raise ProtocolInvariantError(
+            "baseline LLC should never hold directory-entry frames")
 
     def _back_invalidate(self, bank: LLCBank, victim: LLCLine) -> None:
         """Inclusive LLC: evicting a block invalidates private copies."""
@@ -719,7 +732,8 @@ class CMPSystem:
             stats.dev_invalidations += invalidated
             stats.invalidations_sent += invalidated
             stats.dev_events += 1
-            if bank.peek_data(block) is None:
+            if (self.memory_side is not None
+                    and bank.peek_data(block) is None):
                 self._presence_lost(block, last_version)
 
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
@@ -758,9 +772,11 @@ class CMPSystem:
                                         bank.bank_id)
             self._install_llc_data(bank, block, notice.version, dirty=True)
         else:
-            kind = self._clean_notice_kind(notice)
-            self.mesh.send_core_to_bank(kind, notice.core, bank.bank_id)
-            if notice.state is _MESI_E and self._epd:
+            e_copy = notice.state is _MESI_E
+            self.mesh.send_core_to_bank(
+                self.E_NOTICE if e_copy else _EVICT_CLEAN, notice.core,
+                bank.bank_id)
+            if e_copy and self._epd:
                 # EPD allocates the block in the LLC when it is evicted
                 # from the owner core's private hierarchy (Section III-E).
                 self._install_llc_data(bank, block, notice.version,
@@ -769,7 +785,8 @@ class CMPSystem:
         if entry.empty:
             self._free_entry(entry, bank, evictor_version=notice.version,
                              evictor_core=notice.core)
-            if bank.peek_data(block) is None:
+            if (self.memory_side is not None
+                    and bank.peek_data(block) is None):
                 # No LLC copy either: the block has left the socket.
                 self._presence_lost(block, notice.version)
         else:
@@ -789,10 +806,6 @@ class CMPSystem:
     def _notice_done(self, entry: DirectoryEntry, bank: LLCBank) -> None:
         """Hook after a notice updated a still-live entry (ZeroDEV writes
         memory-housed entries back here)."""
-
-    def _clean_notice_kind(self, notice: EvictionNotice) -> MT:
-        """Message type for a clean (E/S) eviction notice."""
-        return _EVICT_CLEAN
 
     def _notice_without_entry(self, notice: EvictionNotice,
                               bank: LLCBank) -> None:

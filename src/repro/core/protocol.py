@@ -29,7 +29,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.caches.block import LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
-from repro.caches.private_cache import EvictionNotice
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.protocol import CMPSystem
@@ -43,7 +42,7 @@ from repro.obs.events import EventKind, InvCause
 # Enum members read by the transaction paths, bound once as module
 # globals (see repro.coherence.protocol: on Python 3.11 each
 # ``Enum.MEMBER`` read goes through ``EnumType.__getattr__``'s hook).
-_MESI_M, _MESI_E = MESI.M, MESI.E
+_MESI_M = MESI.M
 _DIR_ME, _DIR_S = DirState.ME, DirState.S
 _DATA_LINE, _FUSED_LINE, _SPILLED_LINE = (LineKind.DATA, LineKind.FUSED,
                                           LineKind.SPILLED)
@@ -54,9 +53,7 @@ _SPILL_ALL, _FPSS, _FUSE_ALL = (DirCachingPolicy.SPILL_ALL,
                                 DirCachingPolicy.FUSE_ALL)
 _INV, _INV_ACK, _WB_DE, _GET_DE, _DE_DATA = (MT.INV, MT.INV_ACK, MT.WB_DE,
                                              MT.GET_DE, MT.DE_DATA)
-_EVICT_CLEAN, _EVICT_CLEAN_BITS, _EVICT_ACK = (MT.EVICT_CLEAN,
-                                               MT.EVICT_CLEAN_BITS,
-                                               MT.EVICT_ACK)
+_EVICT_CLEAN_BITS, _EVICT_ACK = MT.EVICT_CLEAN_BITS, MT.EVICT_ACK
 _SOCKET_RESTORE = MT.SOCKET_RESTORE
 
 
@@ -64,6 +61,9 @@ class ZeroDEVSystem(CMPSystem):
     """One socket running the ZeroDEV protocol."""
 
     PROTOCOL = Protocol.ZERODEV
+    #: E-state notices carry the 3 + ceil(log2 N) low-order bits used to
+    #: reconstruct a fused frame (Section III-C2).
+    E_NOTICE = _EVICT_CLEAN_BITS
 
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
@@ -88,19 +88,13 @@ class ZeroDEVSystem(CMPSystem):
     # Entry lookup
     # ------------------------------------------------------------------
     def _lookup_in_socket(self, block: int) -> Optional[DirectoryEntry]:
-        """Sparse directory, then spilled frame, then fused frame."""
+        """Sparse directory, then spilled frame, then fused frame (one
+        bank call; a spilled frame is touched: the entry is accessed)."""
         if self.directory is not None:
             entry = self.directory.lookup(block)
             if entry is not None:
                 return entry
-        bank = self.banks[block & self._bank_mask]
-        spill = bank.lookup_spill(block)      # the entry is being accessed
-        if spill is not None:
-            return spill.entry
-        data = bank.peek_data(block)
-        if data is not None and data.kind is _FUSED_LINE:
-            return data.entry
-        return None
+        return self.banks[block & self._bank_mask].entry_of(block)
 
     def _find_entry(self, block: int
                     ) -> Tuple[Optional[DirectoryEntry], int]:
@@ -118,7 +112,7 @@ class ZeroDEVSystem(CMPSystem):
         entry = self._housing.promote(block)
         if self.obs is not None:
             self.obs.emit(EventKind.ENTRY_EXTRACT, block=block)
-        self._place_entry(entry)
+        self._place_entry(entry, self.banks[block & self._bank_mask])
         return entry, extra
 
     def _find_entry_for_notice(self, block: int, bank: LLCBank
@@ -164,13 +158,10 @@ class ZeroDEVSystem(CMPSystem):
             entry = self.directory.peek(block)
             if entry is not None:
                 return entry
-        bank = self.banks[block & self._bank_mask]
-        spill = bank.peek_spill(block)
-        if spill is not None:
-            return spill.entry
-        data = bank.peek_data(block)
-        if data is not None and data.kind is _FUSED_LINE:
-            return data.entry
+        entry = self.banks[block & self._bank_mask].entry_of(block,
+                                                             touch=False)
+        if entry is not None:
+            return entry
         return self._housing.peek(block)
 
     # ------------------------------------------------------------------
@@ -182,11 +173,15 @@ class ZeroDEVSystem(CMPSystem):
         self.stats.dir_allocations += 1
         entry = DirectoryEntry(block, state, owner=owner,
                                sharers=1 << requester)
-        self._place_entry(entry)
+        if self.directory is None:
+            self._place_entry_in_llc(entry, bank)
+        else:
+            self._place_entry(entry, bank)
         return entry
 
-    def _place_entry(self, entry: DirectoryEntry) -> None:
-        """Sparse directory if an invalid way exists, else the LLC.
+    def _place_entry(self, entry: DirectoryEntry, bank: LLCBank) -> None:
+        """Sparse directory if an invalid way exists, else the LLC
+        (``bank`` is the entry's home bank).
 
         With the replacement-enabled ablation variant, a full set instead
         evicts its NRU victim and relocates it to the LLC -- no DEVs
@@ -206,7 +201,7 @@ class ZeroDEVSystem(CMPSystem):
             if directory.has_room(entry.block):
                 directory.insert(entry)
                 return
-        self._place_entry_in_llc(entry, self.bank_of(entry.block))
+        self._place_entry_in_llc(entry, bank)
 
     def _place_entry_in_llc(self, entry: DirectoryEntry,
                             bank: LLCBank) -> None:
@@ -343,11 +338,7 @@ class ZeroDEVSystem(CMPSystem):
     # ------------------------------------------------------------------
     # LLC eviction handling (the second ZeroDEV mechanism)
     # ------------------------------------------------------------------
-    def _handle_llc_victim(self, bank: LLCBank, victim: LLCLine) -> None:
-        if victim.kind is _DATA_LINE:
-            super()._handle_llc_victim(bank, victim)
-            return
-        self.stats.llc_evictions += 1
+    def _entry_frame_evicted(self, bank: LLCBank, victim: LLCLine) -> None:
         entry = victim.entry
         assert entry is not None
         if self._inclusive:
@@ -447,7 +438,7 @@ class ZeroDEVSystem(CMPSystem):
         if self._housing.is_garbage(block):
             raise ProtocolInvariantError(
                 f"demand fetch of corrupted home block {block:#x}")
-        return super()._memory_fetch_latency(block)
+        return self.dram.read(block)
 
     # ------------------------------------------------------------------
     # Critical-path effects of the caching policies
@@ -469,13 +460,6 @@ class ZeroDEVSystem(CMPSystem):
             self.stats.extra_data_array_reads += 1
             penalty = self._lat.llc_data
         return True, penalty
-
-    def _clean_notice_kind(self, notice: EvictionNotice) -> MT:
-        if notice.state is _MESI_E:
-            # E-state notices carry the 3 + ceil(log2 N) low-order bits
-            # used to reconstruct a fused frame (Section III-C2).
-            return _EVICT_CLEAN_BITS
-        return _EVICT_CLEAN
 
     # ------------------------------------------------------------------
     # Invariants

@@ -42,9 +42,22 @@ class DramModel:
 
     # ------------------------------------------------------------------
     def read(self, block: int) -> int:
-        """Read ``block``; returns the access latency in core cycles."""
-        self._stats.dram_reads += 1
-        return self._access(block)
+        """Read ``block``; returns the access latency in core cycles.
+
+        Does ``_access``'s row-buffer arithmetic itself: a read is on
+        the critical path of every LLC miss, so it saves the call."""
+        config = self._config
+        stats = self._stats
+        stats.dram_reads += 1
+        row = block // (config.channels * self._blocks_per_row)
+        bank = ((block % config.channels) * config.banks_per_channel
+                + row % config.banks_per_channel)
+        if self._open_rows[bank] == row:
+            stats.dram_row_hits += 1
+            return config.row_hit_cycles
+        self._open_rows[bank] = row
+        stats.dram_row_misses += 1
+        return config.row_miss_cycles
 
     def write(self, block: int, from_entry_eviction: bool = False) -> int:
         """Write ``block``; returns latency (off the critical path for

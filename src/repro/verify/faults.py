@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List
 
-from repro.caches.block import LineKind
 from repro.common.config import Protocol
 from repro.common.errors import ConfigError
 
@@ -168,11 +167,8 @@ def _arm_drop_get_de(socket, armed: ArmedFault) -> None:
         if socket.directory is not None and \
                 socket.directory.peek(block) is not None:
             return True
-        bank = socket.bank_of(block)
-        if bank.peek_spill(block) is not None:
-            return True
-        data = bank.peek_data(block)
-        return data is not None and data.kind is LineKind.FUSED
+        return socket.bank_of(block).entry_of(block,
+                                              touch=False) is not None
 
     def patched(block, bank):
         # Only a *memory-housed* lookup corresponds to a GET_DE message

@@ -108,14 +108,33 @@ class TestCli:
                "4 transitions checked" in out
 
     def test_modelcheck_unknown_model_is_one_error_line(self, capsys):
-        assert main(["modelcheck", "--models", "baseline-1x,no-such",
-                     "--depth", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors = [line for line in captured.err.splitlines()
-                  if "error:" in line]
-        assert len(errors) == 1, captured.err
-        assert "unknown model 'no-such'" in errors[0]
+        # Also every --blocks/--models list that would check nothing,
+        # or the same thing twice, while exiting 0.
+        cases = [
+            (["--models", "baseline-1x,no-such"],
+             "unknown model 'no-such'"),
+            (["--models", ","], "--models names nothing"),
+            (["--models", "baseline-1x,baseline-1x"],
+             "--models repeats baseline-1x"),
+            (["--models", "baseline-1x", "--blocks", "abc"],
+             "--blocks item 'abc' is not an integer"),
+            (["--models", "baseline-1x", "--blocks", ","],
+             "--blocks names nothing"),
+            (["--models", "baseline-1x", "--blocks=-1"],
+             "--blocks item '-1' is negative"),
+            (["--models", "baseline-1x", "--blocks", "0,0"],
+             "--blocks repeats 0"),
+            (["--models", "baseline-1x", "--blocks", "8,0x8"],
+             "--blocks repeats 8"),
+        ]
+        for argv, message in cases:
+            assert main(["modelcheck", *argv, "--depth", "1"]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            errors = [line for line in captured.err.splitlines()
+                      if "error:" in line]
+            assert len(errors) == 1, captured.err
+            assert message in errors[0], (argv, errors[0])
 
     def test_modelcheck_counterexample_out_shrinks(self, capsys,
                                                    tmp_path):

@@ -48,14 +48,16 @@ class TestBasicFrames:
         bank = make_bank()
         bank.insert(data(4))
         assert bank.lookup_data(4).block == 4
-        assert bank.lookup_spill(4) is None
+        assert bank.peek_spill(4) is None
+        assert bank.entry_of(4) is None        # a data-only block
 
     def test_data_and_spill_coexist_under_same_tag(self):
         bank = make_bank()
         bank.insert(data(4))
         bank.insert(spill(4))
         assert bank.lookup_data(4).kind is LineKind.DATA
-        assert bank.lookup_spill(4).kind is LineKind.SPILLED
+        assert bank.peek_spill(4).kind is LineKind.SPILLED
+        assert bank.entry_of(4) is bank.peek_spill(4).entry
         assert len(bank.frames_in_set(bank.set_of(4))) == 2
         llc_check(bank)
         del bank._spill_index[4]               # the frame stays resident
@@ -113,6 +115,10 @@ class TestFuseUnfuse:
         assert line.kind is LineKind.FUSED
         assert line.dirty and line.version == 3
         assert entry.location is EntryLocation.LLC_FUSED
+        bank.insert(data(8))                   # same set, above block 4
+        assert bank.entry_of(4) is entry
+        # A fused hit is the block's own frame: no touch either way.
+        assert bank.frames_in_set(bank.set_of(4))[0] is line
 
     def test_fuse_fails_when_absent(self):
         bank = make_bank()
@@ -143,7 +149,8 @@ class TestFuseUnfuse:
         line = spill(4)
         bank.insert(line)
         assert bank.free_spill(4) is line.entry
-        assert bank.lookup_spill(4) is None
+        assert bank.peek_spill(4) is None
+        assert bank.entry_of(4) is None
 
     def test_free_spill_missing_raises(self):
         with pytest.raises(ProtocolInvariantError):
@@ -291,7 +298,10 @@ class TestDataLRU:
         bank.insert(spill(8))
         bank.insert(spill(12))
         bank.insert(data(0))
-        bank.lookup_spill(4)            # 4 to MRU; LRU order: 8, 12, 0, 4
+        bank.entry_of(8, touch=False)   # a peek moves nothing
+        assert bank.entry_of(4) is bank.peek_spill(4).entry
+        # The spilled hit moved 4 to MRU; LRU order: 8, 12, 0, 4.
+        assert [f.block for f in bank.frames_in_set(0)] == [8, 12, 0, 4]
         victim = bank.choose_victim(bank.set_of(0), protect_block=0)
         assert victim.kind is LineKind.SPILLED and victim.block == 8
         # Recency, not insertion order, decides: repeatable.
@@ -387,7 +397,7 @@ class TestFullSetRecency:
         bank.remove(bank.peek_data(8))       # drop a frame mid-set
         bank.remove(bank.peek_data(5))
         bank.insert(data(5))                 # spLRU: s5 back above d5
-        bank.lookup_spill(5)                 # touch the entry frame
+        bank.entry_of(5)                     # touch the entry frame
         lead = ["s100"] if policy is self.DATA_LRU else ["d1"]
         assert self.order(bank) == (lead + middle + tail
                                     + ["d0", "d20", "d5", "s5"])

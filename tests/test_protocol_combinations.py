@@ -1,10 +1,15 @@
 """Cross-product scenarios: policies x LLC designs x directory sizes.
 
 These complement the targeted tests with exhaustive small-matrix checks
-that every legal configuration runs a mixed workload invariant-clean and
+that every legal configuration runs a mixed workload invariant-clean,
 that the key per-configuration facts hold (DEV freedom, fusion rules,
-inclusive never housing entries).
+inclusive never housing entries), and that each configuration's
+statistics match their pinned digest.
 """
+
+import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -12,12 +17,79 @@ from repro.caches.block import LineKind, MESI
 from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCDesign, LLCReplacement,
                                  Protocol)
+from repro.common.stats import SystemStats
 from repro.harness.system_builder import build_system
 
 from tests.conftest import drive, tiny_config, zerodev_config
 
 MIXED_SCRIPT = [(c, "RWI"[(k + c) % 3], (5 * k + 11 * c) % 120)
                 for k in range(150) for c in range(4)]
+
+#: An eviction-heavy second phase.  Each core of MIXED_SCRIPT touches
+#: only 24 blocks, which fit its L2, so that script sends no eviction
+#: notice.  Here odd cores sweep 300 blocks and even cores 200, far past
+#: a 32-block L2 and the 128-block LLC: notices free entries, the LLC
+#: evicts data, spilled and fused frames, and ZeroDEV entries go to
+#: home memory (WB_DE) and are read back by notices (GET_DE).
+PRESSURE_SCRIPT = [(c, "RWRI"[(k + 2 * c) % 4],
+                    (7 * k + 13 * c) % 300 if c % 2 else (3 * k) % 200)
+                   for k in range(300) for c in range(4)]
+
+
+def stats_digest(stats: SystemStats) -> str:
+    """Digest of every ``SystemStats`` field, with the message counts
+    sorted by name (as perfbench's ``stats_digest`` does)."""
+    payload = []
+    for spec in dataclasses.fields(stats):
+        value = getattr(stats, spec.name)
+        if isinstance(value, dict):
+            value = sorted([kind.name, count] for kind, count in value.items())
+        payload.append([spec.name, value])
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+def drive_pinned(system, key) -> None:
+    """Run both scripts, then compare the statistics with their pin."""
+    drive(system, MIXED_SCRIPT)
+    drive(system, PRESSURE_SCRIPT)
+    assert stats_digest(system.stats) == STATS_PINS[key], key
+
+
+#: Statistics digests after MIXED_SCRIPT + PRESSURE_SCRIPT, keyed by the
+#: parametrization: ZeroDEV (policy, LLC design, directory ratio), the
+#: cramped ZeroDEV LLC by replacement, the baseline (LLC design, ratio),
+#: and SecDir/MgD by protocol.  A change that moves one changed what the
+#: protocol does, not only how fast.
+STATS_PINS = {
+    ("SPILL_ALL", "NON_INCLUSIVE", None): "895d8bb44aae231f",
+    ("SPILL_ALL", "NON_INCLUSIVE", 0.125): "249f116eb53d1369",
+    ("SPILL_ALL", "EPD", None): "83079e881c63256e",
+    ("SPILL_ALL", "EPD", 0.125): "bcf4fa41c3cded4b",
+    ("SPILL_ALL", "INCLUSIVE", None): "e2ce52fc57f56bc9",
+    ("SPILL_ALL", "INCLUSIVE", 0.125): "683a35523b177ea7",
+    ("FPSS", "NON_INCLUSIVE", None): "8f9020c44c543707",
+    ("FPSS", "NON_INCLUSIVE", 0.125): "017da1c43fd2eb1c",
+    ("FPSS", "EPD", None): "38d637e4af5ba2f4",
+    ("FPSS", "EPD", 0.125): "86b4c034c9e11357",
+    ("FPSS", "INCLUSIVE", None): "78d04a0083658830",
+    ("FPSS", "INCLUSIVE", 0.125): "f95861350e778ecc",
+    ("FUSE_ALL", "NON_INCLUSIVE", None): "fc511bc0d33bc091",
+    ("FUSE_ALL", "NON_INCLUSIVE", 0.125): "976c434c21fab3f1",
+    ("FUSE_ALL", "EPD", None): "38d637e4af5ba2f4",
+    ("FUSE_ALL", "EPD", 0.125): "86b4c034c9e11357",
+    ("FUSE_ALL", "INCLUSIVE", None): "8eaea41bc6a5648d",
+    ("FUSE_ALL", "INCLUSIVE", 0.125): "404f058d9cd330b2",
+    ("cramped", "SP_LRU"): "35eebf1dee55f8a2",
+    ("cramped", "DATA_LRU"): "8bcc0681a347b943",
+    ("baseline", "NON_INCLUSIVE", 1.0): "831bb5b840a21c56",
+    ("baseline", "NON_INCLUSIVE", 0.125): "6bfd1dc7f76f055b",
+    ("baseline", "EPD", 1.0): "8a0e3edbc89ba995",
+    ("baseline", "EPD", 0.125): "4cde763b822fcb7d",
+    ("baseline", "INCLUSIVE", 1.0): "66dafd1ab0a8b58b",
+    ("baseline", "INCLUSIVE", 0.125): "6bfd1dc7f76f055b",
+    "SECDIR": "d1a8ce761555dbd9",
+    "MGD": "235f78ae12bb7b7a",
+}
 
 
 class TestZeroDevMatrix:
@@ -28,7 +100,7 @@ class TestZeroDevMatrix:
         system = build_system(zerodev_config(
             dir_caching=policy, llc_design=design,
             directory=DirectoryConfig(ratio=ratio)))
-        drive(system, MIXED_SCRIPT)
+        drive_pinned(system, (policy.name, design.name, ratio))
         assert system.stats.dev_invalidations == 0
         if design is LLCDesign.INCLUSIVE:
             assert system.stats.wb_de_messages == 0
@@ -41,7 +113,7 @@ class TestZeroDevMatrix:
     def test_cramped_llc_all_replacements(self, replacement):
         system = build_system(zerodev_config(
             llc=CacheGeometry(2048, 2), llc_replacement=replacement))
-        drive(system, MIXED_SCRIPT)
+        drive_pinned(system, ("cramped", replacement.name))
         assert system.stats.dev_invalidations == 0
 
 
@@ -51,14 +123,14 @@ class TestBaselineMatrix:
     def test_baseline_designs(self, design, ratio):
         system = build_system(tiny_config(
             llc_design=design, directory=DirectoryConfig(ratio=ratio)))
-        drive(system, MIXED_SCRIPT)
+        drive_pinned(system, ("baseline", design.name, ratio))
 
     @pytest.mark.parametrize("protocol",
                              [Protocol.SECDIR, Protocol.MGD])
     def test_comparison_baselines_with_small_directory(self, protocol):
         system = build_system(tiny_config(
             protocol=protocol, directory=DirectoryConfig(ratio=0.25)))
-        drive(system, MIXED_SCRIPT)
+        drive_pinned(system, protocol.name)
 
 
 class TestWriteReadInterleavings:
