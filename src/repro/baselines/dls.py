@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.caches.block import LLCLine, MESI
+from repro.caches.block import L2Line, LLCLine, MESI
 from repro.caches.llc import LLCBank
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.protocol import CMPSystem
@@ -107,8 +107,9 @@ class DLSSystem(CMPSystem):
         victim.entry = None
 
     # ------------------------------------------------------------------
-    def _notice_without_entry(self, notice, bank: LLCBank) -> None:
+    def _notice_without_entry(self, core: int, line: L2Line,
+                              bank: LLCBank) -> None:
         raise ProtocolInvariantError(
-            f"DLS eviction notice for block {notice.block:#x} from core "
-            f"{notice.core} with no LLC-resident line: inclusion should "
+            f"DLS eviction notice for block {line.block:#x} from core "
+            f"{core} with no LLC-resident line: inclusion should "
             "have invalidated the private copy first")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.block import MESI
+from repro.caches.block import L2Line, MESI
 from repro.caches.llc import LLCBank
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
@@ -214,8 +214,8 @@ class SecDirSystem(CMPSystem):
         else:
             self._secdir.shared.remove(entry.block)
 
-    def _process_notice(self, notice) -> None:
+    def _process_notice(self, core: int, line: L2Line) -> None:
         # Keep the evicting core's private slot (if any) in sync before
         # the generic notice handling updates the entry.
-        self._secdir.privates[notice.core].remove(notice.block)
-        super()._process_notice(notice)
+        self._secdir.privates[core].remove(line.block)
+        super()._process_notice(core, line)

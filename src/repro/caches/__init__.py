@@ -2,10 +2,9 @@
 
 from repro.caches.block import L2Line, LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
-from repro.caches.private_cache import EvictionNotice, PrivateHierarchy
+from repro.caches.private_cache import PrivateHierarchy
 
 __all__ = [
-    "EvictionNotice",
     "L2Line",
     "LLCBank",
     "LLCLine",

@@ -30,9 +30,15 @@ class MESI(enum.Enum):
         return self is not MESI.S
 
 
-@dataclass
+@dataclass(slots=True)
 class L2Line:
-    """One private L2 line, the coherence endpoint of a core."""
+    """One private L2 line, the coherence endpoint of a core.
+
+    Slotted, as are ``LLCLine`` and ``DirectoryEntry``: every L2 miss
+    builds one, and a slotted instance is built without an instance
+    dict.  An evicted line is also the eviction notice the home
+    processes (``PrivateHierarchy.fill`` returns it).
+    """
 
     block: int
     state: MESI
@@ -58,7 +64,7 @@ class LineKind(enum.Enum):
     FUSED = "fused"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LLCLine:
     """One LLC frame: a data block, a spilled entry, or a fused block.
 

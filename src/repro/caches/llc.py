@@ -213,7 +213,7 @@ class LLCBank:
                 self.obs.emit(EventKind.ENTRY_SPILL, block=line.block)
             if victim is not None:
                 self.obs.emit(EventKind.LLC_EVICT, block=victim.block,
-                              cause=victim.kind.value)
+                              cause=victim.kind._value_)
         return victim
 
     def remove(self, line: LLCLine) -> None:

@@ -23,7 +23,6 @@ each model-checker snapshot.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.caches.block import L2Line, MESI
@@ -35,24 +34,6 @@ from repro.obs.events import EventKind
 # 3.11 each ``Enum.MEMBER`` read goes through ``EnumType.__getattr__``'s
 # Python-level hook.
 _M, _S = MESI.M, MESI.S
-
-
-@dataclass
-class EvictionNotice:
-    """An L2 eviction to be reported to the home directory slice.
-
-    ``state`` is the coherence state at eviction time; M-state notices
-    carry the block data (a full writeback), E/S notices are dataless
-    (ZeroDEV's E notices additionally carry the fused-block low bits).
-    """
-
-    __slots__ = ("core", "block", "state", "version", "is_code")
-
-    core: int
-    block: int
-    state: MESI
-    version: int
-    is_code: bool
 
 
 def _lru_sets(geometry: CacheGeometry) -> List["OrderedDict"]:
@@ -151,14 +132,21 @@ class PrivateHierarchy:
     # Fills and coherence actions from the uncore
     # ------------------------------------------------------------------
     def fill(self, block: int, state: MESI, version: int,
-             code: bool) -> Optional[EvictionNotice]:
-        """Install ``block`` after a miss; returns the notice of the L2
-        victim it evicted, if any."""
+             code: bool) -> Optional[L2Line]:
+        """Install ``block`` after a miss; returns the L2 line it
+        evicted, if any.
+
+        That line is the eviction notice the home processes: it is out
+        of the index and the LRU sets, and it holds the block, state,
+        version and code bit it had at eviction.  An M notice carries
+        the block data (a full writeback), E/S notices are dataless
+        (ZeroDEV's E notices also carry the fused-block low bits).
+        """
         l2_index = self.l2_index
         if block in l2_index:
             raise ProtocolInvariantError(
                 f"double fill of block {block:#x} in core {self.core}")
-        notice = None
+        victim = None
         lru_set = self.l2_sets[block & self.l2_mask]
         if len(lru_set) >= self.l2_ways:
             victim_block, victim = lru_set.popitem(last=False)
@@ -172,9 +160,7 @@ class PrivateHierarchy:
                                                             None)
             if self.obs is not None:
                 self.obs.emit(EventKind.L2_EVICT, block=victim_block,
-                              core=self.core, cause=victim.state.name)
-            notice = EvictionNotice(self.core, victim_block, victim.state,
-                                    victim.version, victim.is_code)
+                              core=self.core, cause=victim.state._name_)
         lru_set[block] = l2_index[block] = L2Line(block, state, version,
                                                   state is _M, code)
         if code:
@@ -186,7 +172,7 @@ class PrivateHierarchy:
         if len(l1) >= ways:
             l1.popitem(last=False)              # L1 victims go silently
         l1[block] = None
-        return notice
+        return victim
 
     def invalidate(self, block: int, cause: str = "") -> Optional[L2Line]:
         """Remove ``block`` everywhere; returns the L2 line if present.

@@ -500,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--budget", type=_number("--budget"), default=50,
                       help="number of traces (each runs on every model)")
     fuzz.add_argument("--jobs", type=_number("--jobs"), default=None)
-    fuzz.add_argument("--check-every",
-                      type=_number("--check-every", allow_zero=True),
+    fuzz.add_argument("--check-every", type=_number("--check-every"),
                       default=1,
                       help="invariant-check every N accesses")
     fuzz.add_argument("--inject", default=None,

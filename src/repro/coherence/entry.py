@@ -40,13 +40,14 @@ _ME, _S = DirState.ME, DirState.S
 _SPARSE = EntryLocation.SPARSE
 
 
-@dataclass(eq=False, init=False)
+@dataclass(eq=False, init=False, slots=True)
 class DirectoryEntry:
     """Coherence-tracking record for one privately cached block.
 
     Entries compare by identity (``eq=False``), like LLC frames: a
     directory set holds at most one entry per block and removes the
-    very object it holds.
+    very object it holds.  Slotted, like the line records: a starved
+    directory builds one on most misses.
     """
 
     block: int

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.caches.block import L2Line, LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
-from repro.caches.private_cache import EvictionNotice, PrivateHierarchy
+from repro.caches.private_cache import PrivateHierarchy
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.shadow import ShadowMemory
@@ -228,7 +228,9 @@ class CMPSystem:
             entry.add_sharer(core)
 
         state = _MESI_S if (code or entry.state is _DIR_S) else _MESI_E
-        self._fill_private(core, block, state, version, code)
+        victim = self.cores[core].fill(block, state, version, code)
+        if victim is not None:
+            self._process_notice(core, victim)
         self.shadow.check_read(block, version, "GETS response")
         # The OOO window hides part of the uncore latency (MLP).
         exposed = max(1, int(latency * lat.load_visibility_fraction))
@@ -333,11 +335,13 @@ class CMPSystem:
         entry, extra = self._find_entry(block)
         latency += extra
         llc_line = bank.lookup_data(block)
-        if entry is not None or (llc_line is not None
-                                 and llc_line.kind is _DATA_LINE):
+        if self.memory_side is not None and (
+                entry is not None or (llc_line is not None
+                                      and llc_line.kind is _DATA_LINE)):
             # The socket holds a valid copy: remote read copies (if any)
-            # must be invalidated before granting ownership.
-            latency += self._acquire_socket_exclusive(block)
+            # must be invalidated before granting ownership.  That rules
+            # out a remote owner, so at most remote S sharers exist.
+            latency += self.memory_side.acquire_exclusive(self, block)
 
         if entry is not None and entry.state is _DIR_ME:
             if entry.owner == core:
@@ -372,8 +376,12 @@ class CMPSystem:
                 core, block, code=False, bank=bank, llc_line=llc_line,
                 latency=latency, exclusive=True)
         self.shadow.check_read(block, version, "GETX response")
-        self._block_became_owned(bank, block)
-        self._fill_private(core, block, _MESI_M, version, code=False)
+        if self._epd:
+            # The block is now private: EPD de-allocates its LLC copy.
+            self._epd_deallocate(bank, block)
+        victim = self.cores[core].fill(block, _MESI_M, version, False)
+        if victim is not None:
+            self._process_notice(core, victim)
         return latency
 
     def _upgrade(self, core: int, block: int) -> int:
@@ -388,7 +396,8 @@ class CMPSystem:
             raise ProtocolInvariantError(
                 f"upgrade by core {core} on block {block:#x} without a "
                 "live directory entry: a private S copy must be tracked")
-        latency += self._acquire_socket_exclusive(block)
+        if self.memory_side is not None:
+            latency += self.memory_side.acquire_exclusive(self, block)
         _, inv_latency = self._invalidate_sharers(
             core, block, entry, bank, bank.lookup_data(block),
             need_data=False)
@@ -397,7 +406,8 @@ class CMPSystem:
         old_state = entry.state
         entry.make_owned(core)
         self._entry_state_changed(entry, old_state, bank)
-        self._block_became_owned(bank, block)
+        if self._epd:
+            self._epd_deallocate(bank, block)
         self.cores[core].set_state(block, _MESI_E)   # grant; store makes M
         return latency
 
@@ -457,8 +467,9 @@ class CMPSystem:
             latency += self.mesh.send_bank_to_core(_DATA, bank.bank_id,
                                                    core)
             version = llc_line.version
-            if not exclusive and not code and not self._exclusive_grant_ok(
-                    block):
+            if (not exclusive and not code and self.memory_side is not None
+                    and not self.memory_side.exclusive_grant_ok(self,
+                                                                block)):
                 # Other sockets hold read copies: an E grant (and its
                 # silent E->M) would leave them stale -- grant S.
                 code = True
@@ -470,9 +481,18 @@ class CMPSystem:
             self.stats.llc_data_misses += 1
             if not exclusive:
                 self.stats.llc_read_misses += 1
-            fetch_latency, version, exclusive_ok = self._fetch_from_memory(
-                block, exclusive)
-            latency += fetch_latency
+            if self.memory_side is None:
+                latency += self._memory_fetch_latency(block)
+                version = self._dram_version.get(block, 0)
+                exclusive_ok = True
+            else:
+                # The inter-socket layer resolves the miss: home memory,
+                # or a downgrade / invalidation of remote sockets.
+                # ``exclusive_ok``: no other socket holds the block, so
+                # an E grant is legal.
+                fetch_latency, version, exclusive_ok = (
+                    self.memory_side.fetch(self, block, exclusive))
+                latency += fetch_latency
             latency += self.mesh.send_bank_to_core(_DATA, bank.bank_id,
                                                    core)
             self._fill_llc_from_memory(bank, block, version, code)
@@ -489,40 +509,9 @@ class CMPSystem:
         return latency, version, entry
 
     def _memory_fetch_latency(self, block: int) -> int:
-        """DRAM read for a demand fill (overridden for corrupted blocks)."""
+        """DRAM read for a single-socket demand fill (ZeroDEV overrides
+        it to refuse a corrupted home block)."""
         return self.dram.read(block)
-
-    def _fetch_from_memory(self, block: int, exclusive: bool):
-        """Fetch a block the socket does not have.
-
-        Returns (latency, version, exclusive_ok): ``exclusive_ok`` tells
-        whether the socket now holds the block exclusively at the system
-        level (an E grant is only legal then). Locally this is a DRAM
-        read; in a multi-socket system the inter-socket layer resolves it
-        (home memory, or a downgrade / invalidation of remote sockets).
-        """
-        if self.memory_side is not None:
-            return self.memory_side.fetch(self, block, exclusive)
-        return (self._memory_fetch_latency(block),
-                self._dram_version.get(block, 0), True)
-
-    def _exclusive_grant_ok(self, block: int) -> bool:
-        """May a local fill be granted E? Only when no other socket holds
-        a copy (always true in a single-socket system)."""
-        if self.memory_side is not None:
-            return self.memory_side.exclusive_grant_ok(self, block)
-        return True
-
-    def _acquire_socket_exclusive(self, block: int) -> int:
-        """Invalidate remote sockets' read copies before a local write.
-
-        Only reachable when this socket already holds a valid copy, which
-        rules out a remote owner -- at most remote S sharers exist.
-        Returns the added critical-path latency (0 in a single socket).
-        """
-        if self.memory_side is not None:
-            return self.memory_side.acquire_exclusive(self, block)
-        return 0
 
     def _presence_lost(self, block: int, version: int) -> None:
         """The last copy of ``block`` left this socket (notify home)."""
@@ -587,12 +576,6 @@ class CMPSystem:
             # the only clean backing. Writing it back keeps memory sound.
             self._writeback_to_memory(line)
         bank.remove(line)
-
-    def _block_became_owned(self, bank: LLCBank, block: int) -> None:
-        """Hook called when a block transitions to M/E (EPD de-allocates;
-        ZeroDEV FPSS re-locates a spilled entry into fused form)."""
-        if self._epd:
-            self._epd_deallocate(bank, block)
 
     def _data_arrived_at_fused(self, bank: LLCBank, line: LLCLine) -> None:
         """Hook: fresh data written into a frame holding a fused entry."""
@@ -753,42 +736,36 @@ class CMPSystem:
     # ------------------------------------------------------------------
     # Private-cache eviction notices
     # ------------------------------------------------------------------
-    def _fill_private(self, core: int, block: int, state: MESI,
-                      version: int, code: bool) -> None:
-        notice = self.cores[core].fill(block, state, version, code)
-        if notice is not None:
-            self._process_notice(notice)
-
-    def _process_notice(self, notice: EvictionNotice) -> None:
-        """Handle one private-hierarchy eviction notice at the home."""
-        block = notice.block
+    def _process_notice(self, core: int, line: L2Line) -> None:
+        """Handle at the home the eviction notice of ``line``, the L2
+        victim ``core``'s fill returned (``PrivateHierarchy.fill``)."""
+        block = line.block
         bank = self.banks[block & self._bank_mask]
         entry = self._find_entry_for_notice(block, bank)
         if entry is None:
-            self._notice_without_entry(notice, bank)
+            self._notice_without_entry(core, line, bank)
             return
-        if notice.state is _MESI_M:
-            self.mesh.send_core_to_bank(_WRITEBACK, notice.core,
-                                        bank.bank_id)
-            self._install_llc_data(bank, block, notice.version, dirty=True)
+        if line.state is _MESI_M:
+            self.mesh.send_core_to_bank(_WRITEBACK, core, bank.bank_id)
+            self._install_llc_data(bank, block, line.version, dirty=True)
         else:
-            e_copy = notice.state is _MESI_E
+            e_copy = line.state is _MESI_E
             self.mesh.send_core_to_bank(
-                self.E_NOTICE if e_copy else _EVICT_CLEAN, notice.core,
+                self.E_NOTICE if e_copy else _EVICT_CLEAN, core,
                 bank.bank_id)
             if e_copy and self._epd:
                 # EPD allocates the block in the LLC when it is evicted
                 # from the owner core's private hierarchy (Section III-E).
-                self._install_llc_data(bank, block, notice.version,
+                self._install_llc_data(bank, block, line.version,
                                        dirty=False)
-        entry.remove_sharer(notice.core)
+        entry.remove_sharer(core)
         if entry.empty:
-            self._free_entry(entry, bank, evictor_version=notice.version,
-                             evictor_core=notice.core)
+            self._free_entry(entry, bank, evictor_version=line.version,
+                             evictor_core=core)
             if (self.memory_side is not None
                     and bank.peek_data(block) is None):
                 # No LLC copy either: the block has left the socket.
-                self._presence_lost(block, notice.version)
+                self._presence_lost(block, line.version)
         else:
             self._notice_done(entry, bank)
 
@@ -807,7 +784,7 @@ class CMPSystem:
         """Hook after a notice updated a still-live entry (ZeroDEV writes
         memory-housed entries back here)."""
 
-    def _notice_without_entry(self, notice: EvictionNotice,
+    def _notice_without_entry(self, core: int, line: L2Line,
                               bank: LLCBank) -> None:
         """An eviction notice found no directory entry in the socket.
 
@@ -817,7 +794,7 @@ class CMPSystem:
         """
         raise ProtocolInvariantError(
             f"baseline eviction notice for untracked block "
-            f"{notice.block:#x} from core {notice.core}")
+            f"{line.block:#x} from core {core}")
 
     # ------------------------------------------------------------------
     # Invariant checking support (used heavily by the test-suite)

@@ -28,24 +28,11 @@ class DramModel:
         self._open_rows: List[int] = [-1] * n_banks
 
     # ------------------------------------------------------------------
-    def _access(self, block: int) -> int:
-        config = self._config
-        row = block // (config.channels * self._blocks_per_row)
-        bank = ((block % config.channels) * config.banks_per_channel
-                + row % config.banks_per_channel)
-        if self._open_rows[bank] == row:
-            self._stats.dram_row_hits += 1
-            return config.row_hit_cycles
-        self._open_rows[bank] = row
-        self._stats.dram_row_misses += 1
-        return config.row_miss_cycles
-
-    # ------------------------------------------------------------------
+    # ``read`` and ``write`` each do the open-row arithmetic themselves
+    # rather than call a shared helper: one of them runs on every LLC
+    # miss, dirty LLC eviction and ZeroDEV entry writeback.
     def read(self, block: int) -> int:
-        """Read ``block``; returns the access latency in core cycles.
-
-        Does ``_access``'s row-buffer arithmetic itself: a read is on
-        the critical path of every LLC miss, so it saves the call."""
+        """Read ``block``; returns the access latency in core cycles."""
         config = self._config
         stats = self._stats
         stats.dram_reads += 1
@@ -67,7 +54,17 @@ class DramModel:
         ``from_entry_eviction`` tags DRAM writes caused by directory-entry
         eviction, the <0.5% statistic of Section III-D3.
         """
-        self._stats.dram_writes += 1
+        config = self._config
+        stats = self._stats
+        stats.dram_writes += 1
         if from_entry_eviction:
-            self._stats.dram_writes_entry_eviction += 1
-        return self._access(block)
+            stats.dram_writes_entry_eviction += 1
+        row = block // (config.channels * self._blocks_per_row)
+        bank = ((block % config.channels) * config.banks_per_channel
+                + row % config.banks_per_channel)
+        if self._open_rows[bank] == row:
+            stats.dram_row_hits += 1
+            return config.row_hit_cycles
+        self._open_rows[bank] = row
+        stats.dram_row_misses += 1
+        return config.row_miss_cycles

@@ -71,7 +71,7 @@ class Mesh:
         """Send one message; returns its latency and accounts traffic."""
         self._stats.record_message(kind)
         if self.obs is not None:
-            self.obs.emit(EventKind.MSG, cause=kind.name)
+            self.obs.emit(EventKind.MSG, cause=kind._name_)
         return hops * self._latency.mesh_hop
 
     # The directed sends below inline ``send``'s accounting (they carry
@@ -80,19 +80,19 @@ class Mesh:
                           bank: int) -> int:
         self._stats.record_message(kind)
         if self.obs is not None:
-            self.obs.emit(EventKind.MSG, cause=kind.name)
+            self.obs.emit(EventKind.MSG, cause=kind._name_)
         return self.core_bank_cycles[core][bank]
 
     def send_bank_to_core(self, kind: MessageType, bank: int,
                           core: int) -> int:
         self._stats.record_message(kind)
         if self.obs is not None:
-            self.obs.emit(EventKind.MSG, cause=kind.name)
+            self.obs.emit(EventKind.MSG, cause=kind._name_)
         return self.core_bank_cycles[core][bank]
 
     def send_core_to_core(self, kind: MessageType, src: int,
                           dst: int) -> int:
         self._stats.record_message(kind)
         if self.obs is not None:
-            self.obs.emit(EventKind.MSG, cause=kind.name)
+            self.obs.emit(EventKind.MSG, cause=kind._name_)
         return self.core_core_cycles[src][dst]

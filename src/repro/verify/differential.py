@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.common.errors import ConfigError
 from repro.harness.campaign import (CampaignJournal, CampaignPolicy,
                                     RunSuccess, campaign_map)
 from repro.verify.faults import DETECTABLE, FaultPlan, arm_fault
@@ -248,7 +249,12 @@ def run_campaign(seed: int, budget: int,
     replayed) when the campaign is re-executed after an interruption.
     ``policy`` sets per-run timeout/retry behaviour; the default retries
     transient worker deaths once and never hangs the batch on one run.
+    ``check_every`` must be at least 1: the oracle checks after every
+    ``check_every``-th access.
     """
+    if check_every < 1:
+        raise ConfigError(
+            f"check_every must be a positive integer, got {check_every!r}")
     specs = _models_for(fault, models)
     generator = TraceGenerator(TraceGeometry.of(micro_config()), seed,
                                steps_per_trace=steps_per_trace)

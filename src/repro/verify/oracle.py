@@ -35,6 +35,7 @@ from typing import Tuple
 
 from repro.common.addressing import BLOCK_SHIFT
 from repro.obs import EventBus, attach, attach_multisocket
+from repro.obs.events import EventKind, InvCause
 from repro.verify.checks import (DivergenceError, check_step, dev_count,
                                  shadow_of)
 from repro.verify.models import ModelSpec
@@ -43,15 +44,20 @@ from repro.workloads.trace import Op
 
 __all__ = ["DevEventCounter", "DivergenceError", "Outcome", "run_trace"]
 
+# Compared on every traced event, bound once: on Python 3.11 each
+# ``Enum.MEMBER`` read goes through ``EnumType.__getattr__``.
+_PRIV_INV = EventKind.PRIV_INV
+
 
 class DevEventCounter:
-    """Obs sink counting DEV-caused private invalidations."""
+    """Obs sink counting DEV-caused private invalidations (the events
+    whose ``key()`` is ``priv_inv:dev``, matched without building it)."""
 
     def __init__(self) -> None:
         self.dev_invalidations = 0
 
     def handle(self, event) -> None:
-        if event.key() == "priv_inv:dev":
+        if event.kind is _PRIV_INV and event.cause == InvCause.DEV:
             self.dev_invalidations += 1
 
 

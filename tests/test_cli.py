@@ -1,11 +1,14 @@
 """Tests for the command-line interface and trace persistence."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.verify.differential as differential
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.common.errors import ConfigError
 from repro.harness.result_cache import reset_session_cache
 from repro.verify.tracegen import FuzzTrace
 from repro.workloads import make_multithreaded
@@ -334,7 +337,25 @@ class TestNumberValidation:
                      "--ratio", "0"]) == 0
         assert main(["trace", "canneal", str(tmp_path / "t.jsonl"),
                      "--accesses", "200", "--ratio", "0"]) == 0
+        # kernel-diff's --check-every 0 means "no per-step checks" ...
+        assert main(["verify", "--kernel-diff", "--budget", "1",
+                     "--steps-per-trace", "8", "--check-every", "0"]) == 0
         assert "error:" not in capsys.readouterr().err
+        # ... but the fuzz oracle checks after every Nth access, so 0
+        # is a usage error there, refused before any trace is made.
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--seed", "1", "--budget", "1",
+                  "--check-every", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--check-every" in errors[0], err
+        assert "DIVERGENCE" not in err and "Traceback" not in err
+        with pytest.raises(ConfigError, match="check_every"), \
+                mock.patch.object(differential.TraceGenerator,
+                                  "trace") as trace:
+            differential.run_campaign(1, 1, check_every=0)
+        trace.assert_not_called()
 
     def test_repro_store_is_one_error_line(self, capsys, monkeypatch,
                                            tmp_path):

@@ -148,11 +148,11 @@ class TestInvariantDetection:
 
 class TestProtocolGuards:
     def test_notice_without_entry_raises_in_baseline(self, baseline):
-        from repro.caches.private_cache import EvictionNotice
-        notice = EvictionNotice(core=0, block=77, state=MESI.S,
-                                version=0, is_code=False)
-        with pytest.raises(ProtocolInvariantError, match="untracked"):
-            baseline._process_notice(notice)
+        # An eviction notice is the victim line the core's fill returned.
+        from repro.caches.block import L2Line
+        with pytest.raises(ProtocolInvariantError,
+                           match="untracked block 0x4d from core 0"):
+            baseline._process_notice(0, L2Line(77, MESI.S, 0))
 
     def test_fused_frame_in_baseline_rejected(self, baseline):
         from repro.caches.block import LLCLine

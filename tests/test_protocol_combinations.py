@@ -17,6 +17,7 @@ from repro.caches.block import LineKind, MESI
 from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCDesign, LLCReplacement,
                                  Protocol)
+from repro.common.messages import MessageType
 from repro.common.stats import SystemStats
 from repro.harness.system_builder import build_system
 
@@ -35,6 +36,18 @@ PRESSURE_SCRIPT = [(c, "RWRI"[(k + 2 * c) % 4],
                     (7 * k + 13 * c) % 300 if c % 2 else (3 * k) % 200)
                    for k in range(300) for c in range(4)]
 
+#: A short notice phase for the baseline-family runs.  Their small
+#: directories invalidate every private copy before its L2 evicts it
+#: under the two scripts above, so those send no notice.  Here core 0
+#: stores to block 0 and reads five more blocks of its L2 set 0, and
+#: core 1 reads six blocks of its set 1: both 4-way sets evict (an M
+#: writeback and clean notices).  Core 2 then reads five blocks of one
+#: LLC set, so the fifth fill evicts block 2 from the LLC while core 2
+#: still holds it: an inclusive LLC back-invalidates a live copy.
+NOTICE_SCRIPT = ([(0, "W", 0)] + [(0, "R", b) for b in range(8, 41, 8)]
+                 + [(1, "R", b) for b in range(1, 42, 8)]
+                 + [(2, "R", b) for b in range(2, 131, 32)])
+
 
 def stats_digest(stats: SystemStats) -> str:
     """Digest of every ``SystemStats`` field, with the message counts
@@ -48,14 +61,25 @@ def stats_digest(stats: SystemStats) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
 
 
-def drive_pinned(system, key) -> None:
-    """Run both scripts, then compare the statistics with their pin."""
+def drive_pinned(system, key, notice_phase: bool = False) -> None:
+    """Run both scripts (then ``NOTICE_SCRIPT``, asserting that it sent
+    clean eviction notices and, in an inclusive LLC, back-invalidated a
+    live copy), then compare the statistics with their pin."""
     drive(system, MIXED_SCRIPT)
     drive(system, PRESSURE_SCRIPT)
-    assert stats_digest(system.stats) == STATS_PINS[key], key
+    stats = system.stats
+    if notice_phase:
+        clean = stats.messages.get(MessageType.EVICT_CLEAN, 0)
+        inclusion = stats.inclusion_invalidations
+        drive(system, NOTICE_SCRIPT)
+        assert stats.messages.get(MessageType.EVICT_CLEAN, 0) > clean, key
+        if system.config.llc_design is LLCDesign.INCLUSIVE:
+            assert stats.inclusion_invalidations > inclusion, key
+    assert stats_digest(stats) == STATS_PINS[key], key
 
 
-#: Statistics digests after MIXED_SCRIPT + PRESSURE_SCRIPT, keyed by the
+#: Statistics digests after MIXED_SCRIPT + PRESSURE_SCRIPT (and, for the
+#: baseline and SecDir/MgD, NOTICE_SCRIPT), keyed by the
 #: parametrization: ZeroDEV (policy, LLC design, directory ratio), the
 #: cramped ZeroDEV LLC by replacement, the baseline (LLC design, ratio),
 #: and SecDir/MgD by protocol.  A change that moves one changed what the
@@ -81,14 +105,14 @@ STATS_PINS = {
     ("FUSE_ALL", "INCLUSIVE", 0.125): "404f058d9cd330b2",
     ("cramped", "SP_LRU"): "35eebf1dee55f8a2",
     ("cramped", "DATA_LRU"): "8bcc0681a347b943",
-    ("baseline", "NON_INCLUSIVE", 1.0): "831bb5b840a21c56",
-    ("baseline", "NON_INCLUSIVE", 0.125): "6bfd1dc7f76f055b",
-    ("baseline", "EPD", 1.0): "8a0e3edbc89ba995",
-    ("baseline", "EPD", 0.125): "4cde763b822fcb7d",
-    ("baseline", "INCLUSIVE", 1.0): "66dafd1ab0a8b58b",
-    ("baseline", "INCLUSIVE", 0.125): "6bfd1dc7f76f055b",
-    "SECDIR": "d1a8ce761555dbd9",
-    "MGD": "235f78ae12bb7b7a",
+    ("baseline", "NON_INCLUSIVE", 1.0): "74f5e8ccfdac62fc",
+    ("baseline", "NON_INCLUSIVE", 0.125): "08691c3b9b6532a2",
+    ("baseline", "EPD", 1.0): "bba62a0477001405",
+    ("baseline", "EPD", 0.125): "471f343a25c6d355",
+    ("baseline", "INCLUSIVE", 1.0): "511bb0a633c5a5eb",
+    ("baseline", "INCLUSIVE", 0.125): "1f173f6ba0ad4fd4",
+    "SECDIR": "2af294b646637d58",
+    "MGD": "6d0378ec180e1dc6",
 }
 
 
@@ -123,14 +147,15 @@ class TestBaselineMatrix:
     def test_baseline_designs(self, design, ratio):
         system = build_system(tiny_config(
             llc_design=design, directory=DirectoryConfig(ratio=ratio)))
-        drive_pinned(system, ("baseline", design.name, ratio))
+        drive_pinned(system, ("baseline", design.name, ratio),
+                     notice_phase=True)
 
     @pytest.mark.parametrize("protocol",
                              [Protocol.SECDIR, Protocol.MGD])
     def test_comparison_baselines_with_small_directory(self, protocol):
         system = build_system(tiny_config(
             protocol=protocol, directory=DirectoryConfig(ratio=0.25)))
-        drive_pinned(system, protocol.name)
+        drive_pinned(system, protocol.name, notice_phase=True)
 
 
 class TestWriteReadInterleavings:
