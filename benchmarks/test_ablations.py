@@ -11,8 +11,7 @@ lookup cost without changing coherence behaviour.
 from repro.common.config import DirectoryConfig
 from repro.harness import experiments
 from repro.harness.reporting import Table, geomean
-from repro.harness.runner import run_multisocket_workload, run_workload
-from repro.harness.system_builder import build_system
+from repro.harness.runner import run_multisocket_workload
 from repro.common.messages import MessageType, message_bytes
 from repro.multisocket import MultiSocketSystem
 from repro.workloads.synthetic import generate
@@ -30,16 +29,15 @@ def ablation_replacement_disabled():
         ratio=0.125, zerodev_replacement_enabled=True))
     table = Table("Ablation: replacement-disabled vs enabled sparse "
                   "directory (ZeroDEV 1/8x)")
-    speedups, disturbances = [], {"disabled": 0, "enabled": 0}
-    for suite in ("PARSEC", "SPLASH2X"):
-        for profile in experiments.apps_of(suite):
-            workload = experiments.workload_for(profile, suite,
-                                                base_config)
-            run_disabled = experiments.run_config(disabled, workload)
-            run_enabled = experiments.run_config(enabled, workload)
-            speedups.append(run_enabled.cycles / run_disabled.cycles)
-            disturbances["disabled"] += run_disabled.stats.dir_evictions
-            disturbances["enabled"] += run_enabled.stats.dir_evictions
+    pairs = experiments.compare(
+        enabled, {"disabled": disabled},
+        experiments.suite_work(("PARSEC", "SPLASH2X"),
+                               base_config))["disabled"]
+    speedups = [run_enabled.cycles / run_disabled.cycles
+                for run_enabled, run_disabled in pairs]
+    disturbances = {
+        "disabled": sum(run.stats.dir_evictions for _, run in pairs),
+        "enabled": sum(run.stats.dir_evictions for run, _ in pairs)}
     table.add("disabled speedup over enabled", geomean(speedups),
               note="paper: disabling is strictly better (and simpler)")
     table.add("directory evictions (disabled)",
@@ -54,19 +52,15 @@ def ablation_notice_bits_overhead():
     base_config = experiments.default_config()
     zdev = experiments.zerodev_config(base_config, ratio=None)
     table = Table("Ablation: E-state notice reconstruction-bit overhead")
+    work = experiments.suite_work(("PARSEC", "CPU2017"), base_config)
     fractions = []
-    for suite in ("PARSEC", "CPU2017"):
-        for profile in experiments.apps_of(suite):
-            workload = experiments.workload_for(profile, suite,
-                                                base_config)
-            run = experiments.run_config(zdev, workload)
-            notices = run.stats.messages.get(
-                MessageType.EVICT_CLEAN_BITS, 0)
-            extra_bytes = notices * (
-                message_bytes(MessageType.EVICT_CLEAN_BITS)
-                - message_bytes(MessageType.EVICT_CLEAN))
-            fractions.append(extra_bytes
-                             / max(run.stats.traffic_bytes, 1))
+    for run in experiments.run_configs([(zdev, workload)
+                                        for _, _, workload in work]):
+        notices = run.stats.messages.get(MessageType.EVICT_CLEAN_BITS, 0)
+        extra_bytes = notices * (
+            message_bytes(MessageType.EVICT_CLEAN_BITS)
+            - message_bytes(MessageType.EVICT_CLEAN))
+        fractions.append(extra_bytes / max(run.stats.traffic_bytes, 1))
     table.add("extra traffic fraction", max(fractions), paper=0.0,
               note="paper: negligible")
     return table, {"fractions": fractions}

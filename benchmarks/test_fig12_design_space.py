@@ -23,19 +23,16 @@ def fig12_design_space():
     }
     table = Table("Figure 12: LLC space overhead vs read critical path")
     measured = {}
+    work = experiments.suite_work(("PARSEC", "SPLASH2X"), base_config)
     for label, policy in policies.items():
         config = experiments.zerodev_config(base_config, policy=policy)
-        spilled = fused = penalties = forwards = runs = 0
-        for suite in ("PARSEC", "SPLASH2X"):
-            for profile in experiments.apps_of(suite):
-                workload = experiments.workload_for(profile, suite,
-                                                    base_config)
-                run = experiments.run_config(config, workload)
-                spilled += run.stats.entries_spilled
-                fused += run.stats.entries_fused
-                penalties += run.stats.extra_data_array_reads
-                forwards += run.stats.fused_read_forwards
-                runs += 1
+        batch = experiments.run_configs([(config, workload)
+                                         for _, _, workload in work])
+        spilled = sum(run.stats.entries_spilled for run in batch)
+        fused = sum(run.stats.entries_fused for run in batch)
+        penalties = sum(run.stats.extra_data_array_reads for run in batch)
+        forwards = sum(run.stats.fused_read_forwards for run in batch)
+        runs = len(batch)
         measured[label] = {
             "spill_frames": spilled / runs,
             "fused": fused / runs,

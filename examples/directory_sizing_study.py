@@ -13,7 +13,8 @@ Run:  python examples/directory_sizing_study.py
 
 from repro import (DirectoryConfig, LLCReplacement, Protocol,
                    scaled_socket)
-from repro.harness.sweep import Sweep
+from repro.harness.experiments import compare_suites
+from repro.harness.reporting import geomean
 from repro.workloads import make_rate_workload
 from repro.workloads.suites import find_profile
 
@@ -24,9 +25,11 @@ ACCESSES = 8_000
 
 def main() -> None:
     config = scaled_socket()
-    workloads = [make_rate_workload(find_profile(name), config,
-                                    ACCESSES, seed=7)
-                 for name in APPS]
+    # Rate workloads: the "CPU2017" group makes every speedup a weighted
+    # (per-core) speedup.
+    work = [("CPU2017", name, make_rate_workload(find_profile(name), config,
+                                                 ACCESSES, seed=7))
+            for name in APPS]
     designs = {
         "baseline": lambda r: config.with_(
             directory=DirectoryConfig(ratio=r)),
@@ -36,19 +39,20 @@ def main() -> None:
             protocol=Protocol.ZERODEV, directory=DirectoryConfig(ratio=r),
             llc_replacement=LLCReplacement.DATA_LRU),
     }
-    total_accesses = sum(w.total_accesses for w in workloads)
+    total_accesses = sum(w.total_accesses for _, _, w in work)
+    ratios = {label: RATIOS if label == "ZeroDEV" else RATIOS[:-1]
+              for label in designs}
+    results = compare_suites(config, {(label, r): designs[label](r)
+                                      for label in designs
+                                      for r in ratios[label]}, work)
 
     print(f"{'design':>10} {'R':>6} {'speedup':>9} {'DEVs/kilo-acc':>14}")
-    for label, config_for in designs.items():
-        ratios = RATIOS if label == "ZeroDEV" else RATIOS[:-1]
-        sweep = Sweep(config, config_for, counters=("dev_invalidations",),
-                      multiprog=True)
-        for point in sweep.run(ratios, workloads):
-            ratio = ("none" if point.value is None
-                     else f"{point.value:.3f}")
-            devs = point.counters["dev_invalidations"]
-            print(f"{label:>10} {ratio:>6} "
-                  f"{point.geomean_speedup:>9.3f} "
+    for label in designs:
+        for r in ratios[label]:
+            ratio = "none" if r is None else f"{r:.3f}"
+            speedup = geomean(list(results[label, r]["CPU2017"].values()))
+            devs = results["_aggregates"][label, r]["dev_invalidations"]
+            print(f"{label:>10} {ratio:>6} {speedup:>9.3f} "
                   f"{1000 * devs / total_accesses:>14.2f}")
         print()
     print("ZeroDEV holds its performance all the way down to zero "

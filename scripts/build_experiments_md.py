@@ -17,6 +17,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from repro.common.ioutil import atomic_write_text  # noqa: E402
 
 PREAMBLE = """\
 # EXPERIMENTS — paper versus measured
@@ -117,7 +121,7 @@ def main() -> int:
             missing.append(name)
             parts.append("*(no archived result — run "
                          "`pytest benchmarks/ --benchmark-only`)*\n")
-    (ROOT / "EXPERIMENTS.md").write_text("".join(parts))
+    atomic_write_text(ROOT / "EXPERIMENTS.md", "".join(parts))
     print(f"wrote EXPERIMENTS.md ({len(SECTIONS) - len(missing)} of "
           f"{len(SECTIONS)} sections with archived results)")
     if missing:

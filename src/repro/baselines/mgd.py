@@ -82,10 +82,6 @@ class MgDDirectory:
             item.nru_ref = False       # type: ignore[union-attr]
         return ways[0]
 
-    def insert_block(self, entry: DirectoryEntry) -> None:
-        self.block_entries[entry.block] = entry
-        self._sets[self._set_of(entry.block)].append(entry)
-
     def insert_region(self, entry: RegionEntry) -> None:
         self.region_entries[entry.region] = entry
         self._sets[self._set_of(entry.region)].append(entry)

@@ -24,11 +24,6 @@ class MESI(enum.Enum):
     E = "E"
     S = "S"
 
-    @property
-    def is_owner(self) -> bool:
-        """True for the states in which a core owns the only valid copy."""
-        return self is not MESI.S
-
 
 @dataclass(slots=True)
 class L2Line:
@@ -79,13 +74,3 @@ class LLCLine:
     dirty: bool = False               # data dirtiness (b1 when fused)
     version: int = 0                  # shadow data version (DATA/FUSED)
     entry: Optional["DirectoryEntry"] = field(default=None, repr=False)
-
-    @property
-    def holds_data(self) -> bool:
-        """True when the frame carries (possibly corrupted) block data."""
-        return self.kind is not LineKind.SPILLED
-
-    @property
-    def is_entry(self) -> bool:
-        """True for the (V=0, D=1) states holding a directory entry."""
-        return self.kind is not LineKind.DATA

@@ -85,6 +85,25 @@ EXPERIMENTS = {
 }
 
 
+def _profile(name: str):
+    """The named application's profile; an unknown name is a one-line
+    error listing the known applications."""
+    try:
+        return find_profile(name)
+    except KeyError:
+        known = ", ".join(sorted(profile.name for profiles in SUITES.values()
+                                 for profile in profiles))
+        raise ConfigError(f"unknown application {name!r}; known "
+                          f"applications: {known}") from None
+
+
+def _trace_file(path: str) -> str:
+    """``path`` if it names a file, else a one-line error."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"no such trace: {path}")
+    return path
+
+
 def _command_list(_args) -> int:
     print("experiments:")
     for name, fn in EXPERIMENTS.items():
@@ -127,7 +146,7 @@ def _command_run(args) -> int:
 
 def _command_demo(args) -> int:
     config = scaled_socket()
-    profile = find_profile(args.app)
+    profile = _profile(args.app)
     from repro.workloads.suites import make_multithreaded
     workload = make_multithreaded(profile, config, args.accesses, seed=5)
 
@@ -281,7 +300,7 @@ def _command_shrink(args) -> int:
                               run_trace, shrink_trace)
     from repro.verify.faults import FaultKind, FaultPlan
 
-    trace = FuzzTrace.load(args.path)
+    trace = FuzzTrace.load(_trace_file(args.path))
     spec = model_by_name(args.model)
     fault = None
     if args.inject:
@@ -312,10 +331,7 @@ def _command_report(args) -> int:
                   / "scripts" / "build_experiments_md.py")
         module = runpy.run_path(str(script))
         return module["main"]()
-    path = Path(args.path)
-    if not path.is_file():
-        print(f"error: no such trace: {path}", file=sys.stderr)
-        return 2
+    path = Path(_trace_file(args.path))
     if args.html:
         from repro.common.ioutil import atomic_write_text
         from repro.obs.report import render_trace_html
@@ -345,7 +361,7 @@ def _command_trace(args) -> int:
     from repro.workloads.suites import (make_multithreaded,
                                         make_rate_workload)
     config = scaled_socket()
-    profile = find_profile(args.app)
+    profile = _profile(args.app)
     maker = make_rate_workload if args.rate else make_multithreaded
     workload = maker(profile, config, args.accesses, seed=args.seed)
     if args.events or str(args.path).endswith(".jsonl"):
@@ -369,7 +385,7 @@ def _command_trace(args) -> int:
 
 
 def _command_simulate(args) -> int:
-    workload = Workload.load(args.path)
+    workload = Workload.load(_trace_file(args.path))
     config = _configured(scaled_socket(n_cores=max(8, workload.n_cores)),
                          Protocol(args.protocol), args.ratio, args.policy)
     system = build_system(config)

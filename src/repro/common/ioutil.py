@@ -14,7 +14,11 @@ from pathlib import Path
 
 
 def atomic_write_text(path, text: str, encoding: str = "utf-8") -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + rename)."""
+    """Write ``text`` to ``path`` atomically (temp file + rename).
+
+    The file gets the mode a plain ``open(path, "w")`` would give it;
+    ``mkstemp`` creates the temp file readable by its owner only.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, temp = tempfile.mkstemp(dir=path.parent,
@@ -22,6 +26,11 @@ def atomic_write_text(path, text: str, encoding: str = "utf-8") -> Path:
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
             handle.write(text)
+        # The umask is read by setting it: a restrictive value holds
+        # for the instant before the old one is put back.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)
         os.replace(temp, path)
     except BaseException:
         try:

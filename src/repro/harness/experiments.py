@@ -9,13 +9,18 @@ pytest-benchmark and assert the qualitative *shape* (who wins, direction
 of trends) rather than absolute numbers -- the substrate is a trace-driven
 simulator, not the authors' Multi2Sim testbed (see DESIGN.md).
 
-Execution goes through :func:`repro.harness.parallel.run_many`: each
-figure assembles its full list of ``(config, workload)`` runs and issues
-them as one batch, which (a) fans out over ``REPRO_JOBS`` worker
-processes and (b) deduplicates against the session result cache, so the
-baseline runs shared by fig17-fig27 are simulated exactly once per
-session. Results are bit-identical to the serial path (the simulator is
-deterministic); every table carries run telemetry in ``Table.metadata``.
+Every comparison -- a set of designs against a reference socket on the
+same applications -- goes through :func:`compare`: it issues the
+reference and every design over the ``(group, app, workload)`` work of
+:func:`suite_work` as one :func:`repro.harness.parallel.run_many` batch
+and returns ``(base run, run)`` pairs; :func:`compare_suites` reduces
+them to speedups. A figure without a reference (Figure 12, the
+notice-bit ablation) issues one :func:`run_configs` batch per design.
+Every batch (a) fans out over ``REPRO_JOBS`` worker processes and (b)
+deduplicates against the session result cache, so the baseline runs
+shared by fig17-fig27 are simulated exactly once per session. Results
+are bit-identical to the serial path (the simulator is deterministic);
+every table carries run telemetry in ``Table.metadata``.
 
 Scaling knobs (environment variables):
 
@@ -35,21 +40,22 @@ from __future__ import annotations
 import functools
 import os
 import time
+from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import (DirCachingPolicy, DirectoryConfig,
                                  LLCDesign, LLCReplacement, Protocol,
                                  SystemConfig, CacheGeometry,
                                  resolve_kernel, scaled_socket)
-from repro.common.stats import weighted_speedup
-from repro.harness.campaign import policy_from_env
+from repro.common.stats import makespan_speedup, weighted_speedup
+from repro.harness.campaign import CampaignJournal, policy_from_env
 from repro.harness.energy import estimate_energy
 from repro.harness.parallel import (env_number, run_many, telemetry_since,
                                     telemetry_snapshot)
 from repro.harness.reporting import Table, geomean
 from repro.harness.runner import RunResult, run_workload
 from repro.harness.system_builder import build_system
-from repro.workloads.suites import (SUITES, make_heterogeneous_mixes,
+from repro.workloads.suites import (make_heterogeneous_mixes,
                                     make_multithreaded, make_rate_workload,
                                     make_server_workload, suite_profiles)
 from repro.workloads.trace import Workload
@@ -161,9 +167,16 @@ def workload_for(profile, suite: str, config: SystemConfig,
     return make_multithreaded(profile, config, n, seed=seed)
 
 
-def run_config(config: SystemConfig, workload: Workload) -> RunResult:
-    """One cached run (serial; use :func:`run_configs` to batch)."""
-    return run_many([(config, workload)], jobs=1)[0]
+#: One unit of comparison work: (group, application name, workload). The
+#: group names the suite and picks the speedup rule (:func:`speedup_of`).
+Work = List[Tuple[str, str, Workload]]
+
+
+def suite_work(suites: Iterable[str], config: SystemConfig) -> Work:
+    """``(group, app, workload)`` for every representative application
+    of ``suites``, each workload generated for ``config``."""
+    return [(suite, profile.name, workload_for(profile, suite, config))
+            for suite in suites for profile in apps_of(suite)]
 
 
 def run_configs(pairs) -> List[RunResult]:
@@ -178,10 +191,40 @@ def run_configs(pairs) -> List[RunResult]:
     return run_many(pairs, jobs=jobs(), policy=policy_from_env())
 
 
-def speedup_of(base: RunResult, new: RunResult, suite: str) -> float:
-    if suite in ("CPU2017", "CPU-HET"):
+def compare(base_config: SystemConfig, configs: Dict[object, SystemConfig],
+            work: Work, resume=None
+            ) -> Dict[object, List[Tuple[RunResult, RunResult]]]:
+    """Run ``base_config`` and every config of ``configs`` over each
+    workload of ``work``, as one batch.
+
+    Returns label -> ``[(base run, run)]`` in ``work`` order. The batch
+    runs under :func:`run_configs`' policy (``REPRO_JOBS``,
+    ``REPRO_RUN_TIMEOUT``, ``REPRO_RETRIES``) and the session cache, so
+    a reference shared with another comparison is simulated once.
+    ``resume`` names a campaign journal (created if missing): completed
+    runs are committed there, and re-running the comparison after an
+    interruption replays them instead of simulating them again.
+    """
+    workloads = [workload for _, _, workload in work]
+    specs = [(config, workload)
+             for config in (base_config, *configs.values())
+             for workload in workloads]
+    with (nullcontext() if resume is None
+          else CampaignJournal(resume)) as journal:
+        runs = run_many(specs, jobs=jobs(), policy=policy_from_env(),
+                        journal=journal)
+    n = len(workloads)
+    base_runs = runs[:n]
+    return {label: list(zip(base_runs, runs[n * (index + 1):n * (index + 2)]))
+            for index, label in enumerate(configs)}
+
+
+def speedup_of(base: RunResult, new: RunResult, group: str) -> float:
+    """Weighted (per-core) speedup for the multi-programmed groups,
+    makespan speedup for the rest."""
+    if group in ("CPU2017", "CPU-HET"):
         return weighted_speedup(base.per_core_cycles, new.per_core_cycles)
-    return base.cycles / new.cycles if new.cycles else 1.0
+    return makespan_speedup(base.stats, new.stats)
 
 
 _AGGREGATE_FIELDS = ("dram_writes", "dram_writes_entry_eviction",
@@ -192,39 +235,23 @@ _AGGREGATE_FIELDS = ("dram_writes", "dram_writes_entry_eviction",
 
 
 def compare_suites(base_config: SystemConfig,
-                   new_configs: Dict[str, SystemConfig],
-                   suites: Iterable[str], seed: int = 11
-                   ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run every app of ``suites`` under base and each new config.
+                   configs: Dict[object, SystemConfig], work: Work
+                   ) -> Dict[object, Dict[str, Dict[str, float]]]:
+    """:func:`compare`, reduced to speedups.
 
-    Returns results[config_label][suite][app] = speedup vs base, plus
-    results["_aggregates"][config_label] = summed counters (the Section
-    III-D3 statistics are derived from these). All runs of all configs
-    are issued as one ``run_many`` batch.
+    Returns results[label][group][app] = speedup vs base, plus
+    results["_aggregates"][label] = summed counters (the Section
+    III-D3 statistics are derived from these).
     """
-    suites = list(suites)
-    labels = list(new_configs)
-    work = [(suite, profile,
-             workload_for(profile, suite, base_config, seed))
-            for suite in suites for profile in apps_of(suite)]
-    pairs = [(base_config, workload) for _, _, workload in work]
-    for label in labels:
-        pairs.extend((new_configs[label], workload)
-                     for _, _, workload in work)
-    runs = run_configs(pairs)
-    base_runs = runs[:len(work)]
-    results = {label: {suite: {} for suite in suites}
-               for label in labels}
-    aggregates = {label: {field: 0 for field in _AGGREGATE_FIELDS}
-                  for label in labels}
-    for offset, label in enumerate(labels):
-        new_runs = runs[(offset + 1) * len(work):(offset + 2) * len(work)]
-        for (suite, profile, _), base, new in zip(work, base_runs,
-                                                  new_runs):
-            results[label][suite][profile.name] = speedup_of(
-                base, new, suite)
+    results: dict = {}
+    aggregates = {}
+    for label, pairs in compare(base_config, configs, work).items():
+        speedups = results[label] = {group: {} for group, _, _ in work}
+        totals = aggregates[label] = dict.fromkeys(_AGGREGATE_FIELDS, 0)
+        for (group, app, _), (base, new) in zip(work, pairs):
+            speedups[group][app] = speedup_of(base, new, group)
             for field in _AGGREGATE_FIELDS:
-                aggregates[label][field] += getattr(new.stats, field)
+                totals[field] += getattr(new.stats, field)
     results["_aggregates"] = aggregates
     return results
 
@@ -254,24 +281,19 @@ def fig2_unbounded_rate() -> Tuple[Table, dict]:
                   "normalized to baseline")
     speedups, traffics, misses = [], [], []
     paper = {"xalancbmk": 1.04}
-    profiles = apps_of("CPU2017")
-    workloads = [workload_for(p, "CPU2017", base_config)
-                 for p in profiles]
-    runs = run_configs([(base_config, w) for w in workloads]
-                       + [(unbounded, w) for w in workloads])
-    for profile, base, unbd in zip(profiles, runs[:len(workloads)],
-                                   runs[len(workloads):]):
-        s = speedup_of(base, unbd, "CPU2017")
+    work = suite_work(["CPU2017"], base_config)
+    pairs = compare(base_config, {"unbounded": unbounded}, work)
+    for (group, app, _), (base, unbd) in zip(work, pairs["unbounded"]):
+        s = speedup_of(base, unbd, group)
         t = unbd.stats.traffic_bytes / max(base.stats.traffic_bytes, 1)
         m = (unbd.stats.core_cache_misses
              / max(base.stats.core_cache_misses, 1))
         speedups.append(s)
         traffics.append(t)
         misses.append(m)
-        table.add(f"{profile.name}.speedup", s,
-                  paper=paper.get(profile.name))
-        table.add(f"{profile.name}.traffic", t)
-        table.add(f"{profile.name}.miss", m)
+        table.add(f"{app}.speedup", s, paper=paper.get(app))
+        table.add(f"{app}.traffic", t)
+        table.add(f"{app}.miss", m)
     table.add("AVG speedup", geomean(speedups), paper=1.005,
               note="paper: under 1% average speedup")
     table.add("AVG traffic", sum(traffics) / len(traffics), paper=0.90,
@@ -290,19 +312,15 @@ def fig3_unbounded_multithreaded() -> Tuple[Table, dict]:
         directory=DirectoryConfig(unbounded=True))
     table = Table("Figure 3: unbounded vs 1x directory (multi-threaded)")
     paper = {"freqmine": 0.96}   # forwarded reads make unbounded slower
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in MT_SUITES for profile in apps_of(suite)]
-    runs = run_configs([(base_config, w) for _, _, w in work]
-                       + [(unbounded, w) for _, _, w in work])
+    work = suite_work(MT_SUITES, base_config)
+    pairs = compare(base_config, {"unbounded": unbounded}, work)
     all_speedups: Dict[str, List[float]] = {suite: [] for suite in
                                             MT_SUITES}
-    for (suite, profile, _), base, unbd in zip(work, runs[:len(work)],
-                                               runs[len(work):]):
+    for (suite, app, _), (base, unbd) in zip(work, pairs["unbounded"]):
         s = speedup_of(base, unbd, suite)
         all_speedups[suite].append(s)
-        if suite == "PARSEC" or profile.name == "fftw":
-            table.add(f"{profile.name}.speedup", s,
-                      paper=paper.get(profile.name))
+        if suite == "PARSEC" or app == "fftw":
+            table.add(f"{app}.speedup", s, paper=paper.get(app))
     for suite in MT_SUITES:
         table.add(f"{suite}-AVG speedup", geomean(all_speedups[suite]),
                   paper=1.0, note="paper: 1x is adequate")
@@ -314,25 +332,17 @@ def fig4_directory_sizes() -> Tuple[Table, dict]:
     """Figure 4: baseline speedup versus sparse-directory size."""
     base_config = default_config()
     ratios = [0.5, 0.125, 1 / 32]
-    sized = [base_config.with_(directory=DirectoryConfig(ratio=ratio))
-             for ratio in ratios]
+    sized = {ratio: base_config.with_(directory=DirectoryConfig(ratio=ratio))
+             for ratio in ratios}
     table = Table("Figure 4: speedup vs directory size "
                   "(normalized to 1x)")
     suites = list(MT_SUITES) + ["CPU2017"]
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in suites for profile in apps_of(suite)]
-    pairs = [(base_config, w) for _, _, w in work]
-    for config in sized:
-        pairs.extend((config, w) for _, _, w in work)
-    runs = run_configs(pairs)
+    speedups = compare_suites(base_config, sized,
+                              suite_work(suites, base_config))
     results = {}
-    for si, suite in enumerate(suites):
-        indices = [i for i, (s, _, _) in enumerate(work) if s == suite]
-        per_ratio = []
-        for ri in range(len(ratios)):
-            block = runs[(ri + 1) * len(work):(ri + 2) * len(work)]
-            per_ratio.append(geomean([
-                speedup_of(runs[i], block[i], suite) for i in indices]))
+    for suite in suites:
+        per_ratio = [geomean(list(speedups[ratio][suite].values()))
+                     for ratio in ratios]
         results[suite] = per_ratio
         for ratio, value in zip(ratios, per_ratio):
             table.add(f"{suite} @ {ratio:.3f}x", value,
@@ -397,21 +407,14 @@ def fig6_llc_ways() -> Tuple[Table, dict]:
         base_config.llc.size_bytes * ways // 16, ways))
         for ways in all_ways}
     suites = list(MT_SUITES) + ["CPU2017"]
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in suites for profile in apps_of(suite)]
-    pairs = [(base_config, w) for _, _, w in work]
-    for ways in all_ways:
-        pairs.extend((reduced[ways], w) for _, _, w in work)
-    runs = run_configs(pairs)
+    speedups = compare_suites(base_config, reduced,
+                              suite_work(suites, base_config))
     results = {}
     for suite in suites:
-        indices = [i for i, (s, _, _) in enumerate(work) if s == suite]
         per_ways = {}
-        for wi, ways in enumerate(all_ways):
-            block = runs[(wi + 1) * len(work):(wi + 2) * len(work)]
-            speedups = [speedup_of(runs[i], block[i], suite)
-                        for i in indices]
-            per_ways[ways] = (geomean(speedups), min(speedups))
+        for ways in all_ways:
+            values = list(speedups[ways][suite].values())
+            per_ways[ways] = (geomean(values), min(values))
         results[suite] = per_ways
         avg14, _ = per_ways[14]
         avg12, min12 = per_ways[12]
@@ -451,7 +454,8 @@ def fig17_policy_selection() -> Tuple[Table, dict]:
     configs = {label: zerodev_config(base_config, policy=policy)
                for label, policy in policies.items()}
     suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs,
+                             suite_work(suites, base_config))
     for suite in suites:
         for label in policies:
             values = list(results[label][suite].values())
@@ -478,7 +482,8 @@ def fig18_replacement_selection() -> Tuple[Table, dict]:
         "data-half": zerodev_config(base_config, llc=half_llc),
     }
     suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs,
+                             suite_work(suites, base_config))
     table = Table("Figure 18: spLRU vs dataLRU (normalized to full-size "
                   "baseline)")
     for suite in suites:
@@ -501,7 +506,8 @@ def zerodev_vs_directory_size(suites: Iterable[str]
         "NoDir": zerodev_config(base_config, ratio=None),
     }
     suites = list(suites)
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs,
+                             suite_work(suites, base_config))
     table = Table("ZeroDEV speedup vs baseline (three directory sizes)")
     for suite in suites:
         for label in configs:
@@ -557,48 +563,31 @@ def fig22_llc_capacity() -> Tuple[Table, dict]:
     table = Table("Figure 22: LLC capacity sensitivity (normalized to "
                   "the default-capacity baseline)")
     suites = list(MT_SUITES) + ["CPU2017"]
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in suites for profile in apps_of(suite)]
-    variants = []
-    for label, factor in (("half", 0.5), ("double", 2.0)):
+    sizes = (("half", 0.5), ("double", 2.0))
+    designs = ("Base", "ZeroDEV-NoDir", "ZeroDEV-1/4x")
+    configs = {}
+    for label, factor in sizes:
         llc = CacheGeometry(int(base_config.llc.size_bytes * factor),
                             base_config.llc.ways)
         sized_base = base_config.with_(llc=llc)
-        variants.append((label, sized_base,
-                         zerodev_config(sized_base, ratio=None),
-                         zerodev_config(sized_base, ratio=0.25)))
-    pairs = [(base_config, w) for _, _, w in work]
-    for _, sized_base, znodir, zquarter in variants:
-        for config in (sized_base, znodir, zquarter):
-            pairs.extend((config, w) for _, _, w in work)
-    runs = run_configs(pairs)
-    references = runs[:len(work)]
+        configs[f"Base-{label}"] = sized_base
+        configs[f"ZeroDEV-NoDir-{label}"] = zerodev_config(sized_base,
+                                                           ratio=None)
+        configs[f"ZeroDEV-1/4x-{label}"] = zerodev_config(sized_base,
+                                                          ratio=0.25)
+    speedups = compare_suites(base_config, configs,
+                              suite_work(suites, base_config))
     results = {}
-    block = len(work)
-    for vi, (label, _, _, _) in enumerate(variants):
-        offset = (1 + 3 * vi) * block
-        sized_runs = runs[offset:offset + block]
-        nodir_runs = runs[offset + block:offset + 2 * block]
-        quarter_runs = runs[offset + 2 * block:offset + 3 * block]
+    for label, _ in sizes:
         for suite in suites:
-            indices = [i for i, (s, _, _) in enumerate(work)
-                       if s == suite]
-            base_vals = [speedup_of(references[i], sized_runs[i], suite)
-                         for i in indices]
-            nodir_vals = [speedup_of(references[i], nodir_runs[i], suite)
-                          for i in indices]
-            quarter_vals = [speedup_of(references[i], quarter_runs[i],
-                                       suite) for i in indices]
-            results[(label, suite)] = (geomean(base_vals),
-                                       geomean(nodir_vals),
-                                       geomean(quarter_vals))
-            table.add(f"{suite} Base-{label}", geomean(base_vals))
-            table.add(f"{suite} ZeroDEV-NoDir-{label}",
-                      geomean(nodir_vals),
-                      note="paper: within 1% of same-size baseline "
-                           "(16MB); 4MB may need a 1/4x directory")
-            table.add(f"{suite} ZeroDEV-1/4x-{label}",
-                      geomean(quarter_vals))
+            results[(label, suite)] = tuple(
+                geomean(list(speedups[f"{design}-{label}"][suite].values()))
+                for design in designs)
+            for design, value in zip(designs, results[(label, suite)]):
+                table.add(f"{suite} {design}-{label}", value,
+                          note=("paper: within 1% of same-size baseline "
+                                "(16MB); 4MB may need a 1/4x directory"
+                                if design == "ZeroDEV-NoDir" else ""))
     return table, results
 
 
@@ -620,19 +609,10 @@ def fig23_heterogeneous(n_mixes: int = 6) -> Tuple[Table, dict]:
     }
     table = Table("Figure 23: heterogeneous mixes, weighted speedup vs "
                   "baseline")
-    labels = list(configs)
-    pairs = [(base_config, mix) for mix in mixes]
-    for label in labels:
-        pairs.extend((configs[label], mix) for mix in mixes)
-    runs = run_configs(pairs)
-    base_runs = runs[:len(mixes)]
-    results = {}
-    for offset, label in enumerate(labels):
-        new_runs = runs[(offset + 1) * len(mixes):
-                        (offset + 2) * len(mixes)]
-        results[label] = [
-            weighted_speedup(base.per_core_cycles, new.per_core_cycles)
-            for base, new in zip(base_runs, new_runs)]
+    speedups = compare_suites(base_config, configs,
+                              [("CPU-HET", mix.name, mix) for mix in mixes])
+    results = {label: list(speedups[label]["CPU-HET"].values())
+               for label in configs}
     for label, values in results.items():
         table.add(f"{label} GEOMEAN", geomean(values), paper=0.99,
                   note="paper: within 1% on average")
@@ -669,27 +649,16 @@ def fig24_server(n_cores: int = 32) -> Tuple[Table, dict]:
     }
     table = Table(f"Figure 24: server workloads ({n_cores}-core socket)")
     paper = {"SPECWeb-S": 0.986}
-    labels = list(configs)
     server_accesses = max(accesses_per_core() // 2, 1000)
-    profiles = apps_of("SERVER")
-    workloads = [make_server_workload(p, config, server_accesses,
-                                      seed=23) for p in profiles]
-    pairs = [(config, w) for w in workloads]
-    for label in labels:
-        pairs.extend((configs[label], w) for w in workloads)
-    runs = run_configs(pairs)
-    base_runs = runs[:len(workloads)]
-    results = {label: {} for label in labels}
-    for offset, label in enumerate(labels):
-        new_runs = runs[(offset + 1) * len(workloads):
-                        (offset + 2) * len(workloads)]
-        for profile, base, new in zip(profiles, base_runs, new_runs):
-            s = speedup_of(base, new, "SERVER")
-            results[label][profile.name] = s
-            if label == "NoDir":
-                table.add(f"{profile.name} NoDir", s,
-                          paper=paper.get(profile.name))
-    for label in labels:
+    work = [("SERVER", profile.name,
+             make_server_workload(profile, config, server_accesses,
+                                  seed=23))
+            for profile in apps_of("SERVER")]
+    speedups = compare_suites(config, configs, work)
+    results = {label: speedups[label]["SERVER"] for label in configs}
+    for app, s in results["NoDir"].items():
+        table.add(f"{app} NoDir", s, paper=paper.get(app))
+    for label in configs:
         table.add(f"{label} GEOMEAN",
                   geomean(list(results[label].values())), paper=0.99,
                   note="paper: within 1% avg; max slowdown 1.4%")
@@ -714,19 +683,19 @@ def fig25_epd_inclusive() -> Tuple[Table, dict]:
         "ZDevIncl-NoDir": zerodev_config(inclusive, ratio=None),
     }
     suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    work = suite_work(suites, base_config)
+    results = compare_suites(base_config, configs, work)
     table = Table("Figure 25: EPD and inclusive LLCs (normalized to "
                   "non-inclusive 1x baseline)")
     for suite in suites:
         for label in configs:
             table.add(f"{suite} {label}",
                       geomean(list(results[label][suite].values())))
-    # Forced-invalidation elimination in the inclusive design.
-    profile = apps_of("PARSEC")[0]
-    workload = workload_for(profile, "PARSEC", base_config)
-    base_run, zdev_run = run_configs(
-        [(inclusive, workload),
-         (zerodev_config(inclusive, ratio=None), workload)])
+    # Forced-invalidation elimination in the inclusive design, on the
+    # first PARSEC application (the first entry of ``work``).
+    [(base_run, zdev_run)] = compare(
+        inclusive, {"ZDevIncl-NoDir": configs["ZDevIncl-NoDir"]},
+        work[:1])["ZDevIncl-NoDir"]
     base_forced = (base_run.stats.inclusion_invalidations
                    + base_run.stats.dev_invalidations)
     zdev_forced = (zdev_run.stats.inclusion_invalidations
@@ -758,7 +727,8 @@ def fig26_mgd() -> Tuple[Table, dict]:
         "ZDev-NoDir": zerodev_config(base_config, ratio=None),
     }
     suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs,
+                             suite_work(suites, base_config))
     table = Table("Figure 26: Multi-grain Directory comparison "
                   "(normalized to 1x baseline)")
     for suite in suites:
@@ -799,7 +769,8 @@ def fig27_secdir() -> Tuple[Table, dict]:
         ("CPU2017", "ZDev-NoDir"): 0.98,
     }
     suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs,
+                             suite_work(suites, base_config))
     table = Table("Figure 27: SecDir comparison (normalized to 1x "
                   "baseline)")
     for suite in suites:
@@ -852,7 +823,8 @@ def fig_contenders() -> Tuple[Table, dict]:
                                       llc=quarter_llc),
     }
     suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs,
+                             suite_work(suites, base_config))
     table = Table("Contender study: DLS and hybrid update/invalidate "
                   "(normalized to 1x baseline)")
     for suite in suites:
@@ -891,13 +863,10 @@ def energy_comparison() -> Tuple[Table, dict]:
     znodir = zerodev_config(base_config, ratio=None)
     table = Table("Energy: directory+LLC energy, ZeroDEV-NoDir vs "
                   "baseline")
-    workloads = [workload_for(profile, suite, base_config)
-                 for suite in list(MT_SUITES) + ["CPU2017"]
-                 for profile in apps_of(suite)]
-    runs = run_configs([(base_config, w) for w in workloads]
-                       + [(znodir, w) for w in workloads])
+    work = suite_work(list(MT_SUITES) + ["CPU2017"], base_config)
     ratios = []
-    for base, zdev in zip(runs[:len(workloads)], runs[len(workloads):]):
+    for base, zdev in compare(base_config, {"NoDir": znodir},
+                              work)["NoDir"]:
         base_energy = estimate_energy(base_config, base.stats)
         zdev_energy = estimate_energy(znodir, zdev.stats)
         ratios.append(zdev_energy["total_j"] / base_energy["total_j"])

@@ -106,8 +106,11 @@ class Event:
     cause: str
 
     def to_record(self) -> dict:
-        """Plain-dict form used by the JSONL sink and the reports."""
-        record = {"step": self.step, "kind": self.kind.value}
+        """Plain-dict form used by the JSONL sink and the reports.
+
+        ``_value_`` is the member's plain attribute: ``.value`` goes
+        through a descriptor on every event."""
+        record = {"step": self.step, "kind": self.kind._value_}
         if self.block >= 0:
             record["block"] = self.block
         if self.core >= 0:
@@ -119,5 +122,5 @@ class Event:
     def key(self) -> str:
         """Aggregation key: ``kind`` or ``kind:cause``."""
         if self.cause:
-            return f"{self.kind.value}:{self.cause}"
-        return self.kind.value
+            return f"{self.kind._value_}:{self.cause}"
+        return self.kind._value_

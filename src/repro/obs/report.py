@@ -50,6 +50,11 @@ def load_trace(path) -> Tuple[dict, List[dict]]:
     return meta, events
 
 
+#: Read once: ``EventKind.X.value`` is a descriptor call per event.
+_PRIV_INV = EventKind.PRIV_INV.value
+_MSG = EventKind.MSG.value
+
+
 def summarize(path) -> dict:
     """Structured summary of one JSONL trace."""
     meta, events = load_trace(path)
@@ -61,9 +66,9 @@ def summarize(path) -> dict:
         kind = record.get("kind", "?")
         kinds[kind] += 1
         last_step = max(last_step, record.get("step", 0))
-        if kind == EventKind.PRIV_INV.value:
+        if kind == _PRIV_INV:
             inv_causes[record.get("cause", "?")] += 1
-        elif kind == EventKind.MSG.value:
+        elif kind == _MSG:
             messages[record.get("cause", "?")] += 1
     return {
         "meta": meta,

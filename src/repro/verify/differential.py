@@ -141,10 +141,6 @@ class FuzzReport:
             lines.append("  no divergences")
         return "\n".join(lines)
 
-    @property
-    def missing_runs(self) -> int:
-        return len(self.harness_failures)
-
 
 @dataclass
 class CampaignPlan:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import SystemConfig
-from repro.workloads.trace import CoreTrace, Op, Workload
+from repro.workloads.trace import CoreTrace, Op
 
 #: Blocks per OS page (4 KB pages of 64-byte blocks).
 PAGE_BLOCKS_SHIFT = 6
@@ -354,10 +354,3 @@ def _core_segment(profile: AppProfile, rng: np.random.Generator, n: int,
     ops[is_private] = np.where(priv_writes, Op.WRITE.value,
                                Op.READ.value)
     return ops, blocks
-
-
-def make_workload(profile: AppProfile, config: SystemConfig,
-                  accesses_per_core: int, seed: int = 0) -> Workload:
-    """A multi-threaded workload: one application on every core."""
-    traces = generate(profile, config, accesses_per_core, seed)
-    return Workload(profile.name, traces)

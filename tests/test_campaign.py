@@ -462,24 +462,26 @@ class TestRunManyCampaign:
             assert (cache.get(run_key(*spec)) is None) == (index == 1)
 
     def test_sweep_resume_round_trip(self, tmp_path):
-        from repro.harness.sweep import Sweep
+        from repro.harness.experiments import compare
 
-        workloads = [small_workload("blackscholes")]
-        sweep = Sweep(tiny_config(),
-                      lambda ways: zerodev_config(),
-                      jobs=1)
-        reference = sweep.run([1], workloads)
+        work = [("PARSEC", "blackscholes", small_workload("blackscholes"))]
+        configs = {"zerodev": zerodev_config()}
+        reference = compare(tiny_config(), configs, work)["zerodev"]
 
-        fresh = Sweep(tiny_config(), lambda ways: zerodev_config(),
-                      jobs=1)
-        path = tmp_path / "sweep.jsonl"
-        first = fresh.run([1], workloads, resume=path)
         reset_session_cache()
-        rerun = Sweep(tiny_config(), lambda ways: zerodev_config(),
-                      jobs=1)
-        resumed = rerun.run([1], workloads, resume=path)
-        for points in (first, resumed):
-            assert points[0].speedups == reference[0].speedups
+        path = tmp_path / "sweep.jsonl"
+        first = compare(tiny_config(), configs, work,
+                        resume=path)["zerodev"]
+        reset_session_cache()
+        before = telemetry_snapshot()
+        resumed = compare(tiny_config(), configs, work,
+                          resume=path)["zerodev"]
+        delta = telemetry_since(before)
+        # The base run and the design run both replay from the journal.
+        assert delta["runs"] == 0 and delta["resume_skips"] == 2
+        for pairs in (first, resumed):
+            assert [stats_dicts(pair) for pair in pairs] \
+                == [stats_dicts(pair) for pair in reference]
 
     def test_values_of_names_the_failure(self, tmp_path):
         items = [(index, str(tmp_path)) for index in range(3)]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and trace persistence."""
 
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import repro.verify.differential as differential
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.common import ioutil
 from repro.common.errors import ConfigError
 from repro.harness.result_cache import reset_session_cache
 from repro.verify.tracegen import FuzzTrace
@@ -16,6 +18,8 @@ from repro.workloads.trace import Op, Workload
 from repro.workloads.suites import find_profile
 
 from tests.conftest import assert_self_contained, tiny_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTracePersistence:
@@ -218,10 +222,44 @@ class TestCli:
                      "--budget", "2"]) == 0
         assert "bit-identical" in capsys.readouterr().out
 
-    def test_report_command(self, capsys):
+    def test_report_command(self, capsys, monkeypatch):
+        # The rebuild publishes through atomic_write_text; capturing that
+        # leaves the checkout untouched, and the committed EXPERIMENTS.md
+        # must be exactly what the archived results/*.txt tables build.
+        written = {}
+        monkeypatch.setattr(
+            ioutil, "atomic_write_text",
+            lambda path, text: written.setdefault(Path(path), text))
         assert main(["report"]) == 0
-        out = capsys.readouterr().out
-        assert "EXPERIMENTS.md" in out
+        assert "EXPERIMENTS.md" in capsys.readouterr().out
+        committed = ROOT / "EXPERIMENTS.md"
+        assert list(written) == [committed]
+        assert written[committed] == committed.read_text(encoding="utf-8")
+
+    def test_bad_input_is_one_error_line(self, capsys, monkeypatch,
+                                         tmp_path):
+        # An unknown application or a missing trace file: exit 2 with
+        # one error: line, no traceback, nothing written.
+        cases = [
+            (["trace", "nosuchapp", "x.npz"],
+             "unknown application 'nosuchapp'"),
+            (["demo", "--app", "nosuch"], "unknown application 'nosuch'"),
+            (["simulate", "missing.npz"], "no such trace: missing.npz"),
+            (["shrink", "missing.npz"], "no such trace: missing.npz"),
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            errors = [line for line in captured.err.splitlines()
+                      if "error:" in line]
+            assert len(errors) == 1, captured.err
+            assert message in errors[0], (argv, errors[0])
+            if "application" in message:
+                assert "known applications: " in errors[0]
+                assert "freqmine" in errors[0]
+            assert list(tmp_path.iterdir()) == [], argv
 
     def test_fuzz_parser_accepts_campaign_flags(self):
         args = build_parser().parse_args(

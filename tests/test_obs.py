@@ -675,6 +675,11 @@ class TestAtomicWrite:
         path = tmp_path / "nested" / "deep" / "out.json"
         atomic_write_text(path, "x")
         assert path.read_text() == "x"
+        # Not mkstemp's owner-only 0600: a rebuilt EXPERIMENTS.md or
+        # results/*.txt keeps the mode a plain write gives it.
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        assert path.stat().st_mode == plain.stat().st_mode
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.harness.result_cache import (ResultCache, run_key,
                                         reset_session_cache,
                                         session_cache)
 from repro.harness.runner import RunResult, run_workload
-from repro.harness.sweep import BaselineSummary, Sweep
 from repro.harness.system_builder import build_system
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
@@ -386,22 +385,6 @@ class TestRunKey:
         assert run_key(
             config.with_(directory=DirectoryConfig(ratio=0.5)),
             workload) != baseline
-
-
-class TestSweepBaselines:
-    def test_baselines_are_summaries_not_systems(self):
-        reference = tiny_config()
-        sweep = Sweep(reference, lambda r: reference.with_(
-            directory=DirectoryConfig(ratio=r)))
-        workload = small_workload("canneal", 300)
-        points = sweep.run([1.0, 0.125], [workload])
-        assert len(points) == 2
-        summary = sweep._baselines[workload.name]
-        assert isinstance(summary, BaselineSummary)
-        assert summary.total_cycles > 0
-        # Re-running reuses the summary (still exactly one entry).
-        sweep.run([0.5], [workload])
-        assert len(sweep._baselines) == 1
 
 
 class TestRunResult:

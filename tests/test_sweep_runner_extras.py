@@ -1,11 +1,14 @@
-"""Tests for the sweep utility, warm-up support, and report extras."""
+"""Tests for directory-ratio comparisons, warm-up support, and report
+extras."""
 
 import pytest
 
 from repro.common.config import DirectoryConfig
+from repro.harness.experiments import compare, speedup_of
+from repro.harness.parallel import telemetry_since, telemetry_snapshot
 from repro.harness.reporting import ascii_bars, traffic_breakdown
+from repro.harness.result_cache import reset_session_cache
 from repro.harness.runner import run_workload
-from repro.harness.sweep import Sweep
 from repro.harness.system_builder import build_system
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
@@ -48,26 +51,37 @@ class TestWarmup:
 class TestSweep:
     def test_directory_ratio_sweep(self):
         reference = tiny_config()
-        sweep = Sweep(
-            reference,
-            lambda r: reference.with_(directory=DirectoryConfig(ratio=r)),
-            counters=("dev_invalidations",))
-        points = sweep.run([1.0, 0.125],
-                           [small_workload("canneal", 400)])
-        assert len(points) == 2
-        assert points[0].value == 1.0
-        # At the reference ratio the speedup is exactly 1 (same config).
-        assert points[0].geomean_speedup == pytest.approx(1.0)
-        assert points[1].geomean_speedup <= points[0].geomean_speedup
-        assert (points[1].counters["dev_invalidations"]
-                >= points[0].counters["dev_invalidations"])
+        ratios = [1.0, 0.125]
+        work = [("PARSEC", "canneal", small_workload("canneal", 400))]
 
-    def test_baselines_cached(self):
-        reference = tiny_config()
-        sweep = Sweep(reference, lambda r: reference)
-        workload = small_workload()
-        sweep.run([1, 2, 3], [workload])
-        assert len(sweep._baselines) == 1
+        def designs(*values):
+            return {r: reference.with_(directory=DirectoryConfig(ratio=r))
+                    for r in values}
+
+        reset_session_cache()
+        try:
+            pairs = compare(reference, designs(*ratios), work)
+            before = telemetry_snapshot()
+            compare(reference, designs(0.5), work)
+            delta = telemetry_since(before)
+        finally:
+            reset_session_cache()
+        assert list(pairs) == ratios
+        [(base, full)], [(small_base, small)] = pairs.values()
+        # Every design is paired with the one base run, and the pairs are
+        # summaries: no live system rides along.
+        assert small_base is base
+        for run in (base, full, small):
+            assert run.system is None and run.cycles > 0
+        # At the reference ratio the speedup is exactly 1 (same config).
+        assert speedup_of(base, full, "PARSEC") == pytest.approx(1.0)
+        assert (speedup_of(base, small, "PARSEC")
+                <= speedup_of(base, full, "PARSEC"))
+        assert (small.stats.dev_invalidations
+                >= full.stats.dev_invalidations)
+        # Extending the sweep by one ratio simulates only that design:
+        # the base run comes from the session cache.
+        assert delta["runs"] == 1 and delta["cache_hits"] == 1
 
 
 class TestReportExtras:
