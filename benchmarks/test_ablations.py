@@ -10,8 +10,8 @@ lookup cost without changing coherence behaviour.
 
 from repro.common.config import DirectoryConfig
 from repro.harness import experiments
+from repro.harness.parallel import run_live
 from repro.harness.reporting import Table, geomean
-from repro.harness.runner import run_multisocket_workload
 from repro.common.messages import MessageType, message_bytes
 from repro.multisocket import MultiSocketSystem
 from repro.workloads.synthetic import generate
@@ -20,6 +20,7 @@ from repro.workloads.trace import Workload
 from benchmarks.conftest import run_experiment
 
 
+@experiments._instrumented                  # noqa: SLF001
 def ablation_replacement_disabled():
     """Section III-C4: replacement-disabled vs replacement-enabled
     sparse directory under ZeroDEV at 1/8x size."""
@@ -46,6 +47,7 @@ def ablation_replacement_disabled():
     return table, {"speedups": speedups, "disturbances": disturbances}
 
 
+@experiments._instrumented                  # noqa: SLF001
 def ablation_notice_bits_overhead():
     """Section III-C2: the 3+log2(N) extra bits on E-state eviction
     notices introduce negligible interconnect traffic."""
@@ -66,6 +68,7 @@ def ablation_notice_bits_overhead():
     return table, {"fractions": fractions}
 
 
+@experiments._instrumented                  # noqa: SLF001
 def ablation_socket_directory_solutions():
     """Section III-D5: solution 1 (memory-backed directory) vs solution 2
     (DirEvict bit + in-block partition) on a 2-socket system."""
@@ -81,7 +84,7 @@ def ablation_socket_directory_solutions():
         system = MultiSocketSystem(base_config, n_sockets=2,
                                    dir_cache_blocks=256,
                                    dir_solution=solution)
-        run_multisocket_workload(system, workload)
+        run_live(system, workload)
         cycles[solution] = system.total_cycles()
         table.add(f"solution {solution} cycles", cycles[solution])
     table.add("solution 2 / solution 1", cycles[2] / cycles[1],

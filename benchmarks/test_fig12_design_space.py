@@ -14,6 +14,7 @@ from repro.harness.reporting import Table
 from benchmarks.conftest import run_experiment
 
 
+@experiments._instrumented                  # noqa: SLF001
 def fig12_design_space():
     base_config = experiments.default_config()
     policies = {

@@ -13,7 +13,7 @@ Run:  python examples/multisocket_demo.py
 
 from repro import DirectoryConfig, LLCReplacement, Protocol, scaled_socket
 from repro.common.config import CacheGeometry
-from repro.harness.runner import run_multisocket_workload
+from repro.harness.runner import run_workload
 from repro.multisocket import MultiSocketSystem
 from repro.workloads.synthetic import generate
 from repro.workloads.trace import Workload
@@ -41,9 +41,9 @@ def main() -> None:
           f"{workload.total_accesses:,} accesses")
 
     base = MultiSocketSystem(config, n_sockets=N_SOCKETS)
-    run_multisocket_workload(base, workload)
+    run_workload(base, workload)
     zdev = MultiSocketSystem(zconfig, n_sockets=N_SOCKETS)
-    run_multisocket_workload(zdev, workload)
+    run_workload(zdev, workload)
     zdev.check_invariants()
 
     def total(system, field):

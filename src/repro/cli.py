@@ -50,9 +50,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import zipfile
 
 from repro.common.config import (DirCachingPolicy, DirectoryConfig,
-                                 LLCReplacement, Protocol, scaled_socket)
+                                 LLCDesign, LLCReplacement, Protocol,
+                                 scaled_socket)
 from repro.common.errors import ConfigError
 from repro.harness import experiments
 from repro.harness.parallel import parse_number
@@ -102,6 +104,16 @@ def _trace_file(path: str) -> str:
     if not os.path.isfile(path):
         raise ConfigError(f"no such trace: {path}")
     return path
+
+
+def _load(loader, path: str, what: str):
+    """``loader(path)`` on an existing ``.npz``; a missing file, or a
+    file of another kind, is a one-line error naming ``what`` the
+    command reads."""
+    try:
+        return loader(_trace_file(path))
+    except (KeyError, ValueError, zipfile.BadZipFile):
+        raise ConfigError(f"not {what}: {path}") from None
 
 
 def _command_list(_args) -> int:
@@ -278,6 +290,9 @@ def _command_fuzz(args) -> int:
     from repro.verify import run_campaign
     from repro.verify.faults import FaultKind, FaultPlan
 
+    if args.resume is not None and os.path.isdir(args.resume):
+        raise ConfigError("--resume needs a campaign journal file, not a "
+                          f"directory: {args.resume}")
     fault = None
     if args.inject:
         fault = FaultPlan(FaultKind(args.inject), at=args.at)
@@ -300,7 +315,7 @@ def _command_shrink(args) -> int:
                               run_trace, shrink_trace)
     from repro.verify.faults import FaultKind, FaultPlan
 
-    trace = FuzzTrace.load(_trace_file(args.path))
+    trace = _load(FuzzTrace.load, args.path, "a fuzz trace")
     spec = model_by_name(args.model)
     fault = None
     if args.inject:
@@ -331,16 +346,20 @@ def _command_report(args) -> int:
                   / "scripts" / "build_experiments_md.py")
         module = runpy.run_path(str(script))
         return module["main"]()
+    from repro.obs.report import render_report, render_trace_html
     path = Path(_trace_file(args.path))
+    try:
+        text = (render_trace_html if args.html else render_report)(path)
+    except UnicodeDecodeError:
+        raise ConfigError(
+            f"not an event trace or campaign journal: {path}") from None
     if args.html:
         from repro.common.ioutil import atomic_write_text
-        from repro.obs.report import render_trace_html
         out = Path(args.out) if args.out else path.with_suffix(".html")
-        atomic_write_text(out, render_trace_html(path))
+        atomic_write_text(out, text)
         print(f"wrote {out}")
         return 0
-    from repro.obs.report import render_report
-    print(render_report(path))
+    print(text)
     return 0
 
 
@@ -352,6 +371,15 @@ def _configured(config, protocol: Protocol, ratio: float, policy: str):
             directory=DirectoryConfig(ratio=ratio if ratio > 0 else None),
             llc_replacement=LLCReplacement.DATA_LRU,
             dir_caching=DirCachingPolicy(policy))
+    if protocol is Protocol.DLS:
+        # Coherence lives in the inclusive LLC: there is no directory
+        # to size.
+        if ratio:
+            raise ConfigError("--ratio does not apply to --protocol dls, "
+                              "which has no directory")
+        return config.with_(protocol=protocol,
+                            directory=DirectoryConfig(ratio=None),
+                            llc_design=LLCDesign.INCLUSIVE)
     return config.with_(
         protocol=protocol,
         directory=DirectoryConfig(ratio=ratio or 1.0))
@@ -385,7 +413,7 @@ def _command_trace(args) -> int:
 
 
 def _command_simulate(args) -> int:
-    workload = Workload.load(_trace_file(args.path))
+    workload = _load(Workload.load, args.path, "a workload trace bundle")
     config = _configured(scaled_socket(n_cores=max(8, workload.n_cores)),
                          Protocol(args.protocol), args.ratio, args.policy)
     system = build_system(config)
@@ -396,10 +424,7 @@ def _command_simulate(args) -> int:
                   "dev_invalidations", "traffic_bytes", "dram_reads",
                   "dram_writes", "entries_fused", "entries_spilled",
                   "wb_de_messages"):
-        value = getattr(stats, field, None)
-        if value is None:
-            value = getattr(stats, field)
-        print(f"  {field:<20} {stats.as_dict().get(field, value):,}")
+        print(f"  {field:<20} {getattr(stats, field):,}")
     return 0
 
 

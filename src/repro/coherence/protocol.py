@@ -122,6 +122,15 @@ class CMPSystem:
             self.config.directory_entries, dcfg.ways,
             unbounded=dcfg.unbounded)
 
+    @property
+    def sockets(self) -> Tuple["CMPSystem"]:
+        """The sockets of this system: itself.  A multi-socket system
+        lists its own, so the runner, the obs bus and the verify layer
+        walk one sequence of sockets for either shape.  A property, not
+        an attribute: a stored self-reference would make every
+        single-socket state a reference cycle."""
+        return (self,)
+
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------

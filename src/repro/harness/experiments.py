@@ -50,10 +50,10 @@ from repro.common.config import (DirCachingPolicy, DirectoryConfig,
 from repro.common.stats import makespan_speedup, weighted_speedup
 from repro.harness.campaign import CampaignJournal, policy_from_env
 from repro.harness.energy import estimate_energy
-from repro.harness.parallel import (env_number, run_many, telemetry_since,
-                                    telemetry_snapshot)
+from repro.harness.parallel import (env_number, run_live, run_many,
+                                    telemetry_since, telemetry_snapshot)
 from repro.harness.reporting import Table, geomean
-from repro.harness.runner import RunResult, run_workload
+from repro.harness.runner import RunResult
 from repro.harness.system_builder import build_system
 from repro.workloads.suites import (make_heterogeneous_mixes,
                                     make_multithreaded, make_rate_workload,
@@ -381,8 +381,8 @@ def fig5_llc_occupancy() -> Tuple[Table, dict]:
             def probe(sys_, peak=peak):
                 peak[0] = max(peak[0], len(sys_.directory))
 
-            run_workload(system, workload, sample_every=2000,
-                         sample_fn=probe)
+            run_live(system, workload, sample_every=2000,
+                     sample_fn=probe)
             peak[0] = max(peak[0], len(system.directory))
             overflow = max(0, peak[0] - capacity_1x)
             maxima.append(100.0 * overflow / llc_blocks)
@@ -880,7 +880,6 @@ def energy_comparison() -> Tuple[Table, dict]:
 def multisocket_comparison(n_sockets: int = 4) -> Tuple[Table, dict]:
     """Section V 'Multi-socket Evaluation': four sockets, ZeroDEV with no
     intra-socket directory within 1.6% of the 1x baseline."""
-    from repro.harness.runner import run_multisocket_workload
     from repro.multisocket import MultiSocketSystem
     from repro.workloads.synthetic import generate
 
@@ -897,9 +896,9 @@ def multisocket_comparison(n_sockets: int = 4) -> Tuple[Table, dict]:
                               cores=list(range(total_cores)))
             workload = Workload(profile.name, traces)
             base = MultiSocketSystem(base_config, n_sockets=n_sockets)
-            run_multisocket_workload(base, workload)
+            run_live(base, workload)
             zdev = MultiSocketSystem(znodir, n_sockets=n_sockets)
-            run_multisocket_workload(zdev, workload)
+            run_live(zdev, workload)
             s = base.total_cycles() / zdev.total_cycles()
             speedups.append(s)
             table.add(f"{profile.name}", s)

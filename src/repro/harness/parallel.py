@@ -81,9 +81,8 @@ def record_runs(runs: int, wall_seconds: float, accesses: int,
     """Count finished runs in the session telemetry.
 
     The one accounting path for simulated runs: :func:`run_many` calls
-    it once per batch, and the runs made outside it (multi-socket runs,
-    the calibration probes) once per run, so every run is counted once
-    wherever it executes.
+    it once per batch and :func:`run_live` once per run, so every run
+    is counted once wherever it executes.
     """
     _telemetry["runs"] += runs
     _telemetry["cache_hits"] += cache_hits
@@ -144,6 +143,22 @@ def execute_run(spec: RunSpec,
     from repro.obs.trace import TraceSession
     with TraceSession(system, jsonl=trace_path) as session:
         return session.run(workload).detached()
+
+
+def run_live(system, workload: Workload, **kwargs) -> RunResult:
+    """Run ``workload`` on a live ``system`` outside :func:`run_many`.
+
+    For the runs whose caller needs the system itself, which
+    ``run_many`` never returns: a probe sampling it mid-run (Figure 5,
+    the calibration anchors) or a multi-socket composition.  The run is
+    counted in the session telemetry like a batch run; ``kwargs`` go to
+    :func:`~repro.harness.runner.run_workload`.
+    """
+    result = run_workload(system, workload, **kwargs)
+    record_runs(1, result.wall_seconds,
+                sum(socket.stats.total_accesses
+                    for socket in system.sockets))
+    return result
 
 
 def _trace_path_for(trace_dir, index: int, spec: RunSpec) -> str:

@@ -1,12 +1,13 @@
-"""Drive a workload through a simulated socket.
+"""Drive a workload through a simulated system of one or more sockets.
 
 The runner interleaves the per-core streams by simulated time: at each
 step the core with the smallest local clock issues its next reference.
 This gives a deterministic, contention-realistic global order without a
 cycle-by-cycle event loop.
 
-Scheduling is implemented once, in :func:`_drive_interleaved`, and shared
-by the single-socket and multi-socket entry points. The ready set is a
+Scheduling is implemented once, in :func:`_drive_interleaved`, over the
+cores of every socket of ``system.sockets`` (a single socket is a
+one-socket system; see :func:`run_workload`). The ready set is a
 binary heap keyed by ``(local_clock, slot)`` -- because an access only
 advances the issuing core's clock, popping the heap minimum selects
 exactly the core the previous O(n_cores) linear scan selected (ties break
@@ -38,7 +39,8 @@ class RunResult:
 
     ``system`` is only populated for in-process serial runs; results that
     crossed a process boundary or came from the result cache carry the
-    stats alone (see :mod:`repro.harness.parallel`).
+    stats alone (see :mod:`repro.harness.parallel`).  A multi-socket
+    run's ``stats`` is its per-socket list.
     """
 
     workload: str
@@ -144,7 +146,7 @@ def _drive_interleaved(slots: List[tuple],
     return step
 
 
-def run_workload(system: CMPSystem, workload: Workload,
+def run_workload(system, workload: Workload,
                  check_invariants_every: int = 0,
                  sample_every: int = 0,
                  sample_fn: Optional[Callable[[CMPSystem], None]] = None,
@@ -152,19 +154,26 @@ def run_workload(system: CMPSystem, workload: Workload,
                  profiler=None) -> RunResult:
     """Run ``workload`` to completion on ``system``.
 
-    ``check_invariants_every`` triggers a full invariant sweep every N
-    accesses (tests); ``sample_every``/``sample_fn`` support periodic
-    probes such as the directory-occupancy measurement of Figure 5;
-    ``warmup`` executes that many accesses to warm the caches and then
-    resets all statistics (the region-of-interest boundary);
-    ``profiler`` (a :class:`repro.obs.PhaseProfiler`) times the decode /
-    drive / final-check phases.
+    ``system`` is one socket or a multi-socket composition: trace ``i``
+    runs on core ``i % n_cores`` of socket ``i // n_cores`` of
+    ``system.sockets``, and each slot's clock is its core's clock in its
+    socket's stats.  ``check_invariants_every`` triggers a full
+    invariant sweep every N accesses (tests); ``sample_every``/
+    ``sample_fn`` support periodic probes such as the
+    directory-occupancy measurement of Figure 5; ``warmup`` executes
+    that many accesses to warm the caches and then resets every
+    socket's statistics (the region-of-interest boundary); ``profiler``
+    (a :class:`repro.obs.PhaseProfiler`) times the decode / drive /
+    final-check phases.  The result's ``stats`` is ``system.stats``: a
+    per-socket list on a multi-socket system.
     """
+    sockets = system.sockets
+    per_socket = system.config.n_cores
     traces = workload.traces
     n = len(traces)
-    if n > system.config.n_cores:
+    if n > per_socket * len(sockets):
         raise ValueError(f"workload has {n} traces for "
-                         f"{system.config.n_cores} cores")
+                         f"{per_socket * len(sockets)} cores")
     lengths = [len(trace) for trace in traces]
     if warmup >= sum(lengths):
         raise ValueError("warm-up longer than the workload")
@@ -174,9 +183,13 @@ def run_workload(system: CMPSystem, workload: Workload,
             ops, addresses = _decode_traces(traces)
     else:
         ops, addresses = _decode_traces(traces)
-    access = system.access
-    stats = system.stats
-    obs = getattr(system, "obs", None)
+    homes = [(sockets[slot // per_socket], slot % per_socket)
+             for slot in range(n)]
+    obs = system.obs
+
+    def reset_stats() -> None:
+        for socket in sockets:
+            socket.stats.reset()
 
     # Gauge sampling observes intermediate states, which are schedule-
     # dependent: the batched kernel retires safe hits of different
@@ -190,30 +203,33 @@ def run_workload(system: CMPSystem, workload: Workload,
         if kernel == "batched":
             from repro.kernel import SlotKernel, drive_batched
 
-            def issue(core: int, index: int) -> int:
+            def issue(slot: int, index: int) -> int:
                 if obs is not None:
                     obs.step += 1
-                access(core, ops[core][index], addresses[core][index])
-                return stats.cycles[core]
+                socket, core = homes[slot]
+                socket.access(core, ops[slot][index],
+                              addresses[slot][index])
+                return socket.stats.cycles[core]
 
-            slots = [SlotKernel(core, system.cores[core], stats,
-                                system.shadow, system.config.latency,
+            slots = [SlotKernel(core, socket.cores[core], socket.stats,
+                                socket.shadow, system.config.latency,
                                 trace.ops, trace.addresses)
-                     for core, trace in enumerate(traces)]
+                     for (socket, core), trace in zip(homes, traces)]
             drive_batched(slots, issue,
                           check=system.check_invariants,
                           check_every=check_invariants_every,
-                          warmup=warmup, on_warmup=stats.reset, obs=obs)
+                          warmup=warmup, on_warmup=reset_stats, obs=obs)
             return
         _drive_interleaved(
-            [(access, core, stats, ops[core], addresses[core])
-             for core in range(n)],
+            [(socket.access, core, socket.stats, ops[slot],
+              addresses[slot])
+             for slot, (socket, core) in enumerate(homes)],
             check=system.check_invariants,
             check_every=check_invariants_every,
             sample=(None if sample_fn is None
                     else lambda: sample_fn(system)),
             sample_every=sample_every,
-            warmup=warmup, on_warmup=stats.reset, obs=obs)
+            warmup=warmup, on_warmup=reset_stats, obs=obs)
 
     if profiler is not None:
         with profiler.phase("drive"):
@@ -228,63 +244,3 @@ def run_workload(system: CMPSystem, workload: Workload,
             system.check_invariants()
     return RunResult(workload.name, system.stats, system,
                      wall_seconds=perf_counter() - started)
-
-
-def run_multisocket_workload(system, workload: Workload,
-                             check_invariants_every: int = 0):
-    """Run a workload across every core of a multi-socket system.
-
-    Trace ``i`` maps to socket ``i // cores_per_socket``, core
-    ``i % cores_per_socket``. Returns the per-socket stats list. Shares
-    the scheduling engine with :func:`run_workload`; each slot's clock is
-    its core's clock within its socket's stats.  When a bus is attached
-    (``attach_multisocket``) its ``step`` advances once per access, as
-    in :func:`run_workload`.
-    """
-    per_socket = system.config.n_cores
-    traces = workload.traces
-    n = len(traces)
-    if n > per_socket * system.n_sockets:
-        raise ValueError("workload larger than the multi-socket system")
-    started = perf_counter()
-    ops, addresses = _decode_traces(traces)
-    homes = [divmod(slot, per_socket) for slot in range(n)]
-    sockets = system.sockets
-    obs = getattr(system, "obs", None)
-
-    if resolve_kernel(system.config) == "batched":
-        from repro.kernel import SlotKernel, drive_batched
-        access = system.access
-
-        def issue(slot: int, index: int) -> int:
-            if obs is not None:
-                obs.step += 1
-            socket, core = homes[slot]
-            access(socket, core, ops[slot][index], addresses[slot][index])
-            return sockets[socket].stats.cycles[core]
-
-        slots = []
-        for slot, trace in enumerate(traces):
-            socket, core = homes[slot]
-            slots.append(SlotKernel(
-                core, sockets[socket].cores[core],
-                sockets[socket].stats, sockets[socket].shadow,
-                system.config.latency, trace.ops, trace.addresses))
-        drive_batched(slots, issue,
-                      check=system.check_invariants,
-                      check_every=check_invariants_every, obs=obs)
-    else:
-        _drive_interleaved(
-            [(sockets[socket].access, core, sockets[socket].stats,
-              ops[slot], addresses[slot])
-             for slot, (socket, core) in enumerate(homes)],
-            check=system.check_invariants,
-            check_every=check_invariants_every, obs=obs)
-    if check_invariants_every:
-        system.check_invariants()
-    # Counted here because no multi-socket run goes through run_many
-    # (which imports this module, hence the late import).
-    from repro.harness.parallel import record_runs
-    record_runs(1, perf_counter() - started,
-                sum(stats.total_accesses for stats in system.stats))
-    return system.stats

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.addressing import BLOCK_SHIFT
-from repro.obs import EventBus, attach, attach_multisocket
+from repro.obs import EventBus, attach
 from repro.verify.models import (ModelSpec, TRACE_CORES, micro_config,
                                  model_matrix)
 from repro.verify.tracegen import FuzzTrace, TraceGenerator, TraceGeometry
@@ -84,7 +84,7 @@ class KernelRun:
 def capture(spec: ModelSpec, workload: Workload, kernel: str,
             check_every: int = 0) -> KernelRun:
     """Run ``workload`` on a fresh ``spec`` system under ``kernel``."""
-    from repro.harness.runner import run_multisocket_workload, run_workload
+    from repro.harness.runner import run_workload
 
     spec = dataclasses.replace(spec,
                                config=spec.config.with_(kernel=kernel))
@@ -92,21 +92,13 @@ def capture(spec: ModelSpec, workload: Workload, kernel: str,
     bus = EventBus()
     recorder = RecordingSink()
     bus.subscribe(recorder)
-    if spec.n_sockets == 1:
-        attach(system, bus)
-        run_workload(system, workload,
-                     check_invariants_every=check_every)
-        stats = [system.stats]
-        shadows = [dict(system.shadow._latest)]     # noqa: SLF001
-    else:
-        attach_multisocket(system, bus)
-        run_multisocket_workload(system, workload,
-                                 check_invariants_every=check_every)
-        stats = list(system.stats)
-        shadows = [dict(socket.shadow._latest)      # noqa: SLF001
-                   for socket in system.sockets]
-    return KernelRun([deepcopy(vars(s)) for s in stats], shadows,
-                     recorder.events)
+    attach(system, bus)
+    run_workload(system, workload, check_invariants_every=check_every)
+    return KernelRun(
+        [deepcopy(vars(socket.stats)) for socket in system.sockets],
+        [dict(socket.shadow._latest)                 # noqa: SLF001
+         for socket in system.sockets],
+        recorder.events)
 
 
 def diff_runs(scalar: KernelRun, batched: KernelRun) -> List[str]:

@@ -40,7 +40,6 @@ from repro.common.stats import SystemStats
 from repro.core.housing import DirEvictBitmap
 from repro.harness.system_builder import build_system
 from repro.obs.events import EventKind, InvCause
-from repro.workloads.trace import Op
 
 # Read once per owned block by every check, bound once as a module
 # global like the protocols' enum members.
@@ -83,7 +82,11 @@ class SocketEntry:
 
 
 class MultiSocketSystem:
-    """Several sockets behind one socket-level coherence layer."""
+    """Several sockets behind one socket-level coherence layer.
+
+    A reference issues on its socket:
+    ``system.sockets[socket].access(core, op, address)``, as on a single
+    socket, whose ``sockets`` is itself alone."""
 
     #: Observability seam (repro.obs): None = tracing disabled.
     obs = None
@@ -134,9 +137,6 @@ class MultiSocketSystem:
     # ------------------------------------------------------------------
     def home_of(self, block: int) -> int:
         return block % self.n_sockets
-
-    def access(self, socket: int, core: int, op: Op, address: int) -> int:
-        return self.sockets[socket].access(core, op, address)
 
     @property
     def stats(self) -> List[SystemStats]:

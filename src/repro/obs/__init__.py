@@ -15,14 +15,12 @@ from repro.obs.profiler import PhaseProfiler
 from repro.obs.report import load_trace, render_report, summarize
 from repro.obs.sinks import (JsonlSink, RingBufferSink,
                              TimeSeriesAggregator, write_timeseries)
-from repro.obs.trace import (TraceSession, attach, attach_multisocket,
-                             detach, detach_multisocket,
+from repro.obs.trace import (TraceSession, attach, detach,
                              timeseries_path_for)
 
 __all__ = [
     "Event", "EventBus", "EventKind", "InvCause", "JsonlSink",
     "PhaseProfiler", "RingBufferSink", "TimeSeriesAggregator",
-    "TraceSession", "attach", "attach_multisocket", "detach",
-    "detach_multisocket", "load_trace", "render_report", "summarize",
-    "timeseries_path_for", "write_timeseries",
+    "TraceSession", "attach", "detach", "load_trace", "render_report",
+    "summarize", "timeseries_path_for", "write_timeseries",
 ]

@@ -1,13 +1,16 @@
 """Trace sessions: wire an event bus through a system, run, archive.
 
 :func:`attach` threads one :class:`~repro.obs.bus.EventBus` through every
-instrumented component of a socket (protocol core, mesh, sparse
-directory, LLC banks, private hierarchies); :func:`detach` restores the
+instrumented component of each socket of ``system.sockets`` (protocol
+core, mesh, sparse directory, LLC banks, private hierarchies) and a
+multi-socket system's socket layer; :func:`detach` restores the
 zero-cost disabled state.  :class:`TraceSession` is the high-level
 convenience used by the CLI and by ``run_many(trace_dir=...)``: it owns
-the bus and the standard sink set (JSONL file, ring buffer, time-series
-aggregator), runs a workload with epoch-boundary gauge sampling, and
-archives the aggregated time series next to the JSONL trace.
+the bus and the standard sink set (JSONL file, time-series aggregator),
+runs a workload with epoch-boundary gauge sampling, and archives the
+aggregated time series next to the JSONL trace.  For a bounded
+in-memory trace, subscribe a :class:`~repro.obs.sinks.RingBufferSink`
+to ``session.bus``.
 """
 
 from __future__ import annotations
@@ -17,47 +20,34 @@ from typing import Optional
 
 from repro.obs.bus import EventBus
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.sinks import (JsonlSink, RingBufferSink,
-                             TimeSeriesAggregator, write_timeseries)
+from repro.obs.sinks import (JsonlSink, TimeSeriesAggregator,
+                             write_timeseries)
 
 
 def attach(system, bus: EventBus) -> EventBus:
-    """Enable event emission on every layer of a single-socket system."""
-    system.obs = bus
-    system.mesh.obs = bus
-    if system.directory is not None:
-        system.directory.obs = bus
-    for bank in system.banks:
-        bank.obs = bus
-    for hierarchy in system.cores:
-        hierarchy.obs = bus
+    """Enable event emission on every layer of ``system``: a
+    multi-socket system's socket layer, and each socket's protocol
+    core, mesh, sparse directory, LLC banks and private hierarchies."""
+    _wire(system, bus)
     return bus
 
 
 def detach(system) -> None:
     """Restore the zero-cost disabled state."""
-    system.obs = None
-    system.mesh.obs = None
-    if system.directory is not None:
-        system.directory.obs = None
-    for bank in system.banks:
-        bank.obs = None
-    for hierarchy in system.cores:
-        hierarchy.obs = None
+    _wire(system, None)
 
 
-def attach_multisocket(system, bus: EventBus) -> EventBus:
-    """Enable event emission on a multi-socket system and its sockets."""
+def _wire(system, bus: Optional[EventBus]) -> None:
     system.obs = bus
     for socket in system.sockets:
-        attach(socket, bus)
-    return bus
-
-
-def detach_multisocket(system) -> None:
-    system.obs = None
-    for socket in system.sockets:
-        detach(socket)
+        socket.obs = bus
+        socket.mesh.obs = bus
+        if socket.directory is not None:
+            socket.directory.obs = bus
+        for bank in socket.banks:
+            bank.obs = bus
+        for hierarchy in socket.cores:
+            hierarchy.obs = bus
 
 
 def timeseries_path_for(jsonl_path) -> Path:
@@ -78,25 +68,18 @@ class TraceSession:
     ``close`` is idempotent and also runs on ``__exit__``.
     """
 
-    def __init__(self, system, jsonl=None, ring_capacity: int = 0,
-                 epoch: int = 1000, timeseries=None) -> None:
+    def __init__(self, system, jsonl=None, epoch: int = 1000) -> None:
         self.system = system
         self.bus = EventBus()
         self.aggregator = TimeSeriesAggregator(epoch)
         self.bus.subscribe(self.aggregator)
         self.profiler = PhaseProfiler()
         self.jsonl: Optional[JsonlSink] = None
-        self.ring: Optional[RingBufferSink] = None
+        self.timeseries_path: Optional[Path] = None
         if jsonl is not None:
             self.jsonl = JsonlSink(jsonl)
             self.bus.subscribe(self.jsonl)
-        if ring_capacity:
-            self.ring = RingBufferSink(ring_capacity)
-            self.bus.subscribe(self.ring)
-        self.timeseries_path = (
-            Path(timeseries) if timeseries is not None
-            else (timeseries_path_for(jsonl) if jsonl is not None
-                  else None))
+            self.timeseries_path = timeseries_path_for(jsonl)
         self._closed = False
         attach(system, self.bus)
 

@@ -36,20 +36,13 @@ class DivergenceError(ProtocolInvariantError):
     the specified behaviour, even though no protocol assertion fired)."""
 
 
-def each_socket(spec: ModelSpec, system):
-    """The CMP systems of ``system`` (itself, or its sockets)."""
-    if spec.n_sockets == 1:
-        return (system,)
-    return system.sockets
-
-
 def check_llc_structure(spec: ModelSpec, system) -> None:
     """Occupancy, duplicate-frame, spill-index, and spLRU-order checks.
 
     Walks each bank's frame lists directly and skips empty sets, where
     none of the checks can fail."""
     sp_lru = spec.config.llc_replacement is LLCReplacement.SP_LRU
-    for socket in each_socket(spec, system):
+    for socket in system.sockets:
         for bank in socket.banks:
             spilled_seen = 0
             for set_idx, frames in enumerate(bank._frames):
@@ -91,9 +84,9 @@ def check_llc_structure(spec: ModelSpec, system) -> None:
                     f"{spilled_seen} spilled frames are resident")
 
 
-def check_housing(spec: ModelSpec, system) -> None:
+def check_housing(system) -> None:
     """Housed-implies-garbage and the case-(iiib) residency ban."""
-    for socket in each_socket(spec, system):
+    for socket in system.sockets:
         housing = getattr(socket, "_housing", None)
         if housing is None:
             continue
@@ -112,7 +105,7 @@ def check_housing(spec: ModelSpec, system) -> None:
                     "is housed in memory (case iiib)")
 
 
-def check_dls(spec: ModelSpec, system) -> None:
+def check_dls(system) -> None:
     """DLS occupancy/housing rules (repro.baselines.dls).
 
     There is no directory structure and nothing ever spills or is
@@ -120,7 +113,7 @@ def check_dls(spec: ModelSpec, system) -> None:
     inclusion demands that every privately cached block keeps an
     entry-bearing LLC line.
     """
-    for socket in each_socket(spec, system):
+    for socket in system.sockets:
         if socket.directory is not None:
             raise DivergenceError("DLS grew a directory structure")
         if getattr(socket, "_housing", None) is not None:
@@ -154,7 +147,7 @@ def check_dls(spec: ModelSpec, system) -> None:
                         "an entry-bearing LLC line (inclusion broken)")
 
 
-def check_hybrid(spec: ModelSpec, system) -> None:
+def check_hybrid(system) -> None:
     """Hybrid update-coherence and update-vs-invalidate attribution.
 
     Every private S copy (and the LLC copy of an S-tracked block) must
@@ -165,7 +158,7 @@ def check_hybrid(spec: ModelSpec, system) -> None:
     Update pushes move data without killing copies, so they must never
     show up in the DEV/invalidation counters.
     """
-    for socket in each_socket(spec, system):
+    for socket in system.sockets:
         shadow = socket.shadow
         for core, hier in enumerate(socket.cores):
             for block in hier.cached_blocks():
@@ -199,21 +192,19 @@ def check_step(spec: ModelSpec, system) -> None:
     the structural checks above."""
     system.check_invariants()
     check_llc_structure(spec, system)
-    check_housing(spec, system)
+    check_housing(system)
     if spec.config.protocol is Protocol.DLS:
-        check_dls(spec, system)
+        check_dls(system)
     elif spec.config.protocol is Protocol.HYBRID:
-        check_hybrid(spec, system)
+        check_hybrid(system)
 
 
-def dev_count(spec: ModelSpec, system) -> int:
+def dev_count(system) -> int:
     """DEV-caused private invalidations accumulated so far."""
-    if spec.n_sockets == 1:
-        return system.stats.dev_invalidations
-    return sum(stats.dev_invalidations for stats in system.stats)
+    return sum(socket.stats.dev_invalidations for socket in system.sockets)
 
 
-def shadow_of(spec: ModelSpec, system):
+def shadow_of(system):
     """The shadow-memory oracle of ``system``.
 
     Multi-socket compositions share ONE :class:`ShadowMemory` across all
@@ -225,8 +216,6 @@ def shadow_of(spec: ModelSpec, system):
     shadows would make socket-0's digest a lie, and this check turns
     that into a loud failure instead.
     """
-    if spec.n_sockets == 1:
-        return system.shadow
     shadow = system.shadow
     for socket in system.sockets:
         if socket.shadow is not shadow:

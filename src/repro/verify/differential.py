@@ -196,8 +196,7 @@ def _fold(report: FuzzReport, plan: CampaignPlan, runs) -> None:
 
     for trace, trace_outcomes in zip(plan.traces, per_trace):
         if plan.fault is not None:
-            _classify_injection(report, plan.specs, trace,
-                                trace_outcomes, plan.fault)
+            _classify_injection(report, trace, trace_outcomes, plan.fault)
             continue
         completed = [o for o in trace_outcomes if o is not None]
         for outcome in completed:
@@ -283,15 +282,18 @@ def run_campaign(seed: int, budget: int,
     return report
 
 
-def _classify_injection(report: FuzzReport, specs: Sequence[ModelSpec],
-                        trace: FuzzTrace, outcomes: Sequence[Outcome],
+def _classify_injection(report: FuzzReport, trace: FuzzTrace,
+                        outcomes: Sequence[Optional[Outcome]],
                         fault: FaultPlan) -> None:
-    """Check every run of one trace against the fault's contract."""
-    for spec, outcome in zip(specs, outcomes):
+    """Check every run of one trace against the fault's contract.
+
+    Each outcome says whether its fault fired, wherever in the run
+    (the read-back included), so a journaled outcome needs no replay.
+    """
+    for outcome in outcomes:
         if outcome is None:             # harness failure, already recorded
             continue
-        fired = _fault_fires(spec, trace, fault)
-        if not fired:
+        if not outcome.fault_fired:
             if not outcome.ok:
                 # Fault never fired yet the run failed: a plain bug,
                 # not an injection result.
@@ -308,33 +310,6 @@ def _classify_injection(report: FuzzReport, specs: Sequence[ModelSpec],
                 report.fault_detected_runs += 1
             else:
                 report.fault_missed.append(outcome)
-
-
-def _fault_fires(spec: ModelSpec, trace: FuzzTrace,
-                 fault: FaultPlan) -> bool:
-    """Re-run the pair with a locally armed fault and report firing.
-
-    The parallel worker cannot ship its armed handle back, but the
-    simulator is deterministic: a local replay traverses the seam the
-    same number of times. Checks are skipped -- only the traversal
-    count matters -- and the replay stops at the first firing or error.
-    """
-    from repro.common.addressing import BLOCK_SHIFT
-
-    system = spec.build()
-    armed = arm_fault(system, fault)
-    try:
-        for core, op, block in trace.decoded():
-            socket, local = spec.map_core(core)
-            if spec.n_sockets == 1:
-                system.access(local, op, block << BLOCK_SHIFT)
-            else:
-                system.access(socket, local, op, block << BLOCK_SHIFT)
-            if armed.fired:
-                return True
-    except Exception:                  # noqa: BLE001 - probe only
-        pass
-    return bool(armed.fired)
 
 
 def _shrink_divergences(report: FuzzReport, specs: Sequence[ModelSpec],

@@ -102,8 +102,7 @@ class ArmedFault:
 
 
 def _zerodev_sockets(system) -> List:
-    sockets = getattr(system, "sockets", [system])
-    return [s for s in sockets if hasattr(s, "_housing")]
+    return [s for s in system.sockets if hasattr(s, "_housing")]
 
 
 def arm_fault(system, plan: FaultPlan) -> ArmedFault:
@@ -233,11 +232,11 @@ def _arm_llc_storm(system, armed: ArmedFault) -> None:
 
 
 def _arm_force_denf(system, armed: ArmedFault) -> None:
-    sockets = getattr(system, "sockets", None)
     original = getattr(system, "_forward_corrupted_read", None)
-    if sockets is None or original is None:
+    if original is None:
         raise ConfigError(
             "fault force-denf-nack needs a multi-socket model")
+    sockets = system.sockets
 
     def patched(socket, block, entry, home_id):
         if not armed._due():

@@ -738,10 +738,7 @@ def _spec_issue(spec: ModelSpec):
     def issue(system, symbol) -> None:
         trace_core, op, block = symbol
         socket, core = spec.map_core(trace_core)
-        if spec.n_sockets == 1:
-            system.access(core, op, block << BLOCK_SHIFT)
-        else:
-            system.access(socket, core, op, block << BLOCK_SHIFT)
+        system.sockets[socket].access(core, op, block << BLOCK_SHIFT)
     return issue
 
 
@@ -781,35 +778,27 @@ def _spec_canonical(spec: ModelSpec, group=()):
     return canonical
 
 
-def _spec_trim(spec: ModelSpec):
+def _trim_journals(system) -> None:
     """Empty each core's shrink journal before a state is snapshotted.
 
     The journal is a kernel-sync aid that grows with every
     invalidation; modelcheck runs the scalar access path only, so
     dropping it keeps snapshots O(state), not O(path).  Nothing else is
     stripped: what no transition changes is pickled by reference
-    instead (:class:`_Snapshots`, :func:`_spec_shared`)."""
-    from repro.verify.checks import each_socket
-
-    def trim(system) -> None:
-        for socket in each_socket(spec, system):
-            for hier in socket.cores:
-                hier.shrink_log.clear()
-    return trim
+    instead (:class:`_Snapshots`, :func:`_latency_parts`)."""
+    for socket in system.sockets:
+        for hier in socket.cores:
+            hier.shrink_log.clear()
 
 
-def _spec_shared(spec: ModelSpec):
+def _latency_parts(root) -> list:
     """What :func:`explore_model` snapshots share besides the config
     tree: each socket's stats, mesh and DRAM model.  They are
     latency-only (the canonical key excludes them, so they cannot feed
     back into a protocol decision), and one copy of each, the root's,
     serves every state loaded in a process."""
-    from repro.verify.checks import each_socket
-
-    def shared(root) -> list:
-        return [part for socket in each_socket(spec, root)
-                for part in (socket.stats, socket.mesh, socket.dram)]
-    return shared
+    return [part for socket in root.sockets
+            for part in (socket.stats, socket.mesh, socket.dram)]
 
 
 def _spec_discard(spec: ModelSpec):
@@ -880,8 +869,8 @@ def explore_model(spec: ModelSpec, depth: int,
     return _explore_frontier(
         report, build, _spec_issue(spec),
         functools.partial(check_step, spec),
-        _spec_canonical(spec, group), _spec_trim(spec),
-        _spec_shared(spec), alphabet, depth, max_states, budget_s,
+        _spec_canonical(spec, group), _trim_journals, _latency_parts,
+        alphabet, depth, max_states, budget_s,
         bus=bus, jobs=jobs, discard=_spec_discard(spec))
 
 
@@ -934,7 +923,6 @@ class MutationVerdict:
 def mutation_gate(names: Optional[Sequence[str]] = None,
                   fuzz_budget: int = 4, fuzz_seed: int = 7,
                   fuzz_steps: int = 12,
-                  max_depth: Optional[int] = None,
                   run_fuzz: bool = True, jobs: int = 1,
                   symmetry: bool = False) -> List[MutationVerdict]:
     """Run every seeded mutation under modelcheck and the fuzz baseline.
@@ -966,8 +954,8 @@ def mutation_gate(names: Optional[Sequence[str]] = None,
                                   fuzz_budget=fuzz_budget,
                                   fuzz_seed=fuzz_seed,
                                   fuzz_steps=fuzz_steps)
-        depth_cap = max_depth or mutation.catch_depth
-        report = explore_model(spec, depth_cap, blocks=mutation.blocks,
+        report = explore_model(spec, mutation.catch_depth,
+                               blocks=mutation.blocks,
                                symbols=mutation.symbols or None,
                                mutation=name, jobs=jobs,
                                symmetry=symmetry)

@@ -164,11 +164,10 @@ def arm_mutation(system, name: str) -> None:
         known = ", ".join(sorted(MUTATIONS))
         raise ConfigError(
             f"unknown mutation {name!r}; known mutations: {known}")
-    targets = [system]
-    targets.extend(getattr(system, "sockets", ()))
-    for target in targets:
-        target.mutations = frozenset(target.mutations) | {name}
-        for bank in getattr(target, "banks", ()):
+    system.mutations = frozenset(system.mutations) | {name}
+    for socket in system.sockets:
+        socket.mutations = frozenset(socket.mutations) | {name}
+        for bank in socket.banks:
             bank.mutations = frozenset(bank.mutations) | {name}
 
 

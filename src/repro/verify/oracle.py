@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.common.addressing import BLOCK_SHIFT
-from repro.obs import EventBus, attach, attach_multisocket
+from repro.obs import EventBus, attach
 from repro.obs.events import EventKind, InvCause
 from repro.verify.checks import (DivergenceError, check_step, dev_count,
                                  shadow_of)
@@ -84,6 +84,9 @@ class Outcome:
     error: str = ""
     error_type: str = ""
     dev_invalidations: int = 0
+    #: Whether the armed fault (``run_trace(fault=...)``) reached its
+    #: seam anywhere in the run, the read-back included.
+    fault_fired: bool = False
     #: Final committed-version map (block -> version). Identical write
     #: sequences commit identical versions, so this digest must match
     #: across every model that ran the same trace.
@@ -105,27 +108,24 @@ def run_trace(spec: ModelSpec, trace: FuzzTrace, check_every: int = 1,
     """Run ``trace`` on a fresh instance of ``spec``'s model.
 
     ``fault`` is an optional :class:`~repro.verify.faults.FaultPlan`
-    armed on the freshly built system before the first access.
+    armed on the freshly built system before the first access; the
+    outcome records whether it fired.
     """
     outcome = Outcome(spec.name, trace.name, ok=False)
     system = spec.build()
     bus = EventBus()
     counter = DevEventCounter()
     bus.subscribe(counter)
-    if spec.n_sockets == 1:
-        attach(system, bus)
-    else:
-        attach_multisocket(system, bus)
+    attach(system, bus)
+    armed = None
     if fault is not None:
         from repro.verify.faults import arm_fault
-        arm_fault(system, fault)
+        armed = arm_fault(system, fault)
+    sockets = system.sockets
 
     def issue(trace_core: int, op: Op, block: int) -> None:
         socket, core = spec.map_core(trace_core)
-        if spec.n_sockets == 1:
-            system.access(core, op, block << BLOCK_SHIFT)
-        else:
-            system.access(socket, core, op, block << BLOCK_SHIFT)
+        sockets[socket].access(core, op, block << BLOCK_SHIFT)
         bus.step += 1
 
     step = 0
@@ -140,7 +140,7 @@ def run_trace(spec: ModelSpec, trace: FuzzTrace, check_every: int = 1,
         phase = "final"
         check_step(spec, system)
         if spec.is_zerodev:
-            stat_devs = dev_count(spec, system)
+            stat_devs = dev_count(system)
             if stat_devs or counter.dev_invalidations:
                 raise DivergenceError(
                     f"ZeroDEV model issued {stat_devs} DEV invalidations "
@@ -161,14 +161,12 @@ def run_trace(spec: ModelSpec, trace: FuzzTrace, check_every: int = 1,
             outcome.readback_index = readback_index
         outcome.error = str(error)
         outcome.error_type = type(error).__name__
-        outcome.dev_invalidations = counter.dev_invalidations
-        return outcome
-
-    outcome.ok = True
-    outcome.steps_run = len(trace)
-    outcome.phase = "done"
+    else:
+        outcome.ok = True
+        outcome.steps_run = len(trace)
+        outcome.phase = "done"
+        outcome.memory_digest = tuple(sorted(
+            shadow_of(system)._latest.items()))  # noqa: SLF001 - probe
     outcome.dev_invalidations = counter.dev_invalidations
-    shadow = shadow_of(spec, system)
-    outcome.memory_digest = tuple(
-        sorted(shadow._latest.items()))    # noqa: SLF001 - oracle probe
+    outcome.fault_fired = armed is not None and armed.fired > 0
     return outcome

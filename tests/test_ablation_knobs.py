@@ -59,8 +59,8 @@ class TestSocketDirectorySolutions:
                                    dir_solution=solution)
         for k in range(150):
             for socket in range(2):
-                system.access(socket, k % 4, Op.READ,
-                              ((7 * k + socket) % 64) << 6)
+                system.sockets[socket].access(
+                    k % 4, Op.READ, ((7 * k + socket) % 64) << 6)
         system.check_invariants()
         return system
 

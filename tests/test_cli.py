@@ -10,6 +10,7 @@ import pytest
 import repro.verify.differential as differential
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.common import ioutil
+from repro.common.config import Protocol
 from repro.common.errors import ConfigError
 from repro.harness.result_cache import reset_session_cache
 from repro.verify.tracegen import FuzzTrace
@@ -67,9 +68,18 @@ class TestCli:
         path = str(tmp_path / "t.npz")
         assert main(["trace", "leela", path, "--accesses", "300",
                      "--rate"]) == 0
-        assert main(["simulate", path, "--protocol", "zerodev"]) == 0
-        out = capsys.readouterr().out
-        assert "dev_invalidations" in out
+        for protocol in Protocol:
+            assert main(["simulate", path,
+                         "--protocol", protocol.value]) == 0, protocol
+            out = capsys.readouterr().out
+            assert f"under {protocol.value}:" in out
+            assert "dev_invalidations" in out
+        # DLS has no directory: a ratio is refused, not ignored.
+        assert main(["simulate", path, "--protocol", "dls",
+                     "--ratio", "0.5"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "--ratio" in errors[0], errors
 
     def test_simulate_baseline(self, capsys, tmp_path):
         path = str(tmp_path / "t.npz")
@@ -238,14 +248,32 @@ class TestCli:
 
     def test_bad_input_is_one_error_line(self, capsys, monkeypatch,
                                          tmp_path):
-        # An unknown application or a missing trace file: exit 2 with
-        # one error: line, no traceback, nothing written.
+        # An unknown application, a missing trace file, or a file (or a
+        # directory) of another kind than the command reads: exit 2
+        # with one error: line naming what it reads, no traceback,
+        # nothing written.
+        make_multithreaded(find_profile("povray"), tiny_config(), 50,
+                           seed=1).save(tmp_path / "W.npz")
+        (tmp_path / "T.jsonl").write_text(
+            '{"kind": "meta", "workload": "povray"}\n', encoding="utf-8")
+        (tmp_path / "journal").mkdir()
+        inputs = sorted(tmp_path.rglob("*"))
         cases = [
             (["trace", "nosuchapp", "x.npz"],
              "unknown application 'nosuchapp'"),
             (["demo", "--app", "nosuch"], "unknown application 'nosuch'"),
             (["simulate", "missing.npz"], "no such trace: missing.npz"),
             (["shrink", "missing.npz"], "no such trace: missing.npz"),
+            (["fuzz", "--budget", "1", "--resume", "journal"],
+             "--resume needs a campaign journal file, not a directory: "
+             "journal"),
+            (["report", "W.npz"],
+             "not an event trace or campaign journal: W.npz"),
+            (["report", "--html", "W.npz"],
+             "not an event trace or campaign journal: W.npz"),
+            (["simulate", "T.jsonl"],
+             "not a workload trace bundle: T.jsonl"),
+            (["shrink", "W.npz"], "not a fuzz trace: W.npz"),
         ]
         monkeypatch.chdir(tmp_path)
         for argv, message in cases:
@@ -259,7 +287,7 @@ class TestCli:
             if "application" in message:
                 assert "known applications: " in errors[0]
                 assert "freqmine" in errors[0]
-            assert list(tmp_path.iterdir()) == [], argv
+            assert sorted(tmp_path.rglob("*")) == inputs, argv
 
     def test_fuzz_parser_accepts_campaign_flags(self):
         args = build_parser().parse_args(

@@ -50,6 +50,11 @@ class TestExperimentSmoke:
         table, results = experiments.fig5_llc_occupancy()
         for suite, maxima in results.items():
             assert all(m >= 0 for m in maxima)
+        # Every probed run is counted in the figure's telemetry.
+        meta = table.metadata
+        assert meta["runs_executed"] == 21
+        assert meta["runs_executed"] == sum(map(len, results.values()))
+        assert meta["simulated_accesses"] > 0
 
     def test_energy_structure(self):
         table, results = experiments.energy_comparison()
@@ -73,12 +78,18 @@ class TestExperimentSmoke:
         table, measured = fig12_design_space()
         assert set(measured) == {"SpillAll", "FPSS", "FuseAll"}
         assert measured["FPSS"]["extra_array_reads"] == 0
+        # Instrumented like every figure: 10 apps under 3 policies.
+        meta = table.metadata
+        assert meta["runs_executed"] + meta["cache_hits"] == 30
 
     def test_ablation_functions(self):
         from benchmarks.test_ablations import (
             ablation_notice_bits_overhead, ablation_replacement_disabled)
-        _, notice = ablation_notice_bits_overhead()
+        table, notice = ablation_notice_bits_overhead()
         assert max(notice["fractions"]) < 0.05
+        meta = table.metadata
+        assert meta["runs_executed"] + meta["cache_hits"] \
+            == len(notice["fractions"])
         _, repl = ablation_replacement_disabled()
         assert repl["disturbances"]["disabled"] == 0
 

@@ -91,7 +91,6 @@ class TestBitIdentity:
         assert streams["scalar"] == streams["batched"]
 
     def test_multisocket_identical(self):
-        from repro.harness.runner import run_multisocket_workload
         from repro.multisocket.system import MultiSocketSystem
 
         config = tiny_config(n_cores=2)
@@ -101,8 +100,7 @@ class TestBitIdentity:
         for kernel in ("scalar", "batched"):
             system = MultiSocketSystem(config.with_(kernel=kernel),
                                        n_sockets=2, dir_cache_blocks=4)
-            run_multisocket_workload(system, workload,
-                                     check_invariants_every=50)
+            run_workload(system, workload, check_invariants_every=50)
             per_kernel[kernel] = [
                 {k: v for k, v in vars(s).items()}
                 for s in system.stats]

@@ -24,7 +24,9 @@ def llc_check(bank):
     bank is ``bank``."""
     spec = ModelSpec("one-bank",
                      micro_config(llc_replacement=bank.replacement))
-    check_llc_structure(spec, SimpleNamespace(banks=[bank]))
+    socket = SimpleNamespace(banks=[bank])
+    socket.sockets = (socket,)
+    check_llc_structure(spec, socket)
 
 
 def data(block, dirty=False, version=0):

@@ -34,7 +34,7 @@ from repro.verify import run_campaign, run_trace, shrink_trace
 from repro.verify.checks import DivergenceError, shadow_of
 from repro.common.config import DirectoryConfig, LLCDesign
 from repro.verify.modelcheck import (ModelCheckReport, _explore_frontier,
-                                     _Snapshots, _spec_shared,
+                                     _Snapshots, _latency_parts,
                                      build_alphabet, canonical_key,
                                      explore_model, mutation_gate,
                                      system_key)
@@ -89,10 +89,7 @@ def issue_all(spec, system, sequence):
     from repro.common.addressing import BLOCK_SHIFT
     for trace_core, op, block in sequence:
         socket, core = spec.map_core(trace_core)
-        if spec.n_sockets == 1:
-            system.access(core, op, block << BLOCK_SHIFT)
-        else:
-            system.access(socket, core, op, block << BLOCK_SHIFT)
+        system.sockets[socket].access(core, op, block << BLOCK_SHIFT)
 
 
 class TestCanonicalization:
@@ -423,9 +420,7 @@ class TestBeyondTheMatrix:
         class Planted(ModelSpec):
             def build(self):
                 system = spec.build()
-                stats = (system.stats if spec.n_sockets == 1
-                         else system.stats[-1])
-                stats.dev_invalidations = 1
+                system.sockets[-1].stats.dev_invalidations = 1
                 return system
 
         report = explore_model(
@@ -514,7 +509,7 @@ class TestMutations:
         spec = spec_of()
         system = spec.build()
         arm_mutation(system, "skip-corrupt-restore")
-        snapshots = _Snapshots(system, _spec_shared(spec)(system))
+        snapshots = _Snapshots(system, _latency_parts(system))
         snapshot = snapshots.dump(system)
         clone, other = pickle.loads(snapshot), pickle.loads(snapshot)
         assert "skip-corrupt-restore" in clone.mutations
@@ -545,7 +540,7 @@ class TestMutations:
         system = spec.build()
         issue_all(spec, system, [(0, Op.WRITE, 0), (1, Op.READ, 0),
                                  (1, Op.WRITE, 8), (0, Op.READ, 1)])
-        codec = _Snapshots(system, _spec_shared(spec)(system))
+        codec = _Snapshots(system, _latency_parts(system))
         snapshot = codec.dump(system)
         named = []
 
@@ -672,7 +667,7 @@ class TestVerifyLayerRegressions:
         # shadow; shadow_of pins that as an invariant.
         spec = spec_of("zerodev-2socket-sol1")
         system = spec.build()
-        assert shadow_of(spec, system) is system.shadow
+        assert shadow_of(system) is system.shadow
         for socket in system.sockets:
             assert socket.shadow is system.shadow
 
@@ -682,7 +677,7 @@ class TestVerifyLayerRegressions:
         system = spec.build()
         system.sockets[1].shadow = ShadowMemory()
         with pytest.raises(DivergenceError, match="private shadow"):
-            shadow_of(spec, system)
+            shadow_of(system)
 
     def test_two_socket_solutions_agree_on_digest(self):
         # Digest equivalence across the two paper solutions on one

@@ -31,8 +31,9 @@ def make_multi_zerodev(n_sockets=2, **kw):
 
 
 def access(system, socket, core, op, block):
-    system.access(socket, core, {"R": Op.READ, "W": Op.WRITE,
-                                 "I": Op.IFETCH}[op], block << BLOCK_SHIFT)
+    system.sockets[socket].access(
+        core, {"R": Op.READ, "W": Op.WRITE, "I": Op.IFETCH}[op],
+        block << BLOCK_SHIFT)
 
 
 class TestSocketLevelMESI:

@@ -15,8 +15,9 @@ from tests.conftest import tiny_config
 
 
 def access(system, socket, core, op, block):
-    system.access(socket, core, {"R": Op.READ, "W": Op.WRITE,
-                                 "I": Op.IFETCH}[op], block << BLOCK_SHIFT)
+    system.sockets[socket].access(
+        core, {"R": Op.READ, "W": Op.WRITE, "I": Op.IFETCH}[op],
+        block << BLOCK_SHIFT)
 
 
 def make(n_sockets=2, **kw):

@@ -308,9 +308,11 @@ class TestTraceSession:
 
     def test_ring_only_session_needs_no_files(self):
         system = build_system(zerodev_config())
-        with TraceSession(system, ring_capacity=256) as session:
+        ring = RingBufferSink(256)
+        with TraceSession(system) as session:
+            session.bus.subscribe(ring)
             session.run(small_workload(accesses=200))
-            assert session.ring.total_seen > 0
+            assert ring.total_seen > 0
         assert session.timeseries_path is None
 
 
@@ -522,27 +524,28 @@ class TestMultisocketTracing:
     def test_socket_invalidations_are_cause_tagged(self):
         from repro.common.addressing import BLOCK_SHIFT
         from repro.multisocket import MultiSocketSystem
-        from repro.obs import attach_multisocket, detach_multisocket
+        from repro.obs import attach, detach
         from repro.workloads.trace import Op
         system = MultiSocketSystem(tiny_config(), n_sockets=2)
         bus = EventBus()
         ring = RingBufferSink(8192)
         bus.subscribe(ring)
-        attach_multisocket(system, bus)
+        attach(system, bus)
         block = 8 << BLOCK_SHIFT
-        system.access(0, 0, Op.READ, block)
-        system.access(1, 0, Op.READ, block)      # socket-level S
-        system.access(0, 0, Op.WRITE, block)     # upgrade kills socket 1
+        socket0, socket1 = system.sockets
+        socket0.access(0, Op.READ, block)
+        socket1.access(0, Op.READ, block)        # socket-level S
+        socket0.access(0, Op.WRITE, block)       # upgrade kills socket 1
         assert ring.counts().get("priv_inv:socket", 0) >= 1
-        detach_multisocket(system)
+        detach(system)
         assert system.obs is None
         assert all(socket.obs is None for socket in system.sockets)
         system.check_invariants()
 
     def test_traced_zerodev_multisocket_run(self):
-        from repro.harness.runner import run_multisocket_workload
+        from repro.harness.parallel import run_live
         from repro.multisocket import MultiSocketSystem
-        from repro.obs import attach_multisocket
+        from repro.obs import attach
         workload = make_multithreaded(
             find_profile("canneal"), tiny_config(n_cores=8), 300, seed=5)
         per_kernel = {}
@@ -552,10 +555,9 @@ class TestMultisocketTracing:
             bus = EventBus()
             ring = RingBufferSink(1 << 16)
             bus.subscribe(ring)
-            attach_multisocket(system, bus)
+            attach(system, bus)
             before = telemetry_snapshot()
-            run_multisocket_workload(system, workload,
-                                     check_invariants_every=200)
+            run_live(system, workload, check_invariants_every=200)
             # Counted once in the session telemetry, like a run_many
             # run.
             delta = telemetry_since(before)

@@ -154,7 +154,7 @@ class TestMultiSocketProperties:
     def test_baseline_two_sockets(self, script):
         system = MultiSocketSystem(tiny_config(), n_sockets=2)
         for socket, core, op, block in script:
-            system.access(socket, core, op, block << 6)
+            system.sockets[socket].access(core, op, block << 6)
         system.check_invariants()
 
     @SETTINGS
@@ -163,6 +163,6 @@ class TestMultiSocketProperties:
         system = MultiSocketSystem(
             zerodev_config(llc=CacheGeometry(2048, 2)), n_sockets=2)
         for socket, core, op, block in script:
-            system.access(socket, core, op, block << 6)
+            system.sockets[socket].access(core, op, block << 6)
         system.check_invariants()
         assert all(s.dev_invalidations == 0 for s in system.stats)

@@ -34,6 +34,23 @@ class TestWarmup:
         warm_rate = warm.stats.core_cache_misses / warm.stats.total_accesses
         assert warm_rate <= cold_rate + 0.02
 
+        # A 2-socket run restarts every socket's statistics at the
+        # boundary, identically on both kernels.
+        from repro.multisocket import MultiSocketSystem
+        workload = make_multithreaded(find_profile("canneal"),
+                                      tiny_config(n_cores=8), 300, seed=5)
+        per_kernel = {}
+        for kernel in ("scalar", "batched"):
+            system = MultiSocketSystem(tiny_config(kernel=kernel),
+                                       n_sockets=2)
+            result = run_workload(system, workload, warmup=900)
+            assert result.stats == system.stats
+            accesses = [stats.total_accesses for stats in result.stats]
+            assert all(accesses)
+            assert sum(accesses) == workload.total_accesses - 900
+            per_kernel[kernel] = [vars(stats) for stats in result.stats]
+        assert per_kernel["scalar"] == per_kernel["batched"]
+
     def test_warmup_longer_than_workload_rejected(self):
         with pytest.raises(ValueError):
             run_workload(build_system(tiny_config()), small_workload(),

@@ -42,10 +42,7 @@ def issue_all(spec, system, sequence):
     from repro.common.addressing import BLOCK_SHIFT
     for trace_core, op, block in sequence:
         socket, core = spec.map_core(trace_core)
-        if spec.n_sockets == 1:
-            system.access(core, op, block << BLOCK_SHIFT)
-        else:
-            system.access(socket, core, op, block << BLOCK_SHIFT)
+        system.sockets[socket].access(core, op, block << BLOCK_SHIFT)
 
 
 #: Conflict-heavy sequences over the micro alphabet: sharing, migration,

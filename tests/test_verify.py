@@ -129,12 +129,12 @@ class TestModelMatrix:
         # reference counting alone.
         from repro.verify import modelcheck as mc
         root = spec.build()
-        codec = mc._Snapshots(root, mc._spec_shared(spec)(root))
+        codec = mc._Snapshots(root, mc._latency_parts(root))
         alphabet = tuple(mc.build_alphabet())
         ctx = mc._ExpandContext(
             issue=mc._spec_issue(spec),
             check=functools.partial(mc.check_step, spec),
-            canonical=mc._spec_canonical(spec), trim=mc._spec_trim(spec),
+            canonical=mc._spec_canonical(spec), trim=mc._trim_journals,
             snapshot=codec.dump, alphabet=alphabet, seen=set(),
             deadline=None, candidate_budget=len(alphabet) + 1,
             discard=mc._spec_discard(spec))
@@ -226,11 +226,25 @@ class TestFaultInjection:
         assert report.ok, report.summary()
         assert report.fault_detected_runs == report.fault_fired_runs
 
-    def test_force_denf_nack_is_graceful(self):
-        report = run_campaign(seed=3, budget=5, jobs=1,
-                              fault=FaultPlan(FaultKind.FORCE_DENF_NACK))
-        assert report.fault_fired_runs > 0, report.summary()
+    def test_force_denf_nack_is_graceful(self, tmp_path):
+        # On both 2-socket ZeroDEV models traces 0, 1 and 4 first reach
+        # the forward seam during the read-back: each run records the
+        # firing wherever it happens, and the flag survives the journal.
+        fault = FaultPlan(FaultKind.FORCE_DENF_NACK)
+        journal = tmp_path / "denf.jsonl"
+        report = run_campaign(seed=3, budget=5, jobs=1, fault=fault,
+                              resume=journal)
         assert report.ok, report.summary()
+        fired = sum(run_trace(model_by_name(name), generator(seed=3)
+                              .trace(index), fault=fault).fault_fired
+                    for index in range(5) for name in report.models)
+        assert report.fault_fired_runs == fired == 8, report.summary()
+        assert report.fault_detected_runs == 8
+        replayed = run_campaign(seed=3, budget=5, jobs=1, fault=fault,
+                                resume=journal)
+        assert replayed.resumed_runs == replayed.runs == 15
+        assert (replayed.fault_fired_runs,
+                replayed.fault_detected_runs) == (8, 8)
 
     def test_fault_needs_applicable_model(self):
         spec = model_by_name("baseline-1x")

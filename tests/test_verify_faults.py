@@ -15,7 +15,6 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.verify import (TraceGenerator, model_by_name, run_campaign,
                           run_trace)
-from repro.verify.differential import _fault_fires
 from repro.verify.faults import FaultKind, FaultPlan, arm_fault
 from repro.verify.models import micro_config
 from repro.verify.tracegen import TraceGeometry
@@ -35,7 +34,7 @@ class TestHybridUpdateFaults:
         fired = detected = 0
         for trace in traces():
             outcome = run_trace(spec, trace, fault=fault)
-            if not _fault_fires(spec, trace, fault):
+            if not outcome.fault_fired:
                 assert outcome.ok, outcome
                 continue
             fired += 1
@@ -73,7 +72,7 @@ class TestDLSConflictStorm:
         for trace in traces():
             outcome = run_trace(spec, trace, fault=fault)
             assert outcome.ok, outcome
-            fired += _fault_fires(spec, trace, fault)
+            fired += outcome.fault_fired
         assert fired > 0, "the storm never reached an LLC eviction"
 
     def test_storm_campaign_contract(self):

@@ -12,7 +12,6 @@ from repro.core.housing import DirEvictBitmap, MemoryHousing
 from repro.coherence.entry import DirectoryEntry, DirState
 from repro.harness.system_builder import build_system
 from repro.verify.checks import DivergenceError, check_housing
-from repro.verify.models import ModelSpec
 
 from tests.conftest import drive, fails_with, tiny_config
 
@@ -75,19 +74,18 @@ class TestWbDe:
         assert system.bank_of(block).peek_data(block) is None
         # The verify layer's housing check: a housed block is garbage
         # and has no LLC frame of either kind.
-        spec = ModelSpec("cramped", system.config)
-        check_housing(spec, system)
+        check_housing(system)
         system._housing._garbage.discard(block)
         with fails_with(DivergenceError, f"block {block:#x} houses an "
                         "entry but is not marked corrupted"):
-            check_housing(spec, system)
+            check_housing(system)
         system._housing._garbage.add(block)
         system.bank_of(block)._spill_index[block] = LLCLine(
             block, LineKind.SPILLED)
         with fails_with(DivergenceError, f"block {block:#x} is "
                         "LLC-resident while its entry is housed in memory "
                         "(case iiib)"):
-            check_housing(spec, system)
+            check_housing(system)
 
     def test_demand_access_promotes_entry(self):
         system = cramped_zerodev()
