@@ -2,23 +2,32 @@
 """Regenerate every figure and ablation table and compare digests.
 
 Each of the 24 tables -- the 19 experiments of ``repro run``, Figure 12,
-the three ablations and the Section III-C2 anchors -- is regenerated at
-``REPRO_ACCESSES=600`` and reduced to one sha256 over its title and
-each row's label, measured value and paper value.  Values are rounded
-to ``SIGNIFICANT`` significant digits first, so a last-ulp libm
-difference between hosts cannot move a digest.  The digests are
-compared with the pinned ``results/figure_digests.json``; the script
-exits 1 naming every table whose digest changed.
+the three ablations and the Section III-C2 anchors -- is regenerated
+and reduced to one sha256 over its title and each row's label, measured
+value and paper value.  Values are rounded to ``SIGNIFICANT``
+significant digits first, so a last-ulp libm difference between hosts
+cannot move a digest.  The digests are compared with a pinned digest
+file; the script exits 1 naming every table whose digest changed.
 
-The environment is pinned the way ``perfbench/run.py`` pins it: every
-``REPRO_*`` variable is dropped (no result cache directory, no kernel
-override, no timeout or retry override) except ``REPRO_JOBS``, and the
-size is fixed.  Tables are the same at any ``REPRO_JOBS``.
+A digest file records the environment its tables are regenerated
+under, so ``--digests`` picks both the pins and the size:
+``results/figure_digests.json`` holds the tables at
+``REPRO_ACCESSES=600`` (the quick leg), and
+``results/figure_digests_6000.json`` at the default 6000 (the only leg
+where an inclusive baseline or ZeroDEV LLC evicts a live private
+copy).  A file that does not exist
+yet is pinned at 600; to pin another size, write the file with its
+``environment`` alone first.  The environment is otherwise pinned the
+way ``perfbench/run.py`` pins it: every ``REPRO_*`` variable is dropped
+(no result cache directory, no kernel override, no timeout or retry
+override) except ``REPRO_JOBS``.  Tables are the same at any
+``REPRO_JOBS``.
 
 Run from the repository root::
 
-    python scripts/check_figures.py               # all 24 tables
+    python scripts/check_figures.py               # all 24 tables at 600
     python scripts/check_figures.py fig19 fig2    # a subset
+    python scripts/check_figures.py --digests results/figure_digests_6000.json
     python scripts/check_figures.py --pin         # rewrite the pins
 
 Re-pin only when a change is meant to alter simulated behaviour, and
@@ -38,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "results" / "figure_digests.json"
 
-#: The figure-scale knobs every table is regenerated under.
+#: The figure-scale knobs of a digest file that records none.
 PINNED_ENV = {"REPRO_ACCESSES": "600", "REPRO_SCALE": "16",
               "REPRO_FULL": "0"}
 
@@ -46,11 +55,11 @@ PINNED_ENV = {"REPRO_ACCESSES": "600", "REPRO_SCALE": "16",
 SIGNIFICANT = 10
 
 
-def pin_environment() -> None:
+def pin_environment(environment: dict) -> None:
     for name in [name for name in os.environ
                  if name.startswith("REPRO_") and name != "REPRO_JOBS"]:
         del os.environ[name]
-    os.environ.update(PINNED_ENV)
+    os.environ.update(environment)
 
 
 def tables() -> dict:
@@ -94,7 +103,9 @@ def parse_args(argv, names):
                         help="rewrite the pinned digests of the checked "
                              "tables instead of comparing")
     parser.add_argument("--digests", type=Path, default=DIGESTS,
-                        help="pinned digest file (default: "
+                        help="pinned digest file, whose recorded "
+                             "environment the tables are regenerated "
+                             "under (default: "
                              "results/figure_digests.json)")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.figures) - set(names))
@@ -104,13 +115,13 @@ def parse_args(argv, names):
 
 
 def main(argv=None) -> int:
-    pin_environment()
     registry = tables()
     args = parse_args(argv, list(registry))
     names = args.figures or list(registry)
     pinned = (json.loads(args.digests.read_text())
-              if args.digests.is_file() else {"digests": {}})
-    expected = pinned["digests"]
+              if args.digests.is_file() else {})
+    pin_environment(pinned.setdefault("environment", PINNED_ENV))
+    expected = pinned.setdefault("digests", {})
     changed = []
     started = time.perf_counter()
     for name in names:
@@ -127,9 +138,10 @@ def main(argv=None) -> int:
         print(f"{name:<22} {digest[:16]} {verdict:<8} "
               f"{time.perf_counter() - begun:6.1f}s", flush=True)
     print(f"{len(names)} tables in {time.perf_counter() - started:.1f}s "
-          f"(REPRO_JOBS={os.environ.get('REPRO_JOBS', '1')})")
+          f"(REPRO_ACCESSES={os.environ.get('REPRO_ACCESSES', '6000')}, "
+          f"REPRO_JOBS={os.environ.get('REPRO_JOBS', '1')})")
     if args.pin:
-        pinned.update(environment=PINNED_ENV, significant_digits=SIGNIFICANT,
+        pinned.update(significant_digits=SIGNIFICANT,
                       digests={name: expected[name] for name in registry
                                if name in expected})
         args.digests.write_text(json.dumps(pinned, indent=1) + "\n")

@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.caches.block import L2Line, LLCLine, MESI
+from repro.caches.block import L2Line, LLCLine
 from repro.caches.llc import LLCBank
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.protocol import CMPSystem
 from repro.common.config import Protocol
 from repro.common.errors import ProtocolInvariantError
-from repro.common.messages import MessageType as MT
-from repro.obs.events import InvCause
 
 
 class DLSSystem(CMPSystem):
@@ -49,8 +47,7 @@ class DLSSystem(CMPSystem):
         # The entry is read in the same LLC tag lookup the request
         # performs anyway: zero extra latency, no extra recency touch
         # (the demand paths touch the data line themselves).
-        line = self.bank_of(block).peek_data(block)
-        return (line.entry if line is not None else None), 0
+        return self._peek_entry(block), 0
 
     def _peek_entry(self, block: int) -> Optional[DirectoryEntry]:
         line = self.bank_of(block).peek_data(block)
@@ -93,17 +90,8 @@ class DLSSystem(CMPSystem):
         entry = victim.entry
         if entry is None:
             return
-        for sharer in list(entry.sharer_cores()):
-            self.stats.inclusion_invalidations += 1
-            self.mesh.send_core_to_bank(MT.INV, sharer, bank.bank_id)
-            self.mesh.send_core_to_bank(MT.INV_ACK, sharer, bank.bank_id)
-            line = self.cores[sharer].invalidate(victim.block,
-                                                 cause=InvCause.INCLUSION)
-            assert line is not None
-            if line.state is MESI.M:
-                victim.version = line.version
-                victim.dirty = True
-            entry.remove_sharer(sharer)
+        victim.version, victim.dirty = self._inclusion_victims(
+            bank, victim.block, entry, victim.version, victim.dirty)
         victim.entry = None
 
     # ------------------------------------------------------------------

@@ -20,7 +20,9 @@ the directory shrinks.
 Internally, per-block :class:`DirectoryEntry` views exist for every
 tracked block so the generic protocol machinery applies unchanged; *region
 coverage* determines whether a view occupies directory capacity (covered
-views ride on their region entry).
+views ride on their region entry).  A covered view never changes state in
+place: another core's access demotes its region before the transaction
+touches the entry, and the owner never misses on a block it owns.
 """
 
 from __future__ import annotations
@@ -138,10 +140,7 @@ class MgDSystem(CMPSystem):
 
     def _find_entry_for_notice(self, block: int, bank: LLCBank
                                ) -> Optional[DirectoryEntry]:
-        entry = self._mgd.block_entries.get(block)
-        if entry is not None:
-            return entry
-        return self._covered.get(block)
+        return self._peek_entry(block)
 
     def _peek_entry(self, block: int) -> Optional[DirectoryEntry]:
         entry = self._mgd.block_entries.get(block)
@@ -257,10 +256,6 @@ class MgDSystem(CMPSystem):
         if generated:
             self.stats.dev_events += 1
 
-    def _process_dev(self, victim: DirectoryEntry) -> None:
-        # Block-entry DEVs are exactly the baseline flow.
-        super()._process_dev(victim)
-
     # ------------------------------------------------------------------
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
                     evictor_version: int = 0,
@@ -281,23 +276,3 @@ class MgDSystem(CMPSystem):
             raise ProtocolInvariantError(
                 f"no MgD entry to free for block {block:#x}")
         self._mgd.remove(item)
-
-    def _entry_state_changed(self, entry: DirectoryEntry,
-                             old_state: DirState, bank: LLCBank) -> None:
-        """A covered block that becomes shared leaves region coverage."""
-        if entry.block not in self._covered:
-            return
-        if entry.state is DirState.S or (
-                entry.state is DirState.ME
-                and entry.owner is not None):
-            region = self._mgd.region_entries.get(
-                self._region_of(entry.block))
-            if region is not None and (
-                    entry.state is DirState.S
-                    or entry.owner != region.owner):
-                del self._covered[entry.block]
-                region.block_count -= 1
-                if region.block_count == 0:
-                    self._mgd.remove(region)
-                self._insert_with_eviction(entry, entry.block)
-                self._mgd.block_entries[entry.block] = entry

@@ -196,15 +196,7 @@ class SecDirSystem(CMPSystem):
             self.mesh.send_core_to_bank(MT.INV_ACK, core, bank.bank_id)
         entry.remove_sharer(core)
         if entry.empty:
-            self._drop_entry(entry)
-
-    def _drop_entry(self, entry: DirectoryEntry) -> None:
-        if entry.block in self._secdir.private_resident:
-            del self._secdir.private_resident[entry.block]
-            for core in entry.sharer_cores():
-                self._secdir.privates[core].remove(entry.block)
-        else:
-            self._secdir.shared.remove(entry.block)
+            self._free_entry(entry, bank)
 
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
                     evictor_version: int = 0,

@@ -522,11 +522,6 @@ class CMPSystem:
         it to refuse a corrupted home block)."""
         return self.dram.read(block)
 
-    def _presence_lost(self, block: int, version: int) -> None:
-        """The last copy of ``block`` left this socket (notify home)."""
-        if self.memory_side is not None:
-            self.memory_side.presence_lost(self, block, version)
-
     def _fill_llc_from_memory(self, bank: LLCBank, block: int,
                               version: int, code: bool) -> None:
         """Demand fills allocate in the LLC -- except data fills in EPD.
@@ -583,7 +578,7 @@ class CMPSystem:
             # The owner has (or is about to produce) a newer version; the
             # LLC copy is redundant but must not be silently lost if it is
             # the only clean backing. Writing it back keeps memory sound.
-            self._writeback_to_memory(line)
+            self._writeback_to_memory(block, line.version)
         bank.remove(line)
 
     def _data_arrived_at_fused(self, bank: LLCBank, line: LLCLine) -> None:
@@ -595,14 +590,15 @@ class CMPSystem:
         """Hook called after a new DATA frame is installed (FuseAll uses
         this to re-fuse a spilled entry with its returning block)."""
 
-    def _writeback_to_memory(self, line: LLCLine) -> None:
+    def _writeback_to_memory(self, block: int, version: int) -> None:
+        """Write dirty LLC data of ``block`` back to (home) memory."""
         self.stats.llc_writebacks_to_dram += 1
         if self.memory_side is not None:
-            self.memory_side.writeback(self, line.block, line.version)
+            self.memory_side.writeback(self, block, version)
             return
-        self.dram.write(line.block)
-        self._dram_version[line.block] = line.version
-        self._memory_healed(line.block)
+        self.dram.write(block)
+        self._dram_version[block] = version
+        self._memory_healed(block)
 
     def _memory_healed(self, block: int) -> None:
         """Hook: a real-data DRAM write un-corrupts the home block."""
@@ -619,11 +615,12 @@ class CMPSystem:
         if self._inclusive:
             self._back_invalidate(bank, victim)
         if victim.dirty:
-            self._writeback_to_memory(victim)
+            self._writeback_to_memory(victim.block, victim.version)
         if (self.memory_side is not None
                 and self._peek_entry(victim.block) is None):
             # The LLC copy was the socket's last: tell the home socket.
-            self._presence_lost(victim.block, victim.version)
+            self.memory_side.presence_lost(self, victim.block,
+                                           victim.version)
 
     def _entry_frame_evicted(self, bank: LLCBank, victim: LLCLine) -> None:
         """Hook: the LLC evicted a spilled or fused entry frame (ZeroDEV
@@ -636,18 +633,29 @@ class CMPSystem:
         entry, _ = self._find_entry(victim.block)
         if entry is None:
             return
+        victim.version, victim.dirty = self._inclusion_victims(
+            bank, victim.block, entry, victim.version, victim.dirty)
+        self._free_entry(entry, bank, evictor_version=victim.version)
+
+    def _inclusion_victims(self, bank: LLCBank, block: int,
+                           entry: DirectoryEntry, version: int,
+                           dirty: bool) -> Tuple[int, bool]:
+        """Inclusive LLC: ``block`` is leaving, so every private copy
+        ``entry`` tracks dies as an inclusion victim (INV and INV_ACK
+        through the mesh).  Returns the leaving data's ``version`` and
+        ``dirty``, updated when an M copy hands its data back."""
+        bank_id = bank.bank_id
         for sharer in list(entry.sharer_cores()):
             self.stats.inclusion_invalidations += 1
-            self.mesh.send_core_to_bank(_INV, sharer, bank.bank_id)
-            self.mesh.send_core_to_bank(_INV_ACK, sharer, bank.bank_id)
-            line = self.cores[sharer].invalidate(victim.block,
+            self.mesh.send_core_to_bank(_INV, sharer, bank_id)
+            self.mesh.send_core_to_bank(_INV_ACK, sharer, bank_id)
+            line = self.cores[sharer].invalidate(block,
                                                  cause=InvCause.INCLUSION)
             assert line is not None
             if line.state is _MESI_M:
-                victim.version = line.version
-                victim.dirty = True
+                version, dirty = line.version, True
             entry.remove_sharer(sharer)
-        self._free_entry(entry, bank, evictor_version=victim.version)
+        return version, dirty
 
     # ------------------------------------------------------------------
     # Directory-entry lifecycle (hooks overridden by ZeroDEV and others)
@@ -726,7 +734,7 @@ class CMPSystem:
             stats.dev_events += 1
             if (self.memory_side is not None
                     and bank.peek_data(block) is None):
-                self._presence_lost(block, last_version)
+                self.memory_side.presence_lost(self, block, last_version)
 
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
                     evictor_version: int = 0,
@@ -774,7 +782,7 @@ class CMPSystem:
             if (self.memory_side is not None
                     and bank.peek_data(block) is None):
                 # No LLC copy either: the block has left the socket.
-                self._presence_lost(block, line.version)
+                self.memory_side.presence_lost(self, block, line.version)
         else:
             self._notice_done(entry, bank)
 
@@ -797,9 +805,10 @@ class CMPSystem:
                               bank: LLCBank) -> None:
         """An eviction notice found no directory entry in the socket.
 
-        Impossible in the baseline: a private copy always has a live entry
-        (DEV invalidations enforce it). ZeroDEV overrides this with the
-        GET_DE flow of Section III-D4.
+        Impossible: a private copy always has a live entry.  The
+        baseline's DEV invalidations enforce it, and ZeroDEV's
+        ``_find_entry_for_notice`` reaches a memory-housed entry with the
+        GET_DE flow of Section III-D4 (it does not override this hook).
         """
         raise ProtocolInvariantError(
             f"baseline eviction notice for untracked block "

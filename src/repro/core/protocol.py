@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.caches.block import LLCLine, LineKind, MESI
+from repro.caches.block import LLCLine, LineKind
 from repro.caches.llc import LLCBank
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
@@ -36,13 +36,12 @@ from repro.common.config import DirCachingPolicy, Protocol, SystemConfig
 from repro.common.errors import ProtocolInvariantError
 from repro.common.messages import MessageType as MT
 from repro.core.housing import MemoryHousing
-from repro.obs.events import EventKind, InvCause
+from repro.obs.events import EventKind
 
 
 # Enum members read by the transaction paths, bound once as module
 # globals (see repro.coherence.protocol: on Python 3.11 each
 # ``Enum.MEMBER`` read goes through ``EnumType.__getattr__``'s hook).
-_MESI_M = MESI.M
 _DIR_ME, _DIR_S = DirState.ME, DirState.S
 _DATA_LINE, _FUSED_LINE, _SPILLED_LINE = (LineKind.DATA, LineKind.FUSED,
                                           LineKind.SPILLED)
@@ -51,8 +50,7 @@ _LLC_FUSED, _LLC_SPILLED = EntryLocation.LLC_FUSED, EntryLocation.LLC_SPILLED
 _SPILL_ALL, _FPSS, _FUSE_ALL = (DirCachingPolicy.SPILL_ALL,
                                 DirCachingPolicy.FPSS,
                                 DirCachingPolicy.FUSE_ALL)
-_INV, _INV_ACK, _WB_DE, _GET_DE, _DE_DATA = (MT.INV, MT.INV_ACK, MT.WB_DE,
-                                             MT.GET_DE, MT.DE_DATA)
+_WB_DE, _GET_DE, _DE_DATA = MT.WB_DE, MT.GET_DE, MT.DE_DATA
 _EVICT_CLEAN_BITS, _EVICT_ACK = MT.EVICT_CLEAN_BITS, MT.EVICT_ACK
 _SOCKET_RESTORE = MT.SOCKET_RESTORE
 
@@ -341,75 +339,31 @@ class ZeroDEVSystem(CMPSystem):
     def _entry_frame_evicted(self, bank: LLCBank, victim: LLCLine) -> None:
         entry = victim.entry
         assert entry is not None
+        block = victim.block
         if self._inclusive:
+            # Section III-F: an inclusive LLC evicts a fused frame as its
+            # block, so the private copies die as inclusion victims and
+            # the entry with them -- no entry is ever written to memory.
+            # A spilled frame is never the victim: its block keeps an
+            # unprotected data frame in the same set, which dataLRU
+            # evicts first and spLRU keeps below the entry.
             if victim.kind is _SPILLED_LINE:
-                self._inclusive_spilled_eviction(bank, victim, entry)
-            else:
-                self._inclusive_fused_eviction(bank, victim, entry)
+                raise ProtocolInvariantError(
+                    f"inclusive LLC evicted the spilled entry frame of "
+                    f"block {block:#x}: its data frame must age out first")
+            version, dirty = self._inclusion_victims(
+                bank, block, entry, victim.version, victim.dirty)
+            if dirty:
+                self._writeback_to_memory(block, version)
+            if self.memory_side is not None:
+                self.memory_side.presence_lost(self, block, version)
             return
-        if self._housing.peek(victim.block) is not None:
+        if self._housing.peek(block) is not None:
             raise ProtocolInvariantError(
-                f"block {victim.block:#x} would house two entries")
+                f"block {block:#x} would house two entries")
         # The fused frame's data (if any) survives in the private caches
         # the entry is tracking; only the entry needs a home.
         self._writeback_entry_to_memory(entry)
-
-    def _inclusive_spilled_eviction(self, bank: LLCBank, victim: LLCLine,
-                                    entry: DirectoryEntry) -> None:
-        """Inclusive LLC: a spilled-entry victim means the block itself
-        must go -- inclusion invalidates the private copies, the entry
-        dies with them, and the block's own frame is freed as well, so
-        no entry is ever written to memory (Section III-F)."""
-        data = bank.peek_data(victim.block)
-        version = data.version if data is not None else 0
-        dirty = data.dirty if data is not None else False
-        for sharer in list(entry.sharer_cores()):
-            self.stats.inclusion_invalidations += 1
-            self.stats.record_message(_INV)
-            self.stats.record_message(_INV_ACK)
-            line = self.cores[sharer].invalidate(victim.block,
-                                                 cause=InvCause.INCLUSION)
-            assert line is not None
-            if line.state is _MESI_M:
-                version, dirty = line.version, True
-            entry.remove_sharer(sharer)
-        if data is not None:
-            bank.remove(data)
-        if dirty:
-            self.stats.llc_writebacks_to_dram += 1
-            if self.memory_side is not None:
-                self.memory_side.writeback(self, victim.block, version)
-            else:
-                self.dram.write(victim.block)
-                self._dram_version[victim.block] = version
-                self._memory_healed(victim.block)
-        self._presence_lost(victim.block, version)
-
-    def _inclusive_fused_eviction(self, bank: LLCBank, victim: LLCLine,
-                                  entry: DirectoryEntry) -> None:
-        """Inclusive LLC: evicting a fused frame back-invalidates the
-        private copies, which frees the entry -- so no directory entry is
-        ever written to memory (Section III-F)."""
-        version, dirty = victim.version, victim.dirty
-        for sharer in list(entry.sharer_cores()):
-            self.stats.inclusion_invalidations += 1
-            self.stats.record_message(_INV)
-            self.stats.record_message(_INV_ACK)
-            line = self.cores[sharer].invalidate(victim.block,
-                                                 cause=InvCause.INCLUSION)
-            assert line is not None
-            if line.state is _MESI_M:
-                version, dirty = line.version, True
-            entry.remove_sharer(sharer)
-        if dirty:
-            self.stats.llc_writebacks_to_dram += 1
-            if self.memory_side is not None:
-                self.memory_side.writeback(self, victim.block, version)
-            else:
-                self.dram.write(victim.block)
-                self._dram_version[victim.block] = version
-                self._memory_healed(victim.block)
-        self._presence_lost(victim.block, version)
 
     def _writeback_entry_to_memory(self, entry: DirectoryEntry) -> None:
         """WB_DE: the evicted live entry overwrites its home block."""

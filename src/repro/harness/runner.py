@@ -175,7 +175,7 @@ def run_workload(system, workload: Workload,
         raise ValueError(f"workload has {n} traces for "
                          f"{per_socket * len(sockets)} cores")
     lengths = [len(trace) for trace in traces]
-    if warmup >= sum(lengths):
+    if warmup > 0 and warmup >= sum(lengths):
         raise ValueError("warm-up longer than the workload")
     started = perf_counter()
     if profiler is not None:

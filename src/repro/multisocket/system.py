@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.caches.block import LineKind
 from repro.coherence.entry import DirectoryEntry, DirState
 from repro.coherence.protocol import CMPSystem
 from repro.coherence.shadow import ShadowMemory
@@ -41,9 +42,10 @@ from repro.core.housing import DirEvictBitmap
 from repro.harness.system_builder import build_system
 from repro.obs.events import EventKind, InvCause
 
-# Read once per owned block by every check, bound once as a module
-# global like the protocols' enum members.
+# Read once per owned block by every check and once per sharer probe,
+# bound once as module globals like the protocols' enum members.
 _DIR_ME = DirState.ME
+_DATA_LINE = LineKind.DATA
 
 
 class SocketEntry:
@@ -230,8 +232,7 @@ class MultiSocketSystem:
                 if block not in self._garbage:
                     # Socket-level M->S writes the data home, keeping
                     # memory a valid backing for the shared copies.
-                    home.dram.write(block)
-                    self._dram_version[block] = version
+                    self._write_home(home_id, block, version)
             self._record(socket, MT.SOCKET_DATA, owner_id, requester)
             latency += self._link_latency(owner_id, requester)
             return latency, version, exclusive
@@ -356,9 +357,8 @@ class MultiSocketSystem:
     def writeback(self, socket: CMPSystem, block: int,
                   version: int) -> None:
         """A socket wrote back dirty data for ``block``."""
-        home = self.sockets[self.home_of(block)]
-        self._record(socket, MT.WRITEBACK, socket.node_id,
-                     self.home_of(block))
+        home_id = self.home_of(block)
+        self._record(socket, MT.WRITEBACK, socket.node_id, home_id)
         entry = self._entries.get(block)
         others = (entry is not None
                   and any(s != socket.node_id
@@ -368,22 +368,23 @@ class MultiSocketSystem:
             # data stays cached at the sharers (Section III-D3 keeps
             # corrupted blocks served by forwarding).
             return
-        home.dram.write(block)
+        self._write_home(home_id, block, version)
+
+    def _write_home(self, home_id: int, block: int, version: int) -> None:
+        """Write real data of ``block`` to its home memory.  A corrupted
+        block is healed: every socket's segment of it is overwritten, so
+        per-socket corrupted-bitmap entries drop too (they would
+        otherwise stay set forever -- the count never returning to
+        zero).  A socket still *housing* an entry here would mean the
+        write destroyed a live entry; ``heal`` raises."""
+        self.sockets[home_id].dram.write(block)
         self._dram_version[block] = version
         if block in self._garbage:
             self._garbage.discard(block)
-            self._heal_socket_housings(block)
-
-    def _heal_socket_housings(self, block: int) -> None:
-        """Real data reached home memory: every socket's segment of the
-        block is overwritten, so per-socket corrupted-bitmap entries must
-        drop too (they would otherwise stay set forever -- the count
-        never returning to zero). A socket still *housing* an entry here
-        would mean the write destroyed a live entry; ``heal`` raises."""
-        for socket in self.sockets:
-            housing = getattr(socket, "_housing", None)
-            if housing is not None and housing.is_garbage(block):
-                housing.heal(block)
+            for socket in self.sockets:
+                housing = getattr(socket, "_housing", None)
+                if housing is not None and housing.is_garbage(block):
+                    housing.heal(block)
 
     def presence_lost(self, socket: CMPSystem, block: int,
                       version: int) -> None:
@@ -410,13 +411,9 @@ class MultiSocketSystem:
             if self.obs is not None:
                 self.obs.emit(EventKind.MEM_RESTORE, block=block,
                               cause=InvCause.SOCKET)
-            self._record(socket, MT.SOCKET_RESTORE, node,
-                         self.home_of(block))
-            home = self.sockets[self.home_of(block)]
-            home.dram.write(block)
-            self._dram_version[block] = version
-            self._garbage.discard(block)
-            self._heal_socket_housings(block)
+            home_id = self.home_of(block)
+            self._record(socket, MT.SOCKET_RESTORE, node, home_id)
+            self._write_home(home_id, block, version)
             socket.stats.corrupted_blocks_restored += 1
 
     # ------------------------------------------------------------------
@@ -517,7 +514,7 @@ class MultiSocketSystem:
                 if line is not None:
                     return line.version
         llc_line = target.bank_of(block).peek_data(block)
-        if llc_line is not None and llc_line.kind.value == "data":
+        if llc_line is not None and llc_line.kind is _DATA_LINE:
             return llc_line.version
         return None
 

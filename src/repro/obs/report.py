@@ -22,31 +22,45 @@ from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from repro.common.errors import ConfigError
 from repro.obs.events import EventKind, InvCause
 from repro.obs.trace import timeseries_path_for
 
 
 def load_trace(path) -> Tuple[dict, List[dict]]:
-    """Parse a JSONL trace into (meta, event records).
+    """Parse a JSONL trace or campaign journal into (meta, event records).
 
-    Damaged trailing lines (an interrupted run) are tolerated: parsing
-    stops at the first undecodable line rather than raising.
+    A last line that is not a JSON object is the torn tail an
+    interrupted run leaves, and is ignored.  Any other such line, or a
+    file with no record at all, raises :class:`ConfigError` naming the
+    file: it is not a trace, and reporting on it would pass a verdict
+    on a run that is not there.
     """
     meta: dict = {}
     events: List[dict] = []
+    problem = None
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
+            if problem:
+                break           # the damaged line was not the last
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                break
-            if record.get("kind") == "meta":
+                record = None
+            if not isinstance(record, dict):
+                problem = f"line {number} is not a JSON object"
+            elif record.get("kind") == "meta":
                 meta.update(record)
             else:
                 events.append(record)
+        else:
+            problem = None if meta or events else "no record"
+    if problem:
+        raise ConfigError(f"not an event trace or campaign journal: "
+                          f"{path} ({problem})")
     return meta, events
 
 

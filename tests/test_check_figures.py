@@ -1,6 +1,7 @@
 """The figure digest gate (``scripts/check_figures.py``) on its cheapest
-table: Figure 19 matches its pinned digest, and a pin with that digest
-changed makes the script exit 1 naming the figure."""
+table: Figure 19 matches its pinned digest at both sizes, each digest
+file regenerating under the environment it records, and a pin with that
+digest changed makes the script exit 1 naming the figure."""
 
 import json
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "check_figures.py"
 PINNED = ROOT / "results" / "figure_digests.json"
+PINNED_6000 = ROOT / "results" / "figure_digests_6000.json"
 
 
 def check_figures(*argv):
@@ -30,4 +32,28 @@ def test_fig19_matches_its_pin_and_a_changed_pin_fails(tmp_path):
     changed.write_text(json.dumps(pinned))
     done = check_figures("fig19", "--digests", str(changed))
     assert done.returncode == 1, done.stdout + done.stderr
+    assert "changed: fig19" in done.stdout
+
+    # Each digest file regenerates at its own size.
+    small = json.loads(PINNED.read_text())
+    default = json.loads(PINNED_6000.read_text())
+    assert small["environment"]["REPRO_ACCESSES"] == "600"
+    assert default["environment"]["REPRO_ACCESSES"] == "6000"
+    assert small["digests"]["fig19"] != default["digests"]["fig19"]
+
+    done = check_figures("fig19", "--digests", str(PINNED_6000))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert default["digests"]["fig19"][:16] in done.stdout
+    assert "REPRO_ACCESSES=6000" in done.stdout
+
+    # The 600-access pins under the 6000-access environment: the
+    # environment comes from the file, so fig19 regenerates at 6000
+    # and no longer matches.
+    small["environment"] = default["environment"]
+    moved = tmp_path / "moved" / "figure_digests.json"
+    moved.parent.mkdir()
+    moved.write_text(json.dumps(small))
+    done = check_figures("fig19", "--digests", str(moved))
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert default["digests"]["fig19"][:16] in done.stdout
     assert "changed: fig19" in done.stdout

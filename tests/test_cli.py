@@ -257,6 +257,28 @@ class TestCli:
         (tmp_path / "T.jsonl").write_text(
             '{"kind": "meta", "workload": "povray"}\n', encoding="utf-8")
         (tmp_path / "journal").mkdir()
+        # Only a torn last line is an interrupted run's tail: a text
+        # file, a JSON document, a line that is no JSON object followed
+        # by more records, or a file with no record at all is no trace,
+        # and gets no verdict, with or without --html.
+        no_trace = [
+            ("README.md", ROOT / "README.md", "line 1 is not a JSON object"),
+            ("figure_digests.json", ROOT / "results" / "figure_digests.json",
+             "line 1 is not a JSON object"),
+            ("array.jsonl", '{"kind": "meta", "workload": "w"}\n[1, 2]\n'
+             '{"step": 1, "kind": "msg", "cause": "GETS"}\n',
+             "line 2 is not a JSON object"),
+            ("damaged.jsonl", '{"kind": "meta", "workload": "w"}\n'
+             '{"step": 1, "kind": "ms\n'
+             '{"step": 2, "kind": "priv_inv", "cause": "dev"}\n',
+             "line 2 is not a JSON object"),
+            ("blank.jsonl", "\n  \n", "no record"),
+        ]
+        for name, source, _ in no_trace:
+            if isinstance(source, Path):
+                (tmp_path / name).write_bytes(source.read_bytes())
+            else:
+                (tmp_path / name).write_text(source, encoding="utf-8")
         inputs = sorted(tmp_path.rglob("*"))
         cases = [
             (["trace", "nosuchapp", "x.npz"],
@@ -288,6 +310,15 @@ class TestCli:
                 assert "known applications: " in errors[0]
                 assert "freqmine" in errors[0]
             assert sorted(tmp_path.rglob("*")) == inputs, argv
+        for name, _, message in no_trace:
+            for html in ([], ["--html"]):
+                assert main(["report", *html, name]) == 2, (name, html)
+                captured = capsys.readouterr()
+                assert captured.out == "", (name, html)
+                errors = captured.err.splitlines()
+                assert errors == [f"error: not an event trace or campaign "
+                                  f"journal: {name} ({message})"], html
+                assert sorted(tmp_path.rglob("*")) == inputs, (name, html)
 
     def test_fuzz_parser_accepts_campaign_flags(self):
         args = build_parser().parse_args(

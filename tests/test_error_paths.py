@@ -172,10 +172,26 @@ class TestProtocolGuards:
             zerodev._memory_fetch_latency(42)
 
     def test_wb_de_under_inclusion_rejected(self):
-        from repro.common.config import LLCDesign
+        from repro.common.config import DirCachingPolicy, LLCDesign
         from repro.coherence.entry import DirectoryEntry
         system = build_system(zerodev_config(
             llc_design=LLCDesign.INCLUSIVE))
         entry = DirectoryEntry(5, DirState.ME, owner=0)
         with pytest.raises(ProtocolInvariantError, match="inclusive"):
             system._writeback_entry_to_memory(entry)
+
+        # An inclusive LLC keeps a spilled entry's block resident in the
+        # same set, and both replacement policies age the block out
+        # before its entry: a spilled frame is never the victim, and
+        # the protocol refuses one rather than evict its block.
+        system = build_system(zerodev_config(
+            llc_design=LLCDesign.INCLUSIVE,
+            dir_caching=DirCachingPolicy.SPILL_ALL))
+        drive(system, [(0, "R", 5)])
+        bank = system.bank_of(5)
+        frame = bank.peek_spill(5)
+        bank.remove(frame)
+        with fails_with(ProtocolInvariantError,
+                        "inclusive LLC evicted the spilled entry frame "
+                        "of block 0x5"):
+            system._handle_llc_victim(bank, frame)

@@ -10,18 +10,22 @@ statistics match their pinned digest.
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from repro.caches.block import LineKind, MESI
+from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCDesign, LLCReplacement,
                                  Protocol)
 from repro.common.messages import MessageType
 from repro.common.stats import SystemStats
 from repro.harness.system_builder import build_system
+from repro.multisocket import MultiSocketSystem
+from repro.obs import EventBus, EventKind, RingBufferSink, attach
 
-from tests.conftest import drive, tiny_config, zerodev_config
+from tests.conftest import OPS, drive, tiny_config, zerodev_config
 
 MIXED_SCRIPT = [(c, "RWI"[(k + c) % 3], (5 * k + 11 * c) % 120)
                 for k in range(150) for c in range(4)]
@@ -78,12 +82,64 @@ def drive_pinned(system, key, notice_phase: bool = False) -> None:
     assert stats_digest(stats) == STATS_PINS[key], key
 
 
+def drive_sockets(system, script) -> None:
+    """Issue every step of ``script`` on each socket in turn (same
+    core, same block), so every block the script touches is shared
+    across sockets; then check the whole system."""
+    for core, op, block in script:
+        address = block << BLOCK_SHIFT
+        for socket in system.sockets:
+            socket.access(core, OPS[op], address)
+    system.check_invariants()
+
+
+def traced(system) -> RingBufferSink:
+    """Attach a bus to ``system`` with one ring that keeps every event."""
+    ring = RingBufferSink(capacity=1 << 20)
+    bus = EventBus()
+    bus.subscribe(ring)
+    attach(system, bus)
+    return ring
+
+
+def check_two_sockets_pinned(policy: DirCachingPolicy) -> None:
+    """Drive both scripts on each socket of a 2-socket inclusive
+    ZeroDEV system, counting entry-frame evictions and their DRAM
+    write-backs by frame kind, and compare each socket's statistics
+    with its pin.  This is the one shape where a fused-frame eviction
+    writes its dirty block home through the socket layer (SpillAll
+    never fuses); a spilled frame is never evicted."""
+    system = MultiSocketSystem(zerodev_config(
+        dir_caching=policy, llc_design=LLCDesign.INCLUSIVE), n_sockets=2)
+    evicted, written_back = Counter(), Counter()
+    for socket in system.sockets:
+        def counting(bank, victim, socket=socket,
+                     evict=socket._entry_frame_evicted):
+            before = socket.stats.llc_writebacks_to_dram
+            evict(bank, victim)
+            evicted[victim.kind] += 1
+            written_back[victim.kind] += (
+                socket.stats.llc_writebacks_to_dram - before)
+        socket._entry_frame_evicted = counting
+    drive_sockets(system, MIXED_SCRIPT)
+    drive_sockets(system, PRESSURE_SCRIPT)
+    assert evicted[LineKind.SPILLED] == 0
+    if policy is not DirCachingPolicy.SPILL_ALL:
+        assert written_back[LineKind.FUSED] > 0
+    digests = tuple(stats_digest(stats) for stats in system.stats)
+    assert digests == STATS_PINS[("2-socket", policy.name)]
+
+
 #: Statistics digests after MIXED_SCRIPT + PRESSURE_SCRIPT (and, for the
-#: baseline and SecDir/MgD, NOTICE_SCRIPT), keyed by the
+#: baseline, SecDir/MgD, DLS and hybrid, NOTICE_SCRIPT), keyed by the
 #: parametrization: ZeroDEV (policy, LLC design, directory ratio), the
 #: cramped ZeroDEV LLC by replacement, the baseline (LLC design, ratio),
-#: and SecDir/MgD by protocol.  A change that moves one changed what the
-#: protocol does, not only how fast.
+#: SecDir/MgD/DLS by protocol, hybrid (LLC design, ratio), and the
+#: 2-socket inclusive ZeroDEV system by policy (one digest per socket,
+#: both scripts issued on each socket by ``drive_sockets``).  A change
+#: that moves one changed what the protocol does, not only how fast.
+#: The hybrid and DLS run in the baseline design rows, the 2-socket
+#: system in the inclusive no-directory ZeroDEV rows.
 STATS_PINS = {
     ("SPILL_ALL", "NON_INCLUSIVE", None): "895d8bb44aae231f",
     ("SPILL_ALL", "NON_INCLUSIVE", 0.125): "249f116eb53d1369",
@@ -113,7 +169,24 @@ STATS_PINS = {
     ("baseline", "INCLUSIVE", 0.125): "1f173f6ba0ad4fd4",
     "SECDIR": "2af294b646637d58",
     "MGD": "6d0378ec180e1dc6",
+    "DLS": "511bb0a633c5a5eb",
+    ("HYBRID", "NON_INCLUSIVE", 1.0): "d8d0cba35ae9d1ef",
+    ("HYBRID", "NON_INCLUSIVE", 0.25): "856bb68d9ce4a634",
+    ("HYBRID", "EPD", 1.0): "02c056a08c271525",
+    ("HYBRID", "EPD", 0.25): "9d2f1a4870e9369a",
+    ("HYBRID", "INCLUSIVE", 1.0): "75f4ef2afcb6b7ea",
+    ("HYBRID", "INCLUSIVE", 0.25): "2ac420acdc88e5a8",
+    ("2-socket", "SPILL_ALL"): ("bf08bc98b26aea52",
+                                "91664c09d54f94ba"),
+    ("2-socket", "FPSS"): ("57a3a1a0a4b92da2", "96e1eee6887988e4"),
+    ("2-socket", "FUSE_ALL"): ("ecc68998f6ab73b2",
+                               "4079aa1a799609a3"),
 }
+
+#: The hybrid's directory ratio in each baseline row: on these scripts
+#: a hybrid at the baseline's 1/8x directory has exactly the baseline's
+#: statistics, so the small row runs it at 1/4x.
+HYBRID_RATIO = {1.0: 1.0, 0.125: 0.25}
 
 
 class TestZeroDevMatrix:
@@ -124,10 +197,25 @@ class TestZeroDevMatrix:
         system = build_system(zerodev_config(
             dir_caching=policy, llc_design=design,
             directory=DirectoryConfig(ratio=ratio)))
+        ring = traced(system) if design is LLCDesign.INCLUSIVE else None
         drive_pinned(system, (policy.name, design.name, ratio))
         assert system.stats.dev_invalidations == 0
         if design is LLCDesign.INCLUSIVE:
             assert system.stats.wb_de_messages == 0
+            # Section III-F: the LLC evicts a fused frame as its block,
+            # and its private copies die as inclusion victims.  Their
+            # INV and INV_ACK go through the mesh like every other
+            # on-chip message, so the traced run emits one MSG event
+            # per recorded message.
+            assert ring.total_seen < ring.capacity      # every event kept
+            sent = Counter(event.cause for event in ring.events
+                           if event.kind is EventKind.MSG)
+            messages = system.stats.messages
+            assert messages[MessageType.INV] > 0
+            assert sent == {kind.name: count
+                            for kind, count in messages.items()}
+            if ratio is None:
+                check_two_sockets_pinned(policy)
         if design is LLCDesign.EPD:
             assert system.stats.entries_fused == 0
 
@@ -149,6 +237,22 @@ class TestBaselineMatrix:
             llc_design=design, directory=DirectoryConfig(ratio=ratio)))
         drive_pinned(system, ("baseline", design.name, ratio),
                      notice_phase=True)
+        hybrid_ratio = HYBRID_RATIO[ratio]
+        system = build_system(tiny_config(
+            protocol=Protocol.HYBRID, llc_design=design,
+            directory=DirectoryConfig(ratio=hybrid_ratio)))
+        drive_pinned(system, ("HYBRID", design.name, hybrid_ratio),
+                     notice_phase=True)
+        if design is LLCDesign.INCLUSIVE and ratio == 1.0:
+            # The only DLS shape: no directory, an inclusive LLC.  On
+            # these scripts its statistics equal this row's baseline,
+            # whose 1x directory makes no DEV: inclusion victims are
+            # either design's only loss.
+            system = build_system(tiny_config(
+                protocol=Protocol.DLS,
+                directory=DirectoryConfig(ratio=None),
+                llc_design=LLCDesign.INCLUSIVE))
+            drive_pinned(system, "DLS", notice_phase=True)
 
     @pytest.mark.parametrize("protocol",
                              [Protocol.SECDIR, Protocol.MGD])

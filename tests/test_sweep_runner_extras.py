@@ -12,6 +12,7 @@ from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
+from repro.workloads.trace import CoreTrace, Workload
 
 from tests.conftest import tiny_config
 
@@ -55,6 +56,20 @@ class TestWarmup:
         with pytest.raises(ValueError):
             run_workload(build_system(tiny_config()), small_workload(),
                          warmup=10_000)
+
+        # Nothing to warm up and nothing to run is a zero-access result;
+        # only a positive warm-up that is not shorter than the workload
+        # is refused.
+        idle = [CoreTrace.from_events(core, []) for core in range(4)]
+        for kernel in ("scalar", "batched"):
+            for workload in (Workload("empty", []), Workload("idle", idle)):
+                result = run_workload(
+                    build_system(tiny_config(kernel=kernel)), workload)
+                assert result.stats.total_accesses == 0, kernel
+                assert result.stats.total_cycles == 0, kernel
+                with pytest.raises(ValueError, match="warm-up longer"):
+                    run_workload(build_system(tiny_config(kernel=kernel)),
+                                 workload, warmup=1)
 
     def test_stats_reset_in_place(self):
         system = build_system(tiny_config())
