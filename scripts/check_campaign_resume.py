@@ -7,7 +7,7 @@ waits for the journal to accumulate some committed runs, kills the
 campaign with SIGKILL (no cleanup, like an OOM kill or a pre-empted CI
 runner), then re-runs the identical command to completion.
 
-The clean leg's second invocation must
+The clean leg's last invocation must
 
 * exit 0 with a clean verdict,
 * report resumed runs (so the journal really was consulted), and
@@ -15,8 +15,15 @@ The clean leg's second invocation must
   self-contained page (no URL, script, stylesheet link or import) that
   says the campaign is healthy.
 
-The fault leg does the same to a ``--inject force-denf-nack`` campaign,
-whose verdict depends on whether the fault fired in each run.  That
+Before it, the clean leg also tears the journal's tail (a record cut
+short, as a writer killed mid-append leaves it), resumes, and kills the
+campaign a second time.  The last invocation must replay every run
+committed before the second kill, including those the torn session
+appended after the torn line, and print the report of an
+uninterrupted run.
+
+The fault leg kills and resumes a ``--inject force-denf-nack`` campaign
+once; its verdict depends on whether the fault fired in each run.  That
 flag travels in each journaled outcome, so the resumed campaign's
 ``injected ...: fired in N runs, detected in N, contract ok`` line must
 equal the line of an uninterrupted run.
@@ -58,7 +65,14 @@ def fuzz_argv(seed: int, budget: int, *extra: str) -> list:
             "--jobs", "2", "--no-shrink", "--retries", "1", *extra]
 
 
+#: A ``run_ok`` record cut short, as a writer SIGKILLed mid-append
+#: leaves it.
+TORN_RECORD = '{"kind": "run_ok", "key": "torn", "payload": "gASV'
+
+
 def committed_runs(journal: Path) -> int:
+    """The journal's ``run_ok`` records, wherever they are: a damaged
+    line is skipped, not taken for the end."""
     if not journal.exists():
         return 0
     count = 0
@@ -67,9 +81,18 @@ def committed_runs(journal: Path) -> int:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                break
-            count += record.get("kind") == "run_ok"
+                continue
+            count += (isinstance(record, dict)
+                      and record.get("kind") == "run_ok")
     return count
+
+
+def verdict(stdout: str) -> list:
+    """A fuzz report without its ``campaign:`` line (resumed and
+    retried runs differ between an interrupted and an uninterrupted
+    campaign; nothing else may)."""
+    return [line for line in stdout.splitlines()
+            if not line.strip().startswith("campaign:")]
 
 
 #: Substrings that would make a rendered report depend on anything
@@ -101,53 +124,73 @@ def check_html_report(journal: Path) -> str:
     return ""
 
 
-def kill_and_resume(argv: list, journal: Path) -> tuple:
-    """Run ``argv --resume journal``, SIGKILL it after a few committed
-    runs and run it again to completion: ``(runs committed at the kill,
-    the resumed run's stdout)``."""
-    argv = argv + ["--resume", str(journal)]
-    victim = subprocess.Popen(argv)
+def kill_after(argv: list, journal: Path, runs: int) -> int:
+    """Run ``argv --resume journal`` and SIGKILL it once the journal
+    holds ``runs`` committed runs; returns the runs committed at the
+    kill."""
+    victim = subprocess.Popen(argv + ["--resume", str(journal)])
     deadline = time.monotonic() + 300.0
-    while committed_runs(journal) < 4:
+    while committed_runs(journal) < runs:
         if victim.poll() is not None:
             raise Failure("campaign finished before it could be killed; "
                           "raise its budget")
         if time.monotonic() > deadline:
             victim.kill()
             raise Failure("no committed runs within the deadline")
-        time.sleep(0.1)
+        time.sleep(0.02)
     os.kill(victim.pid, signal.SIGKILL)
     victim.wait()
     survived = committed_runs(journal)
     print(f"killed campaign after {survived} committed runs")
+    return survived
 
-    result = subprocess.run(argv, capture_output=True, text=True,
-                            timeout=600)
+
+def resume(argv: list, journal: Path) -> str:
+    """Run ``argv --resume journal`` to completion; its stdout."""
+    result = subprocess.run(argv + ["--resume", str(journal)],
+                            capture_output=True, text=True, timeout=600)
     sys.stdout.write(result.stdout)
     sys.stderr.write(result.stderr)
     if result.returncode != 0:
         raise Failure(f"resumed campaign exited {result.returncode}")
     if "runs resumed from journal" not in result.stdout:
         raise Failure("resumed campaign did not replay the journal")
-    return survived, result.stdout
+    return result.stdout
 
 
 def clean_leg(scratch: Path) -> str:
     from repro.verify.models import model_matrix
 
     expected_runs = BUDGET * len(model_matrix())
+    argv = fuzz_argv(SEED, BUDGET)
+    reference = subprocess.run(argv, capture_output=True, text=True,
+                               timeout=600)
+    if reference.returncode != 0:
+        raise Failure(f"uninterrupted campaign failed:\n"
+                      f"{reference.stdout}{reference.stderr}")
     journal = scratch / "fuzz.jsonl"
-    survived, stdout = kill_and_resume(fuzz_argv(SEED, BUDGET), journal)
+    survived = kill_after(argv, journal, 4)
+    with journal.open("a", encoding="utf-8") as handle:
+        handle.write(TORN_RECORD)
+    committed = kill_after(argv, journal, survived + 4)
+    stdout = resume(argv, journal)
+    if f"{committed} runs resumed from journal" not in stdout:
+        raise Failure(f"resumed campaign did not replay the {committed} "
+                      "runs committed before the second kill")
+    if verdict(stdout) != verdict(reference.stdout):
+        raise Failure("resumed campaign's report differs from an "
+                      "uninterrupted run's:\n" + reference.stdout)
     if f"{expected_runs} runs" not in stdout:
         raise Failure(f"expected {expected_runs} total runs in the "
                       "resumed report")
     if committed_runs(journal) != expected_runs:
-        raise Failure("journal does not hold every run")
+        raise Failure("journal does not hold every run exactly once")
     problem = check_html_report(journal)
     if problem:
         raise Failure(problem)
-    return (f"campaign killed at {survived}/{expected_runs} runs, resumed "
-            "to a clean finish with a self-contained HTML report")
+    return (f"campaign killed at {survived}/{expected_runs} runs, its "
+            f"journal torn, killed again at {committed}, resumed to the "
+            "uninterrupted verdict with a self-contained HTML report")
 
 
 def injected_line(stdout: str) -> str:
@@ -164,8 +207,9 @@ def fault_leg(scratch: Path) -> str:
     if reference.returncode != 0 or not expected.endswith("contract ok"):
         raise Failure(f"uninterrupted {FAULT} campaign failed:\n"
                       f"{reference.stdout}{reference.stderr}")
-    survived, stdout = kill_and_resume(argv, scratch / "fault.jsonl")
-    resumed = injected_line(stdout)
+    journal = scratch / "fault.jsonl"
+    survived = kill_after(argv, journal, 4)
+    resumed = injected_line(resume(argv, journal))
     if resumed != expected:
         raise Failure(f"resumed {FAULT} campaign reports {resumed!r}; "
                       f"uninterrupted: {expected!r}")

@@ -22,7 +22,10 @@ tracked block so the generic protocol machinery applies unchanged; *region
 coverage* determines whether a view occupies directory capacity (covered
 views ride on their region entry).  A covered view never changes state in
 place: another core's access demotes its region before the transaction
-touches the entry, and the owner never misses on a block it owns.
+touches the entry, and the owner never misses on a block it owns.  An
+inclusive LLC's eviction of a covered block touches no other block of
+the region, so it kills the owner's copy and frees the view without
+demoting the region, whichever core's fill evicted the line.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.caches.block import MESI
+from repro.caches.block import LLCLine, MESI
 from repro.caches.llc import LLCBank
 from repro.coherence.entry import DirectoryEntry, DirState
 from repro.coherence.protocol import CMPSystem
@@ -120,6 +123,15 @@ class MgDSystem(CMPSystem):
             return super().access(core, op, address)
         finally:
             self._requester = None
+
+    def _back_invalidate(self, bank: LLCBank, victim: LLCLine) -> None:
+        # The fill that evicted ``victim`` is no access to its region:
+        # look its entry up as no core's.
+        requester, self._requester = self._requester, None
+        try:
+            super()._back_invalidate(bank, victim)
+        finally:
+            self._requester = requester
 
     # ------------------------------------------------------------------
     def _find_entry(self, block: int

@@ -18,6 +18,12 @@ one call that does its own dict work.  Private *hits* retire inside
 one reader outside this module on the simulation path (DESIGN.md
 section 8).  There are no aliases: every attribute is pickled into
 each model-checker snapshot.
+
+The batched kernel's shrink journal (``epoch``, ``shrink_log``) is
+kept only while a ``SlotKernel`` drives the hierarchy: ``shrink_log``
+is None until the kernel gives it a list, so a scalar run, the model
+checker and the fuzz oracle hold no per-run record that grows with
+the number of invalidations and L2 victims (DESIGN.md section 11).
 """
 
 from __future__ import annotations
@@ -62,19 +68,21 @@ class PrivateHierarchy:
         self.l1d_sets: List["OrderedDict[int, None]"] = _lru_sets(l1d)
         self.l1d_mask = l1d.sets - 1
         self.l1d_ways = l1d.ways
-        #: Safety-shrink journal for the batched kernel (repro.kernel):
-        #: ``epoch`` is bumped and the affected block appended to
-        #: ``shrink_log`` by every mutation that can make a previously
-        #: safe hit unsafe (invalidation, downgrade, re-state to S, and
-        #: the L2 *victim* of a fill).  Mutations that only extend
-        #: safety -- the fill itself, the upgrade grant to E, the
-        #: silent E->M of a store hit -- deliberately do not, because
-        #: the kernel's cached classification is allowed to
-        #: under-approximate (an unclassified hit just takes the scalar
-        #: hit path).  The kernel is the journal's single consumer and
-        #: clears it as it reconciles.
+        #: Safety-shrink journal for the batched kernel (repro.kernel),
+        #: recorded only once a ``SlotKernel`` has set ``shrink_log`` to
+        #: a list (None: nobody reads it, nothing is recorded).  While
+        #: it is a list, ``epoch`` is bumped and the affected block
+        #: appended by every mutation that can make a previously safe
+        #: hit unsafe (invalidation, downgrade, re-state to S, and the
+        #: L2 *victim* of a fill).  Mutations that only extend safety
+        #: -- the fill itself, the upgrade grant to E, the silent E->M
+        #: of a store hit -- deliberately do not, because the kernel's
+        #: cached classification is allowed to under-approximate (an
+        #: unclassified hit just takes the scalar hit path).  The
+        #: kernel is the journal's single consumer and clears it as it
+        #: reconciles.
         self.epoch = 0
-        self.shrink_log: List[int] = []
+        self.shrink_log: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -151,8 +159,9 @@ class PrivateHierarchy:
         if len(lru_set) >= self.l2_ways:
             victim_block, victim = lru_set.popitem(last=False)
             del l2_index[victim_block]
-            self.epoch += 1
-            self.shrink_log.append(victim_block)
+            if self.shrink_log is not None:
+                self.epoch += 1
+                self.shrink_log.append(victim_block)
             # Inclusion: the victim's L1 copies go silently.
             self.l1i_sets[victim_block & self.l1i_mask].pop(victim_block,
                                                             None)
@@ -181,8 +190,9 @@ class PrivateHierarchy:
         the copy die (``dev`` / ``getx`` / ``inclusion`` / ``socket`` --
         see :class:`repro.obs.events.InvCause`).
         """
-        self.epoch += 1
-        self.shrink_log.append(block)
+        if self.shrink_log is not None:
+            self.epoch += 1
+            self.shrink_log.append(block)
         self.l1i_sets[block & self.l1i_mask].pop(block, None)
         self.l1d_sets[block & self.l1d_mask].pop(block, None)
         line = self.l2_index.pop(block, None)
@@ -200,8 +210,9 @@ class PrivateHierarchy:
             raise ProtocolInvariantError(
                 f"core {self.core} asked to downgrade block {block:#x} "
                 f"it does not own")
-        self.epoch += 1
-        self.shrink_log.append(block)
+        if self.shrink_log is not None:
+            self.epoch += 1
+            self.shrink_log.append(block)
         line.state = _S
         line.dirty = False
         return line
@@ -229,7 +240,7 @@ class PrivateHierarchy:
         if line is None:
             raise ProtocolInvariantError(
                 f"core {self.core} has no block {block:#x} to re-state")
-        if state is _S:
+        if state is _S and self.shrink_log is not None:
             # Losing ownership shrinks store safety; gaining it (the
             # upgrade grant to E) only extends safety and needs no
             # journal entry.

@@ -197,7 +197,10 @@ class CampaignJournal:
     payload), flushed and fsynced before the commit is acknowledged;
     retry/timeout/worker-death/resume-skip notes ride along as
     event-style records. A torn trailing line (the writer died
-    mid-append) is ignored on load, so a journal is always resumable.
+    mid-append) is cut on open, so the next record starts a line of
+    its own and a journal is always resumable; any other line that is
+    not a JSON object is skipped and counted in ``damaged``, and every
+    record after it still loads.
     """
 
     def __init__(self, path) -> None:
@@ -206,33 +209,45 @@ class CampaignJournal:
         self.meta: Dict[str, Any] = {}
         self._committed: Dict[str, Any] = {}
         self.counts: Dict[str, int] = {}
+        #: Lines skipped on load because they hold no JSON object.
+        self.damaged = 0
         if self.path.exists():
             self._load()
         self._handle = self.path.open("a", encoding="utf-8")
 
     # -- loading -------------------------------------------------------
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        data = self.path.read_bytes()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            # A torn tail: an append the writer never finished, so no
+            # commit it held was acknowledged.  Appending after it would
+            # glue the next record onto it.
+            with self.path.open("r+b") as handle:
+                handle.truncate(whole)
+        for line in data[:whole].split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if not isinstance(record, dict):
+                self.damaged += 1
+                continue
+            kind = record.get("kind")
+            if kind == "meta":
+                self.meta.update(record)
+                continue
+            self.counts[kind] = self.counts.get(kind, 0) + 1
+            if kind == "run_ok":
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break               # torn tail: ignore, stay resumable
-                kind = record.get("kind")
-                if kind == "meta":
-                    self.meta.update(record)
-                    continue
-                self.counts[kind] = self.counts.get(kind, 0) + 1
-                if kind == "run_ok":
-                    try:
-                        payload = pickle.loads(base64.b64decode(
-                            record["payload"]))
-                    except Exception:   # noqa: BLE001 - damaged record
-                        continue        # treat as uncommitted
-                    self._committed[record["key"]] = payload
+                    key = record["key"]
+                    payload = pickle.loads(base64.b64decode(
+                        record["payload"]))
+                except Exception:       # noqa: BLE001 - damaged record
+                    continue            # treat as uncommitted
+                self._committed[key] = payload
 
     # -- identity ------------------------------------------------------
     def ensure_meta(self, **meta) -> None:

@@ -13,8 +13,11 @@ advances the issuing core's clock, popping the heap minimum selects
 exactly the core the previous O(n_cores) linear scan selected (ties break
 toward the lower core index in both), at O(log n) per access.  Between
 warm-up, check and sample boundaries the loop calls each slot's
-``access`` straight from its decoded streams; private hits retire
-inside ``CMPSystem.access``.  ``kernel="batched"`` hands the run to
+``access`` straight from its decoded references; private hits retire
+inside ``CMPSystem.access``.  A slot decodes its trace :data:`CHUNK`
+references at a time, when the previous chunk runs out, so what a run
+holds besides the traces themselves does not grow with their length.
+``kernel="batched"`` hands the run to
 :func:`repro.kernel.drive_batched` instead.
 """
 
@@ -28,6 +31,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.coherence.protocol import CMPSystem
+from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import resolve_kernel
 from repro.common.stats import SystemStats
 from repro.workloads.trace import OP_BY_CODE, Workload
@@ -68,17 +72,12 @@ class RunResult:
 #: trace's code array maps every op in C.
 _OPS = np.array(OP_BY_CODE, dtype=object)
 
-
-def _decode_traces(traces):
-    """Pre-decode op enums and convert addresses to Python ints.
-
-    The per-access ``OP_BY_CODE[...]``/``int(np.int64)`` conversions are
-    hoisted out of the hot loop: the op lookup is one NumPy take and
-    ``tolist()`` converts each array once, both in C.
-    """
-    ops = [_OPS[trace.ops].tolist() for trace in traces]
-    addresses = [trace.addresses.tolist() for trace in traces]
-    return ops, addresses
+#: References a slot decodes at a time.  A chunk is one NumPy take of
+#: the op enums and two ``tolist()`` calls, all in C; decoding the next
+#: one costs the scheduling loop one call per chunk, and holding one
+#: chunk per slot instead of its whole trace keeps a run's memory
+#: independent of its length.
+CHUNK = 1024
 
 
 def _drive_interleaved(slots: List[tuple],
@@ -91,18 +90,43 @@ def _drive_interleaved(slots: List[tuple],
                        obs=None) -> int:
     """Issue every slot's references in global simulated-time order.
 
-    Each slot is ``(access, core, stats, ops, addresses)``: its i-th
-    reference is ``access(core, ops[i], addresses[i])``, after which
-    its local clock is ``stats.cycles[core]``.  Between warm-up, check
-    and sample boundaries the loop calls ``access`` straight from the
-    streams, advancing ``obs.step`` first when a bus is given (every
-    event then carries its global access index).  Returns the number
-    of accesses issued.
+    Each slot is ``(access, core, stats, ops, addresses)``, with the op
+    codes and byte addresses of its trace as two arrays of one length:
+    its i-th reference is ``access(core, OP_BY_CODE[ops[i]],
+    int(addresses[i]))``, after which its local clock is
+    ``stats.cycles[core]``.  References are decoded :data:`CHUNK` at a
+    time, the next chunk when the last one runs out.  Between warm-up,
+    check and sample boundaries the loop calls ``access`` straight
+    from the decoded chunks, advancing ``obs.step`` first when a bus
+    is given (every event then carries its global access index).
+    Returns the number of accesses issued.
     """
     n = len(slots)
     lengths = [len(slot[3]) for slot in slots]
+    # Per slot: its decoded chunk as ``(access, core, stats, ops,
+    # addresses)``, the chunk index of its next reference, the chunk's
+    # length, and the trace index the following chunk starts at.
+    chunks: List[Optional[tuple]] = [None] * n
     positions = [0] * n
-    heap = [(0, slot) for slot in range(n) if lengths[slot]]
+    ends = [0] * n
+    starts = [0] * n
+
+    def decode(slot: int) -> bool:
+        """Load ``slot``'s next chunk; False once its trace is done."""
+        start = starts[slot]
+        if start >= lengths[slot]:
+            return False
+        access, core, stats, codes, addresses = slots[slot]
+        stop = start + CHUNK
+        ops = _OPS[codes[start:stop]].tolist()
+        chunks[slot] = (access, core, stats, ops,
+                        addresses[start:stop].tolist())
+        positions[slot] = 0
+        ends[slot] = len(ops)
+        starts[slot] = stop
+        return True
+
+    heap = [(0, slot) for slot in range(n) if decode(slot)]
     heapq.heapify(heap)
     heapreplace = heapq.heapreplace
     heappop = heapq.heappop
@@ -120,14 +144,14 @@ def _drive_interleaved(slots: List[tuple],
             stop = min(stop, step - step % sample_every + sample_every)
         for _ in range(stop - step):
             slot = heap[0][1]
-            access, core, stats, ops, addresses = slots[slot]
+            access, core, stats, ops, addresses = chunks[slot]
             index = positions[slot]
             if obs is not None:
                 obs.step += 1
             access(core, ops[index], addresses[index])
             index += 1
             positions[slot] = index
-            if index < lengths[slot]:
+            if index < ends[slot] or decode(slot):
                 heapreplace(heap, (stats.cycles[core], slot))
             else:
                 heappop(heap)
@@ -141,7 +165,7 @@ def _drive_interleaved(slots: List[tuple],
                 on_warmup()
             # All local clocks restart at zero after the ROI boundary.
             heap = [(0, slot) for slot in range(n)
-                    if positions[slot] < lengths[slot]]
+                    if positions[slot] < ends[slot]]
             heapq.heapify(heap)
     return step
 
@@ -163,9 +187,10 @@ def run_workload(system, workload: Workload,
     directory-occupancy measurement of Figure 5; ``warmup`` executes
     that many accesses to warm the caches and then resets every
     socket's statistics (the region-of-interest boundary); ``profiler``
-    (a :class:`repro.obs.PhaseProfiler`) times the decode / drive /
-    final-check phases.  The result's ``stats`` is ``system.stats``: a
-    per-socket list on a multi-socket system.
+    (a :class:`repro.obs.PhaseProfiler`) times the drive (traces are
+    decoded inside it, a chunk at a time) and final-check phases.  The
+    result's ``stats`` is ``system.stats``: a per-socket list on a
+    multi-socket system.
     """
     sockets = system.sockets
     per_socket = system.config.n_cores
@@ -178,11 +203,6 @@ def run_workload(system, workload: Workload,
     if warmup > 0 and warmup >= sum(lengths):
         raise ValueError("warm-up longer than the workload")
     started = perf_counter()
-    if profiler is not None:
-        with profiler.phase("decode"):
-            ops, addresses = _decode_traces(traces)
-    else:
-        ops, addresses = _decode_traces(traces)
     homes = [(sockets[slot // per_socket], slot % per_socket)
              for slot in range(n)]
     obs = system.obs
@@ -203,27 +223,31 @@ def run_workload(system, workload: Workload,
         if kernel == "batched":
             from repro.kernel import SlotKernel, drive_batched
 
-            def issue(slot: int, index: int) -> int:
-                if obs is not None:
-                    obs.step += 1
-                socket, core = homes[slot]
-                socket.access(core, ops[slot][index],
-                              addresses[slot][index])
-                return socket.stats.cycles[core]
-
             slots = [SlotKernel(core, socket.cores[core], socket.stats,
                                 socket.shadow, system.config.latency,
                                 trace.ops, trace.addresses)
                      for (socket, core), trace in zip(homes, traces)]
+
+            def issue(slot: int, index: int) -> int:
+                # From the kernel's own decode: ``access`` reads only
+                # the address's block.
+                if obs is not None:
+                    obs.step += 1
+                socket, core = homes[slot]
+                decoded = slots[slot]
+                socket.access(core, OP_BY_CODE[decoded.ops[index]],
+                              decoded.blocks[index] << BLOCK_SHIFT)
+                return socket.stats.cycles[core]
+
             drive_batched(slots, issue,
                           check=system.check_invariants,
                           check_every=check_invariants_every,
                           warmup=warmup, on_warmup=reset_stats, obs=obs)
             return
         _drive_interleaved(
-            [(socket.access, core, socket.stats, ops[slot],
-              addresses[slot])
-             for slot, (socket, core) in enumerate(homes)],
+            [(socket.access, core, socket.stats, trace.ops,
+              trace.addresses)
+             for (socket, core), trace in zip(homes, traces)],
             check=system.check_invariants,
             check_every=check_invariants_every,
             sample=(None if sample_fn is None

@@ -59,7 +59,10 @@ nature (see :func:`repro.harness.runner.run_workload`).
 
 Classification staleness is tracked with an epoch counter plus a
 **shrink journal** on
-:class:`~repro.caches.private_cache.PrivateHierarchy`: every mutation
+:class:`~repro.caches.private_cache.PrivateHierarchy`, which a
+hierarchy records only from the moment a :class:`SlotKernel` is built
+over it (``shrink_log`` starts as None; the kernel's list switches the
+journal on for good): every mutation
 that can turn a previously safe hit unsafe (invalidation, downgrade,
 re-state to S, the L2 victim of a fill) bumps the epoch and records the
 affected block -- including mutations triggered by *other* cores'
@@ -157,6 +160,11 @@ class SlotKernel:
         self.core = core
         self.hier = hier
         self.stats = stats
+        # Switch the hierarchy's shrink journal on.  This kernel starts
+        # unclassified (``_cls_epoch`` -1), so mutations made before the
+        # journal existed cannot leave a stale prefix behind.
+        if hier.shrink_log is None:
+            hier.shrink_log = []
         self.ops = np.asarray(ops, dtype=np.int8).tolist()
         self.blocks = (np.asarray(addresses, dtype=np.int64)
                        >> BLOCK_SHIFT).tolist()

@@ -1,10 +1,11 @@
 """Wall-clock phase profiling for the runner.
 
 :class:`PhaseProfiler` accumulates wall seconds per named phase; the
-runner brackets its phases (trace decode, drive loop, final invariant
-sweep) with :meth:`phase` when a profiler is passed in.  The disabled
-path costs nothing: ``run_workload`` only enters the context managers
-when a profiler is supplied.
+runner brackets its phases (the drive loop, which decodes the traces a
+chunk at a time, and the final invariant sweep) with :meth:`phase` when
+a profiler is passed in.  The disabled path costs nothing:
+``run_workload`` only enters the context managers when a profiler is
+supplied.
 """
 
 from __future__ import annotations

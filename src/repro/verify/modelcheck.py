@@ -473,7 +473,6 @@ class _ExpandContext:
     issue: Callable
     check: Callable
     canonical: Callable
-    trim: Callable
     #: Snapshots a new state; None on the last level, whose new states
     #: are only counted and deduped, never expanded.
     snapshot: Optional[Callable]
@@ -541,12 +540,9 @@ def _expand_partition(ctx: _ExpandContext,
                         records.append((_REC_DUP,))
                     else:
                         local_new.add(key)
-                        if ctx.snapshot is None:
-                            records.append((_REC_NEW, key, None))
-                        else:
-                            ctx.trim(system)
-                            records.append((_REC_NEW, key,
-                                            ctx.snapshot(system)))
+                        records.append((_REC_NEW, key,
+                                        None if ctx.snapshot is None
+                                        else ctx.snapshot(system)))
                         stop = len(local_new) >= ctx.candidate_budget
                 if discard is not None:
                     discard(system)
@@ -578,7 +574,6 @@ def _explore_frontier(report: ModelCheckReport,
                       issue: Callable[[object, tuple], None],
                       check: Callable[[object], None],
                       canonical: Callable[[object], bytes],
-                      trim: Callable[[object], None],
                       shared: Callable[[object], Iterable],
                       alphabet: Sequence[tuple], depth: int,
                       max_states: int, budget_s: Optional[float],
@@ -623,7 +618,6 @@ def _explore_frontier(report: ModelCheckReport,
             bus.step = 0
             bus.emit(EventKind.MC_CEX, cause=type(error).__name__)
         return finish()
-    trim(root)
     seen = {canonical(root)}
     report.unique_states = 1
     snapshots = _Snapshots(root, shared(root))
@@ -637,7 +631,7 @@ def _explore_frontier(report: ModelCheckReport,
         parts = _partition(frontier, jobs)
         last = level == depth
         ctx = _ExpandContext(
-            issue=issue, check=check, canonical=canonical, trim=trim,
+            issue=issue, check=check, canonical=canonical,
             snapshot=None if last else snapshots.dump,
             alphabet=alphabet, seen=seen, deadline=deadline,
             candidate_budget=max(1, max_states - report.unique_states),
@@ -778,19 +772,6 @@ def _spec_canonical(spec: ModelSpec, group=()):
     return canonical
 
 
-def _trim_journals(system) -> None:
-    """Empty each core's shrink journal before a state is snapshotted.
-
-    The journal is a kernel-sync aid that grows with every
-    invalidation; modelcheck runs the scalar access path only, so
-    dropping it keeps snapshots O(state), not O(path).  Nothing else is
-    stripped: what no transition changes is pickled by reference
-    instead (:class:`_Snapshots`, :func:`_latency_parts`)."""
-    for socket in system.sockets:
-        for hier in socket.cores:
-            hier.shrink_log.clear()
-
-
 def _latency_parts(root) -> list:
     """What :func:`explore_model` snapshots share besides the config
     tree: each socket's stats, mesh and DRAM model.  They are
@@ -869,7 +850,7 @@ def explore_model(spec: ModelSpec, depth: int,
     return _explore_frontier(
         report, build, _spec_issue(spec),
         functools.partial(check_step, spec),
-        _spec_canonical(spec, group), _trim_journals, _latency_parts,
+        _spec_canonical(spec, group), _latency_parts,
         alphabet, depth, max_states, budget_s,
         bus=bus, jobs=jobs, discard=_spec_discard(spec))
 

@@ -264,8 +264,28 @@ class TestJournal:
                                     keys=["a", "b", "c"],
                                     journal=journal)
         assert [o.resumed for o in outcomes] == [True, True, False]
+        # A damaged line between committed records -- a JSON array, a
+        # line that is no JSON, a run_ok record whose payload does not
+        # decode -- is skipped and counted; every record after it still
+        # loads, and the damaged run_ok simply re-runs.
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        bad_ok = '{"kind": "run_ok", "key": "d", "payload": "%%"}\n'
+        path.write_text("".join(lines[:1] + ["[1, 2]\n", "{not json\n"]
+                                + lines[1:2] + [bad_ok] + lines[2:]),
+                        encoding="utf-8")
+        with CampaignJournal(path) as journal:
+            assert journal.damaged == 2
+            assert [key in journal for key in "abcd"] == [True] * 3 + [
+                False]
+            outcomes = campaign_map(_identity, [10, 20, 30, 40],
+                                    keys=["a", "b", "c", "d"],
+                                    journal=journal)
+        assert [o.resumed for o in outcomes] == [True, True, True, False]
+        assert [o.value for o in outcomes] == [10, 20, 30, 40]
 
     def test_torn_tail_is_tolerated(self, tmp_path):
+        from repro.obs.report import summarize
+
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
             campaign_map(_identity, [10, 20], keys=["a", "b"],
@@ -275,10 +295,22 @@ class TestJournal:
         with CampaignJournal(path) as journal:
             assert "a" in journal and "b" in journal
             assert "c" not in journal       # torn record = uncommitted
-            outcomes = campaign_map(_identity, [10, 20, 30],
-                                    keys=["a", "b", "c"],
+            outcomes = campaign_map(_identity, [10, 20, 30, 40, 50],
+                                    keys=["a", "b", "c", "d", "e"],
                                     journal=journal)
-        assert [o.resumed for o in outcomes] == [True, True, False]
+        assert [o.resumed for o in outcomes] == [True, True, False,
+                                                 False, False]
+        # What the resumed session committed after the torn line is
+        # there on the next resume: its first record did not land on
+        # the torn line, which is gone.
+        with CampaignJournal(path) as journal:
+            assert len(journal) == 5 and journal.damaged == 0
+            again = campaign_map(_identity, [10, 20, 30, 40, 50],
+                                 keys=["a", "b", "c", "d", "e"],
+                                 journal=journal)
+        assert all(o.resumed for o in again)
+        assert [o.value for o in again] == [10, 20, 30, 40, 50]
+        assert summarize(path)["campaign"]["run_ok"] == 5
 
     def test_ensure_meta_rejects_foreign_campaign(self, tmp_path):
         path = tmp_path / "j.jsonl"

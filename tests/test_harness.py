@@ -26,6 +26,41 @@ class TestRunner:
         assert result.cycles > 0
         assert len(result.per_core_cycles) == 4
 
+        # In memory that does not grow with the run: on a DEV-heavy
+        # socket whose footprint the shorter run already covers, four
+        # times the accesses per core raise the run's peak by less than
+        # a fixed budget.  A whole-trace decode would add about 48
+        # bytes per access (an op reference, an int and its list slot),
+        # and a shrink journal one entry per invalidation and L2
+        # victim.
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.workloads.trace import CoreTrace, Workload
+
+        def peak(per_core):
+            rng = np.random.default_rng(5)
+            workload = Workload("random", [
+                CoreTrace(core, (rng.random(per_core) < 0.3).astype(
+                    np.int8), rng.integers(0, 256, per_core) << 6)
+                for core in range(4)])
+            system = build_system(tiny_config(
+                directory=DirectoryConfig(ratio=0.125)))
+            tracemalloc.start()
+            try:
+                run_workload(system, workload)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert system.stats.dev_invalidations > per_core
+            # No kernel read a journal, so no hierarchy kept one.
+            assert all((hier.shrink_log, hier.epoch) == (None, 0)
+                       for hier in system.cores)
+            return peak
+
+        assert peak(6000) - peak(1500) < 128 * 1024
+
     def test_deterministic(self):
         a = self.run(tiny_config())
         b = self.run(tiny_config())
@@ -70,57 +105,88 @@ class TestWarmupBoundary:
     local clock.
     """
 
-    def test_drive_interleaved_issues_each_access_exactly_once(self):
+    def test_drive_interleaved_issues_each_access_exactly_once(
+            self, monkeypatch):
         from types import SimpleNamespace
 
-        from repro.harness.runner import _drive_interleaved
+        import numpy as np
 
-        lengths = [5, 50, 50]
-        issued = []
-        log = []
-        stats = SimpleNamespace(cycles=[0] * len(lengths))
-        obs = SimpleNamespace(step=0)
+        from repro.harness import runner
+        from repro.workloads.trace import OP_BY_CODE
 
-        def access(slot, op, index):
-            # The bus step already counts this access.
-            assert obs.step == len(issued) + 1
-            issued.append((slot, index))
-            stats.cycles[slot] += 7 + slot     # uneven, deterministic
+        def drive(lengths, check_every, sample_every, warmup):
+            issued = []
+            log = []
+            stats = SimpleNamespace(cycles=[0] * len(lengths))
+            obs = SimpleNamespace(step=0)
 
-        def boundary(name):
-            return lambda: log.append((name, len(issued)))
+            def access(slot, op, address):
+                # The bus step already counts this access, and the
+                # reference arrives decoded: its op enum and its
+                # address as a Python int (here, its trace index).
+                assert obs.step == len(issued) + 1
+                assert type(address) is int
+                assert op is OP_BY_CODE[address % 3]
+                issued.append((slot, address))
+                stats.cycles[slot] += 7 + slot     # uneven, deterministic
 
-        slots = [(access, slot, stats, [None] * length,
-                  list(range(length)))
-                 for slot, length in enumerate(lengths)]
-        steps = _drive_interleaved(slots, check=boundary("check"),
-                                   check_every=10,
-                                   sample=boundary("sample"),
-                                   sample_every=15, warmup=30,
-                                   on_warmup=boundary("warmup"), obs=obs)
-        assert steps == obs.step == sum(lengths)
-        # Exactly once each: no access replayed across the boundary,
-        # none dropped, per-core counts equal the trace lengths.
-        assert len(issued) == len(set(issued)) == sum(lengths)
-        for slot, length in enumerate(lengths):
-            assert [i for s, i in issued if s == slot] == list(
-                range(length))
-        # Every boundary fires once at its step; where they coincide,
-        # the check and the sample see the warm-up's last state.
-        expected = sorted(
-            [("check", k) for k in range(10, 106, 10)]
-            + [("sample", k) for k in range(15, 106, 15)]
-            + [("warmup", 30)],
-            key=lambda event: (event[1],
-                               ("check", "sample", "warmup").index(
-                                   event[0])))
-        assert log == expected
-        # Every slot re-entered the ROI at clock 0: after the boundary
-        # the slot with the smallest clock goes first.
-        assert issued[30][0] == min(
-            slot for slot in range(3)
-            if sum(1 for s, _ in issued[:30] if s == slot)
-            < lengths[slot])
+            def boundary(name):
+                return lambda: log.append((name, len(issued)))
+
+            slots = [(access, slot, stats,
+                      (np.arange(length) % 3).astype(np.int8),
+                      np.arange(length, dtype=np.int64))
+                     for slot, length in enumerate(lengths)]
+            total = sum(lengths)
+            steps = runner._drive_interleaved(
+                slots, check=boundary("check"), check_every=check_every,
+                sample=boundary("sample"), sample_every=sample_every,
+                warmup=warmup, on_warmup=boundary("warmup"), obs=obs)
+            assert steps == obs.step == total
+            # Exactly once each: no access replayed across the warm-up
+            # boundary or a chunk edge, none dropped, per-core counts
+            # equal the trace lengths.
+            assert len(issued) == len(set(issued)) == total
+            for slot, length in enumerate(lengths):
+                assert [i for s, i in issued if s == slot] == list(
+                    range(length))
+            # Every boundary fires once at its step; where they
+            # coincide, the check and the sample see the warm-up's last
+            # state.
+            expected = sorted(
+                [("check", k) for k in range(check_every, total + 1,
+                                             check_every)]
+                + [("sample", k) for k in range(sample_every, total + 1,
+                                                sample_every)]
+                + [("warmup", warmup)],
+                key=lambda event: (event[1],
+                                   ("check", "sample", "warmup").index(
+                                       event[0])))
+            assert log == expected
+            # Every slot re-entered the ROI at clock 0: after the
+            # boundary the slot with the smallest clock goes first.
+            assert issued[warmup][0] == min(
+                slot for slot in range(len(lengths))
+                if sum(1 for s, _ in issued[:warmup] if s == slot)
+                < lengths[slot])
+            return issued
+
+        drive([5, 50, 50], 10, 15, 30)         # one chunk per slot
+        # Slots longer than one chunk, one of them exactly one chunk
+        # long: check and sample boundaries fall on both sides of every
+        # chunk edge, and the warm-up ends past the first edges.
+        chunk = runner.CHUNK
+        warmup = 3 * chunk + 17
+        issued = drive([5, 2 * chunk + 300, chunk, chunk + 1], 97, 131,
+                       warmup)
+        assert sum(1 for s, _ in issued[:warmup] if s == 1) > chunk
+        # Chunks of one and of four references: edges everywhere, the
+        # warm-up boundary on each side of one, slot 3's trace ending
+        # exactly at an edge, and slot 0's inside the warm-up.
+        for size in (1, 4):
+            monkeypatch.setattr(runner, "CHUNK", size)
+            for warmup in range(24, 36):
+                drive([5, 50, 50, 8], 10, 15, warmup)
 
     def test_short_trace_contributes_no_roi_stats(self):
         from repro.workloads.trace import CoreTrace, Workload

@@ -170,7 +170,7 @@ class TestClassification:
         _, _, kernel = self.hit_kernel()
         assert kernel.safe_end(0) == 16
 
-    def test_invalidation_shrinks_prefix_via_journal(self):
+    def test_invalidation_shrinks_prefix_via_journal(self, monkeypatch):
         _, hier, kernel = self.hit_kernel()
         assert kernel.safe_end(0) == 16
         hier.invalidate(4, cause="test")
@@ -178,6 +178,52 @@ class TestClassification:
         # of the journaled block without a rescan.
         assert kernel.safe_end(0) == 0
         assert not hier.shrink_log        # journal consumed
+
+        # Over a whole DEV-heavy run, a hierarchy the kernel drives
+        # journals each shrink exactly once (its epoch counts them; the
+        # kernel clears the log as it reads it), and under the scalar
+        # kernel no hierarchy journals at all.
+        from collections import Counter
+
+        from repro.caches.private_cache import PrivateHierarchy
+
+        shrinks = Counter()
+        fill = PrivateHierarchy.fill
+
+        def counted_fill(self, block, state, version, code):
+            victim = fill(self, block, state, version, code)
+            shrinks[self.core] += victim is not None
+            return victim
+
+        def counted(method, shrinks_if=lambda *args: True):
+            def wrapper(self, *args, **kwargs):
+                shrinks[self.core] += shrinks_if(*args)
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PrivateHierarchy, "fill", counted_fill)
+        for name in ("invalidate", "downgrade_to_s"):
+            monkeypatch.setattr(PrivateHierarchy, name,
+                                counted(getattr(PrivateHierarchy, name)))
+        monkeypatch.setattr(PrivateHierarchy, "set_state", counted(
+            PrivateHierarchy.set_state,
+            lambda block, state: state is MESI.S))
+        config = tiny_config(directory=DirectoryConfig(ratio=0.125))
+        workload = make_multithreaded(find_profile("canneal"), config,
+                                      1500, seed=11)
+        for kernel in ("scalar", "batched"):
+            shrinks.clear()
+            system = build_system(config.with_(kernel=kernel))
+            run_workload(system, workload)
+            assert system.stats.dev_invalidations > 1000
+            assert all(shrinks[core] > 100 for core in range(4))
+            epochs = [hier.epoch for hier in system.cores]
+            if kernel == "scalar":
+                assert epochs == [0] * 4
+                assert all(hier.shrink_log is None
+                           for hier in system.cores)
+            else:
+                assert epochs == [shrinks[core] for core in range(4)]
 
     def test_unrelated_invalidation_keeps_prefix(self):
         _, hier, kernel = self.hit_kernel()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.caches.block import MESI
-from repro.common.config import DirectoryConfig, Protocol
+from repro.common.config import DirectoryConfig, LLCDesign, Protocol
 from repro.harness.system_builder import build_system
 
 from tests.conftest import drive, tiny_config
@@ -45,6 +45,24 @@ class TestRegionCoverage:
         # No invalidations: demotion is DEV-free.
         assert system.cores[0].probe(0) is not None
         assert system.stats.dev_invalidations == 0
+
+        # An inclusive LLC's eviction is no access to the region: core
+        # 1's fill that evicts core 0's block 0 from the LLC kills core
+        # 0's copy as an inclusion victim and leaves the region private.
+        system = mgd(ratio=1.0, llc_design=LLCDesign.INCLUSIVE)
+        drive(system, [(0, "R", 0), (0, "R", 1)])
+        bank = system.bank_of(0)
+        conflicts = [block for block in range(16, 1024)
+                     if system.bank_of(block) is bank
+                     and bank.set_of(block) == bank.set_of(0)]
+        drive(system, [(1, "R", block) for block in conflicts[:4]])
+        assert system.cores[0].probe(0) is None
+        assert system.cores[0].probe(1) is MESI.E
+        assert system.stats.inclusion_invalidations == 1
+        assert system.stats.region_demotions == 0
+        assert system._mgd.region_entries[0].block_count == 1
+        assert 0 not in system._covered and 1 in system._covered
+        system.check_invariants()
 
     def test_region_entry_freed_when_owner_evicts_all(self):
         system = mgd()

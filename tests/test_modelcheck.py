@@ -241,7 +241,7 @@ class TestFrontier:
         with collector(True):
             _explore_frontier(
                 report, list, issue, check,
-                lambda s: repr(s).encode(), lambda s: None, no_shared,
+                lambda s: repr(s).encode(), no_shared,
                 alphabet, 3, 250_000, budget_s=0.65)
             assert gc.isenabled()
         # The collector is off only while a level expands: the root is
@@ -273,7 +273,7 @@ class TestFrontier:
         report = ModelCheckReport("toy", 3, 2)
         _explore_frontier(
             report, list, lambda s, a: s.append(a), check,
-            lambda s: repr(s).encode(), lambda s: None, no_shared,
+            lambda s: repr(s).encode(), no_shared,
             [1, 2], 3, 250_000, budget_s=0.25)
         # Root t=0.1, level 1 completes at t=0.3 (one node, so its
         # mid-node expiry is only seen at the next boundary); level 2's
@@ -294,7 +294,7 @@ class TestFrontier:
         with collector(False):
             _explore_frontier(
                 report, list, lambda s, a: s.append(a), check,
-                lambda s: repr(s).encode(), lambda s: None, no_shared,
+                lambda s: repr(s).encode(), no_shared,
                 [1, 2], 3, 250_000, None)
             assert not gc.isenabled()
         assert not report.ok
@@ -316,8 +316,7 @@ class TestFrontier:
                     _explore_frontier(
                         ModelCheckReport("toy", 3, 2), list,
                         lambda s, a: s.append(a), lambda s: None,
-                        canonical, lambda s: None, no_shared, [1, 2], 3,
-                        250_000, None)
+                        canonical, no_shared, [1, 2], 3, 250_000, None)
                 assert gc.isenabled() is enabled
 
     def test_mid_level_counterexample_accounting(self):

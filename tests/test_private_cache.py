@@ -9,6 +9,7 @@ geometry.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import CacheGeometry
 from repro.common.errors import ProtocolInvariantError
 from repro.harness.system_builder import build_system
+from repro.kernel import SlotKernel
 from repro.obs import EventBus, attach
 from repro.workloads.trace import Op
 
@@ -33,19 +35,32 @@ def make_hierarchy():
 
 def make_system():
     """A socket whose cores have ``make_hierarchy()``'s geometry, with
-    an event bus attached; returns ``(system, core 0, events)``."""
+    an event bus attached and core 0's journal on; returns ``(system,
+    core 0, events)``."""
     system = build_system(tiny_config(l1i=L1, l1d=L1, l2=L2))
     events = []
     bus = EventBus()
     bus.subscribe(type("Sink", (), {
         "handle": staticmethod(events.append)})())
     attach(system, bus)
-    return system, system.cores[0], events
+    return system, armed(system.cores[0], system), events
 
 
-# The batched kernel's contract (repro.kernel): every mutation that can
-# shrink hit safety bumps ``epoch`` once and journals its block once in
-# ``shrink_log``; mutations that only extend safety do neither.
+def armed(hier, system=None):
+    """``hier`` with its shrink journal on, as a ``SlotKernel`` built
+    over it leaves it (an empty trace: the kernel only arms it)."""
+    system = system or build_system(tiny_config())
+    SlotKernel(hier.core, hier, system.stats, system.shadow,
+               system.config.latency, np.zeros(0, np.int8),
+               np.zeros(0, np.int64))
+    return hier
+
+
+# The batched kernel's contract (repro.kernel): once a kernel drives a
+# hierarchy, every mutation that can shrink hit safety bumps ``epoch``
+# once and journals its block once in ``shrink_log``; mutations that
+# only extend safety do neither.  Before that (every scalar run) the
+# hierarchy records nothing: ``shrink_log`` is None, ``epoch`` 0.
 def journal(hier):
     return hier.epoch, list(hier.shrink_log)
 
@@ -170,6 +185,17 @@ class TestEvictionNotices:
         hier = PrivateHierarchy(0, CacheGeometry(512, 4),
                                 CacheGeometry(512, 4),
                                 CacheGeometry(1024, 4))
+        # Unarmed (every scalar run), a victim, an invalidation, a
+        # downgrade and a re-state to S record nothing.
+        for block in (0, 4, 8, 12, 16):
+            hier.fill(block, MESI.E, 0, code=False)
+        hier.invalidate(16)
+        hier.downgrade_to_s(12)
+        hier.set_state(8, MESI.S)
+        assert (hier.epoch, hier.shrink_log) == (0, None)
+        for block in (4, 8, 12):
+            hier.invalidate(block)
+        armed(hier)
         hier.fill(0, MESI.E, 0, code=True)
         hier.write_hit_state(0)                 # 0 in the L1D too
         for block in (4, 8, 12):      # fill L2 set 0, 0 is its LRU
@@ -196,7 +222,7 @@ class TestEvictionNotices:
         assert notice.version == 7
 
     def test_l1_eviction_is_silent(self):
-        hier = make_hierarchy()
+        hier = armed(make_hierarchy())
         hier.fill(0, MESI.E, 0, code=False)
         hier.fill(2, MESI.E, 0, code=False)
         notice = hier.fill(4, MESI.E, 0, code=False)   # L1D set 0 full
@@ -214,7 +240,7 @@ class TestCoherenceActions:
             hier.commit_write(3, 1)
 
     def test_silent_e_to_m(self):
-        hier = make_hierarchy()
+        hier = armed(make_hierarchy())
         hier.fill(3, MESI.E, 0, code=False)
         hier.commit_write(3, 9)
         assert journal(hier) == (0, [])
@@ -241,7 +267,7 @@ class TestCoherenceActions:
         assert events == []
 
     def test_invalidate_returns_line(self):
-        hier = make_hierarchy()
+        hier = armed(make_hierarchy())
         hier.fill(3, MESI.E, 5, code=True)
         hier.write_hit_state(3)                 # 3 in L1I and L1D too
         line = hier.invalidate(3)
@@ -251,7 +277,7 @@ class TestCoherenceActions:
         assert hier.invalidate(3) is None
 
     def test_downgrade_to_s(self):
-        hier = make_hierarchy()
+        hier = armed(make_hierarchy())
         hier.fill(3, MESI.E, 0, code=False)
         hier.commit_write(3, 4)
         line = hier.downgrade_to_s(3)
@@ -266,7 +292,7 @@ class TestCoherenceActions:
             hier.downgrade_to_s(3)
 
     def test_write_hit_state(self):
-        hier = make_hierarchy()
+        hier = armed(make_hierarchy())
         assert hier.write_hit_state(3) is None
         hier.fill(3, MESI.S, 0, code=False)
         assert hier.write_hit_state(3) is MESI.S

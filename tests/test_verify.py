@@ -134,7 +134,7 @@ class TestModelMatrix:
         ctx = mc._ExpandContext(
             issue=mc._spec_issue(spec),
             check=functools.partial(mc.check_step, spec),
-            canonical=mc._spec_canonical(spec), trim=mc._trim_journals,
+            canonical=mc._spec_canonical(spec),
             snapshot=codec.dump, alphabet=alphabet, seen=set(),
             deadline=None, candidate_budget=len(alphabet) + 1,
             discard=mc._spec_discard(spec))
