@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.caches.block import L2Line, MESI
-from repro.caches.llc import LLCBank
+from repro.caches.llc import LLCBank, LLCLine
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.protocol import CMPSystem
@@ -197,6 +197,23 @@ class SecDirSystem(CMPSystem):
         entry.remove_sharer(core)
         if entry.empty:
             self._free_entry(entry, bank)
+
+    def _back_invalidate(self, bank: LLCBank, victim: LLCLine) -> None:
+        # An LLC eviction is no demand access: free the victim's entry
+        # where it sits.  Re-unifying a private-resident one would move
+        # it into the shared partition just to free it there, and could
+        # push another entry out into its sharers' private partitions.
+        block = victim.block
+        secdir = self._secdir
+        entry = secdir.peek(block)
+        if entry is None:
+            return
+        if block in secdir.private_resident:
+            for core in entry.sharer_cores():
+                secdir.privates[core].remove(block)
+        victim.version, victim.dirty = self._inclusion_victims(
+            bank, block, entry, victim.version, victim.dirty)
+        self._free_entry(entry, bank, evictor_version=victim.version)
 
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
                     evictor_version: int = 0,

@@ -143,13 +143,16 @@ class CMPSystem:
         store hit on an M/E line (E->M is silent).  They touch only the
         issuing core's arrays, clock and counters and the shadow's
         version of the block, emit no event and write no shrink-journal
-        entry.  A store to an S copy and every L2 miss go to
-        ``_write``/``_read`` with the L2 probe's result.
+        entry.  A read probes its L1 set first: the L2 includes the L1s,
+        so an L1 hit needs only the L2 recency touch, and a block the L1
+        holds but the L2 does not is an inclusion break, raised here.
+        A store to an S copy or a store miss goes to ``_write`` with the
+        L2 probe's line, and a read that misses the L2 to ``_read``.
         """
         block = address >> BLOCK_SHIFT
         hier = self.cores[core]
-        line = hier.l2_index.get(block)
         if op is _WRITE:
+            line = hier.l2_index.get(block)
             if line is None or line.state is _MESI_S:
                 latency = self._write(core, block, line)
                 self.stats.record_access(
@@ -175,12 +178,6 @@ class CMPSystem:
             stats.cycles[core] += self._w_step
             stats.accesses[core] += 1
             return self._w_lat
-        if line is None:
-            latency = self._read(core, block, op is _IFETCH)
-            self.stats.record_access(core, False, latency,
-                                     latency + self._lat.compute_per_access)
-            return latency
-        hier.l2_sets[block & hier.l2_mask].move_to_end(block)
         code = op is _IFETCH
         if code:
             l1 = hier.l1i_sets[block & hier.l1i_mask]
@@ -188,12 +185,24 @@ class CMPSystem:
             l1 = hier.l1d_sets[block & hier.l1d_mask]
         stats = self.stats
         if block in l1:
+            try:
+                hier.l2_sets[block & hier.l2_mask].move_to_end(block)
+            except KeyError:
+                raise ProtocolInvariantError(
+                    f"inclusion broken: core {core}'s L1 holds block "
+                    f"{block:#x} but its L2 does not") from None
             l1.move_to_end(block)
             stats.l1_hits += 1
             stats.read_latency_buckets[self._r1_bucket] += 1
             stats.cycles[core] += self._r1_step
             stats.accesses[core] += 1
             return self._r1_lat
+        if block not in hier.l2_index:
+            latency = self._read(core, block, code)
+            stats.record_access(core, False, latency,
+                                latency + self._lat.compute_per_access)
+            return latency
+        hier.l2_sets[block & hier.l2_mask].move_to_end(block)
         if len(l1) >= (hier.l1i_ways if code else hier.l1d_ways):
             l1.popitem(last=False)              # L1 victims go silently
         l1[block] = None

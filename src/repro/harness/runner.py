@@ -7,26 +7,34 @@ cycle-by-cycle event loop.
 
 Scheduling is implemented once, in :func:`_drive_interleaved`, over the
 cores of every socket of ``system.sockets`` (a single socket is a
-one-socket system; see :func:`run_workload`). The ready set is a
-binary heap keyed by ``(local_clock, slot)`` -- because an access only
-advances the issuing core's clock, popping the heap minimum selects
-exactly the core the previous O(n_cores) linear scan selected (ties break
-toward the lower core index in both), at O(log n) per access.  Between
-warm-up, check and sample boundaries the loop calls each slot's
-``access`` straight from its decoded references; private hits retire
-inside ``CMPSystem.access``.  A slot decodes its trace :data:`CHUNK`
-references at a time, when the previous chunk runs out, so what a run
-holds besides the traces themselves does not grow with their length.
-``kernel="batched"`` hands the run to
-:func:`repro.kernel.drive_batched` instead.
+one-socket system; see :func:`run_workload`).  The ready set is a
+binary heap of plain ints, ``clock << slot_bits | slot``: they sort as
+the ``(clock, slot)`` pairs they pack, and because an access only
+advances the issuing core's clock, popping the minimum selects exactly
+the core an O(n_cores) scan for the smallest clock selects (ties break
+toward the lower core index in both), at O(log n) per access.
+
+Each slot issues from one C-level iterator: ``chain.from_iterable``
+over a generator that decodes :data:`CHUNK` references at a time and
+yields ``map(access, repeat(core), ops, addresses)`` for them.  So one
+``next`` on the slot's iterator is one ``access`` call, a run holds one
+decoded chunk per slot however long its traces are, and the loop keeps
+no per-slot position.  A finished slot stays in the heap until it next
+reaches the top, where its iterator's ``StopIteration`` drops it.
+Between warm-up, check and sample boundaries the loop does one heap
+read, one ``next`` and one heap replace per access; private hits
+retire inside ``CMPSystem.access``.  A traced run wraps each slot's
+``access`` once to advance ``obs.step``.  ``kernel="batched"`` hands
+the run to :func:`repro.kernel.drive_batched` instead.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain, repeat
 from time import perf_counter
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -73,11 +81,44 @@ class RunResult:
 _OPS = np.array(OP_BY_CODE, dtype=object)
 
 #: References a slot decodes at a time.  A chunk is one NumPy take of
-#: the op enums and two ``tolist()`` calls, all in C; decoding the next
-#: one costs the scheduling loop one call per chunk, and holding one
+#: the op enums and two ``tolist()`` calls, all in C; the slot's
+#: iterator resumes its generator once per chunk, and holding one
 #: chunk per slot instead of its whole trace keeps a run's memory
 #: independent of its length.
 CHUNK = 1024
+
+
+def _accesses(access: Callable, core: int, codes: np.ndarray,
+              addresses: np.ndarray) -> Iterator[Iterator]:
+    """One slot's accesses, a chunk at a time: each item is a lazy
+    ``map`` whose every step is one ``access(core, op, address)``."""
+    for start in range(0, len(codes), CHUNK):
+        stop = start + CHUNK
+        yield map(access, repeat(core), _OPS[codes[start:stop]].tolist(),
+                  addresses[start:stop].tolist())
+
+
+def _stepping(access: Callable, obs) -> Callable:
+    """``access`` advancing the bus step first, so every event carries
+    its global access index."""
+    def stepped(core, op, address):
+        obs.step += 1
+        return access(core, op, address)
+    return stepped
+
+
+def _issue_live(heap: List[int], streams: List[Iterator], mask: int) -> int:
+    """The slot on top of ``heap`` has finished: pop it, and every
+    finished slot that surfaces after it, then issue the first live
+    slot's next access and return that slot."""
+    while True:
+        heapq.heappop(heap)
+        slot = heap[0] & mask
+        try:
+            next(streams[slot])
+            return slot
+        except StopIteration:
+            pass
 
 
 def _drive_interleaved(slots: List[tuple],
@@ -94,45 +135,31 @@ def _drive_interleaved(slots: List[tuple],
     codes and byte addresses of its trace as two arrays of one length:
     its i-th reference is ``access(core, OP_BY_CODE[ops[i]],
     int(addresses[i]))``, after which its local clock is
-    ``stats.cycles[core]``.  References are decoded :data:`CHUNK` at a
-    time, the next chunk when the last one runs out.  Between warm-up,
-    check and sample boundaries the loop calls ``access`` straight
-    from the decoded chunks, advancing ``obs.step`` first when a bus
-    is given (every event then carries its global access index).
-    Returns the number of accesses issued.
+    ``stats.cycles[core]``.  ``access`` is wrapped to advance
+    ``obs.step`` first when a bus is given.  Check, sample and warm-up
+    callbacks run between accesses at their step counts; after the
+    warm-up every clock restarts at zero.  Returns the number of
+    accesses issued.
     """
     n = len(slots)
-    lengths = [len(slot[3]) for slot in slots]
-    # Per slot: its decoded chunk as ``(access, core, stats, ops,
-    # addresses)``, the chunk index of its next reference, the chunk's
-    # length, and the trace index the following chunk starts at.
-    chunks: List[Optional[tuple]] = [None] * n
-    positions = [0] * n
-    ends = [0] * n
-    starts = [0] * n
+    bits = max(n - 1, 0).bit_length()
+    mask = (1 << bits) - 1
+    streams = [chain.from_iterable(_accesses(
+        access if obs is None else _stepping(access, obs),
+        core, codes, addresses))
+        for access, core, _stats, codes, addresses in slots]
 
-    def decode(slot: int) -> bool:
-        """Load ``slot``'s next chunk; False once its trace is done."""
-        start = starts[slot]
-        if start >= lengths[slot]:
-            return False
-        access, core, stats, codes, addresses = slots[slot]
-        stop = start + CHUNK
-        ops = _OPS[codes[start:stop]].tolist()
-        chunks[slot] = (access, core, stats, ops,
-                        addresses[start:stop].tolist())
-        positions[slot] = 0
-        ends[slot] = len(ops)
-        starts[slot] = stop
-        return True
+    def clocks() -> List[tuple]:
+        # Read again after the warm-up: ``SystemStats.reset`` rebinds
+        # ``cycles``.
+        return [(stats.cycles, core) for _a, core, stats, _o, _d in slots]
 
-    heap = [(0, slot) for slot in range(n) if decode(slot)]
-    heapq.heapify(heap)
+    slot_clock = clocks()
+    heap = list(range(n))               # every clock starts at zero
     heapreplace = heapq.heapreplace
-    heappop = heapq.heappop
     if sample is None:
         sample_every = 0
-    total = sum(lengths)
+    total = sum(len(slot[3]) for slot in slots)
     step = 0
     while step < total:
         stop = total
@@ -143,18 +170,13 @@ def _drive_interleaved(slots: List[tuple],
         if sample_every:
             stop = min(stop, step - step % sample_every + sample_every)
         for _ in range(stop - step):
-            slot = heap[0][1]
-            access, core, stats, ops, addresses = chunks[slot]
-            index = positions[slot]
-            if obs is not None:
-                obs.step += 1
-            access(core, ops[index], addresses[index])
-            index += 1
-            positions[slot] = index
-            if index < ends[slot] or decode(slot):
-                heapreplace(heap, (stats.cycles[core], slot))
-            else:
-                heappop(heap)
+            slot = heap[0] & mask
+            try:
+                next(streams[slot])
+            except StopIteration:
+                slot = _issue_live(heap, streams, mask)
+            cycles, core = slot_clock[slot]
+            heapreplace(heap, cycles[core] << bits | slot)
         step = stop
         if check_every and step % check_every == 0:
             check()
@@ -163,10 +185,10 @@ def _drive_interleaved(slots: List[tuple],
         if warmup and step == warmup:
             if on_warmup is not None:
                 on_warmup()
-            # All local clocks restart at zero after the ROI boundary.
-            heap = [(0, slot) for slot in range(n)
-                    if positions[slot] < ends[slot]]
-            heapq.heapify(heap)
+            slot_clock = clocks()
+            # All local clocks restart at zero after the ROI boundary;
+            # a sorted list is a heap.
+            heap = sorted(key & mask for key in heap)
     return step
 
 

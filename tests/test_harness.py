@@ -114,7 +114,26 @@ class TestWarmupBoundary:
         from repro.harness import runner
         from repro.workloads.trace import OP_BY_CODE
 
-        def drive(lengths, check_every, sample_every, warmup):
+        def brute_force(lengths, warmup, bump):
+            """The issue order by definition: the slot with references
+            left whose ``(clock, slot)`` is least, every clock zero at
+            the start and again after the warm-up."""
+            n = len(lengths)
+            clocks = [0] * n
+            positions = [0] * n
+            order = []
+            for step in range(sum(lengths)):
+                if warmup and step == warmup:
+                    clocks = [0] * n
+                slot = min((clocks[s], s) for s in range(n)
+                           if positions[s] < lengths[s])[1]
+                order.append((slot, positions[slot]))
+                clocks[slot] += bump(slot, positions[slot])
+                positions[slot] += 1
+            return order
+
+        def drive(lengths, check_every, sample_every, warmup,
+                  bump=lambda slot, index: 7 + slot):
             issued = []
             log = []
             stats = SimpleNamespace(cycles=[0] * len(lengths))
@@ -128,10 +147,16 @@ class TestWarmupBoundary:
                 assert type(address) is int
                 assert op is OP_BY_CODE[address % 3]
                 issued.append((slot, address))
-                stats.cycles[slot] += 7 + slot     # uneven, deterministic
+                stats.cycles[slot] += bump(slot, address)
 
             def boundary(name):
                 return lambda: log.append((name, len(issued)))
+
+            def on_warmup():
+                boundary("warmup")()
+                # As ``SystemStats.reset``: a fresh clock list, so a
+                # slot still reading the old one issues out of order.
+                stats.cycles = [0] * len(lengths)
 
             slots = [(access, slot, stats,
                       (np.arange(length) % 3).astype(np.int8),
@@ -141,7 +166,7 @@ class TestWarmupBoundary:
             steps = runner._drive_interleaved(
                 slots, check=boundary("check"), check_every=check_every,
                 sample=boundary("sample"), sample_every=sample_every,
-                warmup=warmup, on_warmup=boundary("warmup"), obs=obs)
+                warmup=warmup, on_warmup=on_warmup, obs=obs)
             assert steps == obs.step == total
             # Exactly once each: no access replayed across the warm-up
             # boundary or a chunk edge, none dropped, per-core counts
@@ -150,25 +175,29 @@ class TestWarmupBoundary:
             for slot, length in enumerate(lengths):
                 assert [i for s, i in issued if s == slot] == list(
                     range(length))
+            # In the order the minimum over (clock, slot) gives.
+            assert issued == brute_force(lengths, warmup, bump)
             # Every boundary fires once at its step; where they
             # coincide, the check and the sample see the warm-up's last
             # state.
+            def every(name, period):
+                return [(name, k) for k in range(period, total + 1,
+                                                 period)] if period else []
+
             expected = sorted(
-                [("check", k) for k in range(check_every, total + 1,
-                                             check_every)]
-                + [("sample", k) for k in range(sample_every, total + 1,
-                                                sample_every)]
-                + [("warmup", warmup)],
+                every("check", check_every) + every("sample", sample_every)
+                + [("warmup", warmup)] * (warmup > 0),
                 key=lambda event: (event[1],
                                    ("check", "sample", "warmup").index(
                                        event[0])))
             assert log == expected
-            # Every slot re-entered the ROI at clock 0: after the
-            # boundary the slot with the smallest clock goes first.
-            assert issued[warmup][0] == min(
-                slot for slot in range(len(lengths))
-                if sum(1 for s, _ in issued[:warmup] if s == slot)
-                < lengths[slot])
+            if warmup:
+                # Every slot re-entered the ROI at clock 0: after the
+                # boundary the slot with the smallest index goes first.
+                assert issued[warmup][0] == min(
+                    slot for slot in range(len(lengths))
+                    if sum(1 for s, _ in issued[:warmup] if s == slot)
+                    < lengths[slot])
             return issued
 
         drive([5, 50, 50], 10, 15, 30)         # one chunk per slot
@@ -187,6 +216,24 @@ class TestWarmupBoundary:
             monkeypatch.setattr(runner, "CHUNK", size)
             for warmup in range(24, 36):
                 drive([5, 50, 50, 8], 10, 15, warmup)
+        # The heap packs ``clock << slot_bits | slot``: slot counts on
+        # both sides of every key-width step, under uneven, equal and
+        # jittered clocks (equal clocks break every tie by slot).
+        bumps = (lambda slot, index: 7 + slot,
+                 lambda slot, index: 7,
+                 lambda slot, index: 1 + (5 * index + 3 * slot) % 11)
+        for n in (1, 2, 3, 5, 8, 9, 17):
+            lengths = [3 + (7 * slot) % 23 for slot in range(n)]
+            for bump in bumps:
+                drive(lengths, 0, 0, 0, bump)
+                drive(lengths, 10, 15, sum(lengths) // 2, bump)
+        # Two slots ending on the same chunk edge at once, and empty
+        # traces: alone, beside live ones, and before the warm-up.
+        for bump in bumps:
+            drive([8, 8, 3], 0, 0, 0, bump)
+            drive([8, 8, 13], 4, 0, 5, bump)
+            drive([0, 9, 0, 6], 0, 5, 7, bump)
+        assert drive([0, 0], 1, 1, 0) == []
 
     def test_short_trace_contributes_no_roi_stats(self):
         from repro.workloads.trace import CoreTrace, Workload

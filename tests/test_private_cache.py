@@ -23,7 +23,7 @@ from repro.kernel import SlotKernel
 from repro.obs import EventBus, attach
 from repro.workloads.trace import Op
 
-from tests.conftest import tiny_config
+from tests.conftest import fails_with, tiny_config
 
 L1 = CacheGeometry(256, 2)      # 4 blocks, 2 sets: set = block % 2
 L2 = CacheGeometry(1024, 4)     # 16 blocks, 4 sets: set = block % 4
@@ -171,6 +171,19 @@ class TestFillAndLookup:
         assert system.stats.l1_hits == system.stats.l2_hits == 0
         assert hier.probe(9) is MESI.E
         assert events
+        # A read probes its L1 set first, and inclusion lets an L1 hit
+        # skip the L2 probe: a block planted in an L1 set that the L2
+        # does not hold is an inclusion break, refused by name, never
+        # served as a miss.
+        for op, sets, mask in ((Op.READ, "l1d_sets", "l1d_mask"),
+                               (Op.IFETCH, "l1i_sets", "l1i_mask")):
+            system, hier, events = make_system()
+            getattr(hier, sets)[6 & getattr(hier, mask)][6] = None
+            with fails_with(ProtocolInvariantError,
+                            "inclusion broken: core 0's L1 holds block "
+                            "0x6 but its L2 does not"):
+                system.access(0, op, 6 << BLOCK_SHIFT)
+            assert system.stats.accesses[0] == 0
 
     def test_double_fill_rejected(self):
         hier = make_hierarchy()

@@ -1,12 +1,16 @@
 """Tests for the SecDir comparison baseline (ISCA'19 re-implementation)."""
 
+import random
+
 import pytest
 
+from repro.baselines.secdir import SecDirSystem
 from repro.caches.block import MESI
-from repro.common.config import DirectoryConfig, Protocol
+from repro.common.addressing import BLOCK_SHIFT
+from repro.common.config import DirectoryConfig, LLCDesign, Protocol
 from repro.harness.system_builder import build_system
 
-from tests.conftest import drive, tiny_config
+from tests.conftest import OPS, drive, tiny_config
 
 
 def secdir(ratio=1.0, **kw):
@@ -121,8 +125,52 @@ class TestSecDirCoherence:
         drive(system, [(0, "R", b) for b in conflicts])
         assert 0 not in system._secdir.privates[0]
 
-    def test_soak_run_stays_invariant_clean(self):
+    def test_soak_run_stays_invariant_clean(self, monkeypatch):
         system = secdir(ratio=0.25)
         script = [(c, "RWI"[k % 3], (5 * k + 3 * c) % 128)
                   for k in range(250) for c in range(4)]
         drive(system, script)   # drive() checks invariants at the end
+
+        # With an inclusive LLC, an eviction frees its entry where it
+        # sits: no back-invalidation re-unifies a private-resident
+        # entry (which could push another entry out into its sharers'
+        # private partitions), and every presence slot still belongs to
+        # a private-resident entry that lists its core.
+        unify, back_invalidate = (SecDirSystem._unify,
+                                  SecDirSystem._back_invalidate)
+        unified = {False: 0, True: 0}     # by: inside a back-invalidation
+        inside = []
+
+        def counted_unify(self, entry):
+            unified[bool(inside)] += 1
+            unify(self, entry)
+
+        def marked_back_invalidate(self, bank, victim):
+            inside.append(victim.block)
+            try:
+                back_invalidate(self, bank, victim)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(SecDirSystem, "_unify", counted_unify)
+        monkeypatch.setattr(SecDirSystem, "_back_invalidate",
+                            marked_back_invalidate)
+        system = secdir(llc_design=LLCDesign.INCLUSIVE)
+        rng = random.Random(4)
+        for k in range(20000):
+            core = k % 4
+            block = (200 * core + rng.randrange(200)
+                     if rng.random() < 0.9 else rng.randrange(800))
+            system.access(core, OPS["RWI"[rng.randrange(3)]],
+                          block << BLOCK_SHIFT)
+            if k % 2000 == 1999:
+                system.check_invariants()
+        assert system.stats.inclusion_invalidations > 1000
+        assert unified[True] == 0 < unified[False]
+        slots = {(core, block)
+                 for core, partition in enumerate(system._secdir.privates)
+                 for block in partition._resident}
+        assert slots and slots == {
+            (core, block)
+            for block, entry in system._secdir.private_resident.items()
+            for core in entry.sharer_cores()}
