@@ -10,10 +10,8 @@ lookup cost without changing coherence behaviour.
 
 from repro.common.config import DirectoryConfig
 from repro.harness import experiments
-from repro.harness.parallel import run_live
 from repro.harness.reporting import Table, geomean
 from repro.common.messages import MessageType, message_bytes
-from repro.multisocket import MultiSocketSystem
 from repro.workloads.synthetic import generate
 from repro.workloads.trace import Workload
 
@@ -79,13 +77,13 @@ def ablation_socket_directory_solutions():
                       cores=list(range(2 * base_config.n_cores)))
     workload = Workload(profile.name, traces)
     table = Table("Ablation: socket-level directory backing solutions")
-    cycles = {}
-    for solution in (1, 2):
-        system = MultiSocketSystem(base_config, n_sockets=2,
-                                   dir_cache_blocks=256,
-                                   dir_solution=solution)
-        run_live(system, workload)
-        cycles[solution] = system.total_cycles()
+    solutions = (1, 2)
+    runs = experiments.run_configs([
+        (base_config.with_(n_sockets=2, socket_dir_cache_blocks=256,
+                           socket_dir_solution=solution), workload)
+        for solution in solutions])
+    cycles = {solution: run.cycles for solution, run in zip(solutions, runs)}
+    for solution in solutions:
         table.add(f"solution {solution} cycles", cycles[solution])
     table.add("solution 2 / solution 1", cycles[2] / cycles[1],
               note="paper: sol. 2 trades constant DRAM overhead for "

@@ -15,6 +15,8 @@ def test_fig05_llc_occupancy(benchmark):
         assert max(maxima) < 30.0, f"{suite} occupancy blew up"
     overall_max = max(max(m) for m in results.values())
     assert overall_max <= 26.0   # 25% is the 1x-directory-in-LLC bound
+    # Some suite overflows a 1x directory's sets.
+    assert overall_max > 0
 
 
 def test_fig06_llc_ways(benchmark):

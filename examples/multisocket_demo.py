@@ -14,7 +14,7 @@ Run:  python examples/multisocket_demo.py
 from repro import DirectoryConfig, LLCReplacement, Protocol, scaled_socket
 from repro.common.config import CacheGeometry
 from repro.harness.runner import run_workload
-from repro.multisocket import MultiSocketSystem
+from repro.harness.system_builder import build_system
 from repro.workloads.synthetic import generate
 from repro.workloads.trace import Workload
 from repro.workloads.suites import find_profile
@@ -25,7 +25,8 @@ ACCESSES = 6_000
 
 def main() -> None:
     config = scaled_socket().with_(
-        llc=CacheGeometry(128 * 1024, 4))     # cramped: forces WB_DE
+        llc=CacheGeometry(128 * 1024, 4),     # cramped: forces WB_DE
+        n_sockets=N_SOCKETS)
     zconfig = config.with_(
         protocol=Protocol.ZERODEV,
         directory=DirectoryConfig(ratio=None),
@@ -40,10 +41,10 @@ def main() -> None:
     print(f"{app.name}: {total_cores} threads over {N_SOCKETS} sockets, "
           f"{workload.total_accesses:,} accesses")
 
-    base = MultiSocketSystem(config, n_sockets=N_SOCKETS)
-    run_workload(base, workload)
-    zdev = MultiSocketSystem(zconfig, n_sockets=N_SOCKETS)
-    run_workload(zdev, workload)
+    base = build_system(config)
+    base_run = run_workload(base, workload)
+    zdev = build_system(zconfig)
+    zdev_run = run_workload(zdev, workload)
     zdev.check_invariants()
 
     def total(system, field):
@@ -62,14 +63,14 @@ def main() -> None:
         ("corrupted blocks restored", "corrupted_blocks_restored"),
     ):
         if field is None:
-            b, z = base.total_cycles(), zdev.total_cycles()
+            b, z = base_run.cycles, zdev_run.cycles
         else:
             b, z = total(base, field), total(zdev, field)
         print(f"{label:34}{b:>13,}{z:>15,}")
     print(f"{'DENF_NACK re-forwards':34}{base.denf_nacks:>13,}"
           f"{zdev.denf_nacks:>15,}")
     print()
-    speedup = base.total_cycles() / zdev.total_cycles()
+    speedup = base_run.cycles / zdev_run.cycles
     print(f"ZeroDEV speedup vs baseline: {speedup:.3f} "
           f"(paper: within 1.6% on four sockets)")
     assert total(zdev, "dev_invalidations") == 0

@@ -49,7 +49,7 @@ benchmarks accept `REPRO_FULL=1` / `REPRO_SCALE=1` for full-size runs.
 | Fig 2 | 1x ≈ unbounded for rate workloads (<1% speedup; ~10% traffic and ~15% misses saved) | **yes** — avg speedup ~1.01, traffic −18%, misses −12% |
 | Fig 3 | 1x adequate for multi-threaded suites | **yes** — suite averages within ~1–2%; the freqmine *inversion* (unbounded 4% slower) does not reproduce (our migratory copies get naturally written back before readers arrive, so both systems serve readers from the LLC) |
 | Fig 4 | gradual decline with directory size | **yes** — monotone and gradual (½× ≈ 0.95–0.97, ⅛× ≈ 0.74–0.84, 1/32× ≈ 0.55–0.71), but steeper than the paper at 1/32×: FFTW (0.552) and CPU2017 (0.594) fall below its 0.6–1.0 axis range |
-| Fig 5 | spilled entries need ≤12% of LLC blocks | **not tested** — all 10 rows read 0.000, at 6,000 accesses per core and at any other run length: the figure counts entries beyond the 1x directory's *total* capacity, and an unbounded directory holds one entry per block some private L2 caches, so it never holds more than the L2s' aggregate blocks, which is that capacity; the paper's ~12% needs a count of the entries a 1x directory cannot keep in their sets (ROADMAP item 1) |
+| Fig 5 | spilled entries need ≤12% of LLC blocks | **bound yes, magnitude lower** — the peak count of entries an unbounded directory holds beyond what a 1x directory's sets (256 sets × 8 ways) could keep is at most 3.80% of the 8,192 LLC blocks in every suite (max-of-max 1.94–3.80%, avg-of-max 1.00–3.27%), within the paper's ≤12% but 3–6× below its ~12% maximum |
 | Fig 6 | −2 LLC ways ≈ −3% avg; worst cases vips −14%, lu_ncb −9%, 330.art −6%, gcc.ppO2 −5% | **yes** — the named applications reproduce their sensitivities (vips −8%, lu_ncb −7%, 330.art −5%, gcc.ppO2 −1% at 14 ways; −17/−16/−10/−4% at 12) |
 | Fig 12 | SpillAll: max LLC overhead + extra array read; FPSS: overhead only; FuseAll: min overhead + extra hop | **yes** — all three axes measured, same placement of each policy |
 | Fig 17 | SpillAll worst; FPSS best minimum; FuseAll pays 3-hop shared reads | **yes** — same ordering |
@@ -63,7 +63,7 @@ benchmarks accept `REPRO_FULL=1` / `REPRO_SCALE=1` for full-size runs.
 | Fig 26 | MgD 1/8x ≈ baseline 1x, degrading below; ZeroDEV flat, gap widens | **shape yes** — monotone MgD decline, ZeroDEV flat; our MgD at 1/8x sits a few percent lower than the paper's (less region coverage in synthetic traces) |
 | Fig 27 | SecDir degrades with size (fragmentation); ZeroDEV insensitive | **yes** |
 | §V energy | ~9% directory+LLC energy saved by NoDir ZeroDEV | **yes** — ~9% with CACTI-flavoured constants (calibrated stand-ins) |
-| §V multi-socket | 4 sockets: ZeroDEV-NoDir within 1.6% | **yes** — within ~2%, all Section III-D flows exercised, zero DEVs |
+| §V multi-socket | 4 sockets: ZeroDEV-NoDir within 1.6% | **yes, without the Section III-D flows** — geomean 0.997 (per application 0.968–1.007), zero DEVs; its six ZeroDEV runs send 0 WB_DE, 0 GET_DE and 0 DENF_NACK (no entry leaves a default-size LLC), so the corrupted-home machinery is not exercised here; `examples/multisocket_demo.py`'s cramped LLCs and the verify matrix's 2-socket models drive it |
 | Ablations | replacement-disabled directory strictly simpler/better; E-notice bits negligible; dir-backing solutions equivalent for coherence | **yes** |
 
 The strongest reproduction statement is not a number: the property-based

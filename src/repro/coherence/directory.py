@@ -6,7 +6,10 @@ NRU replacement (Table I). Three provisioning modes:
 * **sized** (``ratio`` given): the classic baseline. A full set forces an
   NRU victim whose private copies become DEVs -- the caller handles that.
 * **unbounded**: unlimited capacity, never evicts (the Figure 2/3
-  reference system).
+  reference system). It counts its entries per set of the 1x geometry
+  (``entries`` over ``ways``) on every insert and remove, and keeps the
+  peak of the entries those sets could not hold in the ``stats`` it is
+  given, as ``dir_overflow_peak`` (Figure 5).
 * **replacement-disabled** (ZeroDEV, Section III-C4): a new entry only
   takes an invalid way; when the set is full the entry overflows to the
   LLC instead, so the structure itself never evicts anything.
@@ -18,6 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.coherence.entry import DirectoryEntry, EntryLocation
 from repro.common.errors import ProtocolInvariantError, SimulationError
+from repro.common.stats import SystemStats
 from repro.obs.events import EventKind
 
 # Bound once: on Python 3.11 each ``Enum.MEMBER`` read goes through
@@ -32,10 +36,18 @@ class SparseDirectory:
     obs = None
 
     def __init__(self, entries: int, ways: int, unbounded: bool = False,
-                 replacement_disabled: bool = False) -> None:
+                 replacement_disabled: bool = False,
+                 stats: Optional[SystemStats] = None) -> None:
         if unbounded:
             self.sets = 0
             self.ways = 0
+            # The 1x geometry's per-set counts and the entries beyond
+            # its ways, summed over its sets (the live overflow).
+            self._overflow_mask = entries // ways - 1
+            self._overflow_ways = ways
+            self._set_counts = [0] * (entries // ways)
+            self.overflow = 0
+            self._stats = stats
         else:
             if entries % ways:
                 raise SimulationError(
@@ -92,6 +104,14 @@ class SparseDirectory:
                     "caller must evict (baseline) or overflow to LLC "
                     "(ZeroDEV)")
             ways.append(entry)
+        else:
+            counts = self._set_counts
+            index = block & self._overflow_mask
+            counts[index] += 1
+            if counts[index] > self._overflow_ways:
+                self.overflow += 1
+                if self.overflow > self._stats.dir_overflow_peak:
+                    self._stats.dir_overflow_peak = self.overflow
         entry.location = _SPARSE
         entry.nru_ref = True
         self._index[block] = entry
@@ -138,6 +158,12 @@ class SparseDirectory:
                 f"no directory entry for block {block:#x} to remove")
         if not self.unbounded:
             self._sets[block & self._set_mask].remove(entry)
+        else:
+            counts = self._set_counts
+            index = block & self._overflow_mask
+            if counts[index] > self._overflow_ways:
+                self.overflow -= 1
+            counts[index] -= 1
         if self.obs is not None:
             self.obs.emit(EventKind.DIR_REMOVE, block=block)
         return entry

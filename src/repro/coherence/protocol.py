@@ -119,8 +119,8 @@ class CMPSystem:
         if not dcfg.present:
             return None
         return SparseDirectory(
-            self.config.directory_entries, dcfg.ways,
-            unbounded=dcfg.unbounded)
+            self.config.directory_array_entries, dcfg.ways,
+            unbounded=dcfg.unbounded, stats=self.stats)
 
     @property
     def sockets(self) -> Tuple["CMPSystem"]:
@@ -832,12 +832,15 @@ class CMPSystem:
         return self.directory.peek(block)
 
     def check_invariants(self) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Verify SWMR and directory precision over the whole socket.
+        """Verify SWMR, directory precision and L1 inclusion over the
+        whole socket.
 
         One pass over each core's L2 index records, per block, the
         bitmask of the cores holding it and whether one of them owns it
         (M or E); the bitmask is compared with the entry's sharer bits,
-        and the holder lists are built only to word an error.
+        and the holder lists are built only to word an error.  Then
+        every block of each core's L1I and L1D sets must be in its L2
+        (the L2 is inclusive of both L1s).
         Returns the holder masks (block -> bitmask of the cores holding
         it) and the owned blocks (block -> owning core), both in the
         order the pass met them, which the multi-socket check reads
@@ -870,6 +873,17 @@ class CMPSystem:
             if owner and entry.state is not _DIR_ME:
                 raise ProtocolInvariantError(
                     f"entry state S but core owns block {block:#x}")
+        for core, hier in enumerate(self.cores):
+            l2_blocks = hier.l2_index.keys()
+            for name, l1_sets in (("L1I", hier.l1i_sets),
+                                  ("L1D", hier.l1d_sets)):
+                for l1_set in l1_sets:
+                    if l1_set and not l2_blocks >= l1_set.keys():
+                        block = next(block for block in l1_set
+                                     if block not in l2_blocks)
+                        raise ProtocolInvariantError(
+                            f"inclusion broken: core {core}'s {name} "
+                            f"holds block {block:#x} but its L2 does not")
         return holders, owned
 
     def _holders(self, block: int, mask: int) -> List[Tuple[int, MESI]]:

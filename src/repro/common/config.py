@@ -189,7 +189,10 @@ class MeshConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Complete description of one simulated socket."""
+    """Complete description of one simulated system: ``n_sockets``
+    identical sockets of ``n_cores`` cores each (one socket by
+    default), behind the socket-level coherence layer of
+    :mod:`repro.multisocket` when there is more than one."""
 
     n_cores: int = 8
     l1i: CacheGeometry = field(
@@ -214,6 +217,14 @@ class SystemConfig:
     secdir_shared_ways: int = 5
     # Multi-grain Directory region size in blocks (1 KB regions).
     mgd_region_blocks: int = 16
+    # Multi-socket composition (Section III-D): the socket count, how
+    # socket-level directory entries survive directory-cache eviction
+    # (Section III-D5: 1 = the directory backed in home memory, 2 = the
+    # evicted entry housed in its block with a DirEvict bit), and the
+    # socket-level directory cache's capacity in blocks.
+    n_sockets: int = 1
+    socket_dir_solution: int = 1
+    socket_dir_cache_blocks: int = 4096
     #: Access kernel driving the runner hot path: ``scalar`` or
     #: ``batched`` (``repro.kernel``), bit-identical by contract
     #: (``repro verify --kernel-diff``); the field
@@ -224,6 +235,14 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_cores <= 0:
             raise ConfigError("n_cores must be positive")
+        if self.n_sockets <= 0:
+            raise ConfigError("n_sockets must be positive")
+        if self.socket_dir_solution not in (1, 2):
+            raise ConfigError("socket_dir_solution must be 1 or 2")
+        if self.socket_dir_cache_blocks <= 0:
+            raise ConfigError("socket_dir_cache_blocks must be positive")
+        if self.n_sockets > 1:
+            self._check_sockets()
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"kernel must be one of {', '.join(KERNELS)}, "
@@ -262,6 +281,30 @@ class SystemConfig:
                 raise ConfigError(
                     "DLS has no spilled entries; use plain LRU replacement")
 
+    def _check_sockets(self) -> None:
+        """A multi-socket system runs baseline or ZeroDEV sockets, and a
+        ZeroDEV home block must house every socket's entry segment
+        (:mod:`repro.core.formats`, Section III-D5)."""
+        if self.protocol not in (Protocol.BASELINE, Protocol.ZERODEV):
+            raise ConfigError(
+                "multi-socket evaluation supports baseline and ZeroDEV")
+        if self.protocol is not Protocol.ZERODEV:
+            return
+        # Imported here: a module-level import cycles through
+        # repro.core's package imports.
+        from repro.core.formats import (max_sockets,
+                                        max_sockets_with_socket_entry)
+        if self.socket_dir_solution == 1:
+            bound, rule = max_sockets(self.n_cores), "M(N+1) <= 512"
+        else:
+            bound = max_sockets_with_socket_entry(self.n_cores)
+            rule = "M(N+1) + (M+2) <= 512"
+        if self.n_sockets > bound:
+            raise ConfigError(
+                f"{self.n_sockets} ZeroDEV sockets of {self.n_cores} cores "
+                f"exceed solution {self.socket_dir_solution}'s bound of "
+                f"{bound} sockets per home block ({rule})")
+
     # ------------------------------------------------------------------
     @property
     def aggregate_l2_blocks(self) -> int:
@@ -270,6 +313,16 @@ class SystemConfig:
     @property
     def directory_entries(self) -> int:
         return self.directory.entries_for(self.aggregate_l2_blocks)
+
+    @property
+    def directory_array_entries(self) -> int:
+        """Entries of the sparse-directory array: the directory's own,
+        or for an unbounded one a 1x directory's at its associativity,
+        the set geometry it counts overflow against (Figure 5)."""
+        directory = self.directory
+        if directory.unbounded:
+            directory = replace(directory, ratio=1.0, unbounded=False)
+        return directory.entries_for(self.aggregate_l2_blocks)
 
     @property
     def llc_bank_sets(self) -> int:

@@ -47,6 +47,10 @@ class SystemStats:
     dev_events: int = 0             # dir evictions that generated >=1 DEV
     inclusion_invalidations: int = 0  # inclusive-LLC back-invalidations
     region_demotions: int = 0       # MgD region entries broken by sharing
+    # Peak, over the run, of the entries an unbounded directory holds
+    # beyond what a 1x set-associative directory's sets could keep:
+    # sum over the 1x sets of max(0, entries in set - ways) (Figure 5).
+    dir_overflow_peak: int = 0
 
     # Hybrid update/invalidate contender events (arXiv:1502.00101).
     update_pushes: int = 0          # S-state write hits served by pushing

@@ -78,9 +78,10 @@ class ZeroDEVSystem(CMPSystem):
         # is kept for the ablation study: a directory victim is relocated
         # to the LLC (never invalidated), disturbing two structures.
         return SparseDirectory(
-            self.config.directory_entries, dcfg.ways,
+            self.config.directory_array_entries, dcfg.ways,
             unbounded=dcfg.unbounded,
-            replacement_disabled=not dcfg.zerodev_replacement_enabled)
+            replacement_disabled=not dcfg.zerodev_replacement_enabled,
+            stats=self.stats)
 
     # ------------------------------------------------------------------
     # Entry lookup

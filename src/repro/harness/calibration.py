@@ -16,7 +16,8 @@ from typing import Dict, List, Tuple
 from repro.coherence.entry import DirState
 from repro.coherence.protocol import CMPSystem
 from repro.common.config import DirectoryConfig, SystemConfig
-from repro.harness.parallel import run_live
+from repro.harness.parallel import record_runs
+from repro.harness.runner import run_workload
 from repro.harness.system_builder import build_system
 from repro.workloads.trace import Workload
 
@@ -54,8 +55,12 @@ def measure_shared_fraction(config: SystemConfig, workload: Workload,
     def probe(sys_) -> None:
         observations.append(shared_entry_fraction(sys_))
 
-    # The probe needs the live system, so it runs outside run_many.
-    run_live(system, workload, sample_every=interval, sample_fn=probe)
+    # The one run outside run_many: its samples are taken mid-run, and
+    # no statistic a run returns reproduces them (DESIGN.md section 8).
+    # It is counted in the session telemetry like a batch run.
+    result = run_workload(system, workload, sample_every=interval,
+                          sample_fn=probe)
+    record_runs(1, result.wall_seconds, result.accesses)
     observations.append(shared_entry_fraction(system))
     # Skip the cold-start samples (everything starts exclusive).
     steady = observations[len(observations) // 4:]

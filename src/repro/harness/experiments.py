@@ -14,13 +14,15 @@ same applications -- goes through :func:`compare`: it issues the
 reference and every design over the ``(group, app, workload)`` work of
 :func:`suite_work` as one :func:`repro.harness.parallel.run_many` batch
 and returns ``(base run, run)`` pairs; :func:`compare_suites` reduces
-them to speedups. A figure without a reference (Figure 12, the
-notice-bit ablation) issues one :func:`run_configs` batch per design.
-Every batch (a) fans out over ``REPRO_JOBS`` worker processes and (b)
-deduplicates against the session result cache, so the baseline runs
-shared by fig17-fig27 are simulated exactly once per session. Results
-are bit-identical to the serial path (the simulator is deterministic);
-every table carries run telemetry in ``Table.metadata``.
+them to speedups. A figure without a reference (Figures 5 and 12, the
+notice-bit and socket-directory ablations) issues :func:`run_configs`
+batches. A multi-socket run is one spec whose config sets
+``n_sockets``. Every batch (a) fans out over ``REPRO_JOBS`` worker
+processes and (b) deduplicates against the session result cache, so
+the baseline runs shared by fig17-fig27 are simulated exactly once per
+session. Results are bit-identical to the serial path (the simulator
+is deterministic); every table carries run telemetry in
+``Table.metadata``.
 
 Scaling knobs (environment variables):
 
@@ -50,11 +52,10 @@ from repro.common.config import (DirCachingPolicy, DirectoryConfig,
 from repro.common.stats import makespan_speedup, weighted_speedup
 from repro.harness.campaign import CampaignJournal, policy_from_env
 from repro.harness.energy import estimate_energy
-from repro.harness.parallel import (env_number, run_live, run_many,
+from repro.harness.parallel import (env_number, run_many,
                                     telemetry_since, telemetry_snapshot)
 from repro.harness.reporting import Table, geomean
 from repro.harness.runner import RunResult
-from repro.harness.system_builder import build_system
 from repro.workloads.suites import (make_heterogeneous_mixes,
                                     make_multithreaded, make_rate_workload,
                                     make_server_workload, suite_profiles)
@@ -357,36 +358,27 @@ def fig4_directory_sizes() -> Tuple[Table, dict]:
 def fig5_llc_occupancy() -> Tuple[Table, dict]:
     """Figure 5: projected LLC occupancy of spilled directory entries.
 
-    Measured as the peak unbounded-directory occupancy beyond the 1x
-    capacity, expressed as a percentage of LLC blocks (one entry per
-    block, as the paper projects). Runs serially: the periodic
-    directory-occupancy probe needs the live system, which the parallel
-    layer deliberately does not return.
+    Measured as the peak number of entries an unbounded directory holds
+    beyond what the sets of a 1x set-associative directory could keep
+    (``SystemStats.dir_overflow_peak``), as a percentage of LLC blocks
+    (one entry per block, as the paper projects).  These are the
+    unbounded runs of Figures 2 and 3, so in one session they are
+    cache hits.
     """
     table = Table("Figure 5: projected LLC occupancy of spilled "
                   "entries (% of LLC blocks)")
     base_config = default_config()
     unbounded = base_config.with_(
         directory=DirectoryConfig(unbounded=True))
-    capacity_1x = base_config.directory_entries
     llc_blocks = base_config.llc.blocks
-    results = {}
-    for suite in list(MT_SUITES) + ["CPU2017"]:
-        maxima = []
-        for profile in apps_of(suite):
-            workload = workload_for(profile, suite, unbounded)
-            system = build_system(unbounded)
-            peak = [0]
-
-            def probe(sys_, peak=peak):
-                peak[0] = max(peak[0], len(sys_.directory))
-
-            run_live(system, workload, sample_every=2000,
-                     sample_fn=probe)
-            peak[0] = max(peak[0], len(system.directory))
-            overflow = max(0, peak[0] - capacity_1x)
-            maxima.append(100.0 * overflow / llc_blocks)
-        results[suite] = maxima
+    suites = list(MT_SUITES) + ["CPU2017"]
+    work = suite_work(suites, base_config)
+    runs = run_configs([(unbounded, workload) for _, _, workload in work])
+    results: Dict[str, List[float]] = {suite: [] for suite in suites}
+    for (suite, _, _), run in zip(work, runs):
+        results[suite].append(
+            100.0 * run.stats.dir_overflow_peak / llc_blocks)
+    for suite, maxima in results.items():
         table.add(f"{suite} max-of-max", max(maxima), paper=12.0,
                   note="paper: overall max ~12%")
         table.add(f"{suite} avg-of-max", sum(maxima) / len(maxima),
@@ -879,31 +871,37 @@ def energy_comparison() -> Tuple[Table, dict]:
 @_instrumented
 def multisocket_comparison(n_sockets: int = 4) -> Tuple[Table, dict]:
     """Section V 'Multi-socket Evaluation': four sockets, ZeroDEV with no
-    intra-socket directory within 1.6% of the 1x baseline."""
-    from repro.multisocket import MultiSocketSystem
+    intra-socket directory within 1.6% of the 1x baseline.
+
+    The results also carry the Section III-D traffic of the ZeroDEV
+    runs, summed over their sockets: ``wb_de_messages``,
+    ``get_de_messages`` and ``denf_nacks``."""
     from repro.workloads.synthetic import generate
 
     base_config = default_config()
-    znodir = zerodev_config(base_config, ratio=None)
+    base = base_config.with_(n_sockets=n_sockets)
+    znodir = zerodev_config(base_config, ratio=None, n_sockets=n_sockets)
     total_cores = n_sockets * base_config.n_cores
     table = Table(f"Multi-socket ({n_sockets} sockets x "
                   f"{base_config.n_cores} cores)")
-    speedups = []
     n = max(accesses_per_core() // 2, 1000)
-    for suite in ("PARSEC", "SPLASH2X"):
-        for profile in apps_of(suite)[:3]:
-            traces = generate(profile, base_config, n, seed=29,
-                              cores=list(range(total_cores)))
-            workload = Workload(profile.name, traces)
-            base = MultiSocketSystem(base_config, n_sockets=n_sockets)
-            run_live(base, workload)
-            zdev = MultiSocketSystem(znodir, n_sockets=n_sockets)
-            run_live(zdev, workload)
-            s = base.total_cycles() / zdev.total_cycles()
-            speedups.append(s)
-            table.add(f"{profile.name}", s)
-            devs = sum(st.dev_invalidations for st in zdev.stats)
-            assert devs == 0
+    work = [(suite, profile.name,
+             Workload(profile.name,
+                      generate(profile, base_config, n, seed=29,
+                               cores=list(range(total_cores)))))
+            for suite in ("PARSEC", "SPLASH2X")
+            for profile in apps_of(suite)[:3]]
+    speedups = []
+    flows = dict.fromkeys(
+        ("wb_de_messages", "get_de_messages", "denf_nacks"), 0)
+    for (_, app, _), (base_run, zdev_run) in zip(
+            work, compare(base, {"NoDir": znodir}, work)["NoDir"]):
+        s = base_run.cycles / zdev_run.cycles
+        speedups.append(s)
+        table.add(app, s)
+        assert sum(st.dev_invalidations for st in zdev_run.stats) == 0
+        for field in flows:
+            flows[field] += sum(getattr(st, field) for st in zdev_run.stats)
     table.add("GEOMEAN", geomean(speedups), paper=0.984,
               note="paper: within 1.6% of the 1x baseline")
-    return table, {"speedups": speedups}
+    return table, {"speedups": speedups, **flows}

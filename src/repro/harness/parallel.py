@@ -5,9 +5,10 @@ independent ``(SystemConfig, Workload)`` runs: no state is shared, and
 every run is deterministic. :func:`run_many` plans a batch (cache hits,
 duplicate collapsing, lazy trace paths) and hands the runs it must
 execute to :func:`repro.harness.campaign.campaign_map`, whose fork
-workers rebuild each system, run the workload, and ship back a
-*detached* :class:`~repro.harness.runner.RunResult` -- stats only,
-never a live ``CMPSystem``.
+workers build each system -- of one socket or of ``config.n_sockets``
+-- run the workload, and ship back its
+:class:`~repro.harness.runner.RunResult`, which carries the stats and
+never the live system.
 
 Guarantees:
 
@@ -81,8 +82,10 @@ def record_runs(runs: int, wall_seconds: float, accesses: int,
     """Count finished runs in the session telemetry.
 
     The one accounting path for simulated runs: :func:`run_many` calls
-    it once per batch and :func:`run_live` once per run, so every run
-    is counted once wherever it executes.
+    it once per batch, and the one run outside it, the calibration
+    anchors' sampled probe
+    (:func:`repro.harness.calibration.measure_shared_fraction`), once
+    per run, so every run is counted once wherever it executes.
     """
     _telemetry["runs"] += runs
     _telemetry["cache_hits"] += cache_hits
@@ -130,7 +133,7 @@ def default_jobs() -> int:
 
 def execute_run(spec: RunSpec,
                 trace_path: Optional[str] = None) -> RunResult:
-    """Build the system for ``spec`` and run it (detached result).
+    """Build the system for ``spec`` and run it.
 
     With ``trace_path`` the run executes under a
     :class:`~repro.obs.trace.TraceSession`: events stream to that JSONL
@@ -139,26 +142,10 @@ def execute_run(spec: RunSpec,
     config, workload = spec
     system = build_system(config)
     if trace_path is None:
-        return run_workload(system, workload).detached()
+        return run_workload(system, workload)
     from repro.obs.trace import TraceSession
     with TraceSession(system, jsonl=trace_path) as session:
-        return session.run(workload).detached()
-
-
-def run_live(system, workload: Workload, **kwargs) -> RunResult:
-    """Run ``workload`` on a live ``system`` outside :func:`run_many`.
-
-    For the runs whose caller needs the system itself, which
-    ``run_many`` never returns: a probe sampling it mid-run (Figure 5,
-    the calibration anchors) or a multi-socket composition.  The run is
-    counted in the session telemetry like a batch run; ``kwargs`` go to
-    :func:`~repro.harness.runner.run_workload`.
-    """
-    result = run_workload(system, workload, **kwargs)
-    record_runs(1, result.wall_seconds,
-                sum(socket.stats.total_accesses
-                    for socket in system.sockets))
-    return result
+        return session.run(workload)
 
 
 def _trace_path_for(trace_dir, index: int, spec: RunSpec) -> str:
@@ -241,14 +228,14 @@ def run_many(specs: Sequence[RunSpec], jobs: Optional[int] = None,
         source = results[first]
         if source is not None:          # else the shared execution failed
             results[index] = RunResult(
-                source.workload, source.stats, None, source.wall_seconds,
+                source.workload, source.stats, source.wall_seconds,
                 cached=True, trace_path=source.trace_path)
 
     completed = [results[index] for index, *_ in pending
                  if results[index] is not None]
     record_runs(executed,
                 sum(result.wall_seconds for result in completed),
-                sum(result.stats.total_accesses for result in completed),
+                sum(result.accesses for result in completed),
                 cache_hits=len(specs) - len(pending))
     if cache is not None:
         _telemetry["cache_dropped_puts"] += (cache.dropped_puts

@@ -14,7 +14,7 @@ Two tiers:
 
 * in-process memoization (always on), so the reference/baseline
   configurations shared by fig17-fig27 are simulated once per session;
-* an optional disk tier (``REPRO_CACHE_DIR``) that persists detached
+* an optional disk tier (``REPRO_CACHE_DIR``) that persists
   :class:`~repro.harness.runner.RunResult` payloads across sessions,
   one ``<key>.pkl`` file per run. A disk read never raises: a missing,
   truncated, bit-flipped or wrong-object entry is a miss and the run
@@ -83,8 +83,8 @@ def run_key(config: SystemConfig, workload: Workload, **extra) -> str:
 
 
 class ResultCache:
-    """Memoizes detached run results in memory and, given a
-    ``directory``, on disk."""
+    """Memoizes run results in memory and, given a ``directory``, on
+    disk."""
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self._memo: Dict[str, RunResult] = {}
@@ -147,16 +147,15 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        return RunResult(result.workload, result.stats, None,
+        return RunResult(result.workload, result.stats,
                          result.wall_seconds, cached=True,
                          trace_path=getattr(result, "trace_path", None))
 
     def put(self, key: str, result: RunResult) -> None:
-        detached = result.detached()
-        self._memo[key] = detached
+        self._memo[key] = result
         if self.directory is not None:
             try:
-                self._publish(key, detached)
+                self._publish(key, result)
             except OSError as exc:
                 # A full or read-only disk must not kill the
                 # campaign, but it must not be silent either: without

@@ -47,33 +47,39 @@ from repro.workloads.trace import OP_BY_CODE, Workload
 
 @dataclass
 class RunResult:
-    """Outcome of one workload run.
-
-    ``system`` is only populated for in-process serial runs; results that
-    crossed a process boundary or came from the result cache carry the
-    stats alone (see :mod:`repro.harness.parallel`).  A multi-socket
-    run's ``stats`` is its per-socket list.
-    """
+    """Outcome of one workload run: its statistics, never the live
+    system, so a result pickles across processes and into the result
+    cache unchanged.  A multi-socket run's ``stats`` is its per-socket
+    list."""
 
     workload: str
     stats: SystemStats
-    system: Optional[CMPSystem] = None
     wall_seconds: float = 0.0
     cached: bool = False
     trace_path: Optional[str] = None
 
     @property
-    def cycles(self) -> int:
-        return self.stats.total_cycles
+    def socket_stats(self) -> List[SystemStats]:
+        """Each socket's statistics: ``stats`` itself on a multi-socket
+        run, else a one-item list."""
+        stats = self.stats
+        return stats if isinstance(stats, list) else [stats]
 
     @property
-    def per_core_cycles(self):
-        return list(self.stats.cycles)
+    def cycles(self) -> int:
+        """Makespan: the slowest core's clock over every socket."""
+        return max(stats.total_cycles for stats in self.socket_stats)
 
-    def detached(self) -> "RunResult":
-        """A copy without the live system (picklable, cache-friendly)."""
-        return RunResult(self.workload, self.stats, None,
-                         self.wall_seconds, self.cached, self.trace_path)
+    @property
+    def accesses(self) -> int:
+        """Accesses simulated, summed over the sockets."""
+        return sum(stats.total_accesses for stats in self.socket_stats)
+
+    @property
+    def per_core_cycles(self) -> List[int]:
+        """Every core's clock, socket by socket."""
+        return [cycles for stats in self.socket_stats
+                for cycles in stats.cycles]
 
 
 #: Op enums by integer code, as an object array: indexing it with a
@@ -206,7 +212,7 @@ def run_workload(system, workload: Workload,
     socket's stats.  ``check_invariants_every`` triggers a full
     invariant sweep every N accesses (tests); ``sample_every``/
     ``sample_fn`` support periodic probes such as the
-    directory-occupancy measurement of Figure 5; ``warmup`` executes
+    calibration anchors' shared-entry fraction; ``warmup`` executes
     that many accesses to warm the caches and then resets every
     socket's statistics (the region-of-interest boundary); ``profiler``
     (a :class:`repro.obs.PhaseProfiler`) times the drive (traces are
@@ -288,5 +294,5 @@ def run_workload(system, workload: Workload,
                 system.check_invariants()
         else:
             system.check_invariants()
-    return RunResult(workload.name, system.stats, system,
+    return RunResult(workload.name, system.stats,
                      wall_seconds=perf_counter() - started)

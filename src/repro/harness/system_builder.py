@@ -1,6 +1,9 @@
-"""Construct a simulated socket from a :class:`SystemConfig`.
+"""Construct a simulated system from a :class:`SystemConfig`.
 
-Dispatches on ``config.protocol`` and right-sizes the mesh when the core
+:func:`build_system` builds the whole system a config describes: one
+socket, or a :class:`~repro.multisocket.MultiSocketSystem` of
+``config.n_sockets``.  :func:`build_socket` builds one socket: it
+dispatches on ``config.protocol`` and right-sizes the mesh when the core
 and bank count outgrow the Table I default (the 128-core server socket).
 """
 
@@ -22,8 +25,16 @@ def _mesh_for(config: SystemConfig) -> MeshConfig:
     return MeshConfig(width=width, height=height)
 
 
-def build_system(config: SystemConfig) -> CMPSystem:
-    """Build the system implementing ``config.protocol``."""
+def build_system(config: SystemConfig):
+    """Build the system ``config`` describes, of one socket or more."""
+    if config.n_sockets > 1:
+        from repro.multisocket.system import MultiSocketSystem
+        return MultiSocketSystem(config)
+    return build_socket(config)
+
+
+def build_socket(config: SystemConfig) -> CMPSystem:
+    """Build one socket implementing ``config.protocol``."""
     mesh = _mesh_for(config)
     if mesh is not config.mesh:
         # Only re-validate the config when the mesh actually resizes.

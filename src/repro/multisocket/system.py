@@ -34,12 +34,11 @@ from repro.caches.block import LineKind
 from repro.coherence.entry import DirectoryEntry, DirState
 from repro.coherence.protocol import CMPSystem
 from repro.coherence.shadow import ShadowMemory
-from repro.common.config import Protocol, SystemConfig
-from repro.common.errors import ConfigError, ProtocolInvariantError
+from repro.common.config import SystemConfig
+from repro.common.errors import ProtocolInvariantError
 from repro.common.messages import MessageType as MT
 from repro.common.stats import SystemStats
 from repro.core.housing import DirEvictBitmap
-from repro.harness.system_builder import build_system
 from repro.obs.events import EventKind, InvCause
 
 # Read once per owned block by every check and once per sharer probe,
@@ -97,28 +96,27 @@ class MultiSocketSystem:
     #: arms these to prove its checkers catch the seeded bug.
     mutations: frozenset = frozenset()
 
-    def __init__(self, config: SystemConfig, n_sockets: int = 4,
-                 dir_cache_blocks: int = 4096,
-                 dir_solution: int = 1) -> None:
-        """``dir_solution`` selects how socket-level directory entries
-        survive directory-cache eviction (Section III-D5): solution 1
-        backs the whole directory in home memory (a cache miss costs one
-        memory read); solution 2 houses the evicted entry in the memory
-        block's reserved partition and keeps one DirEvict bit per block,
-        served by a small on-chip bit cache (constant 0.2% DRAM
-        overhead). Both are latency models here -- entries are never
-        lost and never generate DEVs either way."""
-        if config.protocol not in (Protocol.BASELINE, Protocol.ZERODEV):
-            raise ConfigError(
-                "multi-socket evaluation supports baseline and ZeroDEV")
-        if dir_solution not in (1, 2):
-            raise ConfigError("dir_solution must be 1 or 2")
+    def __init__(self, config: SystemConfig) -> None:
+        """``config.n_sockets`` sockets, each built from ``config``
+        (which validates the composition).
+
+        ``config.socket_dir_solution`` selects how socket-level
+        directory entries survive eviction from the
+        ``config.socket_dir_cache_blocks``-block directory cache
+        (Section III-D5): solution 1 backs the whole directory in home
+        memory (a cache miss costs one memory read); solution 2 houses
+        the evicted entry in the memory block's reserved partition and
+        keeps one DirEvict bit per block, served by a small on-chip bit
+        cache (constant 0.2% DRAM overhead). Both are latency models
+        here -- entries are never lost and never generate DEVs either
+        way."""
+        from repro.harness.system_builder import build_socket
         self.config = config
-        self.n_sockets = n_sockets
+        self.n_sockets = config.n_sockets
         self.sockets: List[CMPSystem] = []
         shadow = ShadowMemory()
-        for node in range(n_sockets):
-            socket = build_system(config)
+        for node in range(self.n_sockets):
+            socket = build_socket(config)
             socket.shadow = shadow
             socket.node_id = node
             socket.memory_side = self
@@ -129,11 +127,9 @@ class MultiSocketSystem:
         self._garbage: set = set()
         self._dram_version: Dict[int, int] = {}
         self._dir_cache: "OrderedDict[int, None]" = OrderedDict()
-        self._dir_cache_blocks = dir_cache_blocks
-        self._dir_solution = dir_solution
+        self._dir_cache_blocks = config.socket_dir_cache_blocks
+        self._dir_solution = config.socket_dir_solution
         self._dir_evict_bits = DirEvictBitmap()
-        self.denf_nacks = 0
-        self.restores = 0
         self.socket_invalidations = 0
 
     # ------------------------------------------------------------------
@@ -144,8 +140,18 @@ class MultiSocketSystem:
     def stats(self) -> List[SystemStats]:
         return [socket.stats for socket in self.sockets]
 
-    def total_cycles(self) -> int:
-        return max(socket.stats.total_cycles for socket in self.sockets)
+    @property
+    def denf_nacks(self) -> int:
+        """DENF_NACK re-forwards, counted in the requesting socket's
+        stats."""
+        return sum(socket.stats.denf_nacks for socket in self.sockets)
+
+    @property
+    def restores(self) -> int:
+        """System-wide last-copy restores, counted in the evicting
+        socket's stats."""
+        return sum(socket.stats.corrupted_blocks_restored
+                   for socket in self.sockets)
 
     # ------------------------------------------------------------------
     # Socket-level directory cache (solution 1: backed in home memory)
@@ -285,7 +291,7 @@ class MultiSocketSystem:
         found = forward._lookup_in_socket(block)  # noqa: SLF001
         if found is None:
             # Step 7: F cannot find the entry -- it is housed at home.
-            self.denf_nacks += 1
+            socket.stats.denf_nacks += 1
             if self.obs is not None:
                 self.obs.emit(EventKind.DENF_NACK, block=block,
                               cause=f"socket{forward_id}")
@@ -407,7 +413,6 @@ class MultiSocketSystem:
                 return
             # System-wide last copy of a corrupted block: retrieve it
             # from the evicting socket and heal home memory.
-            self.restores += 1
             if self.obs is not None:
                 self.obs.emit(EventKind.MEM_RESTORE, block=block,
                               cause=InvCause.SOCKET)

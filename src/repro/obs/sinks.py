@@ -100,27 +100,30 @@ class TimeSeriesAggregator:
 
     # ------------------------------------------------------------------
     def sample(self, system) -> None:
-        """Snapshot occupancy gauges from a live (single-socket) system."""
-        stats = system.stats
-        accesses = stats.total_accesses
-        misses = stats.core_cache_misses
+        """Snapshot occupancy gauges from a live system, summed over its
+        sockets."""
+        sockets = system.sockets
+        accesses = sum(socket.stats.total_accesses for socket in sockets)
+        misses = sum(socket.stats.core_cache_misses for socket in sockets)
         delta_accesses = accesses - self._last_accesses
         delta_misses = misses - self._last_misses
         self._last_accesses, self._last_misses = accesses, misses
-        housing = getattr(system, "_housing", None)
+        housings = [socket._housing for socket in sockets  # noqa: SLF001
+                    if getattr(socket, "_housing", None) is not None]
+        banks = [bank for socket in sockets for bank in socket.banks]
         self.gauges.append({
             "step": accesses,
-            "dir_occupancy": (system.directory.occupancy()
-                              if system.directory is not None else 0),
-            "spilled_entries": sum(bank.spilled_count()
-                                   for bank in system.banks),
-            "fused_entries": sum(bank.fused_count()
-                                 for bank in system.banks),
-            "corrupted_blocks": (housing.garbage_count
-                                 if housing is not None else 0),
+            "dir_occupancy": sum(socket.directory.occupancy()
+                                 for socket in sockets
+                                 if socket.directory is not None),
+            "spilled_entries": sum(bank.spilled_count() for bank in banks),
+            "fused_entries": sum(bank.fused_count() for bank in banks),
+            "corrupted_blocks": sum(housing.garbage_count
+                                    for housing in housings),
             "mpki": (1000.0 * delta_misses / delta_accesses
                      if delta_accesses else 0.0),
-            "traffic_bytes": stats.traffic_bytes,
+            "traffic_bytes": sum(socket.stats.traffic_bytes
+                                 for socket in sockets),
         })
 
     # ------------------------------------------------------------------

@@ -66,12 +66,10 @@ class ModelSpec:
 
     name: str
     config: SystemConfig
-    n_sockets: int = 1
-    #: Socket-level directory-cache capacity (multi-socket only); kept
-    #: tiny so socket entries get evicted and Section III-D5 solutions
-    #: actually run.
-    dir_cache_blocks: int = 4
-    dir_solution: int = 1
+
+    @property
+    def n_sockets(self) -> int:
+        return self.config.n_sockets
 
     @property
     def is_zerodev(self) -> bool:
@@ -90,13 +88,8 @@ class ModelSpec:
 
     def build(self):
         """A fresh system for this spec (one per trace run)."""
-        if self.n_sockets == 1:
-            from repro.harness.system_builder import build_system
-            return build_system(self.config)
-        from repro.multisocket.system import MultiSocketSystem
-        return MultiSocketSystem(self.config, n_sockets=self.n_sockets,
-                                 dir_cache_blocks=self.dir_cache_blocks,
-                                 dir_solution=self.dir_solution)
+        from repro.harness.system_builder import build_system
+        return build_system(self.config)
 
 
 def model_matrix() -> List[ModelSpec]:
@@ -127,14 +120,16 @@ def model_matrix() -> List[ModelSpec]:
             f"zerodev-{policy.value}-splru",
             zerodev_config(dir_caching=policy,
                            llc_replacement=LLCReplacement.SP_LRU)))
-    # Two-socket compositions (the layer supports baseline and ZeroDEV).
-    half = dict(n_cores=TRACE_CORES // 2)
-    models.append(ModelSpec("baseline-2socket", micro_config(**half),
-                            n_sockets=2))
+    # Two-socket compositions (the layer supports baseline and ZeroDEV),
+    # with a socket-level directory cache kept tiny so socket entries get
+    # evicted and the Section III-D5 solutions actually run.
+    two = dict(n_cores=TRACE_CORES // 2, n_sockets=2,
+               socket_dir_cache_blocks=4)
+    models.append(ModelSpec("baseline-2socket", micro_config(**two)))
     for solution in (1, 2):
         models.append(ModelSpec(
-            f"zerodev-2socket-sol{solution}", zerodev_config(**half),
-            n_sockets=2, dir_solution=solution))
+            f"zerodev-2socket-sol{solution}",
+            zerodev_config(**two, socket_dir_solution=solution)))
     return models
 
 

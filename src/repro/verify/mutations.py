@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.common.config import DirectoryConfig
+from repro.common.config import DirectoryConfig, Protocol
 from repro.common.errors import ConfigError
 from repro.verify.models import ModelSpec, micro_config, model_by_name
 from repro.workloads.trace import Op
@@ -71,7 +71,10 @@ class Mutation:
     def applies_to(self, spec: ModelSpec) -> bool:
         from repro.common.config import LLCReplacement
         if self.name == "dev-leak-sharer":
+            # SecDir's one DEV path (its private-slot DEV) does not pass
+            # the seam in ``CMPSystem._process_dev``.
             return (not spec.is_zerodev
+                    and spec.config.protocol is not Protocol.SECDIR
                     and spec.config.directory.present
                     and not spec.config.directory.unbounded)
         if self.name == "drop-splru-reorder":
@@ -201,6 +204,4 @@ def mutant_spec(spec: ModelSpec, name: str) -> MutantSpec:
             f"mutation {name!r} does not apply to model {spec.name!r} "
             f"(reference model: {mutation.reference_model})")
     return MutantSpec(name=f"{spec.name}+{name}", config=spec.config,
-                      n_sockets=spec.n_sockets,
-                      dir_cache_blocks=spec.dir_cache_blocks,
-                      dir_solution=spec.dir_solution, mutation=name)
+                      mutation=name)

@@ -6,7 +6,7 @@ import pytest
 from repro.common.config import (CacheGeometry, DirectoryConfig, Protocol)
 from repro.common.errors import ConfigError
 from repro.harness.system_builder import build_system
-from repro.multisocket import MultiSocketSystem
+from repro.harness.system_builder import build_system
 from repro.workloads.trace import Op
 
 from tests.conftest import drive, tiny_config, zerodev_config
@@ -54,9 +54,9 @@ class TestReplacementEnabledZeroDev:
 
 class TestSocketDirectorySolutions:
     def run_system(self, solution, cache_blocks=4):
-        system = MultiSocketSystem(tiny_config(), n_sockets=2,
-                                   dir_cache_blocks=cache_blocks,
-                                   dir_solution=solution)
+        system = build_system(tiny_config(
+            n_sockets=2, socket_dir_cache_blocks=cache_blocks,
+            socket_dir_solution=solution))
         for k in range(150):
             for socket in range(2):
                 system.sockets[socket].access(
@@ -66,7 +66,7 @@ class TestSocketDirectorySolutions:
 
     def test_solution_values_validated(self):
         with pytest.raises(ConfigError):
-            MultiSocketSystem(tiny_config(), dir_solution=3)
+            tiny_config(n_sockets=4, socket_dir_solution=3)
 
     def test_solution1_misses_cost_memory_reads(self):
         system = self.run_system(1)

@@ -5,6 +5,7 @@ import pytest
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.common.errors import ProtocolInvariantError
+from repro.common.stats import SystemStats
 
 
 def me_entry(block, owner=0):
@@ -125,12 +126,26 @@ class TestSparseDirectory:
         assert [e.block for e in directory._sets[0]] == [4, 12]
 
     def test_unbounded_never_full(self):
-        directory = self.make(unbounded=True)
+        directory = self.make(unbounded=True, stats=SystemStats(1))
         for block in range(1000):
             assert directory.has_room(block)
             assert directory.evict_for(block) is None
             directory.insert(me_entry(block))
         assert len(directory) == 1000
+        # It counts what its 1x geometry (4 sets x 4 ways here) could
+        # not keep: six entries planted in set 0 overflow it by two.
+        # Removing three lowers the live overflow to zero; the peak in
+        # the stats holds.
+        stats = SystemStats(1)
+        directory = self.make(unbounded=True, stats=stats)
+        for block in range(0, 24, 4):
+            directory.insert(me_entry(block))
+        directory.insert(me_entry(1))
+        assert directory.overflow == stats.dir_overflow_peak == 2
+        for block in (0, 4, 8):
+            directory.remove(block)
+        assert directory.overflow == 0
+        assert stats.dir_overflow_peak == 2
 
     def test_replacement_disabled_refuses_victims(self):
         directory = self.make(entries=8, ways=2, replacement_disabled=True)

@@ -50,11 +50,13 @@ class TestExperimentSmoke:
         table, results = experiments.fig5_llc_occupancy()
         for suite, maxima in results.items():
             assert all(m >= 0 for m in maxima)
-        # Every probed run is counted in the figure's telemetry.
+        # Some suite overflows a 1x directory's sets.
+        assert max(max(maxima) for maxima in results.values()) > 0
+        # Every run is counted in the figure's telemetry, simulated or
+        # (as fig2's and fig3's unbounded runs) a cache hit.
         meta = table.metadata
-        assert meta["runs_executed"] == 21
-        assert meta["runs_executed"] == sum(map(len, results.values()))
-        assert meta["simulated_accesses"] > 0
+        assert meta["runs_executed"] + meta["cache_hits"] == 21
+        assert sum(map(len, results.values())) == 21
 
     def test_energy_structure(self):
         table, results = experiments.energy_comparison()

@@ -1,10 +1,14 @@
 """Bit-level tests of the Figure 9/11 entry encodings and the Section
 III-D memory-housing layout, including hypothesis round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.coherence.entry import DirectoryEntry, DirState
+from repro.common.config import (DirectoryConfig, LLCReplacement, Protocol,
+                                 SystemConfig)
 from repro.common.errors import ConfigError
 from repro.core import formats
 from repro.core.formats import (HousedBlockImage, decode_fused_fpss,
@@ -37,6 +41,23 @@ class TestBitBudgets:
     def test_solution2_bound(self):
         # M(N+1) + (M+2) <= 512 -> M <= 510/(N+2).
         assert max_sockets_with_socket_entry(8) == 51
+        assert max_sockets_with_socket_entry(128) == 3
+        # A ZeroDEV config is refused one socket over its solution's
+        # housing bound, naming the bound; the bound itself is legal.
+        zerodev = dict(protocol=Protocol.ZERODEV,
+                       directory=DirectoryConfig(ratio=None),
+                       llc_replacement=LLCReplacement.DATA_LRU)
+        for n_cores, solution, bound, rule in (
+                (8, 1, 56, "M(N+1) <= 512"),
+                (8, 2, 51, "M(N+1) + (M+2) <= 512"),
+                (128, 1, 3, "M(N+1) <= 512"),
+                (128, 2, 3, "M(N+1) + (M+2) <= 512")):
+            config = SystemConfig(n_cores=n_cores, n_sockets=bound,
+                                  socket_dir_solution=solution, **zerodev)
+            with pytest.raises(ConfigError, match=(
+                    rf"bound of {bound} sockets per home block "
+                    rf"\({re.escape(rule)}\)")):
+                config.with_(n_sockets=bound + 1)
 
 
 def entries(n_cores):

@@ -91,15 +91,13 @@ class TestBitIdentity:
         assert streams["scalar"] == streams["batched"]
 
     def test_multisocket_identical(self):
-        from repro.multisocket.system import MultiSocketSystem
-
         config = tiny_config(n_cores=2)
         workload = make_multithreaded(
             find_profile("blackscholes"), tiny_config(), 400, seed=4)
         per_kernel = {}
         for kernel in ("scalar", "batched"):
-            system = MultiSocketSystem(config.with_(kernel=kernel),
-                                       n_sockets=2, dir_cache_blocks=4)
+            system = build_system(config.with_(
+                kernel=kernel, n_sockets=2, socket_dir_cache_blocks=4))
             run_workload(system, workload, check_invariants_every=50)
             per_kernel[kernel] = [
                 {k: v for k, v in vars(s).items()}

@@ -422,9 +422,7 @@ class TestBeyondTheMatrix:
                 system.sockets[-1].stats.dev_invalidations = 1
                 return system
 
-        report = explore_model(
-            Planted(spec.name, spec.config, spec.n_sockets,
-                    spec.dir_cache_blocks, spec.dir_solution), 1)
+        report = explore_model(Planted(spec.name, spec.config), 1)
         assert not report.ok and report.counterexample.sequence == ()
         error = report.counterexample.error
         assert type(error).__name__ == "ProtocolInvariantError"
@@ -561,6 +559,10 @@ class TestMutations:
             arm_mutation(spec_of().build(), "no-such-bug")
         with pytest.raises(ConfigError, match="does not apply"):
             mutant_spec(spec_of(), "skip-denf-nack")
+        # SecDir's private-slot DEV never passes the seam this mutation
+        # arms, so it claims no SecDir model.
+        with pytest.raises(ConfigError, match="does not apply"):
+            mutant_spec(spec_of("secdir"), "dev-leak-sharer")
 
     def test_fuzz_baseline_misses_denf_nack(self):
         # The pinned gap: the pinned-seed, pinned-budget, short-trace

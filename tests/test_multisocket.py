@@ -8,7 +8,7 @@ from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCReplacement, Protocol)
 from repro.common.errors import ConfigError, ProtocolInvariantError
 from repro.coherence.entry import DirState
-from repro.multisocket import MultiSocketSystem
+from repro.harness.system_builder import build_system
 from repro.multisocket.system import SocketEntry
 from repro.workloads.trace import Op
 
@@ -16,7 +16,7 @@ from tests.conftest import fails_with, tiny_config
 
 
 def make_multi(n_sockets=2, **kw):
-    return MultiSocketSystem(tiny_config(**kw), n_sockets=n_sockets)
+    return build_system(tiny_config(n_sockets=n_sockets, **kw))
 
 
 def make_multi_zerodev(n_sockets=2, **kw):
@@ -27,7 +27,7 @@ def make_multi_zerodev(n_sockets=2, **kw):
         dir_caching=DirCachingPolicy.FPSS,
     )
     defaults.update(kw)
-    return MultiSocketSystem(tiny_config(**defaults), n_sockets=n_sockets)
+    return build_system(tiny_config(n_sockets=n_sockets, **defaults))
 
 
 def access(system, socket, core, op, block):
@@ -350,8 +350,8 @@ class TestSocketDirectoryCache:
         assert system._dir_lookup_latency(12345) == 0   # now cached
 
     def test_lru_eviction(self):
-        system = MultiSocketSystem(tiny_config(), n_sockets=2,
-                                   dir_cache_blocks=2)
+        system = build_system(tiny_config(n_sockets=2,
+                                          socket_dir_cache_blocks=2))
         system._dir_lookup_latency(1)
         system._dir_lookup_latency(2)
         system._dir_lookup_latency(3)    # evicts 1

@@ -8,7 +8,7 @@ from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCDesign, LLCReplacement,
                                  Protocol)
 from repro.coherence.entry import DirState
-from repro.multisocket import MultiSocketSystem
+from repro.harness.system_builder import build_system
 from repro.workloads.trace import Op
 
 from tests.conftest import tiny_config
@@ -21,7 +21,7 @@ def access(system, socket, core, op, block):
 
 
 def make(n_sockets=2, **kw):
-    return MultiSocketSystem(tiny_config(**kw), n_sockets=n_sockets)
+    return build_system(tiny_config(n_sockets=n_sockets, **kw))
 
 
 class TestDirtyDataAcrossSockets:
@@ -95,7 +95,7 @@ class TestZeroDevMultiSocketDesigns:
             protocol=Protocol.ZERODEV,
             directory=DirectoryConfig(ratio=None),
             llc_replacement=LLCReplacement.DATA_LRU,
-            llc=CacheGeometry(2048, 2))
+            llc=CacheGeometry(2048, 2), n_sockets=2)
         defaults.update(kw)
         return tiny_config(**defaults)
 
@@ -109,33 +109,29 @@ class TestZeroDevMultiSocketDesigns:
         assert all(s.dev_invalidations == 0 for s in system.stats)
 
     def test_epd_zerodev_two_sockets(self):
-        system = MultiSocketSystem(
+        system = build_system(
             self.zconfig(llc_design=LLCDesign.EPD,
-                         directory=DirectoryConfig(ratio=0.5)),
-            n_sockets=2)
+                         directory=DirectoryConfig(ratio=0.5)))
         self.soak(system)
 
     def test_spillall_two_sockets(self):
-        system = MultiSocketSystem(
-            self.zconfig(dir_caching=DirCachingPolicy.SPILL_ALL),
-            n_sockets=2)
+        system = build_system(
+            self.zconfig(dir_caching=DirCachingPolicy.SPILL_ALL))
         self.soak(system)
 
     def test_fuseall_two_sockets(self):
-        system = MultiSocketSystem(
-            self.zconfig(dir_caching=DirCachingPolicy.FUSE_ALL),
-            n_sockets=2)
+        system = build_system(
+            self.zconfig(dir_caching=DirCachingPolicy.FUSE_ALL))
         self.soak(system)
 
     def test_sp_lru_two_sockets(self):
-        system = MultiSocketSystem(
-            self.zconfig(llc_replacement=LLCReplacement.SP_LRU),
-            n_sockets=2)
+        system = build_system(
+            self.zconfig(llc_replacement=LLCReplacement.SP_LRU))
         self.soak(system)
 
     def test_solution2_zerodev(self):
-        system = MultiSocketSystem(self.zconfig(), n_sockets=2,
-                                   dir_cache_blocks=8, dir_solution=2)
+        system = build_system(self.zconfig(socket_dir_cache_blocks=8,
+                                           socket_dir_solution=2))
         self.soak(system, rounds=80)
 
 
@@ -154,10 +150,10 @@ class TestCorruptedBitmapAccounting:
             directory=DirectoryConfig(ratio=None),
             llc_replacement=LLCReplacement.DATA_LRU,
             dir_caching=DirCachingPolicy.FPSS,
-            llc=llc)
+            llc=llc, n_sockets=2)
 
     def test_dirty_writeback_heals_socket_bitmap(self):
-        system = MultiSocketSystem(self.zconfig(), n_sockets=2)
+        system = build_system(self.zconfig())
         s0 = system.sockets[0]
         # Blocks 0/16/32/48 all map to bank 0 set 0 (2 ways) of socket 0.
         access(system, 0, 0, "W", 0)     # fused M entry for block 0
@@ -176,8 +172,7 @@ class TestCorruptedBitmapAccounting:
 
     def test_last_copy_eviction_restores_and_clears_bitmaps(self):
         import random
-        system = MultiSocketSystem(self.zconfig(CacheGeometry(1024, 2)),
-                                   n_sockets=2)
+        system = build_system(self.zconfig(CacheGeometry(1024, 2)))
         rng = random.Random(0)
         ops = "RWI"
         # Hot sharing phases over a small pool, then cold sweeps that

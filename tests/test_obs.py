@@ -523,10 +523,9 @@ class TestHtmlReport:
 class TestMultisocketTracing:
     def test_socket_invalidations_are_cause_tagged(self):
         from repro.common.addressing import BLOCK_SHIFT
-        from repro.multisocket import MultiSocketSystem
         from repro.obs import attach, detach
         from repro.workloads.trace import Op
-        system = MultiSocketSystem(tiny_config(), n_sockets=2)
+        system = build_system(tiny_config(n_sockets=2))
         bus = EventBus()
         ring = RingBufferSink(8192)
         bus.subscribe(ring)
@@ -542,27 +541,20 @@ class TestMultisocketTracing:
         assert all(socket.obs is None for socket in system.sockets)
         system.check_invariants()
 
-    def test_traced_zerodev_multisocket_run(self):
-        from repro.harness.parallel import run_live
-        from repro.multisocket import MultiSocketSystem
+    def test_traced_zerodev_multisocket_run(self, tmp_path):
         from repro.obs import attach
         workload = make_multithreaded(
             find_profile("canneal"), tiny_config(n_cores=8), 300, seed=5)
         per_kernel = {}
         for kernel in ("scalar", "batched"):
-            system = MultiSocketSystem(zerodev_config(kernel=kernel),
-                                       n_sockets=2)
+            system = build_system(zerodev_config(kernel=kernel,
+                                                 n_sockets=2))
             bus = EventBus()
             ring = RingBufferSink(1 << 16)
             bus.subscribe(ring)
             attach(system, bus)
-            before = telemetry_snapshot()
-            run_live(system, workload, check_invariants_every=200)
-            # Counted once in the session telemetry, like a run_many
-            # run.
-            delta = telemetry_since(before)
-            assert delta["runs"] == 1
-            assert delta["accesses"] == workload.total_accesses
+            traced = run_workload(system, workload,
+                                  check_invariants_every=200)
             counts = ring.counts()
             assert sum(count for key, count in counts.items()
                        if key.startswith("msg:")) > 0
@@ -577,6 +569,20 @@ class TestMultisocketTracing:
             assert steps[-1] <= bus.step
             per_kernel[kernel] = counts
         assert per_kernel["scalar"] == per_kernel["batched"]
+        # The same run as a traced run_many spec: counted once in the
+        # session telemetry, its accesses summed over the sockets, its
+        # gauges sampled over both sockets, and its per-socket stats
+        # those of the traced run.
+        before = telemetry_snapshot()
+        [result] = run_many([(zerodev_config(n_sockets=2), workload)],
+                            jobs=1, cache=None, trace_dir=tmp_path)
+        delta = telemetry_since(before)
+        assert delta["runs"] == 1
+        assert delta["accesses"] == workload.total_accesses
+        assert timeseries_path_for(Path(result.trace_path)).is_file()
+        assert result.stats == traced.stats
+        assert result.cycles == max(stats.total_cycles
+                                    for stats in traced.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +617,6 @@ class TestRunManyTracing:
         path = tmp_path / "one.jsonl"
         result = execute_run((zerodev_config(), small_workload()),
                              trace_path=str(path))
-        assert result.system is None             # detached
         assert result.trace_path == str(path) and path.is_file()
 
 

@@ -174,11 +174,17 @@ class TestFillAndLookup:
         # A read probes its L1 set first, and inclusion lets an L1 hit
         # skip the L2 probe: a block planted in an L1 set that the L2
         # does not hold is an inclusion break, refused by name, never
-        # served as a miss.
-        for op, sets, mask in ((Op.READ, "l1d_sets", "l1d_mask"),
-                               (Op.IFETCH, "l1i_sets", "l1i_mask")):
+        # served as a miss -- and the per-step check refuses it before
+        # any access reads it.
+        for op, sets, mask, name in (
+                (Op.READ, "l1d_sets", "l1d_mask", "L1D"),
+                (Op.IFETCH, "l1i_sets", "l1i_mask", "L1I")):
             system, hier, events = make_system()
             getattr(hier, sets)[6 & getattr(hier, mask)][6] = None
+            with fails_with(ProtocolInvariantError,
+                            f"inclusion broken: core 0's {name} holds "
+                            "block 0x6 but its L2 does not"):
+                system.check_invariants()
             with fails_with(ProtocolInvariantError,
                             "inclusion broken: core 0's L1 holds block "
                             "0x6 but its L2 does not"):

@@ -18,7 +18,7 @@ from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCDesign, LLCReplacement,
                                  Protocol)
 from repro.harness.system_builder import build_system
-from repro.multisocket import MultiSocketSystem
+from repro.harness.system_builder import build_system
 from repro.workloads.trace import Op
 
 from tests.conftest import tiny_config, zerodev_config
@@ -152,7 +152,7 @@ class TestMultiSocketProperties:
     @SETTINGS
     @given(multi_accesses)
     def test_baseline_two_sockets(self, script):
-        system = MultiSocketSystem(tiny_config(), n_sockets=2)
+        system = build_system(tiny_config(n_sockets=2))
         for socket, core, op, block in script:
             system.sockets[socket].access(core, op, block << 6)
         system.check_invariants()
@@ -160,8 +160,8 @@ class TestMultiSocketProperties:
     @SETTINGS
     @given(multi_accesses)
     def test_zerodev_two_sockets_cramped(self, script):
-        system = MultiSocketSystem(
-            zerodev_config(llc=CacheGeometry(2048, 2)), n_sockets=2)
+        system = build_system(
+            zerodev_config(llc=CacheGeometry(2048, 2), n_sockets=2))
         for socket, core, op, block in script:
             system.sockets[socket].access(core, op, block << 6)
         system.check_invariants()

@@ -7,7 +7,6 @@ inclusive never housing entries), and that each configuration's
 statistics match their pinned digest.
 """
 
-import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -22,7 +21,6 @@ from repro.common.config import (CacheGeometry, DirCachingPolicy,
 from repro.common.messages import MessageType
 from repro.common.stats import SystemStats
 from repro.harness.system_builder import build_system
-from repro.multisocket import MultiSocketSystem
 from repro.obs import EventBus, EventKind, RingBufferSink, attach
 
 from tests.conftest import OPS, drive, tiny_config, zerodev_config
@@ -53,15 +51,37 @@ NOTICE_SCRIPT = ([(0, "W", 0)] + [(0, "R", b) for b in range(8, 41, 8)]
                  + [(2, "R", b) for b in range(2, 131, 32)])
 
 
+#: The ``SystemStats`` fields a digest covers: every field the stats
+#: carried when the pins were taken, in their order then (as
+#: perfbench's ``STATS_FIELDS``).  A field added later does not enter
+#: the digest; a field removed or changed in value fails it.
+STATS_FIELDS = (
+    "n_cores", "cycles", "accesses", "l1_hits", "l2_hits",
+    "core_cache_misses", "upgrades", "llc_data_hits", "llc_data_misses",
+    "llc_read_misses", "llc_evictions", "llc_writebacks_to_dram",
+    "forwarded_requests", "invalidations_sent", "dir_allocations",
+    "dir_evictions", "dev_invalidations", "dev_events",
+    "inclusion_invalidations", "region_demotions", "update_pushes",
+    "updates_sent", "entries_spilled", "entries_fused", "spill_to_fuse",
+    "fuse_to_spill", "entry_llc_evictions", "wb_de_messages",
+    "get_de_messages", "denf_nacks", "corrupted_block_reads",
+    "corrupted_blocks_restored", "extra_data_array_reads",
+    "fused_read_forwards", "dram_reads", "dram_writes",
+    "dram_writes_entry_eviction", "dram_row_hits", "dram_row_misses",
+    "traffic_bytes", "messages", "read_latency_buckets",
+    "write_latency_buckets",
+)
+
+
 def stats_digest(stats: SystemStats) -> str:
-    """Digest of every ``SystemStats`` field, with the message counts
-    sorted by name (as perfbench's ``stats_digest`` does)."""
+    """Digest of the :data:`STATS_FIELDS` of ``stats``, with the message
+    counts sorted by name (as perfbench's ``stats_digest`` does)."""
     payload = []
-    for spec in dataclasses.fields(stats):
-        value = getattr(stats, spec.name)
+    for name in STATS_FIELDS:
+        value = getattr(stats, name)
         if isinstance(value, dict):
             value = sorted([kind.name, count] for kind, count in value.items())
-        payload.append([spec.name, value])
+        payload.append([name, value])
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
 
 
@@ -109,8 +129,8 @@ def check_two_sockets_pinned(policy: DirCachingPolicy) -> None:
     with its pin.  This is the one shape where a fused-frame eviction
     writes its dirty block home through the socket layer (SpillAll
     never fuses); a spilled frame is never evicted."""
-    system = MultiSocketSystem(zerodev_config(
-        dir_caching=policy, llc_design=LLCDesign.INCLUSIVE), n_sockets=2)
+    system = build_system(zerodev_config(
+        dir_caching=policy, llc_design=LLCDesign.INCLUSIVE, n_sockets=2))
     evicted, written_back = Counter(), Counter()
     for socket in system.sockets:
         def counting(bank, victim, socket=socket,

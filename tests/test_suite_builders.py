@@ -50,17 +50,24 @@ class TestMixProperties:
 
 class TestExperimentHelpers:
     def test_speedup_of_multithreaded_uses_makespan(self):
-        base = experiments.RunResult("w", SystemStats(2), None)
-        new = experiments.RunResult("w", SystemStats(2), None)
+        base = experiments.RunResult("w", SystemStats(2))
+        new = experiments.RunResult("w", SystemStats(2))
         base.stats.cycles = [100, 200]
         new.stats.cycles = [100, 100]
         assert experiments.speedup_of(base, new, "PARSEC") == 2.0
 
     def test_speedup_of_rate_uses_weighted(self):
-        base = experiments.RunResult("w", SystemStats(2), None)
-        new = experiments.RunResult("w", SystemStats(2), None)
+        base = experiments.RunResult("w", SystemStats(2))
+        new = experiments.RunResult("w", SystemStats(2))
         base.stats.cycles = [100, 100]
         new.stats.cycles = [50, 200]
+        assert experiments.speedup_of(base, new, "CPU2017") == \
+            pytest.approx(1.25)
+        # A multi-socket result weighs every core of every socket.
+        base = experiments.RunResult("w", [SystemStats(1), SystemStats(1)])
+        new = experiments.RunResult("w", [SystemStats(1), SystemStats(1)])
+        base.stats[0].cycles, base.stats[1].cycles = [100], [100]
+        new.stats[0].cycles, new.stats[1].cycles = [50], [200]
         assert experiments.speedup_of(base, new, "CPU2017") == \
             pytest.approx(1.25)
 
